@@ -25,7 +25,7 @@ from .bitvec import (
     map_oracle,
 )
 from .estimators import (
-    EstimatorConfig,
+    Estimate,
     MovingAverageBaseline,
     dense_grad,
     sfe_grad,
@@ -41,11 +41,12 @@ from .marginalize import (
     log_marginal_split,
     sparse_expectation,
 )
-from .rng import make_rng, split_rng
+from .rng import make_rng
 from .simplex import (
     SparseDistribution,
     entropy,
     softmax,
+    softmax_vjp,
     sparsemax,
     sparsemax_fullsort,
     sparsemax_vjp,
@@ -62,7 +63,7 @@ __all__ = [
     "CallStats",
     "CholeskyFactor",
     "DegenerateSupportError",
-    "EstimatorConfig",
+    "Estimate",
     "IdentityPolytope",
     "LossOracle",
     "MarginalReport",
@@ -86,6 +87,7 @@ __all__ = [
     "map_oracle",
     "sfe_grad",
     "softmax",
+    "softmax_vjp",
     "sparse_expectation",
     "sparsemap",
     "sparsemap_vjp",
@@ -93,7 +95,6 @@ __all__ = [
     "sparsemax",
     "sparsemax_fullsort",
     "sparsemax_vjp",
-    "split_rng",
     "sum_and_sample_grad",
     "top_k",
     "topk_sparsemax",

@@ -26,6 +26,7 @@ from .estimators import (
     _sas_term,
     _sfe_term,
     dense_grad,
+    sfe_grad,
     sum_and_sample_grad,
 )
 from .marginalize import LossOracle, log_marginal_split, sparse_expectation
@@ -235,13 +236,12 @@ def check_estimators(trials: int, seed: int) -> list:
         sas_bias.append(np.abs(_enumerate_sas(s, table, m) - exact).max())
 
         oracle = LossOracle(lambda z: table[z])
-        sum_and_sample_grad(s, oracle, m, seed + i)
+        sum_and_sample_grad(s, oracle, m, make_rng(seed + i))
         sas_calls.append(0.0 if oracle.calls <= m + 1 else 1.0)
 
-        from .estimators import sfe_grad
-
-        g, _ = sfe_grad(s, LossOracle(lambda z: table[z]), MovingAverageBaseline(baseline), seed + i)
-        sfe_sampled.append(0.0 if np.all(np.isfinite(g)) else 1.0)
+        est, _ = sfe_grad(s, LossOracle(lambda z: table[z]), MovingAverageBaseline(baseline),
+                          make_rng(seed + i))
+        sfe_sampled.append(0.0 if np.all(np.isfinite(est.grad)) else 1.0)
     return [
         _result("sfe unbiased by enumeration", sfe_bias, 1e-10),
         _result("sum-and-sample unbiased by enumeration", sas_bias, 1e-10),

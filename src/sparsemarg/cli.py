@@ -50,6 +50,8 @@ TRAIN_COLUMNS = (
     "calls_median",
     "calls_p90",
     "support_mean",
+    "support_max",
+    "cert_frac",
 )
 
 
@@ -190,6 +192,8 @@ def cmd_train(args) -> int:
                     _fmt(row.calls.median),
                     _fmt(row.calls.p90),
                     _fmt(row.support_mean),
+                    _fmt(row.support_max),
+                    "" if row.cert_frac is None else _fmt(row.cert_frac),
                 )
             )
         )

@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .marginalize import LossOracle
-from .rng import make_rng
-from .simplex import _as_scores, softmax
+from .simplex import _as_scores, softmax, softmax_vjp
 from .topk import top_k
 
 __all__ = [
-    "EstimatorConfig",
+    "Estimate",
     "MovingAverageBaseline",
     "dense_grad",
     "sfe_grad",
@@ -32,13 +31,21 @@ _COMPLEMENT_EPS = 1e-14
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Method selection plus the knobs the stochastic estimators need."""
+class Estimate:
+    """A sampled gradient estimate and the loss evaluations it was built from.
 
-    method: str = "dense"
-    baseline_decay: float = 0.9
-    topk_for_sum_and_sample: int = 1
-    seed: int = 0
+    ``loss`` estimates sum_z softmax(s)_z * loss(z) as the sum of
+    ``weights * values`` over the evaluated ``outcomes``; ``grad`` is the
+    matching estimate of its gradient with respect to s, and ``probs`` is
+    softmax(s).
+    """
+
+    grad: np.ndarray
+    loss: float
+    probs: np.ndarray
+    outcomes: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,27 +66,28 @@ def dense_grad(s, loss: LossOracle) -> np.ndarray:
         raise ValueError("dense enumeration capped at %d outcomes" % _MAX_ENUMERABLE)
     p = softmax(s)
     values = np.array([loss.eval(z) for z in range(s.size)])
-    return p * (values - p @ values)
+    return softmax_vjp(p, values)
 
 
 def _sfe_term(p, z: int, loss_value: float, baseline_value: float) -> np.ndarray:
-    g = -p * (loss_value - baseline_value)
-    g[z] += loss_value - baseline_value
-    return g
+    return (loss_value - baseline_value) * _one_hot_minus_p(p, z)
 
 
-def sfe_grad(s, loss: LossOracle, baseline: MovingAverageBaseline, seed: int):
+def sfe_grad(s, loss: LossOracle, baseline: MovingAverageBaseline, rng: np.random.Generator):
     """Score function (REINFORCE) estimate from a single sampled outcome.
 
-    Returns ``(grad, updated_baseline)``.  The estimate is
-    (loss(z) - b) * grad log softmax(s)_z for z ~ softmax(s); subtracting
-    the running baseline changes variance only, not the mean.
+    Returns ``(estimate, updated_baseline)``.  The gradient estimate is
+    (loss(z) - b) * grad log softmax(s)_z for z ~ softmax(s), drawn from
+    ``rng``; subtracting the running baseline changes variance only, not
+    the mean.  The loss estimate is loss(z).
     """
     s = _as_scores(s)
     p = softmax(s)
-    z = int(make_rng(seed).choice(s.size, p=p))
+    z = int(rng.choice(s.size, p=p))
     value = loss.eval(z)
-    return _sfe_term(p, z, value, baseline.value), baseline.updated(value)
+    estimate = Estimate(_sfe_term(p, z, value, baseline.value), value, p,
+                        np.array([z]), np.ones(1), np.array([value]))
+    return estimate, baseline.updated(value)
 
 
 def _sas_term(p, kept, kept_values, comp_mass, z, loss_value) -> np.ndarray:
@@ -103,12 +111,13 @@ def _one_hot_minus_p(p, z: int) -> np.ndarray:
     return out
 
 
-def sum_and_sample_grad(s, loss: LossOracle, k: int, seed: int) -> np.ndarray:
-    """Exact gradient over the top-k outcomes plus one complement sample.
+def sum_and_sample_grad(s, loss: LossOracle, k: int, rng: np.random.Generator) -> Estimate:
+    """Exact estimate over the top-k outcomes plus one complement sample.
 
     Uses k + 1 loss calls (k when the complement carries no mass).  The
-    complement draw is importance-corrected so the estimator is unbiased
-    for every k.
+    complement draw comes from ``rng`` and is weighted by the complement
+    mass, so both the loss and the gradient estimate are unbiased for
+    every k.
     """
     s = _as_scores(s)
     if not 1 <= k < s.size:
@@ -116,9 +125,14 @@ def sum_and_sample_grad(s, loss: LossOracle, k: int, seed: int) -> np.ndarray:
     p = softmax(s)
     kept = top_k(s, k).indices
     kept_values = np.array([loss.eval(int(z)) for z in kept])
+    kept_loss = float((p[kept] * kept_values).sum())
     comp_mass = 1.0 - p[kept].sum()
     if comp_mass <= _COMPLEMENT_EPS:
-        return _sas_term(p, kept, kept_values, 0.0, -1, 0.0)
+        return Estimate(_sas_term(p, kept, kept_values, 0.0, -1, 0.0), kept_loss, p,
+                        kept, p[kept], kept_values)
     comp = np.setdiff1d(np.arange(s.size), kept)
-    z = int(make_rng(seed).choice(comp, p=p[comp] / p[comp].sum()))
-    return _sas_term(p, kept, kept_values, comp_mass, z, loss.eval(z))
+    z = int(rng.choice(comp, p=p[comp] / p[comp].sum()))
+    value = loss.eval(z)
+    return Estimate(_sas_term(p, kept, kept_values, comp_mass, z, value),
+                    kept_loss + comp_mass * value, p, np.append(kept, z),
+                    np.append(p[kept], comp_mass), np.append(kept_values, value))

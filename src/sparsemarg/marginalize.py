@@ -12,7 +12,6 @@ sampling.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +37,12 @@ class LossOracle:
     """Wraps a scalar loss function and counts its evaluations.
 
     ``fn`` maps an outcome id (or structure) to a float.  The counter is
-    guarded by a lock so reentrant oracles may be evaluated from a thread
-    pool; it only ever increases.
+    guarded by a lock, so an oracle shared between threads still counts
+    every evaluation; it only ever increases.
     """
 
-    def __init__(self, fn, reentrant: bool = False):
+    def __init__(self, fn):
         self.fn = fn
-        self.reentrant = reentrant
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -82,19 +80,14 @@ class CallStats:
         )
 
 
-def sparse_expectation(dist: SparseDistribution, loss: LossOracle, parallel: bool = False) -> MarginalReport:
+def sparse_expectation(dist: SparseDistribution, loss: LossOracle) -> MarginalReport:
     """Exact expected loss over the support of ``dist``.
 
-    Evaluates the loss exactly once per supported outcome (in parallel
-    only when the oracle declares itself reentrant), so the call count
-    equals the support size.
+    Evaluates the loss exactly once per supported outcome, so the call
+    count equals the support size.
     """
     outcomes = [int(i) for i in dist.indices]
-    if parallel and loss.reentrant and len(outcomes) > 1:
-        with ThreadPoolExecutor() as pool:
-            values = list(pool.map(loss.eval, outcomes))
-    else:
-        values = [loss.eval(z) for z in outcomes]
+    values = [loss.eval(z) for z in outcomes]
     expected = float(dist.probs @ np.asarray(values))
     return MarginalReport(expected, None, len(outcomes), dist.support_size)
 

@@ -1,22 +1,17 @@
 """Seeding convention for every stochastic operation in the package.
 
 All randomness flows through counter-based Philox generators constructed
-from explicit integer seeds, so runs are reproducible bit-for-bit and
-child streams can be split off without correlation.
+from explicit integer seeds, so runs are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "split_rng"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Generator for an explicit seed; equal seeds give equal streams."""
     return np.random.Generator(np.random.Philox(seed))
 
-
-def split_rng(rng: np.random.Generator, n: int) -> list:
-    """n independent child generators of ``rng``."""
-    return rng.spawn(n)

@@ -18,6 +18,7 @@ __all__ = [
     "sparsemax_fullsort",
     "sparsemax_vjp",
     "softmax",
+    "softmax_vjp",
     "entropy",
 ]
 
@@ -87,11 +88,12 @@ def _threshold(sorted_desc):
     return rho, tau
 
 
-def _from_threshold(s, tau):
-    # Strict inequality: an entry exactly at the threshold carries zero
+def _from_threshold(z, tau, shift):
+    # z = s - shift holds the scores relative to their maximum.  Strict
+    # inequality: an entry exactly at the threshold carries zero
     # probability and is excluded from the support.
-    idx = np.nonzero(s > tau)[0]
-    return SparseDistribution(idx, s[idx] - tau, float(tau), s.size)
+    idx = np.nonzero(z > tau)[0]
+    return SparseDistribution(idx, z[idx] - tau, float(tau + shift), z.size)
 
 
 def sparsemax(s) -> SparseDistribution:
@@ -100,28 +102,35 @@ def sparsemax(s) -> SparseDistribution:
     The solution has the form p_i = max(s_i - tau, 0) with tau chosen so
     the result sums to one.  Works on top-k prefixes of doubling size, so
     the cost stays near O(K) when the solution is sparse; the plain
-    O(K log K) full-sort variant is :func:`sparsemax_fullsort`.
+    O(K log K) full-sort variant is :func:`sparsemax_fullsort`.  Both
+    threshold the scores relative to their maximum, so a large common
+    offset does not swamp the probabilities; ``threshold`` is reported in
+    the units of ``s``.
     """
     s = _as_scores(s)
+    shift = s.max()
+    z = s - shift
     K = s.size
     k = min(8, K)
     while True:
         if k >= K:
-            top = np.sort(s)[::-1]
+            top = np.sort(z)[::-1]
         else:
-            part = np.argpartition(s, K - k)[K - k:]
-            top = np.sort(s[part])[::-1]
+            part = np.argpartition(z, K - k)[K - k:]
+            top = np.sort(z[part])[::-1]
         rho, tau = _threshold(top)
         if rho < k or k >= K:
-            return _from_threshold(s, tau)
+            return _from_threshold(z, tau, shift)
         k = min(2 * k, K)
 
 
 def sparsemax_fullsort(s) -> SparseDistribution:
     """Sparsemax via one full descending sort (reference path)."""
     s = _as_scores(s)
-    _, tau = _threshold(np.sort(s)[::-1])
-    return _from_threshold(s, tau)
+    shift = s.max()
+    z = s - shift
+    _, tau = _threshold(np.sort(z)[::-1])
+    return _from_threshold(z, tau, shift)
 
 
 def sparsemax_vjp(s, dist: SparseDistribution, upstream) -> np.ndarray:
@@ -146,6 +155,14 @@ def softmax(s) -> np.ndarray:
     s = _as_scores(s)
     e = np.exp(s - s.max())
     return e / e.sum()
+
+
+def softmax_vjp(p, upstream) -> np.ndarray:
+    """Apply the transposed softmax Jacobian at ``p = softmax(s)`` to ``upstream``.
+
+    The Jacobian is diag(p) - p p^T, so the vjp is p * (upstream - p . upstream).
+    """
+    return p * (upstream - p @ upstream)
 
 
 def entropy(p) -> float:

@@ -29,10 +29,10 @@ from .bitvec import (
     config_matrix,
     kbest,
 )
+from .estimators import MovingAverageBaseline, sfe_grad, sum_and_sample_grad
 from .marginalize import CallStats, LossOracle
 from .rng import make_rng
-from .simplex import softmax, sparsemax
-from .topk import top_k
+from .simplex import softmax, softmax_vjp, sparsemax, sparsemax_vjp
 
 __all__ = [
     "TrainConfig",
@@ -136,10 +136,6 @@ def make_bitvec_images(n: int = 128, d: int = 8, n_pixels: int = 36, seed: int =
     flips = rng.random((n, n_pixels)) < flip_prob
     images = np.logical_xor(clean, flips).astype(np.float64)
     return BitImageData(images, d, n_pixels)
-
-
-def _softmax_vjp(q, upstream):
-    return q * (upstream - q @ upstream)
 
 
 def _log_softmax(u):
@@ -299,113 +295,87 @@ class ToyBitVectorVAE:
 class _ExamplePass:
     objective: float  # the differentiated quantity
     loss: float  # reported downstream loss (estimate for sampling methods)
+    metric: float  # the log's metric column for this example
     grads: dict
     calls: int
     support: int
     signature: tuple
-    correct: bool = False
     certificate: bool | None = None
 
 
-def _categorical_pass(model: ToyCategoricalModel, x, y: int, cfg: TrainConfig,
-                      rng=None, baseline_value: float = 0.0):
-    """One example: forward, loss calls on the support only, hand gradients.
+def _on_support(dist, values) -> np.ndarray:
+    """Dense length-``dist.dim`` vector holding ``values`` on the support."""
+    full = np.zeros(dist.dim)
+    full[dist.indices] = values
+    return full
 
-    Stochastic methods (sfe, sum_and_sample) need ``rng``.  Returns the
-    pass record and the observed loss for baseline updates (nan when no
-    sample was drawn).
+
+def _categorical_pass(model: ToyCategoricalModel, x, y: int, cfg: TrainConfig,
+                      rng=None, baseline: MovingAverageBaseline | None = None):
+    """One example: forward, loss calls, hand gradients.
+
+    The dense and sparse methods marginalize exactly over the mapping's
+    support; sfe and sum_and_sample are the library estimators and need
+    ``rng`` (sfe also the running ``baseline``).  Returns the pass record and the
+    baseline, updated when sfe drew a sample.
     """
     K = model.n_messages
     s = model.scores(x)
     oracle = LossOracle(lambda z: model.label_loss(int(z), y))
     coef = cfg.entropy_coef
-    grads = model.zero_grads()
-    sampled_value = float("nan")
+    support = np.arange(K)
 
     if cfg.method in ("dense", "sparse"):
         if cfg.method == "dense":
             q = softmax(s)
-            support = np.arange(K)
         else:
             dist = sparsemax(s)
             q = dist.probs
             support = dist.indices
         values = np.array([oracle.eval(z) for z in support])
-        expected = float(q @ values)
-        objective = expected + coef * float(q @ np.log(q))
+        outcomes, weights = support, q
+        loss = float(q @ values)
+        objective = loss + coef * float(q @ np.log(q))
         upstream = values + coef * (np.log(q) + 1.0)
         if cfg.method == "dense":
-            g_s = _softmax_vjp(q, upstream)
+            g_s = softmax_vjp(q, upstream)
         else:
-            g_s = np.zeros(K)
-            g_s[support] = upstream - upstream.mean()
-        for qz, z in zip(q, support):
-            grads["dec_w"][z] += qz * _label_dlogits(model, int(z), y)
-        loss = expected
-    elif cfg.method == "sfe":
-        q = softmax(s)
-        z = int(rng.choice(K, p=q))
-        value = oracle.eval(z)
-        sampled_value = value
-        g_s = (value - baseline_value) * _one_hot(K, z, q)
-        g_s += coef * _softmax_vjp(q, np.log(q) + 1.0)
-        grads["dec_w"][z] += _label_dlogits(model, z, y)
-        support = np.arange(K)
-        objective = loss = value
-    elif cfg.method == "sum_and_sample":
-        if not 1 <= cfg.k < K:
-            raise ValueError("sum_and_sample needs 1 <= k < K")
-        q = softmax(s)
-        kept = top_k(s, cfg.k).indices
-        values = np.array([oracle.eval(int(z)) for z in kept])
-        comp_mass = 1.0 - q[kept].sum()
-        weighted = q[kept] * values
-        g_s = -q * weighted.sum()
-        g_s[kept] += weighted
-        for qz, z, in zip(q[kept], kept):
-            grads["dec_w"][z] += qz * _label_dlogits(model, int(z), y)
-        loss = float(weighted.sum())
-        if comp_mass > 1e-14:
-            comp = np.setdiff1d(np.arange(K), kept)
-            z = int(rng.choice(comp, p=q[comp] / q[comp].sum()))
-            value = oracle.eval(z)
-            g_s += value * comp_mass * _one_hot(K, z, q)
-            grads["dec_w"][z] += comp_mass * _label_dlogits(model, z, y)
-            loss += comp_mass * value
-        g_s += coef * _softmax_vjp(q, np.log(q) + 1.0)
-        support = np.arange(K)
-        objective = loss
+            g_s = sparsemax_vjp(s, dist, _on_support(dist, upstream))
     else:
-        raise ValueError("unknown categorical method %r" % cfg.method)
+        if cfg.method == "sfe":
+            est, baseline = sfe_grad(s, oracle, baseline, rng)
+        elif cfg.method == "sum_and_sample":
+            est = sum_and_sample_grad(s, oracle, cfg.k, rng)
+        else:
+            raise ValueError("unknown categorical method %r" % cfg.method)
+        q = est.probs
+        g_s = est.grad + coef * softmax_vjp(q, np.log(q) + 1.0)
+        outcomes, weights = est.outcomes, est.weights
+        objective = loss = est.loss
 
+    grads = model.zero_grads()
     grads["enc_w"] += np.outer(g_s, x)
     grads["enc_b"] += g_s
-
+    # One decoder softmax per row serves both the posterior-mixture
+    # prediction and, for evaluated outcomes, the label-logit gradient.
+    label_weight = dict(zip(outcomes.tolist(), weights))
     mixture = np.zeros(model.dec_w.shape[1])
-    for qz, z in zip(q, support) if cfg.method == "sparse" else zip(q, range(K)):
-        mixture += qz * np.exp(_log_softmax(model.dec_w[int(z)]))
+    for qz, z in zip(q, support.tolist()):
+        probs_z = np.exp(_log_softmax(model.dec_w[z]))
+        mixture += qz * probs_z
+        if z in label_weight:
+            probs_z[y] -= 1.0
+            grads["dec_w"][z] += label_weight[z] * probs_z
     out = _ExamplePass(
         objective=objective,
         loss=loss,
+        metric=float(int(np.argmax(mixture)) == y),
         grads=grads,
         calls=oracle.calls,
-        support=len(support),
-        signature=tuple(int(i) for i in support),
-        correct=int(np.argmax(mixture)) == y,
+        support=support.size,
+        signature=tuple(support.tolist()),
     )
-    return out, sampled_value
-
-
-def _label_dlogits(model: ToyCategoricalModel, z: int, y: int) -> np.ndarray:
-    d = np.exp(_log_softmax(model.dec_w[z]))
-    d[y] -= 1.0
-    return d
-
-
-def _one_hot(K: int, z: int, q) -> np.ndarray:
-    e = -np.asarray(q, dtype=np.float64).copy()
-    e[z] += 1.0
-    return e
+    return out, baseline
 
 
 def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
@@ -418,40 +388,32 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
     D = model.d
     t = model.var_scores(x)
     method = cfg.method
+    certificate = None
 
     if method == "topk":
         if cfg.k < 1:
             raise ValueError("topk needs k >= 1")
         structs = kbest(t, cfg.k)
-        sub = sparsemax(np.array([st.score for st in structs]))
-        bits_mat = np.array([structs[i].bits for i in sub.indices], dtype=np.float64)
-        q = sub.probs
-        certificate = sub.support_size < cfg.k
-        ids = [structs[i].index for i in sub.indices]
-
-        def backward(up):
-            return bits_mat.T @ (up - up.mean())
+        u = np.array([st.score for st in structs])
+        dist = sparsemax(u)
+        q = dist.probs
+        bits_mat = np.array([structs[i].bits for i in dist.indices], dtype=np.float64)
+        ids = [structs[i].index for i in dist.indices]
+        certificate = dist.support_size < cfg.k
     elif method in ("dense", "sparse"):
         if D > _ENUM_LIMIT:
             raise ValueError("enumeration methods need D <= %d" % _ENUM_LIMIT)
         A = config_matrix(D)
-        svec = A @ t
-        certificate = None
+        u = A @ t
         if method == "dense":
-            q = softmax(svec)
+            q = softmax(u)
             bits_mat = A
             ids = list(range(A.shape[0]))
-
-            def backward(up):
-                return A.T @ _softmax_vjp(q, up)
         else:
-            dist = sparsemax(svec)
+            dist = sparsemax(u)
             q = dist.probs
             bits_mat = A[dist.indices]
             ids = [int(i) for i in dist.indices]
-
-            def backward(up):
-                return bits_mat.T @ (up - up.mean())
     elif method in ("sparsemap", "sparsemap_budget"):
         if method == "sparsemap":
             polytope = BitVectorPolytope(D)
@@ -462,31 +424,40 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
         q = res.probs
         bits_mat = np.array([st.bits for st in res.structures], dtype=np.float64)
         ids = [int(i) for i in res.outcome_ids]
-        certificate = None
-
-        def backward(up):
-            return sparsemap_vjp_probs(res, up)
     else:
         raise ValueError("unknown bit-vector method %r" % method)
 
-    oracle = LossOracle(
-        lambda bits: D * np.log(2.0) + model.recon_loss_and_dlogits(bits, x)[0]
-    )
+    # The oracle keeps each decoder-output gradient it computes, so the
+    # decoder runs once per supported outcome.
+    dlogits = []
+
+    def neg_log_joint(bits):
+        recon, d = model.recon_loss_and_dlogits(bits, x)
+        dlogits.append(d)
+        return D * np.log(2.0) + recon
+
+    oracle = LossOracle(neg_log_joint)
     c = np.array([oracle.eval(row) for row in bits_mat])
     neg_elbo = float(q @ c + q @ np.log(q))
-    g_t = backward(c + np.log(q) + 1.0)
+    up = c + np.log(q) + 1.0
+    if method == "dense":
+        g_t = A.T @ softmax_vjp(q, up)
+    elif method in ("topk", "sparse"):
+        g_t = bits_mat.T @ sparsemax_vjp(u, dist, _on_support(dist, up))[dist.indices]
+    else:
+        g_t = sparsemap_vjp_probs(res, up)
 
     grads = model.zero_grads()
     grads["enc_w"] += np.outer(g_t, x)
     grads["enc_b"] += g_t
-    for qz, row in zip(q, bits_mat):
-        dlogits = model.recon_loss_and_dlogits(row, x)[1]
-        grads["dec_w"] += qz * np.outer(dlogits, row)
-        grads["dec_b"] += qz * dlogits
+    for qz, row, d in zip(q, bits_mat, dlogits):
+        grads["dec_w"] += qz * np.outer(d, row)
+        grads["dec_b"] += qz * d
 
     return _ExamplePass(
         objective=neg_elbo,
         loss=neg_elbo,
+        metric=neg_elbo,
         grads=grads,
         calls=oracle.calls,
         support=q.size,
@@ -504,17 +475,13 @@ def _check_method(task: str, method: str):
         )
 
 
-def _accumulate(total, part):
-    for key in total:
-        total[key] += part[key]
-
-
 def _params_finite(model) -> bool:
     return all(np.all(np.isfinite(getattr(model, key))) for key in model.zero_grads())
 
 
-def _finish_epoch(epoch, losses, metrics, calls, supports, certs):
-    calls = np.asarray(calls, dtype=np.float64)
+def _finish_epoch(epoch, stats) -> EpochRow:
+    losses, metrics, calls, supports, certs = zip(*stats)
+    certs = [float(c) for c in certs if c is not None]
     return EpochRow(
         epoch=epoch,
         loss=float(np.mean(losses)),
@@ -522,8 +489,50 @@ def _finish_epoch(epoch, losses, metrics, calls, supports, certs):
         calls=CallStats.from_counts(calls),
         support_mean=float(np.mean(supports)),
         support_max=int(np.max(supports)),
-        cert_frac=None if not certs else float(np.mean(certs)),
+        cert_frac=float(np.mean(certs)) if certs else None,
     )
+
+
+def _initial_loss(n: int, example_pass) -> float:
+    total = 0.0
+    for i in range(n):
+        total += example_pass(i).loss
+    return total / n
+
+
+def _train(task: str, model, n: int, cfg: TrainConfig, eval_cfg: TrainConfig, example_pass):
+    """Minibatch SGD over ``n`` examples, reshuffled every epoch.
+
+    ``example_pass(i, config, rng)`` returns the pass record of example
+    ``i``; ``rng`` is the generator that also draws the shuffles.  The
+    initial loss is the mean loss under ``eval_cfg`` before any update.
+    """
+    log = TrainingLog(task=task, config=cfg,
+                      initial_loss=_initial_loss(n, lambda i: example_pass(i, eval_cfg, None)))
+    rng = make_rng(cfg.seed)
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        stats = []
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start: start + cfg.batch_size]
+            grads = model.zero_grads()
+            for i in batch:
+                out = example_pass(i, cfg, rng)
+                for key in grads:
+                    grads[key] += out.grads[key]
+                stats.append((out.loss, out.metric, out.calls, out.support, out.certificate))
+            for key in grads:
+                grads[key] /= len(batch)
+            model.sgd_update(grads, cfg.lr)
+            if not _params_finite(model):
+                log.diverged = True
+                return log
+        row = _finish_epoch(epoch, stats)
+        log.rows.append(row)
+        if not np.isfinite(row.loss):
+            log.diverged = True
+            break
+    return log
 
 
 def train_categorical(model: ToyCategoricalModel, data: ClusterData, cfg: TrainConfig) -> TrainingLog:
@@ -532,58 +541,22 @@ def train_categorical(model: ToyCategoricalModel, data: ClusterData, cfg: TrainC
     The loss column is the expected downstream cross-entropy (a sample
     estimate for sfe / sum_and_sample), the metric column is accuracy of
     the posterior-mixture prediction, and call statistics count decoder
-    loss evaluations made during training.
+    loss evaluations made during training.  The initial loss is exact:
+    sparse for the sparse method, dense for the others.
     """
     _check_method("categorical", cfg.method)
-    n = data.features.shape[0]
     eval_cfg = TrainConfig(method="dense" if cfg.method != "sparse" else "sparse",
                            entropy_coef=cfg.entropy_coef)
-    log = TrainingLog(
-        task="categorical",
-        config=cfg,
-        initial_loss=_mean_categorical_loss(model, data, eval_cfg),
-    )
-    rng = make_rng(cfg.seed)
-    baseline = 0.0
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        losses, metrics, calls, supports = [], [], [], []
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start: start + cfg.batch_size]
-            grads = model.zero_grads()
-            for i in batch:
-                out, observed = _categorical_pass(
-                    model, data.features[i], int(data.labels[i]), cfg, rng, baseline
-                )
-                if np.isfinite(observed):
-                    baseline = cfg.baseline_decay * baseline + (1 - cfg.baseline_decay) * observed
-                _accumulate(grads, out.grads)
-                losses.append(out.loss)
-                metrics.append(float(out.correct))
-                calls.append(out.calls)
-                supports.append(out.support)
-            for key in grads:
-                grads[key] /= len(batch)
-            model.sgd_update(grads, cfg.lr)
-            if not _params_finite(model):
-                log.diverged = True
-                break
-        if log.diverged:
-            break
-        row = _finish_epoch(epoch, losses, metrics, calls, supports, [])
-        log.rows.append(row)
-        if not np.isfinite(row.loss):
-            log.diverged = True
-            break
-    return log
+    baseline = MovingAverageBaseline(decay=cfg.baseline_decay)
 
+    def example_pass(i, config, rng):
+        nonlocal baseline
+        out, baseline = _categorical_pass(
+            model, data.features[i], int(data.labels[i]), config, rng, baseline
+        )
+        return out
 
-def _mean_categorical_loss(model, data, cfg) -> float:
-    total = 0.0
-    for x, y in zip(data.features, data.labels):
-        part, _ = _categorical_pass(model, x, int(y), cfg)
-        total += part.loss
-    return total / data.features.shape[0]
+    return _train("categorical", model, data.features.shape[0], cfg, eval_cfg, example_pass)
 
 
 def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfig) -> TrainingLog:
@@ -594,48 +567,11 @@ def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfi
     certificate held (support strictly below k).
     """
     _check_method("bitvec", cfg.method)
-    n = data.images.shape[0]
-    log = TrainingLog(
-        task="bitvec",
-        config=cfg,
-        initial_loss=_mean_bitvec_loss(model, data, cfg),
-    )
-    rng = make_rng(cfg.seed)
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        losses, calls, supports, certs = [], [], [], []
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start: start + cfg.batch_size]
-            grads = model.zero_grads()
-            for i in batch:
-                out = _bitvec_pass(model, data.images[i], cfg)
-                _accumulate(grads, out.grads)
-                losses.append(out.loss)
-                calls.append(out.calls)
-                supports.append(out.support)
-                if out.certificate is not None:
-                    certs.append(float(out.certificate))
-            for key in grads:
-                grads[key] /= len(batch)
-            model.sgd_update(grads, cfg.lr)
-            if not _params_finite(model):
-                log.diverged = True
-                break
-        if log.diverged:
-            break
-        row = _finish_epoch(epoch, losses, losses, calls, supports, certs)
-        log.rows.append(row)
-        if not np.isfinite(row.loss):
-            log.diverged = True
-            break
-    return log
 
+    def example_pass(i, config, rng):
+        return _bitvec_pass(model, data.images[i], config)
 
-def _mean_bitvec_loss(model, data, cfg) -> float:
-    total = 0.0
-    for x in data.images:
-        total += _bitvec_pass(model, x, cfg).loss
-    return total / data.images.shape[0]
+    return _train("bitvec", model, data.images.shape[0], cfg, cfg, example_pass)
 
 
 def model_grad_check(model, cfg: TrainConfig, example, h: float = 1e-5) -> GradCheckReport:

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 from scipy.special import logsumexp
 
 from sparsemarg.activeset import sparsemap, sparsemap_vjp_probs
@@ -204,13 +205,18 @@ def test_04_sparsemap_on_identity_polytope_is_sparsemax():
 
 
 def test_05_sparsemap_bitvector_moments_agree_with_qp_and_projection():
-    # Three independent routes: per-coordinate clip to [0, 1], a vertex
-    # QP over all 2^D corners via cvxpy, and the re-queried oracle's dual
-    # certificate.
-    cvxpy = pytest.importorskip("cvxpy")
+    # Independent routes: per-coordinate clip to [0, 1], a vertex QP over
+    # all 2^D corners (scipy NNLS with sum(lam) = 1 as a heavily weighted
+    # extra row, and cvxpy as well when it is installed), and the
+    # re-queried oracle's dual certificate.
+    try:
+        import cvxpy
+    except ImportError:
+        cvxpy = None
     rng = make_rng(5)
     worst_clip = worst_qp = 0.0
     nu_floor = 0.0
+    routes = ["nnls"] + (["cvxpy"] if cvxpy is not None else [])
     for trial in range(18):
         D = 2 + trial % 9
         t = rng.normal(size=D) * rng.uniform(0.5, 2.0)
@@ -221,21 +227,25 @@ def test_05_sparsemap_bitvector_moments_agree_with_qp_and_projection():
             worst_clip, float(np.abs(res.moments - np.clip(t, 0.0, 1.0)).max())
         )
         M = config_matrix(D).T
-        lam = cvxpy.Variable(M.shape[1])
-        problem = cvxpy.Problem(
-            cvxpy.Minimize(cvxpy.sum_squares(M @ lam - t)),
-            [lam >= 0, cvxpy.sum(lam) == 1],
-        )
-        problem.solve()
-        worst_qp = max(worst_qp, float(np.abs(res.moments - M @ lam.value).max()))
+        weight = 1e4
+        lam, _ = nnls(np.vstack([M, np.full((1, M.shape[1]), weight)]), np.append(t, weight))
+        worst_qp = max(worst_qp, float(np.abs(res.moments - M @ lam).max()))
+        if cvxpy is not None:
+            lam = cvxpy.Variable(M.shape[1])
+            problem = cvxpy.Problem(
+                cvxpy.Minimize(cvxpy.sum_squares(M @ lam - t)),
+                [lam >= 0, cvxpy.sum(lam) == 1],
+            )
+            problem.solve()
+            worst_qp = max(worst_qp, float(np.abs(res.moments - M @ lam.value).max()))
         candidate = map_oracle(t - res.moments)
         nu_floor = min(nu_floor, res.tau - candidate.score)
     assert worst_clip <= 1e-5
     assert worst_qp <= 1e-5
     assert nu_floor >= -1e-9
     print(
-        "PASS sparsemap moments: clip %.3g, vertex QP %.3g, nu_min %.3g"
-        % (worst_clip, worst_qp, nu_floor)
+        "PASS sparsemap moments: clip %.3g, vertex QP (%s) %.3g, nu_min %.3g"
+        % (worst_clip, "+".join(routes), worst_qp, nu_floor)
     )
 
 

@@ -101,6 +101,25 @@ def test_train_budget_support_column_bounded(tmp_path):
     assert all(float(r[col]) <= 9.0 for r in rows)
 
 
+def test_train_writes_support_max_and_certificate_rate(tmp_path):
+    for method, flags in (("topk", ["--k", "4"]), ("sparsemap", [])):
+        out = _run_train(tmp_path, method + ".csv",
+                         ["train", "bitvec", "--method", method, "--d", "5", "--n", "12",
+                          "--epochs", "2", "--seed", "1"] + flags)
+        header, rows = _rows(out)
+        assert header[-2:] == ["support_max", "cert_frac"]
+        for r in rows:
+            support_max = int(r[header.index("support_max")])
+            assert float(r[header.index("support_mean")]) <= support_max
+            cert = r[header.index("cert_frac")]
+            if method == "topk":
+                assert support_max <= 4
+                assert 0.0 <= float(cert) <= 1.0
+            else:
+                assert support_max <= 6
+                assert cert == ""
+
+
 def test_train_incompatible_method_task_is_usage_error(tmp_path):
     out = tmp_path / "never.csv"
     code = main(["train", "categorical", "--method", "sparsemap",

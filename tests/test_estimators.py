@@ -73,19 +73,19 @@ def test_sfe_unbiased_by_enumeration():
 
 def test_sfe_loss_equal_baseline_gives_zero():
     s = np.array([0.2, -0.4, 0.1])
-    g, _ = sfe_grad(s, _oracle([3.0, 3.0, 3.0]), MovingAverageBaseline(3.0), seed=0)
-    np.testing.assert_allclose(g, 0.0, atol=1e-15)
+    est, _ = sfe_grad(s, _oracle([3.0, 3.0, 3.0]), MovingAverageBaseline(3.0), make_rng(0))
+    np.testing.assert_allclose(est.grad, 0.0, atol=1e-15)
 
 
 def test_sfe_single_outcome_gives_zero():
-    g, _ = sfe_grad(np.array([1.7]), _oracle([5.0]), MovingAverageBaseline(0.0), seed=0)
-    np.testing.assert_allclose(g, 0.0, atol=1e-15)
+    est, _ = sfe_grad(np.array([1.7]), _oracle([5.0]), MovingAverageBaseline(0.0), make_rng(0))
+    np.testing.assert_allclose(est.grad, 0.0, atol=1e-15)
 
 
 def test_sfe_uses_one_call_and_updates_baseline():
     oracle = _oracle([1.0, 2.0])
     base = MovingAverageBaseline(0.0, decay=0.9)
-    _, updated = sfe_grad(np.array([0.0, 0.0]), oracle, base, seed=3)
+    _, updated = sfe_grad(np.array([0.0, 0.0]), oracle, base, make_rng(3))
     assert oracle.calls == 1
     assert updated.value in (pytest.approx(0.1), pytest.approx(0.2))
     assert base.value == 0.0  # input state untouched
@@ -112,7 +112,7 @@ def test_sas_unbiased_by_enumeration():
 
 def test_sas_k_plus_one_calls():
     oracle = _oracle(np.arange(6.0))
-    sum_and_sample_grad(np.linspace(0, 1, 6), oracle, 3, seed=0)
+    sum_and_sample_grad(np.linspace(0, 1, 6), oracle, 3, make_rng(0))
     assert oracle.calls == 4
 
 
@@ -120,17 +120,17 @@ def test_sas_zero_complement_mass_is_exact_topk():
     # All mass provably inside the kept set: complement sampling skipped.
     s = np.array([0.0, 0.0, -200.0, -200.0])
     oracle = _oracle([1.0, 2.0, 3.0, 4.0])
-    g = sum_and_sample_grad(s, oracle, 2, seed=0)
+    est = sum_and_sample_grad(s, oracle, 2, make_rng(0))
     assert oracle.calls == 2
     exact = dense_grad(s, _oracle([1.0, 2.0, 3.0, 4.0]))
-    np.testing.assert_allclose(g, exact, atol=1e-10)
+    np.testing.assert_allclose(est.grad, exact, atol=1e-10)
 
 
 def test_sas_k_out_of_range():
     with pytest.raises(ValueError):
-        sum_and_sample_grad(np.zeros(3), _oracle(np.zeros(3)), 0, seed=0)
+        sum_and_sample_grad(np.zeros(3), _oracle(np.zeros(3)), 0, make_rng(0))
     with pytest.raises(ValueError):
-        sum_and_sample_grad(np.zeros(3), _oracle(np.zeros(3)), 3, seed=0)
+        sum_and_sample_grad(np.zeros(3), _oracle(np.zeros(3)), 3, make_rng(0))
 
 
 def test_sas_variance_below_sfe():
@@ -144,11 +144,30 @@ def test_sas_variance_below_sfe():
     reps = 2000
     base = MovingAverageBaseline(float(table.mean()))
     for r in range(reps):
-        g, _ = sfe_grad(s, _oracle(table), base, seed=r)
-        sfe_sq += (g - exact) ** 2
-        g = sum_and_sample_grad(s, _oracle(table), 5, seed=r)
-        sas_sq += (g - exact) ** 2
+        est, _ = sfe_grad(s, _oracle(table), base, make_rng(r))
+        sfe_sq += (est.grad - exact) ** 2
+        est = sum_and_sample_grad(s, _oracle(table), 5, make_rng(r))
+        sas_sq += (est.grad - exact) ** 2
     assert sas_sq.sum() < sfe_sq.sum()
+
+
+def test_estimates_report_their_evaluations():
+    rng = make_rng(4)
+    for _ in range(20):
+        s = rng.normal(size=6)
+        table = rng.normal(size=6)
+        oracle = _oracle(table)
+        sfe, _ = sfe_grad(s, oracle, MovingAverageBaseline(0.5), rng)
+        sas = sum_and_sample_grad(s, oracle, 2, rng)
+        assert oracle.calls == sfe.outcomes.size + sas.outcomes.size
+        for est in (sfe, sas):
+            np.testing.assert_array_equal(est.probs, softmax(s))
+            np.testing.assert_array_equal(est.values, table[est.outcomes])
+            assert est.loss == pytest.approx(est.weights @ est.values, abs=1e-12)
+        assert sfe.weights.tolist() == [1.0]
+        kept = top_k(s, 2).indices
+        np.testing.assert_array_equal(sas.outcomes[:2], kept)
+        np.testing.assert_allclose(sas.weights, [*softmax(s)[kept], 1.0 - softmax(s)[kept].sum()])
 
 
 def test_baseline_update_rule():

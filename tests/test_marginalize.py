@@ -19,8 +19,8 @@ from sparsemarg.rng import make_rng
 from sparsemarg.simplex import sparsemax
 
 
-def _table_oracle(table, reentrant=False):
-    return LossOracle(lambda z: table[z], reentrant=reentrant)
+def _table_oracle(table):
+    return LossOracle(lambda z: table[z])
 
 
 def test_point_mass_single_call():
@@ -50,15 +50,6 @@ def test_equals_dense_sum_with_masked_losses():
             dist.densify() @ table, abs=1e-12
         )
         assert report.calls_used == dist.support_size
-
-
-def test_parallel_path_counts_once_per_outcome():
-    dist = sparsemax([0.1, 0.0, -0.05, 0.2])
-    oracle = _table_oracle([1.0, 2.0, 3.0, 4.0], reentrant=True)
-    report = sparse_expectation(dist, oracle, parallel=True)
-    assert oracle.calls == dist.support_size
-    serial = sparse_expectation(dist, _table_oracle([1.0, 2.0, 3.0, 4.0]))
-    assert report.expected_loss == pytest.approx(serial.expected_loss)
 
 
 def test_grad_constant_losses_is_zero():

@@ -66,6 +66,21 @@ def test_translation_invariance():
         np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
 
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+@pytest.mark.parametrize("K", [16, 100])
+def test_large_offsets_keep_the_projection(offset, K):
+    # Thresholding the raw scores lost the probabilities to rounding here:
+    # sparsemax(s + 1e8) raised "probabilities must sum to one".
+    rng = make_rng(1)
+    for _ in range(60):
+        s = rng.normal(size=K)
+        base = sparsemax(s)
+        for solver in (sparsemax, sparsemax_fullsort):
+            shifted = solver(s + offset)
+            np.testing.assert_allclose(shifted.densify(), base.densify(), rtol=0.0, atol=1e-6)
+            assert abs((shifted.threshold - offset) - base.threshold) <= 1e-6
+
+
 def test_permutation_equivariance():
     rng = make_rng(6)
     for _ in range(100):
