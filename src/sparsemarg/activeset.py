@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .bitvec import Structure
 from .simplex import SparseDistribution
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# Outcome ids are int64 while every id fits; past that they stay Python ints.
+_INT64_OUTCOMES = 1 << 63
 
 
 class DegenerateSupportError(RuntimeError):
@@ -50,6 +52,23 @@ class DegenerateSupportError(RuntimeError):
 
 class ActiveSetCycleError(RuntimeError):
     """Add/drop cycling persisted through refactorization and tolerance widening."""
+
+
+def _triangular_solve(L, b, trans: int) -> np.ndarray:
+    """Solve ``L x = b`` (``trans=1``) or ``L' x = b`` (``trans=0``) for a
+    C-ordered lower-triangular ``L``.
+
+    LAPACK sees the Fortran view ``L.T``, an upper factor; this is the
+    call ``scipy.linalg.solve_triangular`` makes for that layout, without
+    its per-call validation.  ``L`` is always a Cholesky factor built
+    here, so only the right-hand side needs the finite check.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must be finite")
+    x, info = dtrtrs(L.T, b, lower=0, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular triangular factor (dtrtrs info %d)" % info)
+    return x
 
 
 class CholeskyFactor:
@@ -77,7 +96,7 @@ class CholeskyFactor:
     def append(self, cross, diag: float):
         """Grow by one structure given its cross terms and diagonal entry."""
         L = self._L
-        ell = solve_triangular(L, np.asarray(cross, dtype=np.float64), lower=True)
+        ell = _triangular_solve(L, np.asarray(cross, dtype=np.float64), 1)
         pivot = diag - ell @ ell
         if pivot <= 1e-12 * max(diag, 1.0):
             raise np.linalg.LinAlgError("new column is numerically dependent")
@@ -110,8 +129,8 @@ class CholeskyFactor:
         self._L = np.ascontiguousarray(M[:, : n - 1])
 
     def solve(self, b) -> np.ndarray:
-        y = solve_triangular(self._L, np.asarray(b, dtype=np.float64), lower=True)
-        return solve_triangular(self._L.T, y, lower=False)
+        y = _triangular_solve(self._L, np.asarray(b, dtype=np.float64), 1)
+        return _triangular_solve(self._L, y, 0)
 
     def condition_estimate(self) -> float:
         d = np.abs(np.diag(self._L))
@@ -119,14 +138,18 @@ class CholeskyFactor:
         return float((d.max() / lo) ** 2) if lo > 0 else np.inf
 
 
-def _columns(structures) -> np.ndarray:
-    """Vertex matrix A with one column per active structure, shape (D, n)."""
-    return np.array([s.bits for s in structures], dtype=np.float64).T
+def _vertex_rows(structures) -> np.ndarray:
+    """Vertex matrix A' with one C-ordered row per structure, shape (n, D)."""
+    return np.array([s.bits for s in structures], dtype=np.float64)
+
+
+def _gram(rows) -> np.ndarray:
+    """Bordered Gram matrix A'A + 11^T of the vertex rows."""
+    return rows @ rows.T + 1.0
 
 
 def _bordered_gram(structures) -> np.ndarray:
-    A = np.array([s.bits for s in structures], dtype=np.float64)
-    return A @ A.T + 1.0
+    return _gram(_vertex_rows(structures))
 
 
 @dataclass
@@ -135,8 +158,12 @@ class ActiveSetState:
 
     ``probs`` are the current simplex weights over ``structures``,
     ``moments`` is their combination A p, and ``kkt_factor`` holds the
-    bordered Gram factor for the current support.  States are treated as
-    immutable: :func:`active_set_step` returns a fresh state.
+    bordered Gram factor for the current support.  ``rows`` is the vertex
+    matrix A' (one row per structure), grown and shrunk with the factor;
+    it is built from ``structures`` when not given.  ``adds``, ``drops``
+    and ``refactorizations`` count support changes and factors rebuilt
+    from scratch.  States are treated as immutable:
+    :func:`active_set_step` returns a fresh state.
     """
 
     structures: list
@@ -150,6 +177,14 @@ class ActiveSetState:
     tol: float = 1e-9
     events: tuple = field(default=(), repr=False)
     widen_count: int = 0
+    rows: np.ndarray | None = field(default=None, repr=False)
+    adds: int = 0
+    drops: int = 0
+    refactorizations: int = 0
+
+    def __post_init__(self):
+        if self.rows is None:
+            self.rows = _vertex_rows(self.structures)
 
 
 def _solve_relaxed(state: ActiveSetState, t):
@@ -158,8 +193,7 @@ def _solve_relaxed(state: ActiveSetState, t):
     With K = A'A + 11^T the bordered KKT system reduces to two solves:
     p = K^{-1} A't + (1 - tau) K^{-1} 1, with 1 - tau fixed by 1'p = 1.
     """
-    A = _columns(state.structures)
-    u = state.kkt_factor.solve(A.T @ t)
+    u = state.kkt_factor.solve(state.rows @ t)
     v = state.kkt_factor.solve(np.ones(len(state.structures)))
     lam = (1.0 - u.sum()) / v.sum()
     return u + lam * v, 1.0 - lam
@@ -187,9 +221,10 @@ def _handle_cycle(state: ActiveSetState) -> ActiveSetState:
         )
     return replace(
         state,
-        kkt_factor=CholeskyFactor(_bordered_gram(state.structures)),
+        kkt_factor=CholeskyFactor(_gram(state.rows)),
         tol=state.tol * 10.0,
         widen_count=state.widen_count + 1,
+        refactorizations=state.refactorizations + 1,
     )
 
 
@@ -219,26 +254,32 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
         new_probs = (1.0 - gamma) * probs + gamma * p_hat
         new_probs[blocker] = 0.0
         structures = [s for i, s in enumerate(state.structures) if i != blocker]
+        rows = np.delete(state.rows, blocker, axis=0)
         new_probs = np.delete(new_probs, blocker)
         factor = state.kkt_factor.copy()
         factor.drop(blocker)
+        refactorizations = state.refactorizations
         if factor.condition_estimate() > _COND_LIMIT:
-            factor = CholeskyFactor(_bordered_gram(structures))
+            factor = CholeskyFactor(_gram(rows))
+            refactorizations += 1
         dropped = state.structures[blocker].bits
         out = replace(
             state,
             structures=structures,
+            rows=rows,
             probs=new_probs,
-            moments=_columns(structures) @ new_probs,
+            moments=rows.T @ new_probs,
             kkt_factor=factor,
             iteration=state.iteration + 1,
+            drops=state.drops + 1,
+            refactorizations=refactorizations,
             events=_note_event(state, "drop", dropped),
         )
         if _cycles(state.events, state.iteration, "drop", dropped):
             out = _handle_cycle(out)
         return out
 
-    moments = _columns(state.structures) @ p_hat
+    moments = state.rows.T @ p_hat
     candidate = oracle.map(t - moments)
     nu = tau_hat - candidate.score
     known = any(s.bits == candidate.bits for s in state.structures)
@@ -253,28 +294,34 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
             nu_min=nu,
         )
 
-    A = _columns(state.structures)
     a_new = candidate.as_array()
+    rows = np.vstack([state.rows, a_new])
     factor = state.kkt_factor.copy()
+    refactorizations = state.refactorizations
     try:
-        factor.append(A.T @ a_new + 1.0, float(a_new @ a_new) + 1.0)
+        factor.append(state.rows @ a_new + 1.0, float(a_new @ a_new) + 1.0)
     except np.linalg.LinAlgError:
         try:
-            factor = CholeskyFactor(_bordered_gram(state.structures + [candidate]))
+            factor = CholeskyFactor(_gram(rows))
         except np.linalg.LinAlgError as exc:
             raise DegenerateSupportError(
                 "candidate structure is affinely dependent on the active set"
             ) from exc
+        refactorizations += 1
     if factor.condition_estimate() > _COND_LIMIT:
-        factor = CholeskyFactor(_bordered_gram(state.structures + [candidate]))
+        factor = CholeskyFactor(_gram(rows))
+        refactorizations += 1
     out = replace(
         state,
         structures=state.structures + [candidate],
+        rows=rows,
         probs=np.append(p_hat, 0.0),
         moments=moments,
         tau=tau_hat,
         kkt_factor=factor,
         iteration=state.iteration + 1,
+        adds=state.adds + 1,
+        refactorizations=refactorizations,
         nu_min=nu,
         events=_note_event(state, "add", candidate.bits),
     )
@@ -287,8 +334,12 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
 class SparseMapResult:
     """Converged (or iteration-capped) SparseMAP solution.
 
-    ``probs`` aligns with ``structures``; ``outcome_ids`` gives each
-    structure's integer code in the polytope's outcome space.
+    ``probs`` and the rows of the vertex matrix ``rows`` align with
+    ``structures``; ``outcome_ids`` gives each structure's integer code in
+    the polytope's outcome space, as int64 while ``n_outcomes`` fits and
+    as Python ints (object dtype) past that.  ``adds``, ``drops``,
+    ``refactorizations`` and ``widenings`` count what the solver did:
+    ``iterations == adds + drops + int(converged)``.
     """
 
     structures: list
@@ -300,6 +351,11 @@ class SparseMapResult:
     nu_min: float
     n_outcomes: int
     outcome_ids: np.ndarray
+    rows: np.ndarray = field(repr=False)
+    adds: int
+    drops: int
+    refactorizations: int
+    widenings: int
 
     @property
     def support_size(self) -> int:
@@ -307,6 +363,11 @@ class SparseMapResult:
 
     @property
     def distribution(self) -> SparseDistribution:
+        if self.n_outcomes > _INT64_OUTCOMES:
+            raise ValueError(
+                "a SparseDistribution keys outcomes by int64, but this polytope "
+                "has %d outcomes; use structures and outcome_ids" % self.n_outcomes
+            )
         order = np.argsort(self.outcome_ids)
         return SparseDistribution(
             self.outcome_ids[order], self.probs[order], self.tau, self.n_outcomes
@@ -352,7 +413,11 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
     structures = [s for s, k in zip(state.structures, keep) if k]
     probs = state.probs[keep]
     index_of = getattr(oracle, "outcome_index", lambda s: s.index)
-    ids = np.array([index_of(s) for s in structures], dtype=np.int64)
+    n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
+    ids = np.array(
+        [index_of(s) for s in structures],
+        dtype=np.int64 if n_outcomes <= _INT64_OUTCOMES else object,
+    )
     return SparseMapResult(
         structures=structures,
         probs=probs,
@@ -361,12 +426,17 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
         converged=state.converged,
         iterations=state.iteration,
         nu_min=state.nu_min,
-        n_outcomes=getattr(oracle, "n_outcomes", 1 << oracle.dim),
+        n_outcomes=n_outcomes,
         outcome_ids=ids,
+        rows=state.rows[keep],
+        adds=state.adds,
+        drops=state.drops,
+        refactorizations=state.refactorizations,
+        widenings=state.widen_count,
     )
 
 
-def _apply_kkt_projection(structures, vec) -> np.ndarray:
+def _apply_kkt_projection(rows, vec) -> np.ndarray:
     """Apply X = K^{-1} - K^{-1}1 1'K^{-1} / (1'K^{-1}1), K = A'A + 11^T.
 
     X is the fixed-support sensitivity of the probabilities to their
@@ -374,11 +444,11 @@ def _apply_kkt_projection(structures, vec) -> np.ndarray:
     structures are orthonormal one-hots.
     """
     try:
-        factor = CholeskyFactor(_bordered_gram(structures))
+        factor = CholeskyFactor(_gram(rows))
     except np.linalg.LinAlgError as exc:
         raise DegenerateSupportError("active-set Gram matrix is singular") from exc
     u = factor.solve(np.asarray(vec, dtype=np.float64))
-    v = factor.solve(np.ones(len(structures)))
+    v = factor.solve(np.ones(rows.shape[0]))
     return u - (u.sum() / v.sum()) * v
 
 
@@ -394,8 +464,8 @@ def sparsemap_vjp_probs(result: SparseMapResult, upstream) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (len(result.structures),):
         raise ValueError("upstream must align with the support structures")
-    x = _apply_kkt_projection(result.structures, upstream)
-    return _columns(result.structures) @ x
+    x = _apply_kkt_projection(result.rows, upstream)
+    return result.rows.T @ x
 
 
 def sparsemap_vjp(result: SparseMapResult, upstream_moments) -> np.ndarray:
@@ -403,5 +473,6 @@ def sparsemap_vjp(result: SparseMapResult, upstream_moments) -> np.ndarray:
     upstream_moments = np.asarray(upstream_moments, dtype=np.float64)
     if upstream_moments.shape != result.moments.shape:
         raise ValueError("upstream must match the moments vector")
-    A = _columns(result.structures)
-    return sparsemap_vjp_probs(result, A.T @ upstream_moments)
+    if not np.all(np.isfinite(upstream_moments)):
+        raise ValueError("upstream must be finite")
+    return sparsemap_vjp_probs(result, result.rows @ upstream_moments)

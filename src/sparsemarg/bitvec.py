@@ -64,7 +64,7 @@ class Structure:
 
 def _structure(bits, t) -> Structure:
     bits = np.asarray(bits)
-    return Structure(tuple(int(b) for b in bits), float(bits @ t))
+    return Structure(tuple(bits.astype(np.int64).tolist()), float(bits @ t))
 
 
 def map_oracle(t) -> Structure:

@@ -422,7 +422,7 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
             polytope = BudgetedBitVectorPolytope(D, budget)
         res = sparsemap(polytope, t)
         q = res.probs
-        bits_mat = np.array([st.bits for st in res.structures], dtype=np.float64)
+        bits_mat = res.rows
         ids = [int(i) for i in res.outcome_ids]
     else:
         raise ValueError("unknown bit-vector method %r" % method)

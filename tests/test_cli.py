@@ -61,6 +61,26 @@ def test_bench_sparsemap_reports_iterations(tmp_path):
     assert all(float(r[4]) >= 1 for r in rows)
 
 
+def test_bench_sparsemap_past_64_bits(tmp_path):
+    # Outcome ids past int64 once crashed the default sizes at D = 100.
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--op", "sparsemap", "--sizes", "10,100",
+                 "--trials", "3", "--out", str(out)])
+    assert code == 0
+    _, rows = _rows(out)
+    assert [r[1] for r in rows] == ["10", "100"]
+    assert all(float(r[4]) >= 1 for r in rows)
+
+
+def test_train_bitvec_sparsemap_past_64_bits(tmp_path):
+    out = _run_train(tmp_path, "bv70.csv",
+                     ["train", "bitvec", "--method", "sparsemap", "--d", "70",
+                      "--n", "24", "--epochs", "2", "--seed", "0"])
+    header, rows = _rows(out)
+    assert header == list(TRAIN_COLUMNS)
+    assert [r[0] for r in rows] == ["1", "2"]
+
+
 def test_bench_empty_sizes_is_error():
     assert main(["bench", "--sizes", " ", "--trials", "3"]) == 2
 
