@@ -36,9 +36,10 @@ __all__ = [
 class LossOracle:
     """Wraps a scalar loss function and counts its evaluations.
 
-    ``fn`` maps an outcome id (or structure) to a float.  The counter is
-    guarded by a lock, so an oracle shared between threads still counts
-    every evaluation; it only ever increases.
+    ``fn`` maps an outcome id (or structure) to a float; for
+    :meth:`eval_many` it maps an array of outcomes to one value each.  The
+    counter is guarded by a lock, so an oracle shared between threads
+    still counts every evaluation; it only ever increases.
     """
 
     def __init__(self, fn):
@@ -50,6 +51,17 @@ class LossOracle:
         with self._lock:
             self.calls += 1
         return float(self.fn(z))
+
+    def eval_many(self, outcomes) -> np.ndarray:
+        """Evaluate an array of outcomes in one call of ``fn``.
+
+        Counts one call per value returned, the count that evaluating
+        each outcome through :meth:`eval` would give.
+        """
+        values = np.asarray(self.fn(outcomes), dtype=np.float64)
+        with self._lock:
+            self.calls += values.size
+        return values
 
 
 @dataclass(frozen=True)
@@ -148,8 +160,11 @@ def log_marginal_split(
     into the complement and scaled by its size.  Returns ``(estimate,
     stderr)`` where the standard error is for the log estimate (delta
     method).  With full support the answer is exact and the stderr is 0.
+    The draws are int64, so ``dim`` past 2^63 is rejected up front.
     """
     dim = dist.dim if dim is None else dim
+    if dim > 1 << 63:
+        raise ValueError("dim %d is past the 2^63 outcomes int64 draws can index" % dim)
     support = [int(i) for i in dist.indices]
     exact = logsumexp([log_joint.eval(z) for z in support])
     n_comp = dim - len(support)

@@ -16,6 +16,7 @@ __all__ = [
     "SparseDistribution",
     "sparsemax",
     "sparsemax_fullsort",
+    "sparsemax_rows",
     "sparsemax_vjp",
     "softmax",
     "softmax_vjp",
@@ -23,10 +24,12 @@ __all__ = [
 ]
 
 
-def _as_scores(s):
+def _as_scores(s, ndim=1):
+    """Finite float scores: a nonempty vector, or with ``ndim=2`` also a matrix of rows."""
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a nonempty 1-d vector")
+    if not 1 <= s.ndim <= ndim or s.size == 0:
+        raise ValueError("scores must be a nonempty 1-d vector" if ndim == 1
+                         else "scores must be a nonempty vector or matrix")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     return s
@@ -73,16 +76,25 @@ class SparseDistribution:
         return out
 
 
-def _threshold(sorted_desc):
-    """Support size and tau from scores sorted in descending order.
+def _support_test(sorted_desc):
+    """Running sums and the support condition along the last axis.
 
-    The support is the longest prefix whose entries stay above the running
-    threshold (cumsum - 1) / j; the condition holds for exactly the first
-    rho positions.
+    Position j (1-based) passes when its score stays above the running
+    threshold (cumsum - 1) / j.  In exact arithmetic the condition holds
+    for exactly the first rho positions; in floating point, ties a hair
+    past the threshold can fail it and pass again further down, so the
+    support size depends on the prefix searched.  Both are prefix
+    quantities, so a sorted top-k prefix gives the same bits as the full
+    sort.
     """
-    css = np.cumsum(sorted_desc)
-    j = np.arange(1, sorted_desc.size + 1)
-    ok = sorted_desc * j > css - 1.0
+    css = np.cumsum(sorted_desc, axis=-1)
+    j = np.arange(1, sorted_desc.shape[-1] + 1)
+    return css, sorted_desc * j > css - 1.0
+
+
+def _threshold(sorted_desc):
+    """Support size and tau from scores sorted in descending order."""
+    css, ok = _support_test(sorted_desc)
     rho = int(np.nonzero(ok)[0][-1]) + 1
     tau = (css[rho - 1] - 1.0) / rho
     return rho, tau
@@ -133,6 +145,35 @@ def sparsemax_fullsort(s) -> SparseDistribution:
     return _from_threshold(z, tau, shift)
 
 
+def sparsemax_rows(scores) -> np.ndarray:
+    """Sparsemax of every row of a (B, K) score matrix, as dense (B, K) rows.
+
+    Row i equals ``sparsemax(scores[i]).densify()`` bit for bit: the same
+    max shift, the same prefix sums and support test, and the same support
+    size, found by replaying the 1-d solver's doubling prefixes (8, 16, ...)
+    on one full row sort.  Off-support entries are exactly zero.
+    """
+    s = _as_scores(scores, ndim=2)
+    if s.ndim != 2:
+        raise ValueError("scores must be a (B, K) matrix")
+    z = s - s.max(axis=1, keepdims=True)
+    css, ok = _support_test(np.sort(z, axis=1)[:, ::-1])
+    B, K = z.shape
+    rows = np.arange(B)
+    rho = np.zeros(B, dtype=np.int64)
+    todo = np.ones(B, dtype=bool)
+    k = min(8, K)
+    while todo.any():
+        # Support size on the prefix of length k: one past its last pass.
+        last = k - np.argmax(ok[:, k - 1::-1], axis=1)
+        done = todo & ((last < k) | (k >= K))
+        rho[done] = last[done]
+        todo &= ~done
+        k = min(2 * k, K)
+    tau = (css[rows, rho - 1] - 1.0) / rho
+    return np.where(z > tau[:, None], z - tau[:, None], 0.0)
+
+
 def sparsemax_vjp(s, dist: SparseDistribution, upstream) -> np.ndarray:
     """Apply the transposed sparsemax Jacobian at ``dist`` to ``upstream``.
 
@@ -151,10 +192,14 @@ def sparsemax_vjp(s, dist: SparseDistribution, upstream) -> np.ndarray:
 
 
 def softmax(s) -> np.ndarray:
-    """Dense softmax, shifted by the max score for stability."""
-    s = _as_scores(s)
-    e = np.exp(s - s.max())
-    return e / e.sum()
+    """Dense softmax, shifted by the max score for stability.
+
+    A (B, K) matrix gives the softmax of every row; each row equals the
+    softmax of that row alone, bit for bit.
+    """
+    s = _as_scores(s, ndim=2)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_vjp(p, upstream) -> np.ndarray:

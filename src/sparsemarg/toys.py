@@ -32,7 +32,7 @@ from .bitvec import (
 from .estimators import MovingAverageBaseline, sfe_grad, sum_and_sample_grad
 from .marginalize import CallStats, LossOracle
 from .rng import make_rng
-from .simplex import softmax, softmax_vjp, sparsemax, sparsemax_vjp
+from .simplex import softmax, softmax_vjp, sparsemax, sparsemax_rows, sparsemax_vjp
 
 __all__ = [
     "TrainConfig",
@@ -139,8 +139,9 @@ def make_bitvec_images(n: int = 128, d: int = 8, n_pixels: int = 36, seed: int =
 
 
 def _log_softmax(u):
-    shifted = u - u.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax along the last axis; each row as if taken alone."""
+    shifted = u - u.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 @dataclass
@@ -168,8 +169,13 @@ class ToyCategoricalModel:
     def scores(self, x) -> np.ndarray:
         return self.enc_w @ x + self.enc_b
 
-    def label_loss(self, z: int, y: int) -> float:
-        return float(-_log_softmax(self.dec_w[z])[y])
+    def label_loss(self, z, y):
+        """Cross-entropy of label ``y`` under message ``z``'s decoder.
+
+        Elementwise over arrays of (z, y), broadcast together; the
+        decoder's log-softmax table is computed once per call.
+        """
+        return -_log_softmax(self.dec_w)[z, y]
 
     def get_params(self) -> np.ndarray:
         return np.concatenate([self.enc_w.ravel(), self.enc_b, self.dec_w.ravel()])
@@ -202,11 +208,13 @@ class ToyCategoricalModel:
         if cfg.method not in ("dense", "sparse"):
             raise ValueError("gradient check needs a deterministic method")
         x, y = example
-        out, _ = _categorical_pass(self, x, int(y), cfg)
+        out, _ = _categorical_batch(self, np.asarray(x)[None], [int(y)], [0], cfg)
+        if out.grads is None:
+            raise ValueError("the objective is not finite at these parameters")
         flat = np.concatenate([
             out.grads["enc_w"].ravel(), out.grads["enc_b"], out.grads["dec_w"].ravel()
         ])
-        return out.objective, flat, out.signature
+        return float(out.objectives[0]), flat, tuple(np.flatnonzero(out.probs[0]).tolist())
 
 
 @dataclass
@@ -284,6 +292,8 @@ class ToyBitVectorVAE:
 
     def objective_with_grad(self, example, cfg: TrainConfig):
         out = _bitvec_pass(self, np.asarray(example, dtype=np.float64), cfg)
+        if out is None:
+            raise ValueError("the objective is not finite at these parameters")
         flat = np.concatenate([
             out.grads["enc_w"].ravel(), out.grads["enc_b"],
             out.grads["dec_w"].ravel(), out.grads["dec_b"],
@@ -303,6 +313,28 @@ class _ExamplePass:
     certificate: bool | None = None
 
 
+@dataclass
+class _BatchPass:
+    """One minibatch: per-example log entries and the summed gradients.
+
+    ``stats`` holds (loss, metric, calls, support, certificate) per
+    example, in batch order.  ``grads`` holds the sums of the per-example
+    gradients, or None when the divergence guard tripped: a non-finite
+    score, or a zero probability whose log the objective would take.
+    The categorical pass also returns each example's objective and its
+    (B, K) probabilities.
+    """
+
+    stats: list
+    grads: dict | None
+    objectives: np.ndarray | None = None
+    probs: np.ndarray | None = None
+
+    @classmethod
+    def diverged(cls, size: int) -> "_BatchPass":
+        return cls([(np.nan, np.nan, 0, 0, None)] * size, None)
+
+
 def _on_support(dist, values) -> np.ndarray:
     """Dense length-``dist.dim`` vector holding ``values`` on the support."""
     full = np.zeros(dist.dim)
@@ -310,72 +342,105 @@ def _on_support(dist, values) -> np.ndarray:
     return full
 
 
-def _categorical_pass(model: ToyCategoricalModel, x, y: int, cfg: TrainConfig,
-                      rng=None, baseline: MovingAverageBaseline | None = None):
-    """One example: forward, loss calls, hand gradients.
+def _ordered_sum(terms, axis=0):
+    """Sum ``terms`` along ``axis`` in index order, as repeated ``+=`` into zeros.
+
+    A sum reduction may add pairwise; an accumulation never does.  Adding
+    0.0 first turns -0.0 into +0.0, as the zeros it replaces would.
+    """
+    return np.cumsum(terms + 0.0, axis=axis).take(-1, axis=axis)
+
+
+def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg: TrainConfig,
+                       rng=None, baseline: MovingAverageBaseline | None = None):
+    """One minibatch: forward, loss reads, hand gradients summed in example order.
 
     The dense and sparse methods marginalize exactly over the mapping's
-    support; sfe and sum_and_sample are the library estimators and need
-    ``rng`` (sfe also the running ``baseline``).  Returns the pass record and the
-    baseline, updated when sfe drew a sample.
+    support; sfe and sum_and_sample are the library estimators, called
+    once per example in batch order with ``rng`` (sfe also with the
+    running ``baseline``).  The decoder's loss table is computed once, and
+    every per-example quantity has the bits a batch of one gives: the
+    mappings and elementwise algebra work on whole (B, K) matrices, while
+    the scores, dot products, support means and sums stay in example (or
+    outcome) order.  Returns the batch record and the baseline, updated
+    when sfe drew samples.
     """
     K = model.n_messages
-    s = model.scores(x)
-    oracle = LossOracle(lambda z: model.label_loss(int(z), y))
+    method = cfg.method
     coef = cfg.entropy_coef
-    support = np.arange(K)
-
-    if cfg.method in ("dense", "sparse"):
-        if cfg.method == "dense":
-            q = softmax(s)
-        else:
-            dist = sparsemax(s)
-            q = dist.probs
-            support = dist.indices
-        values = np.array([oracle.eval(z) for z in support])
-        outcomes, weights = support, q
-        loss = float(q @ values)
-        objective = loss + coef * float(q @ np.log(q))
-        upstream = values + coef * (np.log(q) + 1.0)
-        if cfg.method == "dense":
-            g_s = softmax_vjp(q, upstream)
-        else:
-            g_s = sparsemax_vjp(s, dist, _on_support(dist, upstream))
+    y = np.asarray(labels)[batch]
+    B = y.size
+    s = np.array([model.scores(features[i]) for i in batch])
+    if not np.all(np.isfinite(s)):
+        return _BatchPass.diverged(B), baseline
+    if method == "sparse":
+        q = sparsemax_rows(s)
+    elif method in CATEGORICAL_METHODS:
+        q = softmax(s)
+        if not np.all(q > 0):  # the entropy term would take log(0)
+            return _BatchPass.diverged(B), baseline
     else:
-        if cfg.method == "sfe":
-            est, baseline = sfe_grad(s, oracle, baseline, rng)
-        elif cfg.method == "sum_and_sample":
-            est = sum_and_sample_grad(s, oracle, cfg.k, rng)
-        else:
-            raise ValueError("unknown categorical method %r" % cfg.method)
-        q = est.probs
-        g_s = est.grad + coef * softmax_vjp(q, np.log(q) + 1.0)
-        outcomes, weights = est.outcomes, est.weights
-        objective = loss = est.loss
+        raise ValueError("unknown categorical method %r" % method)
+    # Every message's loss for every label; the decoder softmax is its exp.
+    losses = model.label_loss(np.arange(K)[:, None], np.arange(model.dec_w.shape[1]))
+    dec = np.exp(-losses)
 
-    grads = model.zero_grads()
-    grads["enc_w"] += np.outer(g_s, x)
-    grads["enc_b"] += g_s
-    # One decoder softmax per row serves both the posterior-mixture
-    # prediction and, for evaluated outcomes, the label-logit gradient.
-    label_weight = dict(zip(outcomes.tolist(), weights))
-    mixture = np.zeros(model.dec_w.shape[1])
-    for qz, z in zip(q, support.tolist()):
-        probs_z = np.exp(_log_softmax(model.dec_w[z]))
-        mixture += qz * probs_z
-        if z in label_weight:
-            probs_z[y] -= 1.0
-            grads["dec_w"][z] += label_weight[z] * probs_z
-    out = _ExamplePass(
-        objective=objective,
-        loss=loss,
-        metric=float(int(np.argmax(mixture)) == y),
-        grads=grads,
-        calls=oracle.calls,
-        support=support.size,
-        signature=tuple(support.tolist()),
-    )
-    return out, baseline
+    if method in ("dense", "sparse"):
+        rows, outcomes = np.nonzero(q > 0)  # every outcome for dense, past the guard
+        oracle = LossOracle(lambda z: losses[z, y[rows]])
+        values = oracle.eval_many(outcomes)
+        calls = np.bincount(rows, minlength=B)
+        bounds = np.concatenate(([0], np.cumsum(calls)))
+        probs = q[rows, outcomes]
+        log_probs = np.log(probs)
+        upstream = values + coef * (log_probs + 1.0)
+        loss = np.empty(B)
+        objective = np.empty(B)
+        centre = np.empty(B)
+        for i in range(B):
+            on = slice(bounds[i], bounds[i + 1])
+            qi = probs[on]
+            loss[i] = qi @ values[on]
+            objective[i] = loss[i] + coef * float(qi @ log_probs[on])
+            centre[i] = qi @ upstream[on] if method == "dense" else upstream[on].mean()
+        g_on = upstream - centre[rows]  # sparsemax vjp: u minus its support mean
+        if method == "dense":  # softmax vjp: p * (u - p . u)
+            g_on *= probs
+        g_s = np.zeros((B, K))
+        g_s[rows, outcomes] = g_on
+        weights = q
+    else:
+        by_example = losses[:, y].T
+        g_s = np.empty((B, K))
+        weights = np.zeros((B, K))
+        loss = np.empty(B)
+        calls = np.empty(B, dtype=np.int64)
+        for i in range(B):
+            oracle = LossOracle(by_example[i].__getitem__)
+            if method == "sfe":
+                est, baseline = sfe_grad(s[i], oracle, baseline, rng)
+            else:
+                est = sum_and_sample_grad(s[i], oracle, cfg.k, rng)
+            g_s[i] = est.grad
+            weights[i, est.outcomes] = est.weights
+            loss[i] = est.loss
+            calls[i] = oracle.calls
+        entropy_up = np.log(q) + 1.0
+        dots = np.array([qi @ ui for qi, ui in zip(q, entropy_up)])
+        g_s += coef * (q * (entropy_up - dots[:, None]))
+        objective = loss
+
+    grads = {
+        "enc_w": _ordered_sum(g_s[:, :, None] * features[batch][:, None, :]),
+        "enc_b": _ordered_sum(g_s),
+        "dec_w": _ordered_sum(weights[:, :, None] * (dec - np.eye(dec.shape[1])[y][:, None, :])),
+    }
+    mixture = _ordered_sum(q[:, :, None] * dec, axis=1)
+    metric = (np.argmax(mixture, axis=1) == y).astype(np.float64)
+    support = calls if method in ("dense", "sparse") else np.full(B, K)
+    stats = list(zip(loss.tolist(), metric.tolist(), calls.tolist(), support.tolist(),
+                     [None] * B))
+    return _BatchPass(stats, grads, objective, q), baseline
 
 
 def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
@@ -384,9 +449,13 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
     The differentiated objective is sum_z q_z c_z - H(q) with
     c_z = D log 2 + recon(z); its score gradient is the mapping vjp of
     c + log q + 1 (the constant washes out through every mapping here).
+    Returns None when the divergence guard trips: a non-finite score, or
+    a zero dense probability whose log the objective would take.
     """
     D = model.d
     t = model.var_scores(x)
+    if not np.all(np.isfinite(t)):
+        return None
     method = cfg.method
     certificate = None
 
@@ -407,6 +476,8 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
         u = A @ t
         if method == "dense":
             q = softmax(u)
+            if not np.all(q > 0):
+                return None
             bits_mat = A
             ids = list(range(A.shape[0]))
         else:
@@ -493,37 +564,40 @@ def _finish_epoch(epoch, stats) -> EpochRow:
     )
 
 
-def _initial_loss(n: int, example_pass) -> float:
+def _initial_loss(n: int, batch_size: int, batch_pass) -> float:
     total = 0.0
-    for i in range(n):
-        total += example_pass(i).loss
+    for start in range(0, n, batch_size):
+        for loss, *_ in batch_pass(np.arange(start, min(start + batch_size, n))).stats:
+            total += loss
     return total / n
 
 
-def _train(task: str, model, n: int, cfg: TrainConfig, eval_cfg: TrainConfig, example_pass):
+def _train(task: str, model, n: int, cfg: TrainConfig, eval_cfg: TrainConfig, batch_pass):
     """Minibatch SGD over ``n`` examples, reshuffled every epoch.
 
-    ``example_pass(i, config, rng)`` returns the pass record of example
-    ``i``; ``rng`` is the generator that also draws the shuffles.  The
-    initial loss is the mean loss under ``eval_cfg`` before any update.
+    ``batch_pass(indices, config, rng)`` returns the :class:`_BatchPass`
+    of those examples; ``rng`` is the generator that also draws the
+    shuffles.  The initial loss is the mean loss under ``eval_cfg`` before
+    any update.  A batch whose divergence guard trips, or an update that
+    leaves a parameter non-finite, ends training with the log marked
+    diverged.
     """
-    log = TrainingLog(task=task, config=cfg,
-                      initial_loss=_initial_loss(n, lambda i: example_pass(i, eval_cfg, None)))
+    log = TrainingLog(task=task, config=cfg, initial_loss=_initial_loss(
+        n, cfg.batch_size, lambda batch: batch_pass(batch, eval_cfg, None)))
     rng = make_rng(cfg.seed)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         stats = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start: start + cfg.batch_size]
-            grads = model.zero_grads()
-            for i in batch:
-                out = example_pass(i, cfg, rng)
-                for key in grads:
-                    grads[key] += out.grads[key]
-                stats.append((out.loss, out.metric, out.calls, out.support, out.certificate))
-            for key in grads:
-                grads[key] /= len(batch)
-            model.sgd_update(grads, cfg.lr)
+            out = batch_pass(batch, cfg, rng)
+            if out.grads is None:
+                log.diverged = True
+                return log
+            stats.extend(out.stats)
+            for key in out.grads:
+                out.grads[key] /= len(batch)
+            model.sgd_update(out.grads, cfg.lr)
             if not _params_finite(model):
                 log.diverged = True
                 return log
@@ -549,14 +623,14 @@ def train_categorical(model: ToyCategoricalModel, data: ClusterData, cfg: TrainC
                            entropy_coef=cfg.entropy_coef)
     baseline = MovingAverageBaseline(decay=cfg.baseline_decay)
 
-    def example_pass(i, config, rng):
+    def batch_pass(batch, config, rng):
         nonlocal baseline
-        out, baseline = _categorical_pass(
-            model, data.features[i], int(data.labels[i]), config, rng, baseline
+        out, baseline = _categorical_batch(
+            model, data.features, data.labels, batch, config, rng, baseline
         )
         return out
 
-    return _train("categorical", model, data.features.shape[0], cfg, eval_cfg, example_pass)
+    return _train("categorical", model, data.features.shape[0], cfg, eval_cfg, batch_pass)
 
 
 def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfig) -> TrainingLog:
@@ -568,10 +642,19 @@ def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfi
     """
     _check_method("bitvec", cfg.method)
 
-    def example_pass(i, config, rng):
-        return _bitvec_pass(model, data.images[i], config)
+    def batch_pass(batch, config, rng):
+        grads = model.zero_grads()
+        stats = []
+        for i in batch:
+            out = _bitvec_pass(model, data.images[i], config)
+            if out is None:
+                return _BatchPass.diverged(len(batch))
+            for key in grads:
+                grads[key] += out.grads[key]
+            stats.append((out.loss, out.metric, out.calls, out.support, out.certificate))
+        return _BatchPass(stats, grads)
 
-    return _train("bitvec", model, data.images.shape[0], cfg, cfg, example_pass)
+    return _train("bitvec", model, data.images.shape[0], cfg, cfg, batch_pass)
 
 
 def model_grad_check(model, cfg: TrainConfig, example, h: float = 1e-5) -> GradCheckReport:

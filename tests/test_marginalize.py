@@ -178,3 +178,27 @@ def test_oracle_counter_is_monotone():
     oracle.eval(1)
     oracle.eval(0)
     assert oracle.calls == 3
+
+
+def test_vectorised_lookup_counts_the_values_it_returns():
+    table = 1.5 * np.arange(10.0)
+    oracle = _table_oracle(table)
+    np.testing.assert_array_equal(oracle.eval_many(np.array([3, 1, 3])), [4.5, 1.5, 4.5])
+    assert oracle.calls == 3
+    assert oracle.eval_many(np.array([], dtype=np.int64)).size == 0
+    assert oracle.calls == 3
+    assert oracle.eval_many(np.arange(10).reshape(2, 5)).shape == (2, 5)
+    assert oracle.calls == 13
+    assert oracle.eval(2) == 3.0
+    assert oracle.calls == 14
+
+
+def test_log_marginal_rejects_dim_past_int64():
+    # The uniform draws are int64; numpy raised "high is out of bounds
+    # for int64" from inside the sampling loop.
+    dist = sparsemax([0.0, 0.0])
+    with pytest.raises(ValueError, match="2\\^63"):
+        log_marginal_split(dist, LossOracle(lambda z: 0.0), 4, seed=0, dim=(1 << 63) + 1)
+    est, err = log_marginal_split(dist, LossOracle(lambda z: 0.0), 4, seed=0, dim=1 << 63)
+    assert est == pytest.approx(63 * np.log(2.0))
+    assert err == 0.0

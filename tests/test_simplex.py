@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparsemarg.reference import central_difference, sparsemax_bruteforce
 from sparsemarg.rng import make_rng
@@ -11,6 +14,7 @@ from sparsemarg.simplex import (
     softmax,
     sparsemax,
     sparsemax_fullsort,
+    sparsemax_rows,
     sparsemax_vjp,
 )
 
@@ -79,6 +83,84 @@ def test_large_offsets_keep_the_projection(offset, K):
             shifted = solver(s + offset)
             np.testing.assert_allclose(shifted.densify(), base.densify(), rtol=0.0, atol=1e-6)
             assert abs((shifted.threshold - offset) - base.threshold) <= 1e-6
+
+
+def _assert_rows_are_sparsemax(s):
+    probs = sparsemax_rows(s)
+    assert probs.shape == s.shape
+    for row, out in zip(s, probs):
+        dist = sparsemax(row)
+        support = np.flatnonzero(out)
+        assert np.array_equal(support, dist.indices)
+        assert np.array_equal(out[support], dist.probs)
+
+
+def test_sparsemax_rows_equal_sparsemax_bit_for_bit():
+    # Sizes on both sides of the 1-d solver's doubling prefixes (8, 16, 32).
+    rng = make_rng(21)
+    for K in (2, 7, 8, 9, 16, 17, 33, 100):
+        for scale in (0.1, 1.0, 10.0):
+            _assert_rows_are_sparsemax(scale * rng.normal(size=(12, K)))
+
+
+def test_sparsemax_rows_on_ties():
+    rng = make_rng(22)
+    for K in (3, 8, 16, 33):
+        s = np.round(2.0 * rng.normal(size=(20, K))) / 4.0
+        s[0] = 0.0
+        s[1] = 1.0
+        s[2, : K // 2] = 0.5
+        _assert_rows_are_sparsemax(s)
+
+
+def test_sparsemax_rows_replay_the_doubling_prefixes():
+    # Ties a hair past distance 1 below the max: in floating point the
+    # support test fails at position 2 yet passes again further down the
+    # full sort, so the support size depends on the prefixes searched.
+    # The 1-d solver stops at its first prefix of 8 with a point mass.
+    for K, ulps in ((16, 14), (16, 12), (20, 28)):
+        s = np.full((1, K), -1.0 - ulps * 2.0 ** -52)
+        s[0, 0] = 0.0
+        _assert_rows_are_sparsemax(s)
+        assert sparsemax(s[0]).support_size == 1
+
+
+def test_sparsemax_rows_single_outcome():
+    s = np.array([[3.0], [-1e8], [0.0]])
+    _assert_rows_are_sparsemax(s)
+    np.testing.assert_array_equal(sparsemax_rows(s), np.ones((3, 1)))
+
+
+def test_sparsemax_rows_validation():
+    for bad in ([1.0, 2.0], [[np.inf, 0.0]], np.zeros((2, 0)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError):
+            sparsemax_rows(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 40)),
+           elements=st.floats(-10.0, 10.0)),
+    st.floats(-1e8, 1e8),
+)
+def test_sparsemax_rows_property_with_large_offsets(s, offset):
+    # Row-wise and 1-d sparsemax agree exactly at any offset, and the
+    # offset moves neither far from the unshifted projection.
+    shifted = s + offset
+    _assert_rows_are_sparsemax(shifted)
+    np.testing.assert_allclose(sparsemax_rows(shifted), sparsemax_rows(s), rtol=0.0, atol=1e-6)
+    for row, base in zip(shifted, s):
+        np.testing.assert_allclose(sparsemax(row).densify(), sparsemax(base).densify(),
+                                   rtol=0.0, atol=1e-6)
+
+
+def test_softmax_rows_equal_softmax_bit_for_bit():
+    rng = make_rng(23)
+    for K in (1, 2, 16, 100):
+        s = rng.normal(size=(9, K)) * 5.0
+        rows = softmax(s)
+        for i in range(s.shape[0]):
+            assert np.array_equal(rows[i], softmax(s[i].copy()))
 
 
 def test_permutation_equivariance():

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from sparsemarg.estimators import MovingAverageBaseline, sfe_grad, sum_and_sample_grad
+from sparsemarg.marginalize import LossOracle
 from sparsemarg.rng import make_rng
+from sparsemarg.simplex import softmax, softmax_vjp, sparsemax, sparsemax_vjp
 from sparsemarg.toys import (
     BITVEC_METHODS,
+    CATEGORICAL_METHODS,
     ToyBitVectorVAE,
     ToyCategoricalModel,
     TrainConfig,
@@ -15,7 +19,7 @@ from sparsemarg.toys import (
     train_bitvec_vae,
     train_categorical,
 )
-from sparsemarg.toys import _bitvec_pass
+from sparsemarg.toys import _bitvec_pass, _categorical_batch, _ordered_sum
 
 
 def _small_cluster_data(n=64, seed=0):
@@ -82,12 +86,169 @@ def test_sampling_methods_run_and_count_calls():
     assert np.isfinite(sas.rows[-1].loss)
 
 
+@pytest.mark.filterwarnings("error")
 def test_divergence_guard_aborts():
     data = _small_cluster_data()
     model = ToyCategoricalModel.init(n_messages=4, n_classes=4, feat_dim=8, seed=4)
     log = train_categorical(model, data, TrainConfig(method="dense", epochs=50, lr=1e12, seed=0))
     assert log.diverged
     assert len(log.rows) < 50
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", CATEGORICAL_METHODS)
+def test_divergence_guard_flags_non_finite_scores(method):
+    data = _small_cluster_data()
+    model = ToyCategoricalModel.init(n_messages=4, n_classes=4, feat_dim=8, seed=4)
+    model.enc_b[1] = np.nan
+    log = train_categorical(model, data, TrainConfig(method=method, epochs=3, seed=0, k=2))
+    assert log.diverged
+    assert log.rows == []
+    assert np.isnan(log.initial_loss)
+
+
+@pytest.mark.filterwarnings("error")
+def test_divergence_guard_flags_zero_dense_probability_on_bit_vectors():
+    images = make_bitvec_images(n=8, d=4, seed=12)
+    model = ToyBitVectorVAE.init(d=4, n_pixels=36, seed=13)
+    model.enc_w[:] = 1e4  # scores far enough apart that softmax underflows to 0
+    log = train_bitvec_vae(model, images, TrainConfig(method="dense", epochs=3, seed=0))
+    assert log.diverged
+    assert log.rows == []
+    with pytest.raises(ValueError):
+        model.objective_with_grad(images.images[0], TrainConfig(method="dense"))
+
+
+def _decoder_log_probs(model, z):
+    shifted = model.dec_w[z] - model.dec_w[z].max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def _example_reference(model, x, y, cfg, rng, baseline):
+    """One example through the library's 1-d mappings, vjps and estimators,
+    one decoder row at a time: the per-example arithmetic the batch pass
+    must reproduce bit for bit."""
+    K = model.n_messages
+    s = model.scores(x)
+    oracle = LossOracle(lambda z: -_decoder_log_probs(model, z)[y])
+    coef = cfg.entropy_coef
+    support = np.arange(K)
+    if cfg.method in ("dense", "sparse"):
+        if cfg.method == "dense":
+            q = softmax(s)
+        else:
+            dist = sparsemax(s)
+            q, support = dist.probs, dist.indices
+        values = np.array([oracle.eval(z) for z in support])
+        outcomes, weights = support, q
+        loss = float(q @ values)
+        objective = loss + coef * float(q @ np.log(q))
+        upstream = values + coef * (np.log(q) + 1.0)
+        if cfg.method == "dense":
+            g_s = softmax_vjp(q, upstream)
+        else:
+            full = np.zeros(K)
+            full[support] = upstream
+            g_s = sparsemax_vjp(s, dist, full)
+    else:
+        if cfg.method == "sfe":
+            est, baseline = sfe_grad(s, oracle, baseline, rng)
+        else:
+            est = sum_and_sample_grad(s, oracle, cfg.k, rng)
+        q = est.probs
+        g_s = est.grad + coef * softmax_vjp(q, np.log(q) + 1.0)
+        outcomes, weights = est.outcomes, est.weights
+        objective = loss = est.loss
+    grads = model.zero_grads()
+    grads["enc_w"] += np.outer(g_s, x)
+    grads["enc_b"] += g_s
+    label_weight = dict(zip(outcomes.tolist(), weights))
+    mixture = np.zeros(model.dec_w.shape[1])
+    for qz, z in zip(q, support.tolist()):
+        probs_z = np.exp(_decoder_log_probs(model, z))
+        mixture += qz * probs_z
+        if z in label_weight:
+            probs_z[y] -= 1.0
+            grads["dec_w"][z] += label_weight[z] * probs_z
+    entry = (loss, float(int(np.argmax(mixture)) == y), oracle.calls, support.size, None)
+    return entry, objective, grads, baseline
+
+
+@pytest.mark.parametrize("method", CATEGORICAL_METHODS)
+def test_batch_pass_equals_examples_one_at_a_time(method):
+    # The batch pass must reproduce, bit for bit, the log entries,
+    # objectives and gradient sum of the same examples passed singly in
+    # batch order, from the same rng state and baseline: both as batches
+    # of one and through the per-example reference.
+    data = make_cluster_data(n=40, n_clusters=12, feat_dim=10, seed=30)
+    model = ToyCategoricalModel.init(n_messages=12, n_classes=12, feat_dim=10, seed=31,
+                                     scale=0.03)
+    model.dec_w *= 40.0  # losses spread enough that summation order shows in the bits
+    cfg = TrainConfig(method=method, k=2)
+    batch = make_rng(32).permutation(40)[:17]
+    start = MovingAverageBaseline(value=0.4)
+    whole, whole_base = _categorical_batch(
+        model, data.features, data.labels, batch, cfg, make_rng(33), start
+    )
+
+    def batch_of_one(i, rng, base):
+        one, base = _categorical_batch(model, data.features, data.labels, [i], cfg, rng, base)
+        return one.stats[0], one.objectives[0], one.grads, base
+
+    def reference(i, rng, base):
+        return _example_reference(model, data.features[i], int(data.labels[i]), cfg, rng, base)
+
+    for single in (batch_of_one, reference):
+        rng, base = make_rng(33), start
+        grads, stats, objectives = model.zero_grads(), [], []
+        for i in batch:
+            entry, objective, ex_grads, base = single(i, rng, base)
+            stats.append(entry)
+            objectives.append(objective)
+            for key in grads:
+                grads[key] += ex_grads[key]
+        assert whole.stats == stats
+        assert whole.objectives.tolist() == objectives
+        assert whole_base == base
+        for key in grads:
+            assert np.array_equal(whole.grads[key], grads[key])
+            assert np.array_equal(np.signbit(whole.grads[key]), np.signbit(grads[key]))
+    if method == "sparse":  # support means over fewer and more than 8 outcomes
+        sizes = [entry[3] for entry in whole.stats]
+        assert min(sizes) < 8 < max(sizes)
+
+
+def test_ordered_sum_is_repeated_accumulation():
+    # A plain sum adds a contiguous run pairwise (here wherever the other
+    # axes have size 1) and keeps -0.0; the batch pass needs the bits of
+    # repeated += into zeros.
+    rng = make_rng(35)
+    for shape, axis in (((17, 1), 0), ((17, 3, 1), 0), ((4, 17, 1), 1), ((9, 5, 6), 0)):
+        terms = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        terms[rng.random(shape) < 0.2] = -0.0
+        if terms.size > shape[axis]:  # one output summed from -0.0 alone
+            first = [0] * len(shape)
+            first[axis] = slice(None)
+            terms[tuple(first)] = -0.0
+        expected = np.zeros(np.delete(shape, axis))
+        for term in np.moveaxis(terms, axis, 0):
+            expected += term
+        got = _ordered_sum(terms, axis)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_label_loss_is_elementwise():
+    model = ToyCategoricalModel.init(n_messages=5, n_classes=3, feat_dim=4, seed=34, scale=1.0)
+    z = np.array([[0], [4], [2]])
+    y = np.array([2, 0, 1, 1])
+    table = model.label_loss(z, y)
+    assert table.shape == (3, 4)
+    for (a, b), value in np.ndenumerate(table):
+        logits = model.dec_w[z[a, 0]]
+        expected = np.log(np.exp(logits - logits.max()).sum()) - (logits - logits.max())[y[b]]
+        assert value == pytest.approx(expected, abs=1e-14)
+        assert model.label_loss(int(z[a, 0]), int(y[b])) == value
 
 
 def test_sparse_median_calls_trend_down():
