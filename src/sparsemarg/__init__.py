@@ -34,10 +34,6 @@ from .estimators import (
 from .marginalize import (
     CallStats,
     LossOracle,
-    MarginalReport,
-    call_curve,
-    elbo_terms,
-    grad_scores_through_mapping,
     log_marginal_split,
     sparse_expectation,
 )
@@ -66,7 +62,6 @@ __all__ = [
     "Estimate",
     "IdentityPolytope",
     "LossOracle",
-    "MarginalReport",
     "MovingAverageBaseline",
     "SparseDistribution",
     "SparseMapResult",
@@ -74,13 +69,10 @@ __all__ = [
     "TopKResult",
     "active_set_step",
     "budget_map_oracle",
-    "call_curve",
     "config_matrix",
     "dense_grad",
-    "elbo_terms",
     "entropy",
     "enumerate_all",
-    "grad_scores_through_mapping",
     "kbest",
     "log_marginal_split",
     "make_rng",

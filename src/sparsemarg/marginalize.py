@@ -1,11 +1,11 @@
 """Exact expectations of a downstream loss over sparse supports.
 
-When the posterior over outcomes has small support, the expected loss,
-its gradient with respect to the scores, and ELBO-style terms can all be
-computed exactly by evaluating the loss only on the support.  The loss
-goes behind a counting oracle so experiments can report how many
-evaluations each method actually spent.  For log-marginals the support
-sum is exact and the complement is estimated by uniform rejection
+When the posterior over outcomes has small support, the expected loss is
+computed exactly by evaluating the loss only on the support; its gradient
+with respect to the scores is the mapping's own vjp applied to those
+losses.  The loss goes behind a counting oracle so experiments can report
+how many evaluations each method actually spent.  For log-marginals the
+support sum is exact and the complement is estimated by uniform rejection
 sampling.
 """
 
@@ -17,19 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .activeset import SparseMapResult, sparsemap_vjp_probs
 from .rng import make_rng
-from .simplex import SparseDistribution, sparsemax_vjp
+from .simplex import SparseDistribution
 
 __all__ = [
     "LossOracle",
-    "MarginalReport",
     "CallStats",
     "sparse_expectation",
-    "grad_scores_through_mapping",
-    "elbo_terms",
     "log_marginal_split",
-    "call_curve",
 ]
 
 
@@ -65,14 +60,6 @@ class LossOracle:
 
 
 @dataclass(frozen=True)
-class MarginalReport:
-    expected_loss: float
-    grad_wrt_scores: np.ndarray | None
-    calls_used: int
-    support_size: int
-
-
-@dataclass(frozen=True)
 class CallStats:
     mean: float
     p10: float
@@ -92,58 +79,14 @@ class CallStats:
         )
 
 
-def sparse_expectation(dist: SparseDistribution, loss: LossOracle) -> MarginalReport:
+def sparse_expectation(dist: SparseDistribution, loss: LossOracle) -> float:
     """Exact expected loss over the support of ``dist``.
 
-    Evaluates the loss exactly once per supported outcome, so the call
-    count equals the support size.
+    Evaluates the loss exactly once per supported outcome, so ``loss.calls``
+    grows by the support size.
     """
-    outcomes = [int(i) for i in dist.indices]
-    values = [loss.eval(z) for z in outcomes]
-    expected = float(dist.probs @ np.asarray(values))
-    return MarginalReport(expected, None, len(outcomes), dist.support_size)
-
-
-def grad_scores_through_mapping(scores, mapping_result, losses_on_support) -> np.ndarray:
-    """Gradient of sum_z p_z loss_z with respect to the scores.
-
-    ``mapping_result`` picks the backward rule: a SparseDistribution from
-    sparsemax or top-k sparsemax (losses aligned with ``.indices``), or a
-    SparseMapResult (losses aligned with ``.structures``).  Off-support
-    outcomes never contribute, so only support losses are needed.
-    """
-    losses = np.asarray(losses_on_support, dtype=np.float64)
-    if isinstance(mapping_result, SparseMapResult):
-        return sparsemap_vjp_probs(mapping_result, losses)
-    if isinstance(mapping_result, SparseDistribution):
-        if losses.shape != mapping_result.indices.shape:
-            raise ValueError("losses must align with the support")
-        upstream = np.zeros(mapping_result.dim)
-        upstream[mapping_result.indices] = losses
-        return sparsemax_vjp(scores, mapping_result, upstream)
-    raise TypeError("unsupported mapping result: %r" % type(mapping_result).__name__)
-
-
-def elbo_terms(dist: SparseDistribution, loss: LossOracle, prior=None):
-    """Expected reconstruction term and KL(dist || prior), support-only.
-
-    ``prior=None`` means uniform over ``dist.dim`` outcomes, for which
-    the KL reduces to log(dim) minus the entropy of ``dist``.  An
-    explicit prior is a dense probability vector.
-    """
-    report = sparse_expectation(dist, loss)
-    q = dist.probs
-    if prior is None:
-        kl = float(np.log(dist.dim) + (q * np.log(q)).sum())
-    else:
-        prior = np.asarray(prior, dtype=np.float64)
-        if prior.shape != (dist.dim,):
-            raise ValueError("prior must be a dense vector over all outcomes")
-        pz = prior[dist.indices]
-        if np.any(pz <= 0):
-            raise ValueError("prior must be positive on the support")
-        kl = float((q * (np.log(q) - np.log(pz))).sum())
-    return report.expected_loss, kl
+    values = [loss.eval(int(z)) for z in dist.indices]
+    return float(dist.probs @ np.asarray(values))
 
 
 def log_marginal_split(
@@ -205,18 +148,3 @@ def log_marginal_split(
     stderr = float(np.exp(np.log(n_comp) + shift + np.log(sem_y) - total))
     return total, stderr
 
-
-def call_curve(reports_per_epoch) -> list:
-    """Per-epoch (mean, p10, median, p90) of calls from MarginalReports.
-
-    ``reports_per_epoch`` is a list of epochs, each a nonempty list of
-    MarginalReport (or anything with ``calls_used``).
-    """
-    if not reports_per_epoch:
-        raise ValueError("no epochs given")
-    out = []
-    for epoch in reports_per_epoch:
-        if not epoch:
-            raise ValueError("empty epoch in call curve input")
-        out.append(CallStats.from_counts([r.calls_used for r in epoch]))
-    return out

@@ -77,25 +77,28 @@ class SparseDistribution:
 
 
 def _support_test(sorted_desc):
-    """Running sums and the support condition along the last axis.
+    """Running sums and support size along the last axis.
 
-    Position j (1-based) passes when its score stays above the running
-    threshold (cumsum - 1) / j.  In exact arithmetic the condition holds
-    for exactly the first rho positions; in floating point, ties a hair
-    past the threshold can fail it and pass again further down, so the
-    support size depends on the prefix searched.  Both are prefix
-    quantities, so a sorted top-k prefix gives the same bits as the full
-    sort.
+    Position j (1-based) passes when s_(j) * j > cumsum_j - 1, that is,
+    when its score stays above the running threshold.  The support is the
+    longest prefix in which every position passes: the sort-based
+    projection of Martins & Astudillo (2016).  In exact arithmetic the
+    passing positions are exactly that prefix; in floating point a tie a
+    hair past the threshold can fail and a later position pass again, and
+    the first failure still ends the support.  The size depends only on the
+    sort up to that failure, so a sorted top-k prefix that holds a failure
+    gives the same bits as the full sort.
     """
     css = np.cumsum(sorted_desc, axis=-1)
     j = np.arange(1, sorted_desc.shape[-1] + 1)
-    return css, sorted_desc * j > css - 1.0
+    ok = sorted_desc * j > css - 1.0
+    return css, np.logical_and.accumulate(ok, axis=-1).sum(axis=-1)
 
 
 def _threshold(sorted_desc):
-    """Support size and tau from scores sorted in descending order."""
-    css, ok = _support_test(sorted_desc)
-    rho = int(np.nonzero(ok)[0][-1]) + 1
+    """Support size and tau from a vector of scores sorted in descending order."""
+    css, rho = _support_test(sorted_desc)
+    rho = int(rho)
     tau = (css[rho - 1] - 1.0) / rho
     return rho, tau
 
@@ -149,28 +152,16 @@ def sparsemax_rows(scores) -> np.ndarray:
     """Sparsemax of every row of a (B, K) score matrix, as dense (B, K) rows.
 
     Row i equals ``sparsemax(scores[i]).densify()`` bit for bit: the same
-    max shift, the same prefix sums and support test, and the same support
-    size, found by replaying the 1-d solver's doubling prefixes (8, 16, ...)
-    on one full row sort.  Off-support entries are exactly zero.
+    max shift, and one full row sort read by the same support rule, which
+    gives the doubling solver's answer on any prefix.  Off-support entries
+    are exactly zero.
     """
     s = _as_scores(scores, ndim=2)
     if s.ndim != 2:
         raise ValueError("scores must be a (B, K) matrix")
     z = s - s.max(axis=1, keepdims=True)
-    css, ok = _support_test(np.sort(z, axis=1)[:, ::-1])
-    B, K = z.shape
-    rows = np.arange(B)
-    rho = np.zeros(B, dtype=np.int64)
-    todo = np.ones(B, dtype=bool)
-    k = min(8, K)
-    while todo.any():
-        # Support size on the prefix of length k: one past its last pass.
-        last = k - np.argmax(ok[:, k - 1::-1], axis=1)
-        done = todo & ((last < k) | (k >= K))
-        rho[done] = last[done]
-        todo &= ~done
-        k = min(2 * k, K)
-    tau = (css[rows, rho - 1] - 1.0) / rho
+    css, rho = _support_test(np.sort(z, axis=1)[:, ::-1])
+    tau = (css[np.arange(z.shape[0]), rho - 1] - 1.0) / rho
     return np.where(z > tau[:, None], z - tau[:, None], 0.0)
 
 

@@ -27,10 +27,6 @@ class TopKResult:
     scores: np.ndarray
     dim: int
 
-    @property
-    def masked_count(self) -> int:
-        return self.dim - int(self.indices.size)
-
 
 def top_k(s, k: int) -> TopKResult:
     """Select the k largest scores; ties go to the lowest index.

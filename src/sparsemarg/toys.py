@@ -291,6 +291,7 @@ class ToyBitVectorVAE:
         }
 
     def objective_with_grad(self, example, cfg: TrainConfig):
+        """Total objective, flat gradient, and the set of supported bit rows."""
         out = _bitvec_pass(self, np.asarray(example, dtype=np.float64), cfg)
         if out is None:
             raise ValueError("the objective is not finite at these parameters")
@@ -298,7 +299,7 @@ class ToyBitVectorVAE:
             out.grads["enc_w"].ravel(), out.grads["enc_b"],
             out.grads["dec_w"].ravel(), out.grads["dec_b"],
         ])
-        return out.objective, flat, out.signature
+        return out.objective, flat, frozenset(map(tuple, out.rows.tolist()))
 
 
 @dataclass
@@ -309,7 +310,7 @@ class _ExamplePass:
     grads: dict
     calls: int
     support: int
-    signature: tuple
+    rows: np.ndarray  # bit rows of the supported outcomes
     certificate: bool | None = None
 
 
@@ -467,7 +468,6 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
         dist = sparsemax(u)
         q = dist.probs
         bits_mat = np.array([structs[i].bits for i in dist.indices], dtype=np.float64)
-        ids = [structs[i].index for i in dist.indices]
         certificate = dist.support_size < cfg.k
     elif method in ("dense", "sparse"):
         if D > _ENUM_LIMIT:
@@ -479,12 +479,10 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
             if not np.all(q > 0):
                 return None
             bits_mat = A
-            ids = list(range(A.shape[0]))
         else:
             dist = sparsemax(u)
             q = dist.probs
             bits_mat = A[dist.indices]
-            ids = [int(i) for i in dist.indices]
     elif method in ("sparsemap", "sparsemap_budget"):
         if method == "sparsemap":
             polytope = BitVectorPolytope(D)
@@ -494,7 +492,6 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
         res = sparsemap(polytope, t)
         q = res.probs
         bits_mat = res.rows
-        ids = [int(i) for i in res.outcome_ids]
     else:
         raise ValueError("unknown bit-vector method %r" % method)
 
@@ -532,7 +529,7 @@ def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
         grads=grads,
         calls=oracle.calls,
         support=q.size,
-        signature=tuple(sorted(ids)),
+        rows=bits_mat,
         certificate=certificate,
     )
 

@@ -113,16 +113,20 @@ def test_sparsemax_rows_on_ties():
         _assert_rows_are_sparsemax(s)
 
 
-def test_sparsemax_rows_replay_the_doubling_prefixes():
+def test_near_ties_give_a_point_mass_in_every_solver():
     # Ties a hair past distance 1 below the max: in floating point the
-    # support test fails at position 2 yet passes again further down the
-    # full sort, so the support size depends on the prefixes searched.
-    # The 1-d solver stops at its first prefix of 8 with a point mass.
+    # support test fails at position 2 and passes again further down the
+    # sort.  The first failure ends the support, so the doubling solver,
+    # the full sort and the row-wise solver all keep one outcome.
     for K, ulps in ((16, 14), (16, 12), (20, 28)):
         s = np.full((1, K), -1.0 - ulps * 2.0 ** -52)
         s[0, 0] = 0.0
-        _assert_rows_are_sparsemax(s)
-        assert sparsemax(s[0]).support_size == 1
+        dists = [sparsemax(s[0]), sparsemax_fullsort(s[0])]
+        rows = sparsemax_rows(s)
+        for dist in dists:
+            assert dist.support_size == 1
+            assert np.array_equal(dist.densify(), rows[0])
+        assert np.array_equal(rows[0], np.eye(K)[0])
 
 
 def test_sparsemax_rows_single_outcome():
@@ -226,6 +230,16 @@ def test_vjp_matches_finite_differences_on_stable_points():
         np.testing.assert_allclose(sparsemax_vjp(s, dist, u), fd, atol=1e-7)
         checked += 1
     assert checked > 100
+
+
+def test_vjp_rejects_mismatched_sizes():
+    s = np.array([1.0, 0.5, -0.2])
+    dist = sparsemax(s)
+    for upstream in ([1.0, 0.0], np.ones(4)):
+        with pytest.raises(ValueError):
+            sparsemax_vjp(s, dist, upstream)
+    with pytest.raises(ValueError):
+        sparsemax_vjp(s[:2], dist, [1.0, 0.0])
 
 
 def test_softmax_basics():

@@ -361,5 +361,7 @@ def test_grad_check_reports_instability():
     model.enc_b[:] = 0.0
     x = np.ones(4)
     report = model_grad_check(model, TrainConfig(method="sparsemap"), x, h=1e-3)
-    assert report.n_unstable >= 0  # smoke: field populated
+    # Every encoder coordinate flips the support at the tie; no decoder
+    # coordinate does.
+    assert report.n_unstable == model.d * (x.size + 1)
     assert report.n_params == model.get_params().size
