@@ -21,7 +21,9 @@ same bordered projection.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -335,9 +337,10 @@ class SparseMapResult:
     """Converged (or iteration-capped) SparseMAP solution.
 
     ``probs`` and the rows of the vertex matrix ``rows`` align with
-    ``structures``; ``outcome_ids`` gives each structure's integer code in
-    the polytope's outcome space, as int64 while ``n_outcomes`` fits and
-    as Python ints (object dtype) past that.  ``adds``, ``drops``,
+    ``structures``.  ``index_of`` is the oracle's ``outcome_index`` hook
+    (``Structure.index`` by default); ``outcome_ids`` applies it to every
+    structure when first read, giving its integer code in the polytope's
+    outcome space.  ``adds``, ``drops``,
     ``refactorizations`` and ``widenings`` count what the solver did:
     ``iterations == adds + drops + int(converged)``.
     """
@@ -350,7 +353,7 @@ class SparseMapResult:
     iterations: int
     nu_min: float
     n_outcomes: int
-    outcome_ids: np.ndarray
+    index_of: Callable = field(repr=False, compare=False)
     rows: np.ndarray = field(repr=False)
     adds: int
     drops: int
@@ -360,6 +363,15 @@ class SparseMapResult:
     @property
     def support_size(self) -> int:
         return len(self.structures)
+
+    @cached_property
+    def outcome_ids(self) -> np.ndarray:
+        """The structures' codes: int64 while ``n_outcomes`` fits, and
+        Python ints (object dtype) past that."""
+        return np.array(
+            [self.index_of(s) for s in self.structures],
+            dtype=np.int64 if self.n_outcomes <= _INT64_OUTCOMES else object,
+        )
 
     @property
     def distribution(self) -> SparseDistribution:
@@ -412,12 +424,6 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
     keep = state.probs > 0.0
     structures = [s for s, k in zip(state.structures, keep) if k]
     probs = state.probs[keep]
-    index_of = getattr(oracle, "outcome_index", lambda s: s.index)
-    n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
-    ids = np.array(
-        [index_of(s) for s in structures],
-        dtype=np.int64 if n_outcomes <= _INT64_OUTCOMES else object,
-    )
     return SparseMapResult(
         structures=structures,
         probs=probs,
@@ -426,8 +432,8 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
         converged=state.converged,
         iterations=state.iteration,
         nu_min=state.nu_min,
-        n_outcomes=n_outcomes,
-        outcome_ids=ids,
+        n_outcomes=getattr(oracle, "n_outcomes", 1 << oracle.dim),
+        index_of=getattr(oracle, "outcome_index", lambda s: s.index),
         rows=state.rows[keep],
         adds=state.adds,
         drops=state.drops,

@@ -28,11 +28,10 @@ from .rng import make_rng
 from .simplex import sparsemax
 from .topk import topk_sparsemax
 from .toys import (
-    BITVEC_METHODS,
-    CATEGORICAL_METHODS,
     ToyBitVectorVAE,
     ToyCategoricalModel,
     TrainConfig,
+    _check_method,
     make_bitvec_images,
     make_cluster_data,
     train_bitvec_vae,
@@ -169,13 +168,10 @@ def _train_run(args):
 
 
 def cmd_train(args) -> int:
-    methods = CATEGORICAL_METHODS if args.task == "categorical" else BITVEC_METHODS
-    if args.method not in methods:
-        print(
-            "error: method %r is not valid for task %r (choose from %s)"
-            % (args.method, args.task, ", ".join(methods)),
-            file=sys.stderr,
-        )
+    try:
+        _check_method(args.task, args.method)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 2
     started = _timestamp()
     log, cfg = _train_run(args)

@@ -144,9 +144,48 @@ def _log_softmax(u):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+class _ParamLayout:
+    """Parameter plumbing for a model whose arrays are named, in order, by ``PARAMS``.
+
+    That order is the layout of the flat vector :func:`model_grad_check`
+    perturbs, so parameters and gradients flatten the same way.
+    """
+
+    PARAMS: tuple = ()
+
+    def flatten(self, arrays) -> np.ndarray:
+        """The ``PARAMS`` entries of ``arrays`` (a dict or the model's own
+        attributes) as one flat vector."""
+        return np.concatenate([arrays[key].ravel() for key in self.PARAMS])
+
+    def get_params(self) -> np.ndarray:
+        return self.flatten(vars(self))
+
+    def set_params(self, v):
+        start = 0
+        for key in self.PARAMS:
+            param = getattr(self, key)
+            stop = start + param.size
+            setattr(self, key, v[start:stop].reshape(param.shape).copy())
+            start = stop
+
+    def zero_grads(self):
+        return {key: np.zeros_like(getattr(self, key)) for key in self.PARAMS}
+
+    def sgd_update(self, grads, lr: float):
+        for key in self.PARAMS:
+            param = getattr(self, key)
+            param -= lr * grads[key]
+
+
 @dataclass
-class ToyCategoricalModel:
+class ToyCategoricalModel(_ParamLayout):
     """Linear encoder to K message scores, per-message label logits."""
+
+    PARAMS = ("enc_w", "enc_b", "dec_w")
+    # Each model class holds its own sgd_update entry, so a tracer can wrap
+    # one class's update through that class's __dict__.
+    sgd_update = _ParamLayout.sgd_update
 
     enc_w: np.ndarray  # (K, feat_dim)
     enc_b: np.ndarray  # (K,)
@@ -177,28 +216,6 @@ class ToyCategoricalModel:
         """
         return -_log_softmax(self.dec_w)[z, y]
 
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([self.enc_w.ravel(), self.enc_b, self.dec_w.ravel()])
-
-    def set_params(self, v):
-        k, f = self.enc_w.shape
-        c = self.dec_w.shape[1]
-        self.enc_w = v[: k * f].reshape(k, f).copy()
-        self.enc_b = v[k * f: k * f + k].copy()
-        self.dec_w = v[k * f + k:].reshape(k, c).copy()
-
-    def sgd_update(self, grads, lr: float):
-        self.enc_w -= lr * grads["enc_w"]
-        self.enc_b -= lr * grads["enc_b"]
-        self.dec_w -= lr * grads["dec_w"]
-
-    def zero_grads(self):
-        return {
-            "enc_w": np.zeros_like(self.enc_w),
-            "enc_b": np.zeros_like(self.enc_b),
-            "dec_w": np.zeros_like(self.dec_w),
-        }
-
     def objective_with_grad(self, example, cfg: TrainConfig):
         """Total objective, flat gradient, and support signature.
 
@@ -211,20 +228,21 @@ class ToyCategoricalModel:
         out, _ = _categorical_batch(self, np.asarray(x)[None], [int(y)], [0], cfg)
         if out.grads is None:
             raise ValueError("the objective is not finite at these parameters")
-        flat = np.concatenate([
-            out.grads["enc_w"].ravel(), out.grads["enc_b"], out.grads["dec_w"].ravel()
-        ])
-        return float(out.objectives[0]), flat, tuple(np.flatnonzero(out.probs[0]).tolist())
+        return (float(out.objectives[0]), self.flatten(out.grads),
+                tuple(np.flatnonzero(out.probs[0]).tolist()))
 
 
 @dataclass
-class ToyBitVectorVAE:
+class ToyBitVectorVAE(_ParamLayout):
     """Linear encoder to D variable scores, linear decoder to pixel logits.
 
     ``recon`` picks the reconstruction term: ``bernoulli`` for per-pixel
     Bernoulli logits, ``squared`` for a plain squared error on the linear
     decoder output (quadratic in every parameter).
     """
+
+    PARAMS = ("enc_w", "enc_b", "dec_w", "dec_b")
+    sgd_update = _ParamLayout.sgd_update
 
     enc_w: np.ndarray  # (D, n_pixels)
     enc_b: np.ndarray  # (D,)
@@ -263,55 +281,13 @@ class ToyBitVectorVAE:
         val = float(np.logaddexp(0.0, out).sum() - x @ out)
         return val, 1.0 / (1.0 + np.exp(-out)) - x
 
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([
-            self.enc_w.ravel(), self.enc_b, self.dec_w.ravel(), self.dec_b
-        ])
-
-    def set_params(self, v):
-        d, p = self.enc_w.shape
-        n0 = d * p
-        self.enc_w = v[:n0].reshape(d, p).copy()
-        self.enc_b = v[n0: n0 + d].copy()
-        self.dec_w = v[n0 + d: n0 + d + p * d].reshape(p, d).copy()
-        self.dec_b = v[n0 + d + p * d:].copy()
-
-    def sgd_update(self, grads, lr: float):
-        self.enc_w -= lr * grads["enc_w"]
-        self.enc_b -= lr * grads["enc_b"]
-        self.dec_w -= lr * grads["dec_w"]
-        self.dec_b -= lr * grads["dec_b"]
-
-    def zero_grads(self):
-        return {
-            "enc_w": np.zeros_like(self.enc_w),
-            "enc_b": np.zeros_like(self.enc_b),
-            "dec_w": np.zeros_like(self.dec_w),
-            "dec_b": np.zeros_like(self.dec_b),
-        }
-
     def objective_with_grad(self, example, cfg: TrainConfig):
         """Total objective, flat gradient, and the set of supported bit rows."""
-        out = _bitvec_pass(self, np.asarray(example, dtype=np.float64), cfg)
-        if out is None:
+        out = _bitvec_batch(self, np.asarray(example, dtype=np.float64)[None], [0], cfg)
+        if out.grads is None:
             raise ValueError("the objective is not finite at these parameters")
-        flat = np.concatenate([
-            out.grads["enc_w"].ravel(), out.grads["enc_b"],
-            out.grads["dec_w"].ravel(), out.grads["dec_b"],
-        ])
-        return out.objective, flat, frozenset(map(tuple, out.rows.tolist()))
-
-
-@dataclass
-class _ExamplePass:
-    objective: float  # the differentiated quantity
-    loss: float  # reported downstream loss (estimate for sampling methods)
-    metric: float  # the log's metric column for this example
-    grads: dict
-    calls: int
-    support: int
-    rows: np.ndarray  # bit rows of the supported outcomes
-    certificate: bool | None = None
+        return (float(out.objectives[0]), self.flatten(out.grads),
+                frozenset(map(tuple, out.rows[0].tolist())))
 
 
 @dataclass
@@ -319,28 +295,23 @@ class _BatchPass:
     """One minibatch: per-example log entries and the summed gradients.
 
     ``stats`` holds (loss, metric, calls, support, certificate) per
-    example, in batch order.  ``grads`` holds the sums of the per-example
+    example, and ``objectives`` each example's differentiated objective,
+    both in batch order.  ``grads`` holds the sums of the per-example
     gradients, or None when the divergence guard tripped: a non-finite
     score, or a zero probability whose log the objective would take.
-    The categorical pass also returns each example's objective and its
-    (B, K) probabilities.
+    The categorical pass also returns the (B, K) probabilities, the
+    bit-vector pass each example's (support, D) bit rows.
     """
 
     stats: list
     grads: dict | None
     objectives: np.ndarray | None = None
     probs: np.ndarray | None = None
+    rows: list | None = None
 
     @classmethod
     def diverged(cls, size: int) -> "_BatchPass":
         return cls([(np.nan, np.nan, 0, 0, None)] * size, None)
-
-
-def _on_support(dist, values) -> np.ndarray:
-    """Dense length-``dist.dim`` vector holding ``values`` on the support."""
-    full = np.zeros(dist.dim)
-    full[dist.indices] = values
-    return full
 
 
 def _ordered_sum(terms, axis=0):
@@ -374,17 +345,35 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     s = np.array([model.scores(features[i]) for i in batch])
     if not np.all(np.isfinite(s)):
         return _BatchPass.diverged(B), baseline
-    if method == "sparse":
-        q = sparsemax_rows(s)
-    elif method in CATEGORICAL_METHODS:
-        q = softmax(s)
-        if not np.all(q > 0):  # the entropy term would take log(0)
-            return _BatchPass.diverged(B), baseline
-    else:
-        raise ValueError("unknown categorical method %r" % method)
     # Every message's loss for every label; the decoder softmax is its exp.
     losses = model.label_loss(np.arange(K)[:, None], np.arange(model.dec_w.shape[1]))
     dec = np.exp(-losses)
+    if method == "sparse":
+        q = sparsemax_rows(s)
+    elif method == "dense":
+        q = softmax(s)
+    elif method in CATEGORICAL_METHODS:  # q is each estimator's own softmax
+        by_example = losses[:, y].T
+        q = np.empty((B, K))
+        g_s = np.empty((B, K))
+        weights = np.zeros((B, K))
+        loss = np.empty(B)
+        calls = np.empty(B, dtype=np.int64)
+        for i in range(B):
+            oracle = LossOracle(by_example[i].__getitem__)
+            if method == "sfe":
+                est, baseline = sfe_grad(s[i], oracle, baseline, rng)
+            else:
+                est = sum_and_sample_grad(s[i], oracle, cfg.k, rng)
+            q[i] = est.probs
+            g_s[i] = est.grad
+            weights[i, est.outcomes] = est.weights
+            loss[i] = est.loss
+            calls[i] = oracle.calls
+    else:
+        raise ValueError("unknown categorical method %r" % method)
+    if method != "sparse" and not np.all(q > 0):  # the entropy term would take log(0)
+        return _BatchPass.diverged(B), baseline
 
     if method in ("dense", "sparse"):
         rows, outcomes = np.nonzero(q > 0)  # every outcome for dense, past the guard
@@ -411,21 +400,6 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         g_s[rows, outcomes] = g_on
         weights = q
     else:
-        by_example = losses[:, y].T
-        g_s = np.empty((B, K))
-        weights = np.zeros((B, K))
-        loss = np.empty(B)
-        calls = np.empty(B, dtype=np.int64)
-        for i in range(B):
-            oracle = LossOracle(by_example[i].__getitem__)
-            if method == "sfe":
-                est, baseline = sfe_grad(s[i], oracle, baseline, rng)
-            else:
-                est = sum_and_sample_grad(s[i], oracle, cfg.k, rng)
-            g_s[i] = est.grad
-            weights[i, est.outcomes] = est.weights
-            loss[i] = est.loss
-            calls[i] = oracle.calls
         entropy_up = np.log(q) + 1.0
         dots = np.array([qi @ ui for qi, ui in zip(q, entropy_up)])
         g_s += coef * (q * (entropy_up - dots[:, None]))
@@ -444,94 +418,97 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     return _BatchPass(stats, grads, objective, q), baseline
 
 
-def _bitvec_pass(model: ToyBitVectorVAE, x, cfg: TrainConfig) -> _ExamplePass:
-    """One image: posterior over bit-vectors, negative ELBO, hand gradients.
+def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _BatchPass:
+    """One minibatch of images: posterior over bit-vectors, negative ELBO,
+    hand gradients summed in example order.
 
     The differentiated objective is sum_z q_z c_z - H(q) with
     c_z = D log 2 + recon(z); its score gradient is the mapping vjp of
     c + log q + 1 (the constant washes out through every mapping here).
-    Returns None when the divergence guard trips: a non-finite score, or
-    a zero dense probability whose log the objective would take.
+    Each example's decoder gradient is summed on its own before it joins
+    the batch sum, so the sums have the bits of batches of one.
     """
     D = model.d
-    t = model.var_scores(x)
-    if not np.all(np.isfinite(t)):
-        return None
     method = cfg.method
-    certificate = None
-
-    if method == "topk":
-        if cfg.k < 1:
-            raise ValueError("topk needs k >= 1")
-        structs = kbest(t, cfg.k)
-        u = np.array([st.score for st in structs])
-        dist = sparsemax(u)
-        q = dist.probs
-        bits_mat = np.array([structs[i].bits for i in dist.indices], dtype=np.float64)
-        certificate = dist.support_size < cfg.k
-    elif method in ("dense", "sparse"):
+    if method in ("dense", "sparse"):
         if D > _ENUM_LIMIT:
             raise ValueError("enumeration methods need D <= %d" % _ENUM_LIMIT)
         A = config_matrix(D)
-        u = A @ t
-        if method == "dense":
-            q = softmax(u)
+    elif method == "sparsemap":
+        polytope = BitVectorPolytope(D)
+    elif method == "sparsemap_budget":
+        polytope = BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2))
+    elif method != "topk":
+        raise ValueError("unknown bit-vector method %r" % method)
+
+    grads = model.zero_grads()
+    stats, objectives, support_rows = [], [], []
+    for i in batch:
+        x = images[i]
+        t = model.var_scores(x)
+        if not np.all(np.isfinite(t)):
+            return _BatchPass.diverged(len(batch))
+        certificate = None
+        if method == "topk":
+            structs = kbest(t, cfg.k)
+            u = np.array([st.score for st in structs])
+            dist = sparsemax(u)
+            q = dist.probs
+            bits_mat = np.array([structs[j].bits for j in dist.indices], dtype=np.float64)
+            certificate = dist.support_size < cfg.k
+        elif method == "dense":
+            q = softmax(A @ t)
             if not np.all(q > 0):
-                return None
+                return _BatchPass.diverged(len(batch))
             bits_mat = A
-        else:
+        elif method == "sparse":
+            u = A @ t
             dist = sparsemax(u)
             q = dist.probs
             bits_mat = A[dist.indices]
-    elif method in ("sparsemap", "sparsemap_budget"):
-        if method == "sparsemap":
-            polytope = BitVectorPolytope(D)
         else:
-            budget = cfg.budget if cfg.budget else max(1, D // 2)
-            polytope = BudgetedBitVectorPolytope(D, budget)
-        res = sparsemap(polytope, t)
-        q = res.probs
-        bits_mat = res.rows
-    else:
-        raise ValueError("unknown bit-vector method %r" % method)
+            res = sparsemap(polytope, t)
+            q = res.probs
+            bits_mat = res.rows
 
-    # The oracle keeps each decoder-output gradient it computes, so the
-    # decoder runs once per supported outcome.
-    dlogits = []
+        # The oracle keeps each decoder-output gradient it computes, so the
+        # decoder runs once per supported outcome.
+        dlogits = []
 
-    def neg_log_joint(bits):
-        recon, d = model.recon_loss_and_dlogits(bits, x)
-        dlogits.append(d)
-        return D * np.log(2.0) + recon
+        def neg_log_joint(bits):
+            recon, d = model.recon_loss_and_dlogits(bits, x)
+            dlogits.append(d)
+            return D * np.log(2.0) + recon
 
-    oracle = LossOracle(neg_log_joint)
-    c = np.array([oracle.eval(row) for row in bits_mat])
-    neg_elbo = float(q @ c + q @ np.log(q))
-    up = c + np.log(q) + 1.0
-    if method == "dense":
-        g_t = A.T @ softmax_vjp(q, up)
-    elif method in ("topk", "sparse"):
-        g_t = bits_mat.T @ sparsemax_vjp(u, dist, _on_support(dist, up))[dist.indices]
-    else:
-        g_t = sparsemap_vjp_probs(res, up)
+        oracle = LossOracle(neg_log_joint)
+        c = np.array([oracle.eval(row) for row in bits_mat])
+        neg_elbo = float(q @ c + q @ np.log(q))
+        up = c + np.log(q) + 1.0
+        if method == "dense":
+            g_t = A.T @ softmax_vjp(q, up)
+        elif method in ("topk", "sparse"):
+            upstream = np.zeros(dist.dim)
+            upstream[dist.indices] = up
+            g_t = bits_mat.T @ sparsemax_vjp(u, dist, upstream)[dist.indices]
+        else:
+            g_t = sparsemap_vjp_probs(res, up)
 
-    grads = model.zero_grads()
-    grads["enc_w"] += np.outer(g_t, x)
-    grads["enc_b"] += g_t
-    for qz, row, d in zip(q, bits_mat, dlogits):
-        grads["dec_w"] += qz * np.outer(d, row)
-        grads["dec_b"] += qz * d
-
-    return _ExamplePass(
-        objective=neg_elbo,
-        loss=neg_elbo,
-        metric=neg_elbo,
-        grads=grads,
-        calls=oracle.calls,
-        support=q.size,
-        rows=bits_mat,
-        certificate=certificate,
-    )
+        # The batch sum starts at +0.0 and so never holds -0.0: adding a
+        # one-term encoder gradient straight in gives the bits of adding it
+        # to zeros first.
+        grads["enc_w"] += np.outer(g_t, x)
+        grads["enc_b"] += g_t
+        dec_w = np.zeros_like(model.dec_w)
+        dec_b = np.zeros_like(model.dec_b)
+        for qz, row, d in zip(q, bits_mat, dlogits):
+            dec_w += qz * np.outer(d, row)
+            dec_b += qz * d
+        grads["dec_w"] += dec_w
+        grads["dec_b"] += dec_b
+        stats.append((neg_elbo, neg_elbo, oracle.calls, q.size, certificate))
+        objectives.append(neg_elbo)
+        support_rows.append(bits_mat)
+    return _BatchPass(stats, grads, np.array(objectives), rows=support_rows)
 
 
 def _check_method(task: str, method: str):
@@ -544,7 +521,7 @@ def _check_method(task: str, method: str):
 
 
 def _params_finite(model) -> bool:
-    return all(np.all(np.isfinite(getattr(model, key))) for key in model.zero_grads())
+    return all(np.all(np.isfinite(getattr(model, key))) for key in model.PARAMS)
 
 
 def _finish_epoch(epoch, stats) -> EpochRow:
@@ -638,20 +615,8 @@ def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfi
     certificate held (support strictly below k).
     """
     _check_method("bitvec", cfg.method)
-
-    def batch_pass(batch, config, rng):
-        grads = model.zero_grads()
-        stats = []
-        for i in batch:
-            out = _bitvec_pass(model, data.images[i], config)
-            if out is None:
-                return _BatchPass.diverged(len(batch))
-            for key in grads:
-                grads[key] += out.grads[key]
-            stats.append((out.loss, out.metric, out.calls, out.support, out.certificate))
-        return _BatchPass(stats, grads)
-
-    return _train("bitvec", model, data.images.shape[0], cfg, cfg, batch_pass)
+    return _train("bitvec", model, data.images.shape[0], cfg, cfg,
+                  lambda batch, config, rng: _bitvec_batch(model, data.images, batch, config))
 
 
 def model_grad_check(model, cfg: TrainConfig, example, h: float = 1e-5) -> GradCheckReport:

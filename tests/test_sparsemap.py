@@ -498,3 +498,16 @@ def test_identity_polytope_ids_stay_int64_at_large_dim():
     res = sparsemap(IdentityPolytope(100), make_rng(15).normal(size=100))
     assert res.outcome_ids.dtype == np.int64
     assert res.distribution.dim == 100
+
+
+def test_outcome_ids_are_computed_on_first_read(monkeypatch):
+    # Training never reads the ids, so a solve must not pay for them.
+    reads = []
+    index = Structure.index
+    monkeypatch.setattr(Structure, "index", property(lambda s: reads.append(s) or index.fget(s)))
+    res = sparsemap(BitVectorPolytope(6), make_rng(16).normal(size=6))
+    assert reads == []
+    ids = res.outcome_ids
+    assert reads == res.structures
+    assert res.outcome_ids is ids
+    assert ids.tolist() == [index.fget(s) for s in res.structures]

@@ -19,7 +19,7 @@ from sparsemarg.toys import (
     train_bitvec_vae,
     train_categorical,
 )
-from sparsemarg.toys import _bitvec_pass, _categorical_batch, _ordered_sum
+from sparsemarg.toys import _bitvec_batch, _categorical_batch, _ordered_sum
 
 
 def _small_cluster_data(n=64, seed=0):
@@ -267,13 +267,13 @@ def test_topk_certificate_gradient_matches_enumeration():
     model = ToyBitVectorVAE.init(d=8, n_pixels=36, seed=7)
     model.enc_w = rng.normal(size=model.enc_w.shape)  # spread scores out
     checked = 0
-    for x in images.images:
-        cfg_k = TrainConfig(method="topk", k=32)
-        out_k = _bitvec_pass(model, x, cfg_k)
-        if not out_k.certificate:
+    for i in range(images.images.shape[0]):
+        out_k = _bitvec_batch(model, images.images, [i], TrainConfig(method="topk", k=32))
+        certificate = out_k.stats[0][4]
+        if not certificate:
             continue
-        out_e = _bitvec_pass(model, x, TrainConfig(method="sparse"))
-        assert out_k.objective == pytest.approx(out_e.objective, abs=1e-8)
+        out_e = _bitvec_batch(model, images.images, [i], TrainConfig(method="sparse"))
+        assert out_k.objectives[0] == pytest.approx(out_e.objectives[0], abs=1e-8)
         for key in out_k.grads:
             np.testing.assert_allclose(
                 out_k.grads[key], out_e.grads[key], atol=1e-8
@@ -293,12 +293,64 @@ def test_budget_codes_respect_budget():
     images = make_bitvec_images(n=16, d=8, seed=10)
     model = ToyBitVectorVAE.init(d=8, n_pixels=36, seed=11)
     cfg = TrainConfig(method="sparsemap_budget", budget=3)
-    for x in images.images:
-        out = _bitvec_pass(model, x, cfg)
-        assert out.support >= 1
+    out = _bitvec_batch(model, images.images, np.arange(16), cfg)
+    assert all(support >= 1 for _, _, _, support, _ in out.stats)
+    assert all(rows.sum(axis=1).max() <= 3 for rows in out.rows)
     # Default budget is D // 2.
     log = train_bitvec_vae(model, images, TrainConfig(method="sparsemap_budget", epochs=2, seed=0))
     assert np.isfinite(log.rows[-1].loss)
+
+
+@pytest.mark.parametrize("method", BITVEC_METHODS)
+def test_bitvec_batch_pass_equals_examples_one_at_a_time(method):
+    # Each example's gradient is summed on its own before it joins the
+    # batch sum, so a partial batch must reproduce, bit for bit, the log
+    # entries, objectives and gradient sum of its examples passed as
+    # batches of one in batch order.
+    images = make_bitvec_images(n=20, d=6, seed=36)
+    model = ToyBitVectorVAE.init(d=6, n_pixels=36, seed=37, scale=0.5)
+    cfg = TrainConfig(method=method, k=8, budget=3)
+    batch = make_rng(38).permutation(20)[:11]
+    whole = _bitvec_batch(model, images.images, batch, cfg)
+    grads, stats, objectives, rows = model.zero_grads(), [], [], []
+    for i in batch:
+        one = _bitvec_batch(model, images.images, [i], cfg)
+        stats.append(one.stats[0])
+        objectives.append(one.objectives[0])
+        rows.append(one.rows[0])
+        for key in grads:
+            grads[key] += one.grads[key]
+    assert whole.stats == stats
+    assert whole.objectives.tolist() == objectives
+    assert all(np.array_equal(a, b) for a, b in zip(whole.rows, rows))
+    for key in grads:
+        assert np.array_equal(whole.grads[key], grads[key])
+        assert np.array_equal(np.signbit(whole.grads[key]), np.signbit(grads[key]))
+    assert max(entry[3] for entry in stats) > 1  # some decoder gradient sums several terms
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: ToyCategoricalModel.init(n_messages=3, n_classes=5, feat_dim=4, seed=39),
+    lambda: ToyBitVectorVAE.init(d=3, n_pixels=5, seed=40),
+], ids=["categorical", "bitvec"])
+def test_param_layout_round_trips(make_model):
+    # The flat vector the gradient check perturbs, the gradient flatten and
+    # the update must all walk the parameters in one order.
+    model = make_model()
+    shapes = {key: getattr(model, key).shape for key in model.PARAMS}
+    v = np.arange(model.get_params().size, dtype=np.float64)
+    model.set_params(v)
+    assert np.array_equal(model.get_params(), v)
+    assert {key: getattr(model, key).shape for key in model.PARAMS} == shapes
+    v[:] = -1.0  # set_params keeps copies
+    assert np.array_equal(model.get_params(), np.arange(v.size))
+    grads = model.zero_grads()
+    for key in grads:
+        grads[key] += getattr(model, key)
+    assert np.array_equal(model.flatten(grads), model.get_params())
+    model.sgd_update(grads, 1.0)
+    assert not model.get_params().any()
+    assert "sgd_update" in vars(type(model))  # a tracer wraps each class's own entry
 
 
 def test_bitvec_methods_all_run():
