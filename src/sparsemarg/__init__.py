@@ -44,7 +44,6 @@ from .simplex import (
     softmax,
     softmax_vjp,
     sparsemax,
-    sparsemax_fullsort,
     sparsemax_vjp,
 )
 from .topk import TopKResult, top_k, topk_sparsemax, topk_sparsemax_vjp
@@ -85,7 +84,6 @@ __all__ = [
     "sparsemap_vjp",
     "sparsemap_vjp_probs",
     "sparsemax",
-    "sparsemax_fullsort",
     "sparsemax_vjp",
     "sum_and_sample_grad",
     "top_k",

@@ -154,7 +154,7 @@ def _bordered_gram(structures) -> np.ndarray:
     return _gram(_vertex_rows(structures))
 
 
-@dataclass
+@dataclass(eq=False)
 class ActiveSetState:
     """One iterate of the active-set solve.
 
@@ -332,7 +332,7 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMapResult:
     """Converged (or iteration-capped) SparseMAP solution.
 
@@ -353,7 +353,7 @@ class SparseMapResult:
     iterations: int
     nu_min: float
     n_outcomes: int
-    index_of: Callable = field(repr=False, compare=False)
+    index_of: Callable = field(repr=False)
     rows: np.ndarray = field(repr=False)
     adds: int
     drops: int

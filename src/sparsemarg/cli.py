@@ -31,7 +31,7 @@ from .toys import (
     ToyBitVectorVAE,
     ToyCategoricalModel,
     TrainConfig,
-    _check_method,
+    _check_config,
     make_bitvec_images,
     make_cluster_data,
     train_bitvec_vae,
@@ -39,6 +39,8 @@ from .toys import (
 )
 
 __all__ = ["main", "cmd_check", "cmd_bench", "cmd_train"]
+
+MESSAGES = 16  # the categorical task's messages, clusters and labels
 
 TRAIN_COLUMNS = (
     "epoch",
@@ -148,7 +150,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _train_run(args):
+def _train_run(args, cfg):
+    if args.task == "categorical":
+        data = make_cluster_data(n=args.n, n_clusters=MESSAGES, seed=args.seed)
+        model = ToyCategoricalModel.init(n_messages=MESSAGES, n_classes=MESSAGES, seed=args.seed)
+        return train_categorical(model, data, cfg)
+    data = make_bitvec_images(n=args.n, d=args.d, seed=args.seed)
+    model = ToyBitVectorVAE.init(d=args.d, n_pixels=data.n_pixels, seed=args.seed)
+    return train_bitvec_vae(model, data, cfg)
+
+
+def cmd_train(args) -> int:
     cfg = TrainConfig(
         method=args.method,
         epochs=args.epochs,
@@ -158,23 +170,13 @@ def _train_run(args):
         k=args.k,
         budget=args.budget,
     )
-    if args.task == "categorical":
-        data = make_cluster_data(n=args.n, seed=args.seed)
-        model = ToyCategoricalModel.init(seed=args.seed)
-        return train_categorical(model, data, cfg), cfg
-    data = make_bitvec_images(n=args.n, d=args.d, seed=args.seed)
-    model = ToyBitVectorVAE.init(d=args.d, n_pixels=data.n_pixels, seed=args.seed)
-    return train_bitvec_vae(model, data, cfg), cfg
-
-
-def cmd_train(args) -> int:
     try:
-        _check_method(args.task, args.method)
+        _check_config(args.task, cfg, args.n, MESSAGES if args.task == "categorical" else args.d)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     started = _timestamp()
-    log, cfg = _train_run(args)
+    log = _train_run(args, cfg)
     lines = [",".join(TRAIN_COLUMNS)]
     for row in log.rows:
         lines.append(

@@ -30,7 +30,7 @@ _MAX_ENUMERABLE = 4096
 _COMPLEMENT_EPS = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
     """A sampled gradient estimate and the loss evaluations it was built from.
 

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "SparseDistribution",
     "sparsemax",
-    "sparsemax_fullsort",
     "sparsemax_rows",
     "sparsemax_vjp",
     "softmax",
@@ -35,7 +34,7 @@ def _as_scores(s, ndim=1):
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseDistribution:
     """A distribution stored as (index, probability) pairs over its support.
 
@@ -85,9 +84,7 @@ def _support_test(sorted_desc):
     projection of Martins & Astudillo (2016).  In exact arithmetic the
     passing positions are exactly that prefix; in floating point a tie a
     hair past the threshold can fail and a later position pass again, and
-    the first failure still ends the support.  The size depends only on the
-    sort up to that failure, so a sorted top-k prefix that holds a failure
-    gives the same bits as the full sort.
+    the first failure still ends the support.
     """
     css = np.cumsum(sorted_desc, axis=-1)
     j = np.arange(1, sorted_desc.shape[-1] + 1)
@@ -95,66 +92,32 @@ def _support_test(sorted_desc):
     return css, np.logical_and.accumulate(ok, axis=-1).sum(axis=-1)
 
 
-def _threshold(sorted_desc):
-    """Support size and tau from a vector of scores sorted in descending order."""
-    css, rho = _support_test(sorted_desc)
-    rho = int(rho)
-    tau = (css[rho - 1] - 1.0) / rho
-    return rho, tau
-
-
-def _from_threshold(z, tau, shift):
-    # z = s - shift holds the scores relative to their maximum.  Strict
-    # inequality: an entry exactly at the threshold carries zero
-    # probability and is excluded from the support.
-    idx = np.nonzero(z > tau)[0]
-    return SparseDistribution(idx, z[idx] - tau, float(tau + shift), z.size)
-
-
 def sparsemax(s) -> SparseDistribution:
     """Euclidean projection of a score vector onto the probability simplex.
 
     The solution has the form p_i = max(s_i - tau, 0) with tau chosen so
-    the result sums to one.  Works on top-k prefixes of doubling size, so
-    the cost stays near O(K) when the solution is sparse; the plain
-    O(K log K) full-sort variant is :func:`sparsemax_fullsort`.  Both
-    threshold the scores relative to their maximum, so a large common
-    offset does not swamp the probabilities; ``threshold`` is reported in
-    the units of ``s``.
+    the result sums to one, read from one descending sort in O(K log K).
+    The scores are thresholded relative to their maximum, so a large
+    common offset does not swamp the probabilities; ``threshold`` is
+    reported in the units of ``s``.
     """
     s = _as_scores(s)
     shift = s.max()
     z = s - shift
-    K = s.size
-    k = min(8, K)
-    while True:
-        if k >= K:
-            top = np.sort(z)[::-1]
-        else:
-            part = np.argpartition(z, K - k)[K - k:]
-            top = np.sort(z[part])[::-1]
-        rho, tau = _threshold(top)
-        if rho < k or k >= K:
-            return _from_threshold(z, tau, shift)
-        k = min(2 * k, K)
-
-
-def sparsemax_fullsort(s) -> SparseDistribution:
-    """Sparsemax via one full descending sort (reference path)."""
-    s = _as_scores(s)
-    shift = s.max()
-    z = s - shift
-    _, tau = _threshold(np.sort(z)[::-1])
-    return _from_threshold(z, tau, shift)
+    css, rho = _support_test(np.sort(z)[::-1])
+    tau = (css[rho - 1] - 1.0) / rho
+    # Strict inequality: an entry exactly at the threshold carries zero
+    # probability and is excluded from the support.
+    idx = np.nonzero(z > tau)[0]
+    return SparseDistribution(idx, z[idx] - tau, float(tau + shift), z.size)
 
 
 def sparsemax_rows(scores) -> np.ndarray:
     """Sparsemax of every row of a (B, K) score matrix, as dense (B, K) rows.
 
     Row i equals ``sparsemax(scores[i]).densify()`` bit for bit: the same
-    max shift, and one full row sort read by the same support rule, which
-    gives the doubling solver's answer on any prefix.  Off-support entries
-    are exactly zero.
+    max shift, and the same descending sort read by the same support rule.
+    Off-support entries are exactly zero.
     """
     s = _as_scores(scores, ndim=2)
     if s.ndim != 2:

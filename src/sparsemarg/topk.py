@@ -19,7 +19,7 @@ from .simplex import SparseDistribution, _as_scores, sparsemax, sparsemax_vjp
 __all__ = ["TopKResult", "top_k", "topk_sparsemax", "topk_sparsemax_vjp"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopKResult:
     """Indices and scores of the k largest entries, ascending by index."""
 

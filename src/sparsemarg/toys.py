@@ -95,14 +95,14 @@ class GradCheckReport:
     n_params: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterData:
     features: np.ndarray  # (n, feat_dim)
     labels: np.ndarray  # (n,)
     n_classes: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitImageData:
     images: np.ndarray  # (n, n_pixels), entries in {0, 1}
     d: int
@@ -178,7 +178,7 @@ class _ParamLayout:
             param -= lr * grads[key]
 
 
-@dataclass
+@dataclass(eq=False)
 class ToyCategoricalModel(_ParamLayout):
     """Linear encoder to K message scores, per-message label logits."""
 
@@ -232,7 +232,7 @@ class ToyCategoricalModel(_ParamLayout):
                 tuple(np.flatnonzero(out.probs[0]).tolist()))
 
 
-@dataclass
+@dataclass(eq=False)
 class ToyBitVectorVAE(_ParamLayout):
     """Linear encoder to D variable scores, linear decoder to pixel logits.
 
@@ -283,6 +283,7 @@ class ToyBitVectorVAE(_ParamLayout):
 
     def objective_with_grad(self, example, cfg: TrainConfig):
         """Total objective, flat gradient, and the set of supported bit rows."""
+        _check_config("bitvec", cfg, 1, self.d)
         out = _bitvec_batch(self, np.asarray(example, dtype=np.float64)[None], [0], cfg)
         if out.grads is None:
             raise ValueError("the objective is not finite at these parameters")
@@ -290,7 +291,7 @@ class ToyBitVectorVAE(_ParamLayout):
                 frozenset(map(tuple, out.rows[0].tolist())))
 
 
-@dataclass
+@dataclass(eq=False)
 class _BatchPass:
     """One minibatch: per-example log entries and the summed gradients.
 
@@ -335,7 +336,7 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     mappings and elementwise algebra work on whole (B, K) matrices, while
     the scores, dot products, support means and sums stay in example (or
     outcome) order.  Returns the batch record and the baseline, updated
-    when sfe drew samples.
+    when sfe drew samples.  Callers check ``cfg.method`` first.
     """
     K = model.n_messages
     method = cfg.method
@@ -352,7 +353,7 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         q = sparsemax_rows(s)
     elif method == "dense":
         q = softmax(s)
-    elif method in CATEGORICAL_METHODS:  # q is each estimator's own softmax
+    else:  # sfe or sum_and_sample; q is each estimator's own softmax
         by_example = losses[:, y].T
         q = np.empty((B, K))
         g_s = np.empty((B, K))
@@ -370,8 +371,6 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
             weights[i, est.outcomes] = est.weights
             loss[i] = est.loss
             calls[i] = oracle.calls
-    else:
-        raise ValueError("unknown categorical method %r" % method)
     if method != "sparse" and not np.all(q > 0):  # the entropy term would take log(0)
         return _BatchPass.diverged(B), baseline
 
@@ -426,20 +425,17 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     c_z = D log 2 + recon(z); its score gradient is the mapping vjp of
     c + log q + 1 (the constant washes out through every mapping here).
     Each example's decoder gradient is summed on its own before it joins
-    the batch sum, so the sums have the bits of batches of one.
+    the batch sum, so the sums have the bits of batches of one.  Callers
+    check ``cfg`` against D first (:func:`_check_config`).
     """
     D = model.d
     method = cfg.method
     if method in ("dense", "sparse"):
-        if D > _ENUM_LIMIT:
-            raise ValueError("enumeration methods need D <= %d" % _ENUM_LIMIT)
         A = config_matrix(D)
     elif method == "sparsemap":
         polytope = BitVectorPolytope(D)
     elif method == "sparsemap_budget":
         polytope = BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2))
-    elif method != "topk":
-        raise ValueError("unknown bit-vector method %r" % method)
 
     grads = model.zero_grads()
     stats, objectives, support_rows = [], [], []
@@ -511,13 +507,36 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     return _BatchPass(stats, grads, np.array(objectives), rows=support_rows)
 
 
-def _check_method(task: str, method: str):
+def _check_config(task: str, cfg: TrainConfig, n: int, size: int):
+    """Raise ValueError, naming the field, unless ``cfg`` can train ``n``
+    examples of ``task`` at ``size`` (K messages, or D bits)."""
     allowed = CATEGORICAL_METHODS if task == "categorical" else BITVEC_METHODS
-    if method not in allowed:
+    if cfg.method not in allowed:
         raise ValueError(
             "method %r is not valid for the %s task (choose from %s)"
-            % (method, task, ", ".join(allowed))
+            % (cfg.method, task, ", ".join(allowed))
         )
+    rules = [
+        ("n", n, n >= 1, "at least 1"),
+        ("epochs", cfg.epochs, cfg.epochs >= 0, "at least 0"),
+        ("batch_size", cfg.batch_size, cfg.batch_size >= 1, "at least 1"),
+    ]
+    if task == "bitvec":
+        rules.append(("d", size, size >= 1, "at least 1"))
+    if cfg.method == "sum_and_sample":
+        rules.append(("k", cfg.k, 1 <= cfg.k < size,
+                      "in 1..%d for %d messages" % (size - 1, size)))
+    elif cfg.method == "topk":
+        rules.append(("k", cfg.k, cfg.k >= 1, "at least 1"))
+    elif task == "bitvec" and cfg.method in ("dense", "sparse"):
+        rules.append(("d", size, size <= _ENUM_LIMIT,
+                      "at most %d to enumerate 2^d configurations" % _ENUM_LIMIT))
+    elif cfg.method == "sparsemap_budget":
+        rules.append(("budget", cfg.budget, 0 <= cfg.budget <= size,
+                      "in 0..%d, where 0 means d // 2" % size))
+    for name, value, ok, need in rules:
+        if not ok:
+            raise ValueError("%s must be %s, got %r" % (name, need, value))
 
 
 def _params_finite(model) -> bool:
@@ -592,7 +611,7 @@ def train_categorical(model: ToyCategoricalModel, data: ClusterData, cfg: TrainC
     loss evaluations made during training.  The initial loss is exact:
     sparse for the sparse method, dense for the others.
     """
-    _check_method("categorical", cfg.method)
+    _check_config("categorical", cfg, data.features.shape[0], model.n_messages)
     eval_cfg = TrainConfig(method="dense" if cfg.method != "sparse" else "sparse",
                            entropy_coef=cfg.entropy_coef)
     baseline = MovingAverageBaseline(decay=cfg.baseline_decay)
@@ -614,7 +633,7 @@ def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfi
     topk mapping each row also records the fraction of examples whose
     certificate held (support strictly below k).
     """
-    _check_method("bitvec", cfg.method)
+    _check_config("bitvec", cfg, data.images.shape[0], model.d)
     return _train("bitvec", model, data.images.shape[0], cfg, cfg,
                   lambda batch, config, rng: _bitvec_batch(model, data.images, batch, config))
 

@@ -148,6 +148,26 @@ def test_train_incompatible_method_task_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, argv", [
+    ("n", ["categorical", "--method", "sparse", "--n", "0"]),
+    ("batch_size", ["categorical", "--method", "sparse", "--batch-size", "0"]),
+    ("epochs", ["categorical", "--method", "dense", "--epochs", "-1"]),
+    ("k", ["categorical", "--method", "sum_and_sample", "--k", "0"]),
+    ("k", ["categorical", "--method", "sum_and_sample", "--k", "16"]),
+    ("k", ["bitvec", "--method", "topk", "--k", "0"]),
+    ("d", ["bitvec", "--method", "sparsemap", "--d", "0"]),
+    ("budget", ["bitvec", "--method", "sparsemap_budget", "--d", "8", "--budget", "9"]),
+    ("d", ["bitvec", "--method", "dense", "--d", "13"]),
+])
+def test_train_bad_size_is_usage_error(tmp_path, capsys, field, argv):
+    out = tmp_path / "never.csv"
+    assert main(["train"] + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be " % field)
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_writes_manifest_sidecar(tmp_path):
     out = _run_train(tmp_path, "cat.csv",
                      ["train", "categorical", "--method", "dense",

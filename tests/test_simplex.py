@@ -1,4 +1,4 @@
-"""Simplex projection: solver agreement, frozen examples, vjp, entropy."""
+"""Simplex projection: optimality, solver agreement, frozen examples, vjp, entropy."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from sparsemarg.simplex import (
     entropy,
     softmax,
     sparsemax,
-    sparsemax_fullsort,
     sparsemax_rows,
     sparsemax_vjp,
 )
@@ -48,15 +47,43 @@ def test_matches_bruteforce_qp_oracle():
         np.testing.assert_allclose(got, sparsemax_bruteforce(s), atol=1e-10)
 
 
-def test_doubling_solver_equals_full_sort():
-    rng = make_rng(4)
-    for _ in range(300):
-        k = int(rng.integers(1, 200))
-        s = rng.normal(size=k) * 3.0
-        a = sparsemax(s)
-        b = sparsemax_fullsort(s)
-        assert a.indices.tolist() == b.indices.tolist()
-        np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
+def _assert_projection_optimality(s, p, tau):
+    """The optimality (KKT) conditions of min ||p - s||^2 over the simplex,
+    checked without a sort: p >= 0 summing to one, p_i = s_i - tau on the
+    support and s_j <= tau off it, within 1e-9 of the score scale."""
+    tol = 1e-9 * max(1.0, np.abs(s).max())
+    on = p > 0
+    assert np.all(p >= 0.0)
+    assert abs(p.sum() - 1.0) <= 1e-9
+    assert np.abs(p[on] - (s[on] - tau)).max() <= tol
+    assert np.all(s[~on] <= tau + tol)
+
+
+def _projection_inputs():
+    """Score matrices at K = 1 to 4096: normal rows at four scales, quarter-
+    step ties, all-equal and half-tied rows, near-ties and ties a hair past
+    distance 1 below the max, each at offsets up to 1e8."""
+    rng = make_rng(31)
+    for K in (1, 2, 5, 16, 33, 64, 257, 1000, 4096):
+        normal = rng.normal(size=(4, K)) * np.array([[0.1], [1.0], [10.0], [100.0]])
+        ties = np.round(2.0 * rng.normal(size=(3, K))) / 4.0
+        ties[0] = 0.0
+        ties[1, : (K + 1) // 2] = 0.5
+        near = ties[2] + 1e-12 * rng.normal(size=(2, K))
+        hair = np.full((1, K), -1.0 - 14 * 2.0 ** -52)
+        hair[0, 0] = 0.0
+        block = np.vstack([normal, ties, near, hair])
+        for offset in (0.0, -1e4, 1e8):
+            yield block + offset
+
+
+def test_solvers_meet_the_projection_optimality_conditions():
+    for s in _projection_inputs():
+        for row, p in zip(s, sparsemax_rows(s)):
+            dist = sparsemax(row)
+            _assert_projection_optimality(row, dist.densify(), dist.threshold)
+            on = p > 0
+            _assert_projection_optimality(row, p, np.mean(row[on] - p[on]))
 
 
 def test_translation_invariance():
@@ -79,10 +106,9 @@ def test_large_offsets_keep_the_projection(offset, K):
     for _ in range(60):
         s = rng.normal(size=K)
         base = sparsemax(s)
-        for solver in (sparsemax, sparsemax_fullsort):
-            shifted = solver(s + offset)
-            np.testing.assert_allclose(shifted.densify(), base.densify(), rtol=0.0, atol=1e-6)
-            assert abs((shifted.threshold - offset) - base.threshold) <= 1e-6
+        shifted = sparsemax(s + offset)
+        np.testing.assert_allclose(shifted.densify(), base.densify(), rtol=0.0, atol=1e-6)
+        assert abs((shifted.threshold - offset) - base.threshold) <= 1e-6
 
 
 def _assert_rows_are_sparsemax(s):
@@ -96,7 +122,6 @@ def _assert_rows_are_sparsemax(s):
 
 
 def test_sparsemax_rows_equal_sparsemax_bit_for_bit():
-    # Sizes on both sides of the 1-d solver's doubling prefixes (8, 16, 32).
     rng = make_rng(21)
     for K in (2, 7, 8, 9, 16, 17, 33, 100):
         for scale in (0.1, 1.0, 10.0):
@@ -116,16 +141,15 @@ def test_sparsemax_rows_on_ties():
 def test_near_ties_give_a_point_mass_in_every_solver():
     # Ties a hair past distance 1 below the max: in floating point the
     # support test fails at position 2 and passes again further down the
-    # sort.  The first failure ends the support, so the doubling solver,
-    # the full sort and the row-wise solver all keep one outcome.
+    # sort.  The first failure ends the support, so the 1-d and the
+    # row-wise solver both keep one outcome.
     for K, ulps in ((16, 14), (16, 12), (20, 28)):
         s = np.full((1, K), -1.0 - ulps * 2.0 ** -52)
         s[0, 0] = 0.0
-        dists = [sparsemax(s[0]), sparsemax_fullsort(s[0])]
+        dist = sparsemax(s[0])
         rows = sparsemax_rows(s)
-        for dist in dists:
-            assert dist.support_size == 1
-            assert np.array_equal(dist.densify(), rows[0])
+        assert dist.support_size == 1
+        assert np.array_equal(dist.densify(), rows[0])
         assert np.array_equal(rows[0], np.eye(K)[0])
 
 

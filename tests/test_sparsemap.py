@@ -103,6 +103,19 @@ def test_max_iter_reached_returns_best_iterate():
     res = sparsemap(BitVectorPolytope(6), np.linspace(-0.4, 0.4, 6), max_iter=1)
     assert not res.converged
     assert res.support_size >= 1
+    with pytest.raises(ValueError, match="requires a converged result"):
+        sparsemap_vjp_probs(res, np.ones(res.support_size))
+
+
+def test_vjp_rejects_misaligned_upstream():
+    res = sparsemap(BitVectorPolytope(4), [0.4, -0.3, 0.1, 0.2])
+    assert res.converged and res.support_size >= 2
+    for bad in (np.ones(res.support_size + 1), np.ones((res.support_size, 1))):
+        with pytest.raises(ValueError, match="align with the support structures"):
+            sparsemap_vjp_probs(res, bad)
+    for bad in (np.ones(5), np.ones((4, 1)), 1.0):
+        with pytest.raises(ValueError, match="must match the moments vector"):
+            sparsemap_vjp(res, bad)
 
 
 def test_rejects_bad_inputs():

@@ -108,6 +108,30 @@ def test_divergence_guard_flags_non_finite_scores(method):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", BITVEC_METHODS)
+def test_bitvec_divergence_guard_flags_non_finite_scores(method):
+    images = make_bitvec_images(n=8, d=4, seed=12)
+    model = ToyBitVectorVAE.init(d=4, n_pixels=36, seed=13)
+    model.enc_b[1] = np.nan
+    log = train_bitvec_vae(model, images, TrainConfig(method=method, epochs=3, seed=0, k=2))
+    assert log.diverged
+    assert log.rows == []
+    assert np.isnan(log.initial_loss)
+
+
+def test_categorical_objective_rejects_sampling_methods_and_non_finite_scores():
+    data = _small_cluster_data()
+    model = ToyCategoricalModel.init(n_messages=4, n_classes=4, feat_dim=8, seed=4)
+    example = (data.features[0], data.labels[0])
+    for method in ("sfe", "sum_and_sample"):
+        with pytest.raises(ValueError, match="deterministic method"):
+            model.objective_with_grad(example, TrainConfig(method=method, k=2))
+    model.enc_b[1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        model.objective_with_grad(example, TrainConfig(method="sparse"))
+
+
+@pytest.mark.filterwarnings("error")
 def test_divergence_guard_flags_zero_dense_probability_on_bit_vectors():
     images = make_bitvec_images(n=8, d=4, seed=12)
     model = ToyBitVectorVAE.init(d=4, n_pixels=36, seed=13)

@@ -1,4 +1,4 @@
-"""Run the 30-run training matrix and print one fingerprint line per run.
+"""Run the 33-run training matrix and print one fingerprint line per run.
 
 Each line holds the run's name, the sha256 of its epoch CSV and the
 ``repr`` of the manifest's ``initial_loss``.  Run it once against each of
@@ -12,7 +12,7 @@ train byte-identically on every run:
 The matrix covers every training method at small sizes, each at seeds 0,
 3 and 9: the categorical methods at ``--n 64 --epochs 4 --k 2``, and the
 bit-vector methods at ``--n 24 --epochs 3``, with topk both below and past
-D = 64.
+D = 64, and sparse also at D = 12, the largest enumeration (K = 4096).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ RUNS = (
     ("categorical_sum_and_sample", ["categorical", "--method", "sum_and_sample"] + CATEGORICAL),
     ("bitvec_dense_d6", ["bitvec", "--method", "dense", "--d", "6"] + BITVEC),
     ("bitvec_sparse_d6", ["bitvec", "--method", "sparse", "--d", "6"] + BITVEC),
+    ("bitvec_sparse_d12", ["bitvec", "--method", "sparse", "--d", "12"] + BITVEC),
     ("bitvec_topk_d8_k8", ["bitvec", "--method", "topk", "--d", "8", "--k", "8"] + BITVEC),
     ("bitvec_topk_d70_k16", ["bitvec", "--method", "topk", "--d", "70", "--k", "16"] + BITVEC),
     ("bitvec_sparsemap_d8", ["bitvec", "--method", "sparsemap", "--d", "8"] + BITVEC),
