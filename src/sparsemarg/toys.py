@@ -65,7 +65,6 @@ class TrainConfig:
     k: int = 1  # top-k size (topk mapping, sum_and_sample estimator)
     budget: int = 0  # max active bits; 0 means D // 2
     entropy_coef: float = 0.05  # categorical task only
-    baseline_decay: float = 0.9  # sfe only
 
 
 @dataclass(frozen=True)
@@ -614,7 +613,7 @@ def train_categorical(model: ToyCategoricalModel, data: ClusterData, cfg: TrainC
     _check_config("categorical", cfg, data.features.shape[0], model.n_messages)
     eval_cfg = TrainConfig(method="dense" if cfg.method != "sparse" else "sparse",
                            entropy_coef=cfg.entropy_coef)
-    baseline = MovingAverageBaseline(decay=cfg.baseline_decay)
+    baseline = MovingAverageBaseline()
 
     def batch_pass(batch, config, rng):
         nonlocal baseline

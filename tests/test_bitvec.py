@@ -13,6 +13,7 @@ from sparsemarg.bitvec import (
     kbest,
     map_oracle,
 )
+from sparsemarg.reference import kbest_bruteforce
 from sparsemarg.rng import make_rng
 
 
@@ -62,10 +63,34 @@ def test_kbest_frozen_example():
     np.testing.assert_allclose([st.score for st in got], [1.0, 0.5, 0.0])
 
 
+def _tie_heavy(rng, d):
+    """Quarter steps, equal magnitudes of both signs, and exact zeros."""
+    yield np.round(rng.normal(size=d) * 2.0) / 4.0
+    yield rng.choice([-1.0, 1.0], size=d) * rng.choice([0.5, 1.0], size=d)
+    yield np.where(rng.random(d) < 0.5, 0.0, rng.choice([-0.25, 0.25, 0.5], size=d))
+    yield np.zeros(d)
+
+
 def test_kbest_total_tie_is_lexicographic():
     got = kbest([0.0, 0.0], 4)
     assert [st.bits for st in got] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(st.score == 0.0 for st in got)
+    # A blank image scores all 128 bits 0: the 16 best are the 4-bit
+    # patterns 0..15 in the last four positions, in counting order.
+    got = kbest(np.zeros(128), 16)
+    tails = [tuple(int(b) for b in format(r, "04b")) for r in range(16)]
+    assert [st.bits for st in got] == [(0,) * 124 + tail for tail in tails]
+    assert [st.score for st in got] == [0.0] * 16
+    # Every k up to D = 8; past that every k up to 64 and the whole space,
+    # since every k at D = 12 costs minutes per vector.
+    rng = make_rng(8)
+    for d in range(1, 13):
+        ks = range(1, (1 << d) + 1) if d <= 8 else [*range(1, 65), 1 << d]
+        for _ in range(6 if d <= 6 else 2):
+            for t in _tie_heavy(rng, d):
+                ref = kbest_bruteforce(t, 1 << d)
+                for k in ks:
+                    assert [st.bits for st in kbest(t, k)] == ref[:k], (t, k)
 
 
 def test_kbest_first_element_is_map_for_generic_scores():
@@ -98,6 +123,9 @@ def test_structure_index_and_score_cache():
     t = rng.normal(size=5)
     for st in enumerate_all(t):
         assert st.score == pytest.approx(np.array(st.bits) @ t, abs=1e-12)
+    for d in range(1, 11):
+        for r, st in enumerate(enumerate_all(rng.normal(size=d))):
+            assert st.index == r
 
 
 def test_enumerate_all_shape_and_guard():

@@ -496,6 +496,10 @@ def test_ids_past_int64_stay_exact(d):
         res = sparsemap(BitVectorPolytope(d), t)
         assert res.converged
         assert [int(i) for i in res.outcome_ids] == [s.index for s in res.structures]
+        # Read the bits as a binary numeral, bit 0 last.
+        assert [s.index for s in res.structures] == [
+            int("".join(str(b) for b in reversed(s.bits)), 2) for s in res.structures
+        ]
         np.testing.assert_allclose(res.moments, hypercube_projection(t), atol=1e-6)
         if d < 64:
             assert res.outcome_ids.dtype == np.int64

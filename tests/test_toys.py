@@ -387,6 +387,18 @@ def test_bitvec_methods_all_run():
         assert np.isfinite(log.rows[-1].loss)
 
 
+def test_bitvec_topk_trains_on_a_blank_image_at_d128():
+    # A blank image scores every latent bit 0 at initialization, a total
+    # tie over 2^128 configurations.
+    images = make_bitvec_images(n=8, d=128, n_pixels=36, seed=21)
+    images.images[3] = 0.0
+    model = ToyBitVectorVAE.init(d=128, n_pixels=36, seed=22)
+    log = train_bitvec_vae(model, images, TrainConfig(method="topk", k=16, epochs=2, seed=4))
+    assert not log.diverged
+    assert len(log.rows) == 2
+    assert all(np.isfinite(row.loss) for row in log.rows)
+
+
 def test_grad_check_point_mass_linear_decoder():
     # Squared reconstruction keeps the objective quadratic, so a point
     # mass posterior gives machine-precision agreement.
