@@ -53,7 +53,8 @@ class DegenerateSupportError(RuntimeError):
 
 
 class ActiveSetCycleError(RuntimeError):
-    """Add/drop cycling persisted through refactorization and tolerance widening."""
+    """The newest structure kept being dropped at zero step length through
+    refactorization and three tolerance widenings."""
 
 
 def _triangular_solve(L, b, trans: int) -> np.ndarray:
@@ -177,7 +178,6 @@ class ActiveSetState:
     converged: bool = False
     nu_min: float = float("nan")
     tol: float = 1e-9
-    events: tuple = field(default=(), repr=False)
     widen_count: int = 0
     rows: np.ndarray | None = field(default=None, repr=False)
     adds: int = 0
@@ -201,22 +201,13 @@ def _solve_relaxed(state: ActiveSetState, t):
     return u + lam * v, 1.0 - lam
 
 
-def _note_event(state, kind, bits):
-    events = state.events + ((state.iteration, kind, bits),)
-    return events[-8:]
-
-
-def _cycles(events, iteration, kind, bits) -> bool:
-    other = "drop" if kind == "add" else "add"
-    return any(
-        ev_kind == other and ev_bits == bits and iteration - ev_iter <= 2
-        for ev_iter, ev_kind, ev_bits in events
-    )
-
-
 def _handle_cycle(state: ActiveSetState) -> ActiveSetState:
-    # Repeated add/drop of the same structure: refactorize and widen the
-    # dual tolerance, giving up after three rounds.
+    # Called after a zero-length drop of the newest structure, the one the
+    # previous step added at weight 0.  That drop leaves the factor as
+    # exactly L[:-1, :-1] and the weights and moments bitwise where the add
+    # put them, so the next step would ask the oracle at the same residual
+    # and add the same structure again.  Refactorize and widen the dual
+    # tolerance, giving up after three rounds.
     if state.widen_count >= 3:
         raise ActiveSetCycleError(
             "active set keeps exchanging the same structure after 3 tolerance widenings"
@@ -260,11 +251,9 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
         new_probs = np.delete(new_probs, blocker)
         factor = state.kkt_factor.copy()
         factor.drop(blocker)
-        refactorizations = state.refactorizations
-        if factor.condition_estimate() > _COND_LIMIT:
-            factor = CholeskyFactor(_gram(rows))
-            refactorizations += 1
-        dropped = state.structures[blocker].bits
+        # No condition check here: in exact arithmetic, deleting a structure
+        # conditions each later Cholesky pivot on fewer structures, so no
+        # pivot falls, and the next add runs the check again.
         out = replace(
             state,
             structures=structures,
@@ -274,10 +263,9 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
             kkt_factor=factor,
             iteration=state.iteration + 1,
             drops=state.drops + 1,
-            refactorizations=refactorizations,
-            events=_note_event(state, "drop", dropped),
         )
-        if _cycles(state.events, state.iteration, "drop", dropped):
+        if gamma == 0.0 and blocker == probs.size - 1:
+            # Only this drop can repeat; see _handle_cycle.
             out = _handle_cycle(out)
         return out
 
@@ -313,7 +301,7 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
     if factor.condition_estimate() > _COND_LIMIT:
         factor = CholeskyFactor(_gram(rows))
         refactorizations += 1
-    out = replace(
+    return replace(
         state,
         structures=state.structures + [candidate],
         rows=rows,
@@ -325,11 +313,7 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
         adds=state.adds + 1,
         refactorizations=refactorizations,
         nu_min=nu,
-        events=_note_event(state, "add", candidate.bits),
     )
-    if _cycles(state.events, state.iteration, "add", candidate.bits):
-        out = _handle_cycle(out)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

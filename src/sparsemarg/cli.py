@@ -118,7 +118,10 @@ def _bench_call(op: str, size: int, rng):
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        sizes = []
     if not sizes or any(s < 1 for s in sizes):
         print("error: --sizes must be a nonempty list of positive integers", file=sys.stderr)
         return 2
@@ -257,6 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        print("error: --seed must be non-negative, got %d" % args.seed, file=sys.stderr)
+        return 2
     if args.command == "check":
         if args.trials < 1:
             parser.error("--trials must be >= 1")

@@ -81,8 +81,27 @@ def test_train_bitvec_sparsemap_past_64_bits(tmp_path):
     assert [r[0] for r in rows] == ["1", "2"]
 
 
-def test_bench_empty_sizes_is_error():
-    assert main(["bench", "--sizes", " ", "--trials", "3"]) == 2
+def test_bench_empty_sizes_is_error(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    for sizes in (" ", "10,x"):
+        assert main(["bench", "--sizes", sizes, "--trials", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sizes must be ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "simplex"],
+    ["bench", "--op", "sparsemax", "--sizes", "5"],
+    ["train", "categorical", "--method", "sparse", "--n", "8", "--epochs", "1"],
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    out = [] if argv[0] == "check" else ["--out", str(tmp_path / "never.csv")]
+    assert main(argv + ["--seed", "-1"] + out) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be non-negative, got -1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_row_count_matches_epochs(tmp_path):

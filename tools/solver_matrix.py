@@ -1,0 +1,78 @@
+"""Solve a seeded corpus of 3,000 SparseMAP inputs and print one line per input.
+
+Each line holds the input's index, its kind, its polytope, and either the
+class name of the exception the solve raised or a fingerprint of the
+result: the sha256 of the structures' bits and the ``probs`` and
+``moments`` bytes, then ``widenings`` and ``converged``.  Run it once
+against each of two source trees and diff the outputs; an empty diff
+means the two solvers return bit-identical results on every input:
+
+    PYTHONPATH=path/to/old/src python tools/solver_matrix.py > old.txt
+    PYTHONPATH=src python tools/solver_matrix.py > new.txt
+    diff old.txt new.txt
+
+The corpus covers D = 2 to 40 in four kinds, one quarter each: normal
+scores, quarter-step ties, all zeros, and normal scores with 40 % exact
+zeros.  Ties and zeros are where the active set meets degenerate steps.
+Half the inputs, in alternate groups of four (one of each kind), are on
+``BudgetedBitVectorPolytope`` with a budget drawn from 1..D, the rest on
+``BitVectorPolytope``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+
+from sparsemarg.activeset import sparsemap
+from sparsemarg.bitvec import BitVectorPolytope, BudgetedBitVectorPolytope
+from sparsemarg.rng import make_rng
+
+SEED = 0
+N_INPUTS = 3000
+KINDS = ("normal", "ties", "zeros", "zeros40")
+
+
+def corpus():
+    """Yield (kind, oracle, scores, label) for every input, in index order."""
+    rng = make_rng(SEED)
+    for i in range(N_INPUTS):
+        kind = KINDS[i % 4]
+        d = int(rng.integers(2, 41))
+        t = rng.normal(size=d)
+        if kind == "ties":
+            t = np.round(t * 2.0) / 4.0
+        elif kind == "zeros":
+            t = np.zeros(d)
+        elif kind == "zeros40":
+            t[rng.random(d) < 0.4] = 0.0
+        if (i // 4) % 2:
+            b = int(rng.integers(1, d + 1))
+            yield kind, BudgetedBitVectorPolytope(d, b), t, "D=%d,b=%d" % (d, b)
+        else:
+            yield kind, BitVectorPolytope(d), t, "D=%d" % d
+
+
+def fingerprint(res) -> str:
+    h = hashlib.sha256()
+    for s in res.structures:
+        h.update(bytes(s.bits))
+    h.update(res.probs.tobytes())
+    h.update(res.moments.tobytes())
+    return "%s widenings=%d converged=%s" % (h.hexdigest(), res.widenings, res.converged)
+
+
+def run_matrix() -> int:
+    for i, (kind, oracle, t, label) in enumerate(corpus()):
+        try:
+            result = fingerprint(sparsemap(oracle, t))
+        except Exception as exc:  # a failed solve is one line of the listing
+            result = type(exc).__name__
+        print("%d %s %s %s" % (i, kind, label, result), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run_matrix())
