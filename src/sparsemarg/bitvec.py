@@ -109,10 +109,15 @@ def kbest(t, k: int) -> list:
     k_eff = min(k, 1 << D) if D < 63 else k
     idx = np.arange(D)
     order = np.lexsort((np.where(t > 0, idx, -idx), t <= 0, np.abs(t)))
-    cost = np.abs(t)[order]
+    # A node whose last flip sits at sorted position m has m + 1 ancestors,
+    # all with smaller keys, so it pops no earlier than pop m + 2.  The
+    # k_eff pops thus flip only the first k_eff - 1 positions, and no child
+    # past them is pushed.
+    reach = order[:k_eff - 1]
+    cost = np.abs(t)[reach].tolist()
     # Variable i is bit D-1-i of a configuration, so integer order is
     # lexicographic order and flipping variable i is one XOR.
-    flip = [1 << (D - 1 - int(i)) for i in order]
+    flip = [1 << (D - 1 - i) for i in reach.tolist()]
     pad = -D % 8
     root = int.from_bytes(np.packbits(t > 0).tobytes(), "big") >> pad
 
@@ -131,7 +136,7 @@ def kbest(t, k: int) -> list:
         c, config, last, trail = heapq.heappop(heap)
         masks.append(config)
         nxt = last + 1
-        if nxt < D:
+        if nxt < len(flip):
             heapq.heappush(heap, (c + cost[nxt], config ^ flip[nxt], nxt, c))
             if last >= 0:
                 heapq.heappush(
@@ -141,7 +146,7 @@ def kbest(t, k: int) -> list:
     nbytes = (D + pad) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "big") for m in masks), dtype=np.uint8)
     rows = np.unpackbits(packed.reshape(len(masks), nbytes), axis=1)[:, pad:].astype(np.int64)
-    return [Structure(tuple(row.tolist()), float(np.dot(row, t))) for row in rows]
+    return [Structure(tuple(bits), float(np.dot(row, t))) for bits, row in zip(rows.tolist(), rows)]
 
 
 def enumerate_all(t) -> list:

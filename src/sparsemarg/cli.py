@@ -76,6 +76,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _usage_error(message: str) -> int:
+    """Print a usage error as one ``error: ...`` line; return its exit code."""
+    print("error: %s" % message, file=sys.stderr)
+    return 2
+
+
 def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
@@ -123,8 +129,7 @@ def cmd_bench(args) -> int:
     except ValueError:
         sizes = []
     if not sizes or any(s < 1 for s in sizes):
-        print("error: --sizes must be a nonempty list of positive integers", file=sys.stderr)
-        return 2
+        return _usage_error("--sizes must be a nonempty list of positive integers")
     rng = make_rng(args.seed)
     rows = []
     for size in sizes:
@@ -176,8 +181,7 @@ def cmd_train(args) -> int:
     try:
         _check_config(args.task, cfg, args.n, MESSAGES if args.task == "categorical" else args.d)
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     started = _timestamp()
     log = _train_run(args, cfg)
     lines = [",".join(TRAIN_COLUMNS)]
@@ -261,15 +265,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.seed < 0:
-        print("error: --seed must be non-negative, got %d" % args.seed, file=sys.stderr)
-        return 2
+        return _usage_error("--seed must be non-negative, got %d" % args.seed)
+    if args.command in ("check", "bench") and args.trials < 1:
+        return _usage_error("--trials must be at least 1, got %d" % args.trials)
     if args.command == "check":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
         return cmd_check(args)
     if args.command == "bench":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
         return cmd_bench(args)
     return cmd_train(args)
 

@@ -11,7 +11,6 @@ sampling.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +32,15 @@ class LossOracle:
 
     ``fn`` maps an outcome id (or structure) to a float; for
     :meth:`eval_many` it maps an array of outcomes to one value each.  The
-    counter is guarded by a lock, so an oracle shared between threads
-    still counts every evaluation; it only ever increases.
+    counter only ever increases.
     """
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
-        self._lock = threading.Lock()
 
     def eval(self, z) -> float:
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
         return float(self.fn(z))
 
     def eval_many(self, outcomes) -> np.ndarray:
@@ -54,8 +50,7 @@ class LossOracle:
         each outcome through :meth:`eval` would give.
         """
         values = np.asarray(self.fn(outcomes), dtype=np.float64)
-        with self._lock:
-            self.calls += values.size
+        self.calls += values.size
         return values
 
 

@@ -32,7 +32,7 @@ from .bitvec import (
 from .estimators import MovingAverageBaseline, sfe_grad, sum_and_sample_grad
 from .marginalize import CallStats, LossOracle
 from .rng import make_rng
-from .simplex import softmax, softmax_vjp, sparsemax, sparsemax_rows, sparsemax_vjp
+from .simplex import softmax, softmax_vjp, sparsemax_rows
 
 __all__ = [
     "TrainConfig",
@@ -270,14 +270,19 @@ class ToyBitVectorVAE(_ParamLayout):
 
     def recon_loss_and_dlogits(self, bits, x):
         """Reconstruction loss of ``x`` from latent ``bits`` and its
-        gradient with respect to the decoder outputs."""
-        out = self.dec_w @ bits + self.dec_b
+        gradient with respect to the decoder outputs.
+
+        Elementwise over the rows of an (S, D) stack of ``bits``, each with
+        the bits of that row alone: the decoder product and the dots are
+        stacked per-row products, not one matrix product.
+        """
+        out = np.matmul(self.dec_w, bits[..., None])[..., 0] + self.dec_b
         if self.recon == "squared":
             resid = out - x
-            return 0.5 * float(resid @ resid), resid
+            return 0.5 * _row_dots(resid, resid), resid
         # Bernoulli negative log-likelihood with logits:
         # softplus(out) - x * out, gradient sigmoid(out) - x.
-        val = float(np.logaddexp(0.0, out).sum() - x @ out)
+        val = np.logaddexp(0.0, out).sum(axis=-1) - _row_dots(out, x)
         return val, 1.0 / (1.0 + np.exp(-out)) - x
 
     def objective_with_grad(self, example, cfg: TrainConfig):
@@ -312,6 +317,11 @@ class _BatchPass:
     @classmethod
     def diverged(cls, size: int) -> "_BatchPass":
         return cls([(np.nan, np.nan, 0, 0, None)] * size, None)
+
+
+def _row_dots(a, b):
+    """``a[..., p] @ b[..., p]`` for each row, each as its own dot product."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _ordered_sum(terms, axis=0):
@@ -423,9 +433,13 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     The differentiated objective is sum_z q_z c_z - H(q) with
     c_z = D log 2 + recon(z); its score gradient is the mapping vjp of
     c + log q + 1 (the constant washes out through every mapping here).
-    Each example's decoder gradient is summed on its own before it joins
-    the batch sum, so the sums have the bits of batches of one.  Callers
-    check ``cfg`` against D first (:func:`_check_config`).
+    The Python loop runs per example, never per outcome: the sparse and
+    topk mappings take the batch's (B, outcomes) scores in one
+    ``sparsemax_rows`` call, and each example reads its whole support in
+    one ``eval_many`` call.  Every quantity keeps the bits of a batch of
+    one: scores, dots and the decoder product stay per row, and each
+    example's gradient is summed on its own before it joins the batch sum.
+    Callers check ``cfg`` against D first (:func:`_check_config`).
     """
     D = model.d
     method = cfg.method
@@ -436,38 +450,47 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     elif method == "sparsemap_budget":
         polytope = BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2))
 
-    grads = model.zero_grads()
-    stats, objectives, support_rows = [], [], []
+    # The mapping, example by example; sparse and topk only gather scores.
+    mapped, scores = [], []
     for i in batch:
-        x = images[i]
-        t = model.var_scores(x)
+        t = model.var_scores(images[i])
         if not np.all(np.isfinite(t)):
             return _BatchPass.diverged(len(batch))
-        certificate = None
         if method == "topk":
             structs = kbest(t, cfg.k)
-            u = np.array([st.score for st in structs])
-            dist = sparsemax(u)
-            q = dist.probs
-            bits_mat = np.array([structs[j].bits for j in dist.indices], dtype=np.float64)
-            certificate = dist.support_size < cfg.k
+            scores.append([st.score for st in structs])
+            mapped.append(structs)
+        elif method == "sparse":
+            scores.append(A @ t)
         elif method == "dense":
             q = softmax(A @ t)
             if not np.all(q > 0):
                 return _BatchPass.diverged(len(batch))
-            bits_mat = A
-        elif method == "sparse":
-            u = A @ t
-            dist = sparsemax(u)
-            q = dist.probs
-            bits_mat = A[dist.indices]
+            mapped.append(q)
         else:
-            res = sparsemap(polytope, t)
-            q = res.probs
-            bits_mat = res.rows
+            mapped.append(sparsemap(polytope, t))
+    probs = sparsemax_rows(np.array(scores)) if scores else None
 
-        # The oracle keeps each decoder-output gradient it computes, so the
-        # decoder runs once per supported outcome.
+    grads = model.zero_grads()
+    stats, objectives, support_rows = [], [], []
+    for j, i in enumerate(batch):
+        x = images[i]
+        certificate = None
+        if method in ("topk", "sparse"):
+            on = np.flatnonzero(probs[j] > 0)
+            q = probs[j, on]
+            if method == "topk":
+                # bytes() packs each 0/1 tuple in one C pass.
+                packed = b"".join(bytes(mapped[j][m].bits) for m in on)
+                rows = np.frombuffer(packed, dtype=np.uint8).reshape(on.size, D).astype(np.float64)
+                certificate = on.size < cfg.k
+            else:
+                rows = A[on]
+        elif method == "dense":
+            q, rows = mapped[j], A
+        else:
+            q, rows = mapped[j].probs, mapped[j].rows
+
         dlogits = []
 
         def neg_log_joint(bits):
@@ -476,33 +499,44 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
             return D * np.log(2.0) + recon
 
         oracle = LossOracle(neg_log_joint)
-        c = np.array([oracle.eval(row) for row in bits_mat])
-        neg_elbo = float(q @ c + q @ np.log(q))
-        up = c + np.log(q) + 1.0
+        c = oracle.eval_many(rows)
+        dl = dlogits[0]
+        log_q = np.log(q)
+        neg_elbo = float(q @ c + q @ log_q)
+        up = c + log_q + 1.0
         if method == "dense":
             g_t = A.T @ softmax_vjp(q, up)
         elif method in ("topk", "sparse"):
-            upstream = np.zeros(dist.dim)
-            upstream[dist.indices] = up
-            g_t = bits_mat.T @ sparsemax_vjp(u, dist, upstream)[dist.indices]
+            g_t = rows.T @ (up - up.mean())  # sparsemax vjp on the support
         else:
-            g_t = sparsemap_vjp_probs(res, up)
+            g_t = sparsemap_vjp_probs(mapped[j], up)
 
         # The batch sum starts at +0.0 and so never holds -0.0: adding a
         # one-term encoder gradient straight in gives the bits of adding it
         # to zeros first.
         grads["enc_w"] += np.outer(g_t, x)
         grads["enc_b"] += g_t
+        # The decoder gradient sums q_z * outer(d_z, row_z) in outcome
+        # order.  Rows are 0/1, so a column set in every row is the sum of
+        # w_z = q_z d_z, which is also the dec_b gradient, and a column set
+        # in none is +0.0; only the mixed columns need the outer terms.
+        w = q[:, None] * dl
+        dec_b = _ordered_sum(w)
+        count = rows.sum(axis=0)
         dec_w = np.zeros_like(model.dec_w)
-        dec_b = np.zeros_like(model.dec_b)
-        for qz, row, d in zip(q, bits_mat, dlogits):
-            dec_w += qz * np.outer(d, row)
-            dec_b += qz * d
+        dec_w[:, count == q.size] = dec_b[:, None]
+        # Blocks of columns keep the (S, P, block) terms near 2^16 entries
+        # when S is large, as for dense over all 2^D configurations.
+        cols = np.flatnonzero((count > 0) & (count < q.size))
+        step = max(1, (1 << 16) // w.size)
+        for lo in range(0, cols.size, step):
+            block = cols[lo:lo + step]
+            dec_w[:, block] = _ordered_sum(w[:, :, None] * rows[:, None, block])
         grads["dec_w"] += dec_w
         grads["dec_b"] += dec_b
         stats.append((neg_elbo, neg_elbo, oracle.calls, q.size, certificate))
         objectives.append(neg_elbo)
-        support_rows.append(bits_mat)
+        support_rows.append(rows)
     return _BatchPass(stats, grads, np.array(objectives), rows=support_rows)
 
 
@@ -516,6 +550,7 @@ def _check_config(task: str, cfg: TrainConfig, n: int, size: int):
             % (cfg.method, task, ", ".join(allowed))
         )
     rules = [
+        ("lr", cfg.lr, bool(np.isfinite(cfg.lr)) and cfg.lr >= 0, "finite and at least 0"),
         ("n", n, n >= 1, "at least 1"),
         ("epochs", cfg.epochs, cfg.epochs >= 0, "at least 0"),
         ("batch_size", cfg.batch_size, cfg.batch_size >= 1, "at least 1"),

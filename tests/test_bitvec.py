@@ -116,6 +116,19 @@ def test_kbest_k_exceeding_space_returns_everything():
     assert len(got) == 4
 
 
+def test_kbest_at_the_edges_of_its_reach_matches_bruteforce():
+    # kbest reads only the first k_eff sorted variables: one at k_eff = 1,
+    # and all D once k exceeds the 2^D configurations.
+    rng = make_rng(9)
+    for d in range(1, 11):
+        for t in [rng.normal(size=d), *_tie_heavy(rng, d)]:
+            ref = kbest_bruteforce(t, 1 << d)
+            for k in (1, (1 << d) + 1, 3 << d):
+                got = kbest(t, k)
+                assert [st.bits for st in got] == ref[:k], (t, k)
+                assert [st.score for st in got] == [float(np.dot(st.bits, t)) for st in got]
+
+
 def test_structure_index_and_score_cache():
     st = Structure(bits=(1, 0, 1), score=0.5)
     assert st.index == 1 + 4

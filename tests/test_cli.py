@@ -33,10 +33,18 @@ def test_check_unknown_suite_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_check_zero_trials_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "simplex", "--trials", "0"])
-    assert exc.value.code == 2
+def test_check_zero_trials_is_usage_error(capsys):
+    assert main(["check", "simplex", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --trials must be at least 1, got 0\n"
+    assert captured.out == ""
+
+
+def test_bench_zero_trials_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main(["bench", "--sizes", "5", "--trials", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --trials must be at least 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_row_count_and_header(tmp_path):
@@ -185,6 +193,26 @@ def test_train_bad_size_is_usage_error(tmp_path, capsys, field, argv):
     assert err.startswith("error: %s must be " % field)
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-5"])
+def test_train_bad_lr_is_usage_error(tmp_path, capsys, lr):
+    out = tmp_path / "never.csv"
+    assert main(["train", "bitvec", "--method", "topk", "--n", "8", "--epochs", "1",
+                 "--lr", lr, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr must be ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_zero_lr_is_valid(tmp_path):
+    # A zero step size leaves the model where it is; the benchmark's
+    # reference checks train at lr = 0 to read one example's log.
+    out = _run_train(tmp_path, "lr0.csv", ["train", "bitvec", "--method", "topk", "--n", "8",
+                                           "--epochs", "2", "--lr", "0"])
+    _, rows = _rows(out)
+    assert rows[0][1] == rows[1][1]  # the loss does not move
 
 
 def test_train_writes_manifest_sidecar(tmp_path):

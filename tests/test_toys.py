@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from sparsemarg.activeset import sparsemap, sparsemap_vjp_probs
+from sparsemarg.bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix, kbest
 from sparsemarg.estimators import MovingAverageBaseline, sfe_grad, sum_and_sample_grad
 from sparsemarg.marginalize import LossOracle
 from sparsemarg.rng import make_rng
@@ -19,7 +21,7 @@ from sparsemarg.toys import (
     train_bitvec_vae,
     train_categorical,
 )
-from sparsemarg.toys import _bitvec_batch, _categorical_batch, _ordered_sum
+from sparsemarg.toys import _bitvec_batch, _categorical_batch, _ordered_sum, _row_dots
 
 
 def _small_cluster_data(n=64, seed=0):
@@ -350,6 +352,109 @@ def test_bitvec_batch_pass_equals_examples_one_at_a_time(method):
     for key in grads:
         assert np.array_equal(whole.grads[key], grads[key])
         assert np.array_equal(np.signbit(whole.grads[key]), np.signbit(grads[key]))
+    assert max(entry[3] for entry in stats) > 1  # some decoder gradient sums several terms
+
+
+def test_stacked_decoder_products_equal_per_row_products():
+    # The bit-vector pass decodes a support as one stacked matmul and reads
+    # its dots as stacked 1 x P by P x 1 products, because those run the
+    # per-row kernels: a plain (S, D) @ (D, P) GEMM, or (S, P) @ (P,),
+    # gives other bits on most shapes.  This pins the kernels the pass
+    # relies on against a numpy or BLAS that changes them.
+    rng = make_rng(41)
+    shapes = [(36, 128, 16), (36, 128, 1), (36, 6, 64), (36, 12, 300)]
+    shapes += [tuple(int(v) for v in rng.integers(1, (80, 140, 40))) for _ in range(150)]
+    for P, D, S in shapes:
+        dec_w = rng.normal(size=(P, D)) * 10.0 ** rng.integers(-3, 3)
+        rows = (rng.random((S, D)) < 0.5).astype(np.float64)
+        x = (rng.random(P) < 0.4).astype(np.float64)
+        out = np.matmul(dec_w, rows[..., None])[..., 0]
+        assert np.array_equal(out, np.array([dec_w @ row for row in rows])), (P, D, S)
+        assert np.array_equal(_row_dots(out, x), [x @ o for o in out]), (P, D, S)
+        assert np.array_equal(_row_dots(out, out), [o @ o for o in out]), (P, D, S)
+        soft = np.logaddexp(0.0, out)
+        assert np.array_equal(soft.sum(axis=-1), [r.sum() for r in soft]), (P, D, S)
+
+
+def _bitvec_per_outcome(model, images, batch, cfg):
+    """The bit-vector pass one supported outcome at a time: a decoder
+    mat-vec, a loss read and an ``np.outer`` per outcome, and the one-row
+    sparsemax with its vjp.  The batch pass must match it bit for bit."""
+    D = model.d
+    A = config_matrix(D) if cfg.method in ("dense", "sparse") else None
+    polytope = {"sparsemap": lambda: BitVectorPolytope(D),
+                "sparsemap_budget": lambda: BudgetedBitVectorPolytope(D, cfg.budget)}
+    grads, stats, objectives = model.zero_grads(), [], []
+    for i in batch:
+        x = images[i]
+        t = model.enc_w @ x + model.enc_b
+        certificate = None
+        if cfg.method == "topk":
+            structs = kbest(t, cfg.k)
+            u = np.array([st.score for st in structs])
+            dist = sparsemax(u)
+            q = dist.probs
+            rows = np.array([structs[j].bits for j in dist.indices], dtype=np.float64)
+            certificate = dist.support_size < cfg.k
+        elif cfg.method == "sparse":
+            u = A @ t
+            dist = sparsemax(u)
+            q, rows = dist.probs, A[dist.indices]
+        elif cfg.method == "dense":
+            q, rows = softmax(A @ t), A
+        else:
+            res = sparsemap(polytope[cfg.method](), t)
+            q, rows = res.probs, res.rows
+        c, dlogits = [], []
+        for row in rows:
+            out = model.dec_w @ row + model.dec_b
+            if model.recon == "squared":
+                resid = out - x
+                recon, d = 0.5 * float(resid @ resid), resid
+            else:
+                recon = float(np.logaddexp(0.0, out).sum() - x @ out)
+                d = 1.0 / (1.0 + np.exp(-out)) - x
+            c.append(D * np.log(2.0) + recon)
+            dlogits.append(d)
+        c = np.array(c)
+        neg_elbo = float(q @ c + q @ np.log(q))
+        up = c + np.log(q) + 1.0
+        if cfg.method == "dense":
+            g_t = A.T @ softmax_vjp(q, up)
+        elif cfg.method in ("topk", "sparse"):
+            upstream = np.zeros(dist.dim)
+            upstream[dist.indices] = up
+            g_t = rows.T @ sparsemax_vjp(u, dist, upstream)[dist.indices]
+        else:
+            g_t = sparsemap_vjp_probs(res, up)
+        grads["enc_w"] += np.outer(g_t, x)
+        grads["enc_b"] += g_t
+        dec_w, dec_b = np.zeros_like(model.dec_w), np.zeros_like(model.dec_b)
+        for qz, row, d in zip(q, rows, dlogits):
+            dec_w += qz * np.outer(d, row)
+            dec_b += qz * d
+        grads["dec_w"] += dec_w
+        grads["dec_b"] += dec_b
+        stats.append((neg_elbo, neg_elbo, len(c), q.size, certificate))
+        objectives.append(neg_elbo)
+    return stats, objectives, grads
+
+
+@pytest.mark.parametrize("recon", ["bernoulli", "squared"])
+@pytest.mark.parametrize("method, d, k", [(m, 6, 8) for m in BITVEC_METHODS]
+                         + [("dense", 10, 8), ("topk", 128, 16)])
+def test_bitvec_batch_pass_equals_per_outcome_reference(method, d, k, recon):
+    images = make_bitvec_images(n=20, d=d, seed=42)
+    model = ToyBitVectorVAE.init(d=d, n_pixels=36, seed=43, scale=0.5, recon=recon)
+    cfg = TrainConfig(method=method, k=k, budget=3)
+    batch = make_rng(44).permutation(20)[:13]
+    out = _bitvec_batch(model, images.images, batch, cfg)
+    stats, objectives, grads = _bitvec_per_outcome(model, images.images, batch, cfg)
+    assert out.stats == stats
+    assert out.objectives.tolist() == objectives
+    for key in grads:
+        assert np.array_equal(out.grads[key], grads[key]), key
+        assert np.array_equal(np.signbit(out.grads[key]), np.signbit(grads[key])), key
     assert max(entry[3] for entry in stats) > 1  # some decoder gradient sums several terms
 
 

@@ -1,0 +1,126 @@
+"""Run the benchmark on two source trees in alternating pairs and compare them.
+
+For each seed, one pair of runs: each tree's own ``perfbench/run.py`` on the
+same workload, seed and run length, with the side that goes first
+alternating from one pair to the next.  Then, for each end-to-end metric,
+it prints each side's median and quartiles and the number of pairs the new
+tree won (ties count for neither side), and whether the gain rule holds:
+wins in at least nine of ten pairs, and medians further apart than the old
+tree's interquartile range.
+
+    python tools/bench_pairs.py --old path/to/parent --new . \\
+        --workload bitvec_topk --seeds 1,2,3,4,5,6,7,8,9,1000 --seconds 20
+
+Runs go one at a time.  Each run writes its own output file under its
+tree's ``perfbench/out/``; nothing else in either tree is touched.
+``--out`` also saves every run's result line and the summary as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def _parse(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--old", required=True, help="root of the baseline source tree")
+    parser.add_argument("--new", required=True, help="root of the changed source tree")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="comma-separated workload seeds")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", default=None, help="also write the results to this JSON file")
+    args = parser.parse_args(argv)
+    try:
+        args.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        args.seeds = []
+    if not args.seeds or any(s < 0 for s in args.seeds):
+        parser.error("--seeds must be a nonempty list of non-negative integers")
+    if args.seconds <= 0:
+        parser.error("--seconds must be positive")
+    return args
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``tree``; its last output line, parsed."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit("%s: %s exited with %d:\n%s"
+                         % (tree, " ".join(cmd), proc.returncode, proc.stderr))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summarize(pairs, directions: dict) -> dict:
+    """Per metric: each side's quartiles, the new tree's wins, and the gain rule."""
+    summary = {}
+    for name, better in directions.items():
+        old = [p["old"]["metrics"][name]["value"] for p in pairs]
+        new = [p["new"]["metrics"][name]["value"] for p in pairs]
+        sign = 1.0 if better == "higher" else -1.0
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        (o1, om, o3), (n1, nm, n3) = _quartiles(old), _quartiles(new)
+        summary[name] = {
+            "better": better,
+            "old": {"q1": o1, "median": om, "q3": o3},
+            "new": {"q1": n1, "median": nm, "q3": n3},
+            "wins": wins,
+            "losses": losses,
+            "pairs": len(pairs),
+            "gain": 10 * wins >= 9 * len(pairs) and sign * (nm - om) > o3 - o1,
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    with open(os.path.join(args.new, "BENCHMARK.json")) as fh:
+        directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    sides = {"old": args.old, "new": args.new}
+    pairs = []
+    for n, seed in enumerate(args.seeds):
+        order = ("old", "new") if n % 2 == 0 else ("new", "old")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(sides[side], args.workload, seed, args.seconds)
+        pairs.append(pair)
+        print("seed %d (%s first): %s" % (seed, order[0], "  ".join(
+            "%s %s correct=%s failed=%d" % (
+                side, " ".join("%s=%.6g" % (k, v["value"])
+                               for k, v in pair[side]["metrics"].items()),
+                pair[side]["correct"], pair[side]["failed"])
+            for side in ("old", "new"))), flush=True)
+
+    summary = summarize(pairs, directions)
+    print("%s, %d pairs, %g s runs" % (args.workload, len(pairs), args.seconds))
+    for name, s in summary.items():
+        print("%-24s old %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  new wins %d of %d%s" % (
+            name, s["old"]["median"], s["old"]["q1"], s["old"]["q3"],
+            s["new"]["median"], s["new"]["q1"], s["new"]["q3"], s["wins"], s["pairs"],
+            "  (gain)" if s["gain"] else ""))
+    bad = sum(not p[side]["correct"] or p[side]["failed"] > 0
+              for p in pairs for side in ("old", "new"))
+    print("runs incorrect or with failures: %d of %d" % (bad, 2 * len(pairs)))
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"workload": args.workload, "seconds": args.seconds,
+                       "pairs": pairs, "summary": summary}, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
