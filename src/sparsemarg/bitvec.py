@@ -33,7 +33,7 @@ def _as_variable_scores(t):
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("variable scores must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("variable scores must be finite")
     return t
 
@@ -44,12 +44,17 @@ class Structure:
 
     Identity (equality, hashing) is by bit content only; the score is a
     cached value relative to whatever scores the structure was built from.
+    ``row``, when given, is the bits as a read-only float row, which
+    :meth:`as_array` then returns instead of building one.
     """
 
     bits: tuple
     score: float = field(compare=False)
+    row: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def as_array(self) -> np.ndarray:
+        if self.row is not None:
+            return self.row
         return np.asarray(self.bits, dtype=np.float64)
 
     @property
@@ -60,14 +65,17 @@ class Structure:
 
 
 def _structure(bits, t) -> Structure:
-    bits = np.asarray(bits)
-    return Structure(tuple(bits.astype(np.int64).tolist()), float(bits @ t))
+    """The Structure of a 0/1 integer ``bits`` array, with its float row
+    built once."""
+    row = bits.astype(np.float64)
+    row.flags.writeable = False
+    return Structure(tuple(bits.tolist()), float(row @ t), row)
 
 
 def map_oracle(t) -> Structure:
     """Highest-scoring configuration: bit i is active iff t_i >= 0."""
     t = _as_variable_scores(t)
-    return _structure(t >= 0, t)
+    return _structure((t >= 0).view(np.uint8), t)
 
 
 def budget_map_oracle(t, budget: int) -> Structure:

@@ -1,5 +1,7 @@
 """Active-set projection onto structure polytopes and its backward pass."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -172,15 +174,17 @@ def test_step_objective_monotone():
 
 
 def _initial_state(oracle, t):
-    from sparsemarg.activeset import CholeskyFactor, _bordered_gram
+    return _state_of(oracle.map(np.asarray(t, dtype=np.float64)))
 
-    first = oracle.map(np.asarray(t, dtype=np.float64))
+
+def _state_of(first):
+    v = first.as_array()
     return ActiveSetState(
         structures=[first],
         probs=np.array([1.0]),
-        moments=first.as_array(),
+        moments=v,
         tau=float("nan"),
-        kkt_factor=CholeskyFactor(_bordered_gram([first])),
+        kkt_factor=CholeskyFactor(np.array([[v @ v + 1.0]])),
     )
 
 
@@ -304,11 +308,19 @@ def test_triangular_solves_match_scipy_wrapper():
             assert np.array_equal(_triangular_solve(L, b, 0), solve_triangular(L.T, b, lower=False))
             expected = solve_triangular(L.T, solve_triangular(L, b, lower=True), lower=False)
             assert np.array_equal(CholeskyFactor(gram).solve(b), expected)
+            B = rng.normal(size=(n, 2))
+            expected = solve_triangular(L.T, solve_triangular(L, B, lower=True), lower=False)
+            assert np.array_equal(CholeskyFactor(gram).solve(B), expected)
             if n > 1:
                 grown = CholeskyFactor(gram[:-1, :-1])
                 grown.append(gram[:-1, -1].copy(), float(gram[-1, -1]))
                 ell = solve_triangular(grown._L[:-1, :-1], gram[:-1, -1], lower=True)
                 assert np.array_equal(grown._L[-1, :-1], ell)
+                # The grown factor sits in a wider buffer; LAPACK reads it
+                # with that leading dimension and gives the same bits.
+                Lg = grown._L.copy()
+                expected = solve_triangular(Lg.T, solve_triangular(Lg, b, lower=True), lower=False)
+                assert np.array_equal(grown.solve(b), expected)
 
 
 def test_non_finite_right_hand_side_raises_value_error():
@@ -316,6 +328,8 @@ def test_non_finite_right_hand_side_raises_value_error():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             factor.solve([1.0, bad, 0.0])
+        with pytest.raises(ValueError):
+            factor.solve([[1.0, bad], [0.0, 0.0], [0.0, 0.0]])
     res = sparsemap(BitVectorPolytope(4), [0.3, -0.2, 0.1, 0.05])
     assert res.converged and res.support_size >= 2
     for bad in (np.nan, np.inf, -np.inf):
@@ -358,16 +372,7 @@ class _ScriptedOracle:
 
 
 def _state_at(bits):
-    from sparsemarg.activeset import _bordered_gram
-
-    first = Structure(bits, 0.0)
-    return ActiveSetState(
-        structures=[first],
-        probs=np.array([1.0]),
-        moments=first.as_array(),
-        tau=float("nan"),
-        kkt_factor=CholeskyFactor(_bordered_gram([first])),
-    )
+    return _state_of(Structure(bits, 0.0))
 
 
 def _assert_rows_track(state):
@@ -547,3 +552,153 @@ def test_outcome_ids_are_computed_on_first_read(monkeypatch):
     assert reads == res.structures
     assert res.outcome_ids is ids
     assert ids.tolist() == [index.fget(s) for s in res.structures]
+
+
+def _snapshot(state):
+    """Everything a step could change in a state, by identity or by bytes."""
+    return (
+        [id(s) for s in state.structures],
+        state.probs.tobytes(),
+        state.moments.tobytes(),
+        state.rows.tobytes(),
+        state.kkt_factor._L.tobytes(),
+        (state.iteration, state.adds, state.drops, state.widen_count,
+         state.refactorizations, state.tol, state.converged),
+    )
+
+
+def test_active_set_step_leaves_its_input_as_it_was():
+    # sparsemap steps one state in place; the public step must copy first.
+    runs = [(_ScriptedOracle(2, [(0, 1)] * 10), np.array([1.0, -1.0]), _state_at((1, 0)))]
+    rng = make_rng(17)
+    for _ in range(40):
+        d = int(rng.integers(2, 12))
+        t = rng.normal(size=d)
+        runs.append((BitVectorPolytope(d), t, _initial_state(BitVectorPolytope(d), t)))
+    seen = set()
+    for oracle, t, state in runs:
+        for _ in range(200):
+            before = _snapshot(state)
+            try:
+                out = active_set_step(state, oracle, t)
+            except ActiveSetCycleError:
+                assert _snapshot(state) == before
+                break
+            assert out is not state
+            assert _snapshot(state) == before
+            assert out.structures is not state.structures
+            assert out.kkt_factor is not state.kkt_factor
+            if out.widen_count > state.widen_count:
+                seen.add("widen")
+            elif out.drops > state.drops:
+                seen.add("drop")
+            elif out.adds > state.adds:
+                seen.add("add")
+            state = out
+            if state.converged:
+                assert active_set_step(state, oracle, t) is state
+                break
+    assert seen == {"add", "drop", "widen"}
+
+
+def _reference_append(L, cross, diag):
+    # The factor update as a fresh zeroed (n+1)^2 matrix.
+    n = L.shape[0]
+    ell = solve_triangular(L, cross, lower=True)
+    grown = np.zeros((n + 1, n + 1))
+    grown[:n, :n] = L
+    grown[n, :n] = ell
+    grown[n, n] = np.sqrt(diag - ell @ ell)
+    return grown
+
+
+def _reference_drop(L, j):
+    # Row deletion, then Givens rotations of whole columns.
+    n = L.shape[0]
+    M = np.delete(L, j, axis=0)
+    for r in range(j, n - 1):
+        a, b = M[r, r], M[r, r + 1]
+        rad = float(np.hypot(a, b))
+        if rad == 0.0:
+            continue
+        c, s = a / rad, b / rad
+        col_a, col_b = M[:, r].copy(), M[:, r + 1].copy()
+        M[:, r] = c * col_a + s * col_b
+        M[:, r + 1] = c * col_b - s * col_a
+        M[r, r] = rad
+        M[r, r + 1] = 0.0
+    return np.ascontiguousarray(M[:, : n - 1])
+
+
+def test_factor_updates_and_diagonal_bounds_are_exact():
+    # Random append and drop sequences at sizes 1 to 40: the factor's lower
+    # triangle has the bits of the whole-matrix updates, its upper triangle
+    # stays zero, and condition_estimate() is (max |diag| / min |diag|)^2
+    # of the factor, bit for bit, though it keeps the bounds as it goes.
+    rng = make_rng(18)
+    for trial in range(60):
+        N = int(rng.integers(1, 41))
+        if trial % 2:
+            rows = (rng.random((N, N + 3)) < 0.5).astype(np.float64)
+            gram = rows @ rows.T + 1.0 + np.eye(N)
+        else:
+            m = rng.normal(size=(N, N + 2))
+            gram = m @ m.T + np.eye(N)
+        order = [int(i) for i in rng.permutation(N)]
+        members = order[:1]
+        pool = order[1:]
+        factor = CholeskyFactor(gram[np.ix_(members, members)])
+        ref = factor._L.copy()
+        for _ in range(3 * N):
+            if pool and (len(members) == 1 or rng.random() < 0.6):
+                j = pool.pop()
+                cross, diag = gram[members, j], float(gram[j, j])
+                factor.append(cross.copy(), diag)
+                ref = _reference_append(ref, cross, diag)
+                members.append(j)
+            else:
+                k = int(rng.integers(len(members)))
+                factor.drop(k)
+                ref = _reference_drop(ref, k)
+                pool.append(members.pop(k))
+            L = factor._L
+            assert L.shape == (len(members), len(members))
+            assert np.tril(L).tobytes() == np.tril(ref).tobytes()
+            assert not np.triu(L, 1).any()
+            d = np.abs(np.diag(L))
+            assert factor.condition_estimate() == float((d.max() / d.min()) ** 2)
+            copied = factor.copy()
+            assert copied.condition_estimate() == factor.condition_estimate()
+            assert copied._L.tobytes() == L.tobytes()
+
+
+@pytest.mark.parametrize(
+    "oracle", [BitVectorPolytope(4), BudgetedBitVectorPolytope(4, 2), BudgetedBitVectorPolytope(4, 4)]
+)
+def test_score_overflow_is_a_clear_error(oracle):
+    # Each score is finite, but the best structure's score is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scores overflow"):
+            sparsemap(oracle, [1e308, 1e308, -1.0, 0.5])
+
+
+def test_max_condition_is_the_largest_estimate_the_solver_checked():
+    rng = make_rng(19)
+    for trial in range(60):
+        d = int(rng.integers(1, 14))
+        oracle = BudgetedBitVectorPolytope(d, max(1, d // 2)) if trial % 2 else BitVectorPolytope(d)
+        t = rng.normal(size=d)
+        res = sparsemap(oracle, t)
+        state = _initial_state(oracle, t)
+        estimates = [state.kkt_factor.condition_estimate()]
+        assert estimates == [1.0] and state.max_condition == 1.0
+        while not state.converged:
+            prev = state
+            state = active_set_step(state, oracle, t)
+            if state.adds > prev.adds:
+                estimates.append(state.kkt_factor.condition_estimate())
+            assert state.max_condition == max(estimates)
+        assert res.max_condition == state.max_condition
+        assert res.max_condition >= 1.0
+    assert sparsemap(BitVectorPolytope(3), [4.0, 5.0, 6.0]).max_condition == 1.0

@@ -2,8 +2,10 @@
 
 Each line holds the input's index, its kind, its polytope, and either the
 class name of the exception the solve raised or a fingerprint of the
-result: the sha256 of the structures' bits and the ``probs`` and
-``moments`` bytes, then ``widenings`` and ``converged``.  Run it once
+result: the sha256 of the structures' bits and the ``probs``,
+``moments``, ``tau`` and ``nu_min`` bytes, then ``converged`` and the
+counters ``iterations``, ``adds``, ``drops``, ``refactorizations`` and
+``widenings``, so that a counter drift shows as well.  Run it once
 against each of two source trees and diff the outputs; an empty diff
 means the two solvers return bit-identical results on every input:
 
@@ -61,7 +63,11 @@ def fingerprint(res) -> str:
         h.update(bytes(s.bits))
     h.update(res.probs.tobytes())
     h.update(res.moments.tobytes())
-    return "%s widenings=%d converged=%s" % (h.hexdigest(), res.widenings, res.converged)
+    h.update(np.float64(res.tau).tobytes())
+    h.update(np.float64(res.nu_min).tobytes())
+    return "%s converged=%s iterations=%d adds=%d drops=%d refactorizations=%d widenings=%d" % (
+        h.hexdigest(), res.converged, res.iterations, res.adds, res.drops,
+        res.refactorizations, res.widenings)
 
 
 def run_matrix() -> int:
