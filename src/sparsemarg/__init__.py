@@ -17,6 +17,7 @@ from .bitvec import (
     BitVectorPolytope,
     BudgetedBitVectorPolytope,
     IdentityPolytope,
+    KBest,
     Structure,
     budget_map_oracle,
     config_matrix,
@@ -60,6 +61,7 @@ __all__ = [
     "DegenerateSupportError",
     "Estimate",
     "IdentityPolytope",
+    "KBest",
     "LossOracle",
     "MovingAverageBaseline",
     "SparseDistribution",

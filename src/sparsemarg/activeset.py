@@ -220,6 +220,13 @@ def _gram(rows) -> np.ndarray:
 _OVERFLOW = "scores overflow: a relaxed solve of the active set is not finite"
 
 
+def _unresolved(t, what: str) -> ValueError:
+    """The error for scores whose scale the relaxed solves cannot resolve:
+    at |t| near 1e16 and past, A't swamps the simplex constraint's ones."""
+    return ValueError("scores too large to resolve (max |t| = %.3g): %s"
+                      % (float(np.abs(t).max()), what))
+
+
 @dataclass(eq=False)
 class ActiveSetState:
     """One iterate of the active-set solve.
@@ -325,6 +332,8 @@ def _advance(state: ActiveSetState, oracle, t):
                 blocker = j
 
     if blocker >= 0 and gamma < 1.0:
+        if state.probs.size == 1:
+            raise _unresolved(t, "a drop would empty the support")
         # A zero-length drop of the newest structure, the one the previous
         # step added at weight 0, leaves the factor as exactly L[:-1, :-1]
         # and the weights and moments bitwise where the add put them, so the
@@ -501,6 +510,8 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
                 break
 
     keep = state.probs > 0.0
+    if not keep.any():
+        raise _unresolved(t, "no structure keeps positive weight")
     structures = [s for s, k in zip(state.structures, keep) if k]
     probs = state.probs[keep]
     return SparseMapResult(

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "Structure",
+    "KBest",
     "map_oracle",
     "budget_map_oracle",
     "kbest",
@@ -93,8 +94,36 @@ def budget_map_oracle(t, budget: int) -> Structure:
     return _structure(bits, t)
 
 
-def kbest(t, k: int) -> list:
-    """The k highest-scoring configurations, best first.
+class KBest:
+    """The k best configurations of one score vector, best first, as arrays.
+
+    ``rows`` is the read-only uint8 (k, D) matrix of their bits and
+    ``scores`` the float64 vector of their scores, each row's scored by
+    its own dot with t.  As a sequence it holds one :class:`Structure`
+    per row, built when read; a slice is a list of them.
+    """
+
+    __slots__ = ("rows", "scores")
+
+    def __init__(self, rows: np.ndarray, scores: np.ndarray):
+        self.rows = rows
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Structure(tuple(self.rows[i].tolist()), float(self.scores[i]))
+
+    def __iter__(self):
+        for bits, score in zip(self.rows.tolist(), self.scores.tolist()):
+            yield Structure(tuple(bits), score)
+
+
+def kbest(t, k: int) -> KBest:
+    """The k highest-scoring configurations, best first, as a :class:`KBest`.
 
     Ordering is by score descending with the lexicographically smallest
     bit-vector winning ties.  Best-first search over flip sets away from
@@ -153,8 +182,14 @@ def kbest(t, k: int) -> list:
                 )
     nbytes = (D + pad) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "big") for m in masks), dtype=np.uint8)
-    rows = np.unpackbits(packed.reshape(len(masks), nbytes), axis=1)[:, pad:].astype(np.int64)
-    return [Structure(tuple(bits), float(np.dot(row, t))) for bits, row in zip(rows.tolist(), rows)]
+    rows = np.unpackbits(packed.reshape(len(masks), nbytes), axis=1)[:, pad:]
+    rows.flags.writeable = False
+    # Each score has the bits of a 1-d dot of its row with t: stacked
+    # 1 x D by D x 1 products give them, a (k, D) @ t product need not, and
+    # at D = 1 only the plain product keeps the dot's -0.0 for 0 * t_0 < 0.
+    f = rows.astype(np.float64)
+    scores = f[:, 0] * t[0] if D == 1 else np.matmul(f[:, None, :], t[:, None])[:, 0, 0]
+    return KBest(rows, scores)
 
 
 def enumerate_all(t) -> list:

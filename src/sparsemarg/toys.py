@@ -53,6 +53,7 @@ __all__ = [
 CATEGORICAL_METHODS = ("dense", "sparse", "sfe", "sum_and_sample")
 BITVEC_METHODS = ("dense", "sparse", "topk", "sparsemap", "sparsemap_budget")
 _ENUM_LIMIT = 12  # largest D for which 2^D enumeration paths are allowed
+_LOSS_BLOCK = 1 << _ENUM_LIMIT  # most rows one loss evaluation reads: one dense example
 
 
 @dataclass(frozen=True)
@@ -426,6 +427,18 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     return _BatchPass(stats, grads, objective, q), baseline
 
 
+def _blocks(sizes, limit: int):
+    """(lo, hi) bounds that cut ``sizes`` into runs of consecutive entries
+    summing to at most ``limit``; an entry past ``limit`` is a run alone."""
+    lo, total = 0, 0
+    for hi, size in enumerate(sizes):
+        if total + size > limit and hi > lo:
+            yield lo, hi
+            lo, total = hi, 0
+        total += size
+    yield lo, len(sizes)
+
+
 def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _BatchPass:
     """One minibatch of images: posterior over bit-vectors, negative ELBO,
     hand gradients summed in example order.
@@ -435,11 +448,13 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     c + log q + 1 (the constant washes out through every mapping here).
     The Python loop runs per example, never per outcome: the sparse and
     topk mappings take the batch's (B, outcomes) scores in one
-    ``sparsemax_rows`` call, and each example reads its whole support in
-    one ``eval_many`` call.  Every quantity keeps the bits of a batch of
-    one: scores, dots and the decoder product stay per row, and each
-    example's gradient is summed on its own before it joins the batch sum.
-    Callers check ``cfg`` against D first (:func:`_check_config`).
+    ``sparsemax_rows`` call, and the loss reads every example's support
+    in the flat (example, outcome) layout, one ``eval_many`` call per
+    block of consecutive examples of at most ``_LOSS_BLOCK`` rows.  Every
+    quantity keeps the bits of a batch of one: scores, dots and the
+    decoder product stay per row, and each example's gradient is summed
+    on its own before it joins the batch sum.  Callers check ``cfg``
+    against D first (:func:`_check_config`).
     """
     D = model.d
     method = cfg.method
@@ -457,9 +472,9 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
         if not np.all(np.isfinite(t)):
             return _BatchPass.diverged(len(batch))
         if method == "topk":
-            structs = kbest(t, cfg.k)
-            scores.append([st.score for st in structs])
-            mapped.append(structs)
+            best = kbest(t, cfg.k)
+            scores.append(best.scores)
+            mapped.append(best.rows)
         elif method == "sparse":
             scores.append(A @ t)
         elif method == "dense":
@@ -471,18 +486,15 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
             mapped.append(sparsemap(polytope, t))
     probs = sparsemax_rows(np.array(scores)) if scores else None
 
-    grads = model.zero_grads()
-    stats, objectives, support_rows = [], [], []
-    for j, i in enumerate(batch):
-        x = images[i]
+    # Each example's support: probabilities, float bit rows, certificate.
+    supports = []
+    for j in range(len(batch)):
         certificate = None
         if method in ("topk", "sparse"):
             on = np.flatnonzero(probs[j] > 0)
             q = probs[j, on]
             if method == "topk":
-                # bytes() packs each 0/1 tuple in one C pass.
-                packed = b"".join(bytes(mapped[j][m].bits) for m in on)
-                rows = np.frombuffer(packed, dtype=np.uint8).reshape(on.size, D).astype(np.float64)
+                rows = mapped[j][on].astype(np.float64)
                 certificate = on.size < cfg.k
             else:
                 rows = A[on]
@@ -490,17 +502,36 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
             q, rows = mapped[j], A
         else:
             q, rows = mapped[j].probs, mapped[j].rows
+        supports.append((q, rows, certificate))
 
-        dlogits = []
+    dlogits = []
 
-        def neg_log_joint(bits):
-            recon, d = model.recon_loss_and_dlogits(bits, x)
-            dlogits.append(d)
-            return D * np.log(2.0) + recon
+    def neg_log_joint(outcomes):
+        bits, x = outcomes  # one (bit row, image) pair per outcome
+        recon, d = model.recon_loss_and_dlogits(bits, x)
+        dlogits.append(d)
+        return D * np.log(2.0) + recon
 
-        oracle = LossOracle(neg_log_joint)
-        c = oracle.eval_many(rows)
-        dl = dlogits[0]
+    oracle = LossOracle(neg_log_joint)
+    index = np.asarray(batch)
+    sizes = [q.size for q, _, _ in supports]
+
+    def read_losses():
+        """Each support with its losses and decoder-output gradients: one
+        ``eval_many`` per block of the flat stack, sliced by example."""
+        for lo, hi in _blocks(sizes, _LOSS_BLOCK):
+            c = oracle.eval_many((np.concatenate([rows for _, rows, _ in supports[lo:hi]]),
+                                  np.repeat(images[index[lo:hi]], sizes[lo:hi], axis=0)))
+            dl = dlogits.pop()
+            start = 0
+            for j in range(lo, hi):
+                yield supports[j], c[start:start + sizes[j]], dl[start:start + sizes[j]]
+                start += sizes[j]
+
+    grads = model.zero_grads()
+    stats, objectives = [], []
+    for j, ((q, rows, certificate), c, dl) in enumerate(read_losses()):
+        x = images[index[j]]
         log_q = np.log(q)
         neg_elbo = float(q @ c + q @ log_q)
         up = c + log_q + 1.0
@@ -534,10 +565,10 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
             dec_w[:, block] = _ordered_sum(w[:, :, None] * rows[:, None, block])
         grads["dec_w"] += dec_w
         grads["dec_b"] += dec_b
-        stats.append((neg_elbo, neg_elbo, oracle.calls, q.size, certificate))
+        stats.append((neg_elbo, neg_elbo, c.size, q.size, certificate))
         objectives.append(neg_elbo)
-        support_rows.append(rows)
-    return _BatchPass(stats, grads, np.array(objectives), rows=support_rows)
+    assert sum(entry[2] for entry in stats) == oracle.calls
+    return _BatchPass(stats, grads, np.array(objectives), rows=[rows for _, rows, _ in supports])
 
 
 def _check_config(task: str, cfg: TrainConfig, n: int, size: int):

@@ -1,11 +1,14 @@
 """MAP, budget, and k-best oracles over independent binary variables."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from sparsemarg.bitvec import (
     BitVectorPolytope,
     BudgetedBitVectorPolytope,
+    KBest,
     Structure,
     budget_map_oracle,
     config_matrix,
@@ -127,6 +130,50 @@ def test_kbest_at_the_edges_of_its_reach_matches_bruteforce():
                 got = kbest(t, k)
                 assert [st.bits for st in got] == ref[:k], (t, k)
                 assert [st.score for st in got] == [float(np.dot(st.bits, t)) for st in got]
+
+
+def _kbest_inputs():
+    """Seeded (t, k) pairs: D from 1 to 200 with 62, 63 and 64, k past 2^D
+    for small D, and normal, quarter-step tied (signed zeros included) and
+    all-zero scores."""
+    rng = make_rng(33)
+    for d in [*range(1, 13), 62, 63, 64, *range(13, 201, 17), 200]:
+        for kind in ("normal", "ties", "zeros"):
+            t = rng.normal(size=d)
+            if kind == "ties":
+                t = np.round(t * 2.0) / 4.0
+            elif kind == "zeros":
+                t = np.zeros(d)
+            for k in (1, int(rng.integers(2, 40)), (1 << d) + 3 if d < 6 else 64):
+                yield t, k
+
+
+# sha256 of every input's structure bits and score bytes, in order, as
+# ``kbest`` gave them when it returned a list of Structures.
+_KBEST_DIGEST = "8b8dcf73d400186d5697f2e85d54cf2d06263f6ea2c139a209de3eb1d30c7e99"
+
+
+def test_kbest_returns_rows_and_scores_with_the_bits_of_per_row_dots():
+    digest = hashlib.sha256()
+    for t, k in _kbest_inputs():
+        got = kbest(t, k)
+        assert isinstance(got, KBest)
+        d = t.size
+        assert got.rows.dtype == np.uint8 and got.rows.shape == (min(k, 1 << d), d)
+        assert not got.rows.flags.writeable
+        dots = [float(np.dot(row.astype(np.int64), t)) for row in got.rows]
+        assert got.scores.dtype == np.float64
+        assert got.scores.tobytes() == np.array(dots).tobytes(), (t, k)
+        structs = list(got)
+        assert len(structs) == len(got)
+        assert [st.bits for st in structs] == [tuple(row) for row in got.rows.tolist()]
+        assert np.array(dots).tobytes() == np.array([st.score for st in structs]).tobytes()
+        assert [got[j].bits for j in range(-len(got), len(got))] == [st.bits for st in structs * 2]
+        assert [st.bits for st in got[1:-1]] == [st.bits for st in structs[1:-1]]
+        for st in structs:
+            digest.update(bytes(st.bits))
+            digest.update(np.float64(st.score).tobytes())
+    assert digest.hexdigest() == _KBEST_DIGEST
 
 
 def test_structure_index_and_score_cache():

@@ -683,6 +683,20 @@ def test_score_overflow_is_a_clear_error(oracle):
             sparsemap(oracle, [1e308, 1e308, -1.0, 0.5])
 
 
+@pytest.mark.parametrize("t, what", [
+    # The relaxed solve gives the MAP vertex weight 0, and the oracle
+    # certifies that support: no structure keeps positive weight.
+    ([1e17, 0.5, -3.0], "no structure keeps positive weight"),
+    # The second step's ratio test would drop the only structure left.
+    ([1e16, 3e18], "a drop would empty the support"),
+])
+def test_scores_past_the_solvable_scale_are_a_clear_error(t, what, capfd):
+    with pytest.raises(ValueError, match=r"scores too large to resolve \(max \|t\| = .*\): " + what):
+        sparsemap(BitVectorPolytope(len(t)), t)
+    # LAPACK never sees an emptied factor, so it prints nothing.
+    assert capfd.readouterr() == ("", "")
+
+
 def test_max_condition_is_the_largest_estimate_the_solver_checked():
     rng = make_rng(19)
     for trial in range(60):

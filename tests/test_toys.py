@@ -327,16 +327,18 @@ def test_budget_codes_respect_budget():
     assert np.isfinite(log.rows[-1].loss)
 
 
-@pytest.mark.parametrize("method", BITVEC_METHODS)
-def test_bitvec_batch_pass_equals_examples_one_at_a_time(method):
+@pytest.mark.parametrize("method, d", [pytest.param(m, 6, id=m) for m in BITVEC_METHODS]
+                         + [pytest.param("dense", 12, id="dense_d12")])
+def test_bitvec_batch_pass_equals_examples_one_at_a_time(method, d):
     # Each example's gradient is summed on its own before it joins the
     # batch sum, so a partial batch must reproduce, bit for bit, the log
     # entries, objectives and gradient sum of its examples passed as
-    # batches of one in batch order.
-    images = make_bitvec_images(n=20, d=6, seed=36)
-    model = ToyBitVectorVAE.init(d=6, n_pixels=36, seed=37, scale=0.5)
+    # batches of one in batch order.  At D = 12 every dense example fills
+    # a loss block of its own.
+    images = make_bitvec_images(n=20, d=d, seed=36)
+    model = ToyBitVectorVAE.init(d=d, n_pixels=36, seed=37, scale=0.5)
     cfg = TrainConfig(method=method, k=8, budget=3)
-    batch = make_rng(38).permutation(20)[:11]
+    batch = make_rng(38).permutation(20)[:11 if d < 12 else 3]
     whole = _bitvec_batch(model, images.images, batch, cfg)
     grads, stats, objectives, rows = model.zero_grads(), [], [], []
     for i in batch:
@@ -347,6 +349,7 @@ def test_bitvec_batch_pass_equals_examples_one_at_a_time(method):
         for key in grads:
             grads[key] += one.grads[key]
     assert whole.stats == stats
+    assert all(entry[2] == entry[3] for entry in stats)  # one loss call per outcome
     assert whole.objectives.tolist() == objectives
     assert all(np.array_equal(a, b) for a, b in zip(whole.rows, rows))
     for key in grads:
@@ -356,8 +359,8 @@ def test_bitvec_batch_pass_equals_examples_one_at_a_time(method):
 
 
 def test_stacked_decoder_products_equal_per_row_products():
-    # The bit-vector pass decodes a support as one stacked matmul and reads
-    # its dots as stacked 1 x P by P x 1 products, because those run the
+    # The bit-vector pass decodes a block of supports as one stacked matmul
+    # and reads its dots as stacked 1 x P by P x 1 products, because those run the
     # per-row kernels: a plain (S, D) @ (D, P) GEMM, or (S, P) @ (P,),
     # gives other bits on most shapes.  This pins the kernels the pass
     # relies on against a numpy or BLAS that changes them.
@@ -371,6 +374,9 @@ def test_stacked_decoder_products_equal_per_row_products():
         out = np.matmul(dec_w, rows[..., None])[..., 0]
         assert np.array_equal(out, np.array([dec_w @ row for row in rows])), (P, D, S)
         assert np.array_equal(_row_dots(out, x), [x @ o for o in out]), (P, D, S)
+        # The flat layout repeats each image once per row of its support.
+        xs = np.repeat(x[None], S, axis=0)
+        assert np.array_equal(_row_dots(out, xs), [x @ o for o in out]), (P, D, S)
         assert np.array_equal(_row_dots(out, out), [o @ o for o in out]), (P, D, S)
         soft = np.logaddexp(0.0, out)
         assert np.array_equal(soft.sum(axis=-1), [r.sum() for r in soft]), (P, D, S)
@@ -442,12 +448,14 @@ def _bitvec_per_outcome(model, images, batch, cfg):
 
 @pytest.mark.parametrize("recon", ["bernoulli", "squared"])
 @pytest.mark.parametrize("method, d, k", [(m, 6, 8) for m in BITVEC_METHODS]
-                         + [("dense", 10, 8), ("topk", 128, 16)])
+                         + [("dense", 10, 8), ("dense", 12, 8), ("topk", 128, 16)])
 def test_bitvec_batch_pass_equals_per_outcome_reference(method, d, k, recon):
+    # Dense at D = 10 reads the loss in blocks of four examples and one
+    # left over; at D = 12, in one block per example.
     images = make_bitvec_images(n=20, d=d, seed=42)
     model = ToyBitVectorVAE.init(d=d, n_pixels=36, seed=43, scale=0.5, recon=recon)
     cfg = TrainConfig(method=method, k=k, budget=3)
-    batch = make_rng(44).permutation(20)[:13]
+    batch = make_rng(44).permutation(20)[:13 if d < 12 else 3]
     out = _bitvec_batch(model, images.images, batch, cfg)
     stats, objectives, grads = _bitvec_per_outcome(model, images.images, batch, cfg)
     assert out.stats == stats
@@ -456,6 +464,32 @@ def test_bitvec_batch_pass_equals_per_outcome_reference(method, d, k, recon):
         assert np.array_equal(out.grads[key], grads[key]), key
         assert np.array_equal(np.signbit(out.grads[key]), np.signbit(grads[key])), key
     assert max(entry[3] for entry in stats) > 1  # some decoder gradient sums several terms
+
+
+@pytest.mark.parametrize("method, d, k", [("dense", 12, 8), ("dense", 10, 8), ("topk", 24, 1500)])
+def test_bitvec_loss_reads_whole_examples_in_blocks_of_at_most_4096_rows(method, d, k):
+    images = make_bitvec_images(n=12, d=d, seed=45)
+    model = ToyBitVectorVAE.init(d=d, n_pixels=36, seed=46, scale=0.001)
+    blocks = []
+    recon = model.recon_loss_and_dlogits
+
+    def recording(bits, x):
+        assert bits.shape[0] == x.shape[0]  # one image per bit row
+        blocks.append(bits.shape[0])
+        return recon(bits, x)
+
+    model.recon_loss_and_dlogits = recording
+    out = _bitvec_batch(model, images.images, np.arange(9), TrainConfig(method=method, k=k))
+    calls = [entry[2] for entry in out.stats]
+    assert calls == [entry[3] for entry in out.stats]  # one loss call per outcome
+    assert len(blocks) > 1 and max(blocks) <= 4096
+    # Each block is a run of whole consecutive examples, cut only where the
+    # next example would not fit.
+    ends = np.cumsum(calls).tolist()
+    cuts = np.cumsum(blocks).tolist()
+    assert set(cuts) <= set(ends) and cuts[-1] == ends[-1]
+    for n, cut in enumerate(cuts[:-1]):
+        assert blocks[n] + calls[ends.index(cut) + 1] > 4096
 
 
 @pytest.mark.parametrize("make_model", [

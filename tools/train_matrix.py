@@ -1,4 +1,4 @@
-"""Run the 36-run training matrix and print one fingerprint line per run.
+"""Run the 45-run training matrix and print one fingerprint line per run.
 
 Each line holds the run's name, the sha256 of its epoch CSV and the
 ``repr`` of the manifest's ``initial_loss``.  Run it once against each of
@@ -11,9 +11,10 @@ train byte-identically on every run:
 
 The matrix covers every training method at small sizes, each at seeds 0,
 3 and 9: the categorical methods at ``--n 64 --epochs 4 --k 2``, and the
-bit-vector methods at ``--n 24 --epochs 3``, with topk below and past
-D = 64 and at the benchmark's D = 128, k = 16, and sparse also at D = 12,
-the largest enumeration (K = 4096).
+bit-vector methods at ``--n 24 --epochs 3``, with topk at k above 2^D
+(D = 3), at D = 64 (where k is no longer clamped to 2^D), past D = 64 and
+at the benchmark's D = 128, k = 16, and sparse and dense also at D = 12,
+the largest enumeration (K = 4096, a dense batch past one loss block).
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ RUNS = (
     ("bitvec_dense_d6", ["bitvec", "--method", "dense", "--d", "6"] + BITVEC),
     ("bitvec_sparse_d6", ["bitvec", "--method", "sparse", "--d", "6"] + BITVEC),
     ("bitvec_sparse_d12", ["bitvec", "--method", "sparse", "--d", "12"] + BITVEC),
+    ("bitvec_dense_d12", ["bitvec", "--method", "dense", "--d", "12"] + BITVEC),
+    ("bitvec_topk_d3_k16", ["bitvec", "--method", "topk", "--d", "3", "--k", "16"] + BITVEC),
     ("bitvec_topk_d8_k8", ["bitvec", "--method", "topk", "--d", "8", "--k", "8"] + BITVEC),
+    ("bitvec_topk_d64_k16", ["bitvec", "--method", "topk", "--d", "64", "--k", "16"] + BITVEC),
     ("bitvec_topk_d70_k16", ["bitvec", "--method", "topk", "--d", "70", "--k", "16"] + BITVEC),
     ("bitvec_topk_d128_k16", ["bitvec", "--method", "topk", "--d", "128", "--k", "16"] + BITVEC),
     ("bitvec_sparsemap_d8", ["bitvec", "--method", "sparsemap", "--d", "8"] + BITVEC),
