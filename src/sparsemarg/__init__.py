@@ -28,9 +28,12 @@ from .bitvec import (
 from .estimators import (
     Estimate,
     MovingAverageBaseline,
+    RowEstimates,
     dense_grad,
     sfe_grad,
+    sfe_rows,
     sum_and_sample_grad,
+    sum_and_sample_rows,
 )
 from .marginalize import (
     CallStats,
@@ -64,6 +67,7 @@ __all__ = [
     "KBest",
     "LossOracle",
     "MovingAverageBaseline",
+    "RowEstimates",
     "SparseDistribution",
     "SparseMapResult",
     "Structure",
@@ -79,6 +83,7 @@ __all__ = [
     "make_rng",
     "map_oracle",
     "sfe_grad",
+    "sfe_rows",
     "softmax",
     "softmax_vjp",
     "sparse_expectation",
@@ -88,6 +93,7 @@ __all__ = [
     "sparsemax",
     "sparsemax_vjp",
     "sum_and_sample_grad",
+    "sum_and_sample_rows",
     "top_k",
     "topk_sparsemax",
     "topk_sparsemax_vjp",

@@ -202,20 +202,26 @@ def check_marginal(trials: int, seed: int) -> list:
 
 def _enumerate_sfe(s, table, baseline):
     p = softmax(s)
-    return sum(p[z] * _sfe_term(p, z, table[z], baseline) for z in range(s.size))
+    K = s.size
+    terms = _sfe_term(np.tile(p, (K, 1)), np.arange(K), table, np.full(K, baseline))
+    return sum(p[z] * terms[z] for z in range(K))
 
 
 def _enumerate_sas(s, table, k):
+    """Every complement draw as one row of the estimator's term, plus a
+    last row that draws nothing, averaged by the draw probabilities."""
     p = softmax(s)
     kept = top_k(s, k).indices
     comp = np.setdiff1d(np.arange(s.size), kept)
     comp_mass = p[comp].sum()
-    base = _sas_term(p, kept, table[kept], 0.0, -1, 0.0)
+    n = comp.size + 1
+    terms = _sas_term(np.tile(p, (n, 1)), np.tile(kept, (n, 1)), np.tile(table[kept], (n, 1)),
+                      np.full(n, comp_mass), np.append(comp, -1), np.append(table[comp], 0.0))
+    base = terms[-1]
     if comp_mass <= 1e-14:
         return base
     cond = p[comp] / comp_mass
-    return base + sum(w * (_sas_term(p, kept, table[kept], comp_mass, int(z), table[z]) - base)
-                      for z, w in zip(comp, cond))
+    return base + sum(w * (term - base) for term, w in zip(terms[:-1], cond))
 
 
 def check_estimators(trials: int, seed: int) -> list:

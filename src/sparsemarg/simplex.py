@@ -34,6 +34,13 @@ def _as_scores(s, ndim=1):
     return s
 
 
+def _as_rows(scores):
+    """Finite float scores as a nonempty (B, K) matrix."""
+    if np.ndim(scores) != 2:
+        raise ValueError("scores must be a (B, K) matrix")
+    return _as_scores(scores, ndim=2)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseDistribution:
     """A distribution stored as (index, probability) pairs over its support.
@@ -119,9 +126,7 @@ def sparsemax_rows(scores) -> np.ndarray:
     max shift, and the same descending sort read by the same support rule.
     Off-support entries are exactly zero.
     """
-    s = _as_scores(scores, ndim=2)
-    if s.ndim != 2:
-        raise ValueError("scores must be a (B, K) matrix")
+    s = _as_rows(scores)
     z = s - s.max(axis=1, keepdims=True)
     css, rho = _support_test(np.sort(z, axis=1)[:, ::-1])
     tau = (css[np.arange(z.shape[0]), rho - 1] - 1.0) / rho

@@ -29,7 +29,7 @@ from .bitvec import (
     config_matrix,
     kbest,
 )
-from .estimators import MovingAverageBaseline, sfe_grad, sum_and_sample_grad
+from .estimators import MovingAverageBaseline, sfe_rows, sum_and_sample_rows
 from .marginalize import CallStats, LossOracle
 from .rng import make_rng
 from .simplex import softmax, softmax_vjp, sparsemax_rows
@@ -339,9 +339,10 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     """One minibatch: forward, loss reads, hand gradients summed in example order.
 
     The dense and sparse methods marginalize exactly over the mapping's
-    support; sfe and sum_and_sample are the library estimators, called
-    once per example in batch order with ``rng`` (sfe also with the
-    running ``baseline``).  The decoder's loss table is computed once, and
+    support; sfe and sum_and_sample are the library's row estimators,
+    called once on the batch's score matrix with ``rng`` (sfe also with
+    the running ``baseline``), which draw and advance the baseline in
+    example order.  The decoder's loss table is computed once, and
     every per-example quantity has the bits a batch of one gives: the
     mappings and elementwise algebra work on whole (B, K) matrices, while
     the scores, dot products, support means and sums stay in example (or
@@ -363,24 +364,16 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         q = sparsemax_rows(s)
     elif method == "dense":
         q = softmax(s)
-    else:  # sfe or sum_and_sample; q is each estimator's own softmax
-        by_example = losses[:, y].T
-        q = np.empty((B, K))
-        g_s = np.empty((B, K))
+    else:  # sfe or sum_and_sample; q is the estimators' own softmax
+        oracle = LossOracle(lambda pairs: losses[pairs[1], y[pairs[0]]])
+        if method == "sfe":
+            est, baseline = sfe_rows(s, oracle, baseline, rng)
+        else:
+            est = sum_and_sample_rows(s, oracle, cfg.k, rng)
+        q, g_s, loss = est.probs, est.grad, est.loss
         weights = np.zeros((B, K))
-        loss = np.empty(B)
-        calls = np.empty(B, dtype=np.int64)
-        for i in range(B):
-            oracle = LossOracle(by_example[i].__getitem__)
-            if method == "sfe":
-                est, baseline = sfe_grad(s[i], oracle, baseline, rng)
-            else:
-                est = sum_and_sample_grad(s[i], oracle, cfg.k, rng)
-            q[i] = est.probs
-            g_s[i] = est.grad
-            weights[i, est.outcomes] = est.weights
-            loss[i] = est.loss
-            calls[i] = oracle.calls
+        weights[est.rows, est.outcomes] = est.weights
+        calls = np.bincount(est.rows, minlength=B)
     if method != "sparse" and not np.all(q > 0):  # the entropy term would take log(0)
         return _BatchPass.diverged(B), baseline
 

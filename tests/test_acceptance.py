@@ -281,7 +281,8 @@ def test_07_stochastic_estimators_unbiased_by_enumeration():
         dense = dense_grad(s, LossOracle(lambda z: values[int(z)]))
         p = softmax(s)
         b = MovingAverageBaseline(0.37).value
-        expected_sfe = sum(p[z] * _sfe_term(p, z, values[z], b) for z in range(K))
+        terms = _sfe_term(np.tile(p, (K, 1)), np.arange(K), values, np.full(K, b))
+        expected_sfe = sum(p[z] * terms[z] for z in range(K))
         worst_sfe = max(worst_sfe, float(np.abs(expected_sfe - dense).max()))
         k = int(rng.integers(1, K))
         kept = top_k(s, k).indices
@@ -289,13 +290,14 @@ def test_07_stochastic_estimators_unbiased_by_enumeration():
         comp_mass = 1.0 - p[kept].sum()
         comp = np.setdiff1d(np.arange(K), kept)
         if comp_mass <= 1e-14 or comp.size == 0:
-            expected_sas = _sas_term(p, kept, kept_values, 0.0, -1, 0.0)
+            expected_sas = _sas_term(p[None], kept[None], kept_values[None], np.zeros(1),
+                                     np.array([-1]), np.zeros(1))[0]
         else:
-            expected_sas = sum(
-                (p[z] / comp_mass)
-                * _sas_term(p, kept, kept_values, comp_mass, int(z), values[z])
-                for z in comp
-            )
+            m = comp.size
+            terms = _sas_term(np.tile(p, (m, 1)), np.tile(kept, (m, 1)),
+                              np.tile(kept_values, (m, 1)), np.full(m, comp_mass), comp,
+                              values[comp])
+            expected_sas = sum((p[z] / comp_mass) * term for z, term in zip(comp, terms))
         worst_sas = max(worst_sas, float(np.abs(expected_sas - dense).max()))
     assert worst_sfe <= 1e-10
     assert worst_sas <= 1e-10

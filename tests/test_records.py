@@ -5,7 +5,7 @@ import pytest
 
 from sparsemarg.activeset import ActiveSetState, CholeskyFactor, sparsemap
 from sparsemarg.bitvec import BitVectorPolytope
-from sparsemarg.estimators import sum_and_sample_grad
+from sparsemarg.estimators import sum_and_sample_grad, sum_and_sample_rows
 from sparsemarg.marginalize import LossOracle
 from sparsemarg.rng import make_rng
 from sparsemarg.simplex import sparsemax
@@ -41,6 +41,8 @@ MAKERS = {
     "ActiveSetState": _state,
     "SparseMapResult": lambda: sparsemap(BitVectorPolytope(4), T),
     "Estimate": lambda: sum_and_sample_grad(T, LossOracle(float), 2, make_rng(0)),
+    "RowEstimates": lambda: sum_and_sample_rows(
+        np.stack([T, -T]), LossOracle(lambda pairs: pairs[1] * 1.0), 2, make_rng(0)),
     "ClusterData": lambda: make_cluster_data(n=4, n_clusters=2, feat_dim=3),
     "BitImageData": lambda: make_bitvec_images(n=4, d=3),
     "ToyCategoricalModel": lambda: ToyCategoricalModel.init(n_messages=3, n_classes=2, feat_dim=4),

@@ -5,10 +5,11 @@ import pytest
 
 from sparsemarg.activeset import sparsemap, sparsemap_vjp_probs
 from sparsemarg.bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix, kbest
-from sparsemarg.estimators import MovingAverageBaseline, sfe_grad, sum_and_sample_grad
+from sparsemarg.estimators import MovingAverageBaseline
 from sparsemarg.marginalize import LossOracle
 from sparsemarg.rng import make_rng
 from sparsemarg.simplex import softmax, softmax_vjp, sparsemax, sparsemax_vjp
+from sparsemarg.topk import top_k
 from sparsemarg.toys import (
     BITVEC_METHODS,
     CATEGORICAL_METHODS,
@@ -150,10 +151,46 @@ def _decoder_log_probs(model, z):
     return shifted - np.log(np.exp(shifted).sum())
 
 
+def _one_hot_minus(p, z):
+    out = -p.copy()
+    out[z] += 1.0
+    return out
+
+
+def _sampled_reference(s, oracle, cfg, rng, baseline):
+    """One example's sfe or sum-and-sample estimate from the 1-d softmax
+    and top_k, a setdiff1d complement and ``Generator.choice``.
+
+    Returns the gradient, loss, probabilities, evaluated outcomes, their
+    weights and the updated baseline."""
+    p = softmax(s)
+    if cfg.method == "sfe":
+        z = int(rng.choice(s.size, p=p))
+        value = oracle.eval(z)
+        grad = (value - baseline.value) * _one_hot_minus(p, z)
+        return grad, value, p, np.array([z]), np.ones(1), baseline.updated(value)
+    kept = top_k(s, cfg.k).indices
+    kept_values = np.array([oracle.eval(int(z)) for z in kept])
+    weighted = p[kept] * kept_values
+    grad = -p * weighted.sum()
+    grad[kept] += weighted
+    loss = float(weighted.sum())
+    comp_mass = 1.0 - p[kept].sum()
+    outcomes, weights = kept, p[kept]
+    if comp_mass > 1e-14:
+        comp = np.setdiff1d(np.arange(s.size), kept)
+        z = int(rng.choice(comp, p=p[comp] / p[comp].sum()))
+        value = oracle.eval(z)
+        grad += value * comp_mass * _one_hot_minus(p, z)
+        loss += comp_mass * value
+        outcomes, weights = np.append(kept, z), np.append(weights, comp_mass)
+    return grad, loss, p, outcomes, weights, baseline
+
+
 def _example_reference(model, x, y, cfg, rng, baseline):
-    """One example through the library's 1-d mappings, vjps and estimators,
-    one decoder row at a time: the per-example arithmetic the batch pass
-    must reproduce bit for bit."""
+    """One example through the library's 1-d mappings and vjps and a 1-d
+    estimator reference, one decoder row at a time: the per-example
+    arithmetic the batch pass must reproduce bit for bit."""
     K = model.n_messages
     s = model.scores(x)
     oracle = LossOracle(lambda z: -_decoder_log_probs(model, z)[y])
@@ -177,14 +214,10 @@ def _example_reference(model, x, y, cfg, rng, baseline):
             full[support] = upstream
             g_s = sparsemax_vjp(s, dist, full)
     else:
-        if cfg.method == "sfe":
-            est, baseline = sfe_grad(s, oracle, baseline, rng)
-        else:
-            est = sum_and_sample_grad(s, oracle, cfg.k, rng)
-        q = est.probs
-        g_s = est.grad + coef * softmax_vjp(q, np.log(q) + 1.0)
-        outcomes, weights = est.outcomes, est.weights
-        objective = loss = est.loss
+        grad, loss, q, outcomes, weights, baseline = _sampled_reference(s, oracle, cfg, rng,
+                                                                        baseline)
+        g_s = grad + coef * softmax_vjp(q, np.log(q) + 1.0)
+        objective = loss
     grads = model.zero_grads()
     grads["enc_w"] += np.outer(g_s, x)
     grads["enc_b"] += g_s
