@@ -206,7 +206,12 @@ class ToyCategoricalModel(_ParamLayout):
         return self.enc_w.shape[0]
 
     def scores(self, x) -> np.ndarray:
-        return self.enc_w @ x + self.enc_b
+        """Message scores of one feature vector, or of each row of a batch.
+
+        A stacked product runs the matrix-vector kernel once per row, so
+        every row has the bits of ``enc_w @ row`` taken alone.
+        """
+        return np.matmul(self.enc_w, np.asarray(x)[..., None])[..., 0] + self.enc_b
 
     def label_loss(self, z, y):
         """Cross-entropy of label ``y`` under message ``z``'s decoder.
@@ -325,13 +330,23 @@ def _row_dots(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _ordered_sum(terms, axis=0):
-    """Sum ``terms`` along ``axis`` in index order, as repeated ``+=`` into zeros.
+def _ordered_sum(terms):
+    """Sum ``terms`` along the first axis in index order, as repeated
+    ``+=`` into zeros.
 
-    A sum reduction may add pairwise; an accumulation never does.  Adding
-    0.0 first turns -0.0 into +0.0, as the zeros it replaces would.
+    A sum reduction may add pairwise; an accumulation never does.  Where
+    each term holds at least 128 entries, the sum is that ``+=`` loop,
+    whose Python step then costs less than writing the term into a
+    prefix stack.  Narrower terms, as along a long support axis, go
+    through one ``cumsum``; adding 0.0 first turns -0.0 into +0.0, as the
+    zeros it replaces would.
     """
-    return np.cumsum(terms + 0.0, axis=axis).take(-1, axis=axis)
+    if terms.size < 128 * len(terms):
+        return np.cumsum(terms + 0.0, axis=0)[-1]
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
 
 
 def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg: TrainConfig,
@@ -343,18 +358,25 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     called once on the batch's score matrix with ``rng`` (sfe also with
     the running ``baseline``), which draw and advance the baseline in
     example order.  The decoder's loss table is computed once, and
-    every per-example quantity has the bits a batch of one gives: the
-    mappings and elementwise algebra work on whole (B, K) matrices, while
-    the scores, dot products, support means and sums stay in example (or
-    outcome) order.  Returns the batch record and the baseline, updated
-    when sfe drew samples.  Callers check ``cfg.method`` first.
+    every per-example quantity has the bits a batch of one gives.  The
+    mappings and elementwise algebra work on whole (B, K) matrices.  Each
+    stacked kernel runs the per-row form's kernel on every row alone: the
+    scores are a stacked matrix-vector product (the GEMV of ``enc_w @
+    x``); dense and sparse read the examples of each support size as one
+    (n, size) block of a C-ordered stack, whose stacked 1 x size by size
+    x 1 products run the dot of a 1-d ``@`` and whose ``mean(axis=1)``
+    runs the pairwise sum of a 1-d ``mean``; and the sums over examples
+    (or outcomes) add in index order.  Returns the batch record and the
+    baseline, updated when sfe drew samples.  Callers check
+    ``cfg.method`` first.
     """
     K = model.n_messages
     method = cfg.method
     coef = cfg.entropy_coef
     y = np.asarray(labels)[batch]
     B = y.size
-    s = np.array([model.scores(features[i]) for i in batch])
+    X = features[batch]
+    s = model.scores(X)
     if not np.all(np.isfinite(s)):
         return _BatchPass.diverged(B), baseline
     # Every message's loss for every label; the decoder softmax is its exp.
@@ -379,22 +401,34 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
 
     if method in ("dense", "sparse"):
         rows, outcomes = np.nonzero(q > 0)  # every outcome for dense, past the guard
+        calls = np.bincount(rows, minlength=B)
+        # The (example, outcome) pairs sorted stably by support size: each
+        # size's examples then hold one contiguous run of the flat layout,
+        # an (n, size) block with one example's support per row.  The stack
+        # is C-ordered, so every row is unit-stride: a dot over strided
+        # rows runs another kernel, with other bits.
+        by_size = np.argsort(calls[rows], kind="stable")
+        rows, outcomes = rows[by_size], outcomes[by_size]
         oracle = LossOracle(lambda z: losses[z, y[rows]])
         values = oracle.eval_many(outcomes)
-        calls = np.bincount(rows, minlength=B)
-        bounds = np.concatenate(([0], np.cumsum(calls)))
         probs = q[rows, outcomes]
         log_probs = np.log(probs)
         upstream = values + coef * (log_probs + 1.0)
-        loss = np.empty(B)
-        objective = np.empty(B)
-        centre = np.empty(B)
-        for i in range(B):
-            on = slice(bounds[i], bounds[i + 1])
-            qi = probs[on]
-            loss[i] = qi @ values[on]
-            objective[i] = loss[i] + coef * float(qi @ log_probs[on])
-            centre[i] = qi @ upstream[on] if method == "dense" else upstream[on].mean()
+        terms = np.stack([probs, values, log_probs, upstream])
+        # Per example: q . values, q . log q and the vjp centre, q . u for
+        # dense and the support mean of u for sparse.
+        reduced = np.empty((3, B))
+        at = 0
+        for size, n in enumerate(np.bincount(calls).tolist()):
+            if n:
+                block = terms[:, at:at + n * size].reshape(4, n, size)
+                dots = _row_dots(block[0], block[1:])
+                if method == "sparse":
+                    dots[2] = block[3].mean(axis=1)
+                reduced[:, rows[at:at + n * size:size]] = dots
+                at += n * size
+        loss, entropy, centre = reduced
+        objective = loss + coef * entropy
         g_on = upstream - centre[rows]  # sparsemax vjp: u minus its support mean
         if method == "dense":  # softmax vjp: p * (u - p . u)
             g_on *= probs
@@ -403,16 +437,15 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         weights = q
     else:
         entropy_up = np.log(q) + 1.0
-        dots = np.array([qi @ ui for qi, ui in zip(q, entropy_up)])
-        g_s += coef * (q * (entropy_up - dots[:, None]))
+        g_s += coef * (q * (entropy_up - _row_dots(q, entropy_up)[:, None]))
         objective = loss
 
     grads = {
-        "enc_w": _ordered_sum(g_s[:, :, None] * features[batch][:, None, :]),
+        "enc_w": _ordered_sum(g_s[:, :, None] * X[:, None, :]),
         "enc_b": _ordered_sum(g_s),
         "dec_w": _ordered_sum(weights[:, :, None] * (dec - np.eye(dec.shape[1])[y][:, None, :])),
     }
-    mixture = _ordered_sum(q[:, :, None] * dec, axis=1)
+    mixture = _ordered_sum(q.T[:, :, None] * dec[:, None, :])  # summed over messages
     metric = (np.argmax(mixture, axis=1) == y).astype(np.float64)
     support = calls if method in ("dense", "sparse") else np.full(B, K)
     stats = list(zip(loss.tolist(), metric.tolist(), calls.tolist(), support.tolist(),

@@ -1,0 +1,55 @@
+"""The gain rule of ``tools/bench_pairs.py``: enough pairs, enough wins, medians apart."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _pairs(old, new):
+    def run(value):
+        return {"metrics": {"examples_per_s": {"value": value}}}
+    return [{"old": run(a), "new": run(b)} for a, b in zip(old, new)]
+
+
+def _gain(old, new):
+    summary = bench_pairs.summarize(_pairs(old, new), {"examples_per_s": "higher"})
+    return summary["examples_per_s"]
+
+
+def test_four_of_four_wins_is_no_gain():
+    s = _gain([100.0, 101.0, 102.0, 103.0], [200.0, 201.0, 202.0, 203.0])
+    assert (s["wins"], s["pairs"]) == (4, 4)
+    assert not s["gain"]
+
+
+def test_nine_of_ten_wins_with_medians_past_the_old_spread_is_a_gain():
+    old = [100.0 + i for i in range(10)]
+    new = [120.0 + i for i in range(9)] + [50.0]
+    s = _gain(old, new)
+    assert (s["wins"], s["losses"]) == (9, 1)
+    assert s["new"]["median"] - s["old"]["median"] > s["old"]["q3"] - s["old"]["q1"]
+    assert s["gain"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_eight_of_ten_wins_is_no_gain(better):
+    sign = 1.0 if better == "higher" else -1.0
+    old = [100.0 + i for i in range(10)]
+    new = [a + sign * 30.0 for a in old[:8]] + [a - sign * 30.0 for a in old[8:]]
+    s = bench_pairs.summarize(_pairs(old, new), {"examples_per_s": better})["examples_per_s"]
+    assert (s["wins"], s["losses"]) == (8, 2)
+    assert not s["gain"]
+
+
+def test_nine_of_ten_wins_inside_the_old_spread_is_no_gain():
+    old = [100.0 + 10.0 * i for i in range(10)]
+    new = [a + 1.0 for a in old[:9]] + [old[9] - 1.0]
+    s = _gain(old, new)
+    assert s["wins"] == 9
+    assert not s["gain"]

@@ -280,21 +280,72 @@ def test_batch_pass_equals_examples_one_at_a_time(method):
 def test_ordered_sum_is_repeated_accumulation():
     # A plain sum adds a contiguous run pairwise (here wherever the other
     # axes have size 1) and keeps -0.0; the batch pass needs the bits of
-    # repeated += into zeros.
+    # repeated += into zeros.  Both regimes: the batch axis of the
+    # categorical encoder gradient (16 wide slices of 1,024 entries, a
+    # loop) and the support axis of a D = 12 dense decoder gradient
+    # (4,096 slices of 36 entries, a cumsum).
     rng = make_rng(35)
-    for shape, axis in (((17, 1), 0), ((17, 3, 1), 0), ((4, 17, 1), 1), ((9, 5, 6), 0)):
+    for shape in ((17, 1), (17, 3, 1), (17, 4, 1), (9, 5, 6), (3, 5, 60), (16, 16, 64),
+                  (4096, 36, 1)):
         terms = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
         terms[rng.random(shape) < 0.2] = -0.0
-        if terms.size > shape[axis]:  # one output summed from -0.0 alone
-            first = [0] * len(shape)
-            first[axis] = slice(None)
-            terms[tuple(first)] = -0.0
-        expected = np.zeros(np.delete(shape, axis))
-        for term in np.moveaxis(terms, axis, 0):
+        if terms.size > shape[0]:  # one output summed from -0.0 alone
+            terms[(slice(None),) + (0,) * (len(shape) - 1)] = -0.0
+        expected = np.zeros(shape[1:])
+        for term in terms:
             expected += term
-        got = _ordered_sum(terms, axis)
+        got = _ordered_sum(terms)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def _spread(rng, shape):
+    """Normal entries scaled by powers of ten over 1e-8..1e8, a fifth of them -0.0."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    return values
+
+
+def _same_bits(got, expected):
+    return (np.array_equal(got, expected)
+            and np.array_equal(np.signbit(got), np.signbit(expected)))
+
+
+def test_stacked_scores_equal_per_row_products():
+    # The categorical pass scores a batch with one stacked product, which
+    # runs the matrix-vector kernel once per row; every row must keep the
+    # bits of enc_w @ x taken alone.  A bias of -0.0 adds nothing, so the
+    # scores are the products' own bits, signed zeros included.
+    rng = make_rng(36)
+    for size in range(1, 41):
+        for K, F in ((size, 16), (16, size), (size, size)):
+            model = ToyCategoricalModel(enc_w=_spread(rng, (K, F)), enc_b=np.full(K, -0.0),
+                                        dec_w=np.zeros((K, 2)))
+            X = _spread(rng, (int(rng.integers(1, 20)), F))
+            expected = np.array([model.enc_w @ x for x in X])
+            assert _same_bits(model.scores(X), expected), (K, F)
+            assert _same_bits(model.scores(X[0]), expected[0]), (K, F)
+
+
+def test_grouped_support_dots_and_means_equal_per_row_forms():
+    # The dense and sparse pass reads each support size's examples as an
+    # (n, size) block of one C-ordered stack of probabilities, values,
+    # log-probabilities and upstream terms, and reduces it with stacked
+    # 1 x size by size x 1 products and a mean along the rows.  Every row
+    # must keep the bits of the 1-d @ and .mean() on that support alone,
+    # on both sides of numpy's eight-wide pairwise-sum unroll.
+    rng = make_rng(37)
+    for size in list(range(1, 41)) + [8, 9, 16] * 5:
+        n = int(rng.integers(1, 17))
+        at = int(rng.integers(0, 4))  # blocks start anywhere in the flat layout
+        stack = _spread(rng, (4, at + n * size + 3))
+        block = stack[:, at:at + n * size].reshape(4, n, size)
+        dots = _row_dots(block[0], block[1:])
+        for j in range(3):
+            expected = np.array([q @ v for q, v in zip(block[0], block[j + 1])])
+            assert _same_bits(dots[j], expected), (size, n, j)
+        expected = np.array([row.mean() for row in block[3]])
+        assert _same_bits(block[3].mean(axis=1), expected), (size, n)
 
 
 def test_label_loss_is_elementwise():

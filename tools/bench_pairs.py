@@ -5,8 +5,8 @@ same workload, seed and run length, with the side that goes first
 alternating from one pair to the next.  Then, for each end-to-end metric,
 it prints each side's median and quartiles and the number of pairs the new
 tree won (ties count for neither side), and whether the gain rule holds:
-wins in at least nine of ten pairs, and medians further apart than the old
-tree's interquartile range.
+at least ten pairs, wins in at least nine of every ten, and medians further
+apart than the old tree's interquartile range.
 
     python tools/bench_pairs.py --old path/to/parent --new . \\
         --workload bitvec_topk --seeds 1,2,3,4,5,6,7,8,9,1000 --seconds 20
@@ -64,8 +64,16 @@ def _quartiles(values):
     return q1, q2, q3
 
 
+MIN_PAIRS = 10  # fewer pairs cannot show a gain, however many the new tree wins
+
+
 def summarize(pairs, directions: dict) -> dict:
-    """Per metric: each side's quartiles, the new tree's wins, and the gain rule."""
+    """Per metric: each side's quartiles, the new tree's wins, and the gain rule.
+
+    A gain needs at least ``MIN_PAIRS`` pairs, wins in at least nine of
+    every ten, and medians further apart, in the metric's better
+    direction, than the old tree's interquartile range.
+    """
     summary = {}
     for name, better in directions.items():
         old = [p["old"]["metrics"][name]["value"] for p in pairs]
@@ -81,7 +89,8 @@ def summarize(pairs, directions: dict) -> dict:
             "wins": wins,
             "losses": losses,
             "pairs": len(pairs),
-            "gain": 10 * wins >= 9 * len(pairs) and sign * (nm - om) > o3 - o1,
+            "gain": (len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs)
+                     and sign * (nm - om) > o3 - o1),
         }
     return summary
 

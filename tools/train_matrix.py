@@ -1,4 +1,4 @@
-"""Run the 57-run training matrix and print one fingerprint line per run.
+"""Run the 69-run training matrix and print one fingerprint line per run.
 
 Each line holds the run's name, the sha256 of its epoch CSV and the
 ``repr`` of the manifest's ``initial_loss``.  Run it once against each of
@@ -13,12 +13,14 @@ The matrix covers every training method at small sizes, each at seeds 0,
 3 and 9: the categorical methods at ``--n 64 --epochs 4 --k 2``, and the
 bit-vector methods at ``--n 24 --epochs 3``.  The sampling estimators
 also run at their batch edges: sum_and_sample at k = 1 and at k = 15 (a
-one-outcome complement at K = 16), and sfe and sum_and_sample at
-``--n 50``, whose last batch of 16 holds 2 examples.  Topk runs at k
-above 2^D (D = 3), at D = 64 (where k is no longer clamped to 2^D), past
-D = 64 and at the benchmark's D = 128, k = 16, and sparse and dense also
-run at D = 12, the largest enumeration (K = 4096, a dense batch past one
-loss block).
+one-outcome complement at K = 16), and every categorical method at
+``--n 50``, whose last batch of 16 holds 2 examples.  Categorical dense
+and sparse also run at ``--batch-size 1``: the pass groups each batch's
+examples by support size, so the mix of sizes in a batch is part of what
+is tested.  Topk runs at k above 2^D (D = 3), at D = 64 (where k is no
+longer clamped to 2^D), past D = 64 and at the benchmark's D = 128,
+k = 16, and sparse and dense also run at D = 12, the largest enumeration
+(K = 4096, a dense batch past one loss block).
 """
 
 from __future__ import annotations
@@ -49,6 +51,14 @@ RUNS = (
      ["categorical", "--method", "sfe", "--n", "50", "--epochs", "4", "--k", "2"]),
     ("categorical_sum_and_sample_n50",
      ["categorical", "--method", "sum_and_sample", "--n", "50", "--epochs", "4", "--k", "2"]),
+    ("categorical_dense_n50",
+     ["categorical", "--method", "dense", "--n", "50", "--epochs", "4", "--k", "2"]),
+    ("categorical_sparse_n50",
+     ["categorical", "--method", "sparse", "--n", "50", "--epochs", "4", "--k", "2"]),
+    ("categorical_dense_b1",
+     ["categorical", "--method", "dense", "--batch-size", "1"] + CATEGORICAL),
+    ("categorical_sparse_b1",
+     ["categorical", "--method", "sparse", "--batch-size", "1"] + CATEGORICAL),
     ("bitvec_dense_d6", ["bitvec", "--method", "dense", "--d", "6"] + BITVEC),
     ("bitvec_sparse_d6", ["bitvec", "--method", "sparse", "--d", "6"] + BITVEC),
     ("bitvec_sparse_d12", ["bitvec", "--method", "sparse", "--d", "12"] + BITVEC),
