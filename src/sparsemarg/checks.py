@@ -39,9 +39,10 @@ from .reference import (
     topk_sparsemax_bruteforce,
 )
 from .rng import make_rng
-from .simplex import softmax, sparsemax, sparsemax_vjp
+from .simplex import RowSupports, softmax, sparsemax, sparsemax_rows, sparsemax_vjp
+from .simplex import sparsemax_vjp_rows
 from .activeset import sparsemap
-from .topk import top_k, topk_sparsemax, topk_sparsemax_vjp
+from .topk import top_k, topk_sparsemax, topk_sparsemax_rows, topk_sparsemax_vjp
 
 __all__ = ["PropertyResult", "SUITES", "run_suite"]
 
@@ -71,22 +72,45 @@ def _random_scores(rng, size, scale) -> np.ndarray:
     return scale * rng.normal(size=size)
 
 
+def _score_batch(rng, k_low, k_high, scales) -> np.ndarray:
+    """A (B, K) batch of 1 to 4 rows, each at its own scale so that support
+    sizes mix, and each in quarter-step ties with probability 0.3."""
+    s = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(k_low, k_high))))
+    s *= rng.choice(scales, size=(len(s), 1))
+    ties = rng.random(len(s)) < 0.3
+    s[ties] = np.round(4.0 * s[ties]) / 4.0
+    return s
+
+
+def _vjp_errors(forward, s, u, vjps) -> list:
+    """Each row's largest gap between each of ``vjps`` and central differences
+    of sum(u * forward(s)), on rows whose support no probe moves."""
+    base, moved = forward(s) > 0, np.zeros(len(s), dtype=bool)
+
+    def f(x):
+        p = forward(x.reshape(s.shape))
+        moved[:] |= ((p > 0) != base).any(axis=1)
+        return float((u * p).sum())
+
+    fd = central_difference(f, s.ravel(), 1e-6).reshape(s.shape)
+    return [err for g in vjps for err in np.abs(g - fd).max(axis=1)[~moved]]
+
+
 def check_simplex(trials: int, seed: int) -> list:
+    """The row kernels on every row of a small batch, and the 1-d API on each row alone."""
     rng = make_rng(seed)
     vs_brute, shift, vjp_err = [], [], []
     for _ in range(trials):
-        k = int(rng.integers(2, 11))
-        s = _random_scores(rng, k, float(rng.choice([0.1, 1.0, 10.0])))
-        p = sparsemax(s)
-        dense = p.densify()
-        vs_brute.append(np.abs(dense - sparsemax_bruteforce(s)).max())
-        shift.append(np.abs(sparsemax(s + rng.normal()).densify() - dense).max())
-
-        u = rng.normal(size=k)
-        g = sparsemax_vjp(s, p, u)
-        fd = central_difference(lambda x: u @ sparsemax(x).densify(), s, 1e-6)
-        if sparsemax(s + 1e-4 * rng.normal(size=k)).support_size == p.support_size:
-            vjp_err.append(np.abs(g - fd).max())
+        s = _score_batch(rng, 2, 11, [0.1, 1.0, 10.0])
+        p = sparsemax_rows(s)
+        dists = [sparsemax(row) for row in s]
+        vs_brute += [max(np.abs(q - sparsemax_bruteforce(row)).max() for q in (p_row, d.densify()))
+                     for row, p_row, d in zip(s, p, dists)]
+        shift.append(np.abs(sparsemax_rows(s + rng.normal(size=(len(s), 1))) - p).max())
+        u = rng.normal(size=s.shape)
+        one_row = np.array([sparsemax_vjp(row, dist, v) for row, dist, v in zip(s, dists, u)])
+        vjp_err += _vjp_errors(sparsemax_rows, s, u,
+                               [sparsemax_vjp_rows(RowSupports.of(p), u), one_row])
     return [
         _result("sparsemax vs exhaustive support", vs_brute, 1e-10),
         _result("shift invariance", shift, 1e-10),
@@ -95,26 +119,35 @@ def check_simplex(trials: int, seed: int) -> list:
 
 
 def check_topk(trials: int, seed: int) -> list:
+    """As :func:`check_simplex`.  Ties at the k-th score leave several
+    projections equally close, so the enumeration is matched by distance."""
     rng = make_rng(seed)
-    cert_eq, vs_brute, size_ok, vjp_off = [], [], [], []
+    cert_eq, vs_brute, size_ok, vjp_off, vjp_err = [], [], [], [], []
     for _ in range(trials):
-        n = int(rng.integers(3, 13))
-        k = int(rng.integers(1, n + 1))
-        s = _random_scores(rng, n, float(rng.choice([0.5, 2.0])))
-        res, cert = topk_sparsemax(s, k)
-        vs_brute.append(np.abs(res.densify() - topk_sparsemax_bruteforce(s, k)).max())
-        size_ok.append(0.0 if res.support_size <= k else 1.0)
-        if cert:
-            cert_eq.append(np.abs(res.densify() - sparsemax(s).densify()).max())
-        u = rng.normal(size=n)
-        g = topk_sparsemax_vjp(s, k, res, u)
-        off = np.setdiff1d(np.arange(n), res.indices)
-        vjp_off.append(np.abs(g[off]).max() if off.size else 0.0)
+        s = _score_batch(rng, 3, 13, [0.5, 2.0])
+        k = int(rng.integers(1, s.shape[1] + 1))
+        p, certs = topk_sparsemax_rows(s, k)
+        u = rng.normal(size=s.shape)
+        one_row = []
+        for row, p_row, cert, v in zip(s, p, certs, u):
+            dist, one_cert = topk_sparsemax(row, k)
+            gap = ((topk_sparsemax_bruteforce(row, k) - row) ** 2).sum()
+            vs_brute.append(max(abs(((q - row) ** 2).sum() - gap) + abs(q.sum() - 1.0)
+                                for q in (p_row, dist.densify())))
+            size_ok.append(0.0 if max(dist.support_size, (p_row > 0).sum()) <= k
+                           and cert == one_cert else 1.0)
+            if cert:
+                cert_eq.append(np.abs(p_row - sparsemax(row).densify()).max())
+            one_row.append(topk_sparsemax_vjp(row, k, dist, v))
+        vjps = [sparsemax_vjp_rows(RowSupports.of(p), u), np.array(one_row)]
+        vjp_off.append(max(np.abs(g[p == 0]).max(initial=0.0) for g in vjps))
+        vjp_err += _vjp_errors(lambda x: topk_sparsemax_rows(x, k)[0], s, u, vjps)
     return [
         _result("matches masked enumeration", vs_brute, 1e-10),
         _result("certificate implies sparsemax", cert_eq, 1e-12),
         _result("support never exceeds k", size_ok, 0.0),
         _result("vjp zero off support", vjp_off, 0.0),
+        _result("vjp vs central differences", vjp_err, 1e-5),
     ]
 
 

@@ -1,9 +1,10 @@
 """Mappings from score vectors onto the probability simplex.
 
 The central operation is sparsemax, the Euclidean projection onto the
-simplex.  Unlike softmax it assigns exact zeros to low-scoring outcomes,
-so results are returned in sparse form: only the support (outcomes with
-strictly positive probability) is materialized.
+simplex.  Unlike softmax it assigns exact zeros to low-scoring outcomes.
+Each mapping and its vjp is written once, on the rows of a (B, K) matrix;
+the 1-d functions are its one-row case, and only they build the sparse
+form, a :class:`SparseDistribution` holding just the support.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "RowSupports",
     "SparseDistribution",
     "sparsemax",
     "sparsemax_rows",
     "sparsemax_vjp",
+    "sparsemax_vjp_rows",
     "softmax",
     "softmax_vjp",
     "entropy",
@@ -99,55 +102,109 @@ def _support_test(sorted_desc):
     return css, np.logical_and.accumulate(ok, axis=-1).sum(axis=-1)
 
 
-def sparsemax(s) -> SparseDistribution:
-    """Euclidean projection of a score vector onto the probability simplex.
-
-    The solution has the form p_i = max(s_i - tau, 0) with tau chosen so
-    the result sums to one, read from one descending sort in O(K log K).
-    The scores are thresholded relative to their maximum, so a large
-    common offset does not swamp the probabilities; ``threshold`` is
-    reported in the units of ``s``.
-    """
-    s = _as_scores(s)
-    shift = s.max()
+def _sparsemax_rows(s):
+    """Sparsemax of each row of a checked (B, K) matrix, and each row's
+    threshold.  Rows are thresholded relative to their maximum, so a large
+    offset does not swamp the probabilities; an entry exactly at the
+    threshold gets exactly zero."""
+    shift = s.max(axis=1, keepdims=True)
     z = s - shift
-    css, rho = _support_test(np.sort(z)[::-1])
-    tau = (css[rho - 1] - 1.0) / rho
-    # Strict inequality: an entry exactly at the threshold carries zero
-    # probability and is excluded from the support.
-    idx = np.nonzero(z > tau)[0]
-    return SparseDistribution(idx, z[idx] - tau, float(tau + shift), z.size)
+    css, rho = _support_test(np.sort(z, axis=1)[:, ::-1])
+    tau = ((css[np.arange(z.shape[0]), rho - 1] - 1.0) / rho)[:, None]
+    return np.where(z > tau, z - tau, 0.0), (tau + shift)[:, 0]
 
 
 def sparsemax_rows(scores) -> np.ndarray:
-    """Sparsemax of every row of a (B, K) score matrix, as dense (B, K) rows.
+    """Euclidean projection of each row of a (B, K) score matrix onto the
+    probability simplex, as dense (B, K) rows: p_i = max(s_i - tau, 0), with
+    tau read from one descending sort.  :func:`sparsemax` is its one-row case."""
+    return _sparsemax_rows(_as_rows(scores))[0]
 
-    Row i equals ``sparsemax(scores[i]).densify()`` bit for bit: the same
-    max shift, and the same descending sort read by the same support rule.
-    Off-support entries are exactly zero.
+
+def sparsemax(s) -> SparseDistribution:
+    """Sparsemax of a score vector in sparse form: the one-row case of
+    :func:`sparsemax_rows`."""
+    s = _as_scores(s)
+    probs, tau = _sparsemax_rows(s[None])
+    idx = np.flatnonzero(probs[0])
+    return SparseDistribution(idx, probs[0, idx], float(tau[0]), s.size)
+
+
+def _row_dots(a, b):
+    """``a[..., p] @ b[..., p]`` for each row, each as its own dot product."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+@dataclass(frozen=True, eq=False)
+class RowSupports:
+    """The supports of the rows of a (B, K) probability matrix, as flat
+    (row, outcome) pairs sorted stably by the row's support size.
+
+    Each size's rows are one contiguous run, read as an (n, size) block
+    with a row's support per line.  A line of a C-ordered block has unit
+    stride, so its dot and mean give the bits of the 1-d ``@`` and
+    ``mean`` on that support alone.
     """
-    s = _as_rows(scores)
-    z = s - s.max(axis=1, keepdims=True)
-    css, rho = _support_test(np.sort(z, axis=1)[:, ::-1])
-    tau = (css[np.arange(z.shape[0]), rho - 1] - 1.0) / rho
-    return np.where(z > tau[:, None], z - tau[:, None], 0.0)
+
+    shape: tuple  # (B, K) of the probability matrix
+    rows: np.ndarray
+    outcomes: np.ndarray
+    sizes: np.ndarray  # each row's support size
+    runs: list  # (rows, start, stop, (n, size)) of each size's run of pairs
+
+    @classmethod
+    def of(cls, probs) -> "RowSupports":
+        probs = np.asarray(probs)
+        rows, outcomes = np.nonzero(probs > 0)
+        sizes = np.bincount(rows, minlength=len(probs))
+        by_size = np.argsort(sizes[rows], kind="stable")
+        rows, runs, at = rows[by_size], [], 0
+        for size, n in enumerate(np.bincount(sizes).tolist()):
+            if n and size:
+                runs.append((rows[at:at + n * size:size], at, at + n * size, (n, size)))
+                at += n * size
+        return cls(probs.shape, rows, outcomes[by_size], sizes, runs)
+
+    def dots(self, p, *terms) -> np.ndarray:
+        """Each row's dots of ``p`` with ``terms`` (flat pairs), as (len(terms), B)."""
+        flat, out = np.stack((p,) + terms), np.zeros((len(terms), self.shape[0]))
+        for rows, start, stop, shape in self.runs:
+            block = flat[:, start:stop].reshape((len(flat),) + shape)
+            out[:, rows] = _row_dots(block[0], block[1:])
+        return out
+
+    def means(self, flat) -> np.ndarray:
+        """Each row's mean of ``flat`` (flat pairs) over its support."""
+        out = np.zeros(self.shape[0])
+        for rows, start, stop, shape in self.runs:
+            # The bits of ``mean(axis=1)``, each line's pairwise sum over its
+            # length, without the Python layer of ``mean``.
+            out[rows] = np.add.reduce(flat[start:stop].reshape(shape), axis=1) / shape[1]
+        return out
+
+
+def sparsemax_vjp_rows(supports: RowSupports, upstream) -> np.ndarray:
+    """Transposed sparsemax Jacobian of each row, at ``supports`` (those of
+    the projection), applied to (B, K) ``upstream``: on a row's support the
+    Jacobian is I - 11^T / n, so the vjp is the upstream minus its support
+    mean there, and exactly zero off the support."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != supports.shape:
+        raise ValueError("upstream must have the (B, K) shape of the supports' matrix")
+    on = supports.rows, supports.outcomes
+    u = upstream[on]
+    out = np.zeros(upstream.shape)
+    out[on] = u - supports.means(u)[supports.rows]
+    return out
 
 
 def sparsemax_vjp(s, dist: SparseDistribution, upstream) -> np.ndarray:
-    """Apply the transposed sparsemax Jacobian at ``dist`` to ``upstream``.
-
-    On the support the Jacobian is I - 11^T / n (n = support size), so the
-    vjp centers the upstream by its mean over the support.  Off-support
-    coordinates get exactly zero: small score changes cannot move them.
-    """
+    """The sparsemax vjp at ``dist``: the one-row case of :func:`sparsemax_vjp_rows`."""
     s = _as_scores(s)
     upstream = np.asarray(upstream, dtype=np.float64)
     if s.size != dist.dim or upstream.shape != s.shape:
         raise ValueError("scores, distribution and upstream sizes disagree")
-    out = np.zeros(dist.dim)
-    u = upstream[dist.indices]
-    out[dist.indices] = u - u.mean()
-    return out
+    return sparsemax_vjp_rows(RowSupports.of(dist.densify()[None]), upstream[None])[0]
 
 
 def softmax(s) -> np.ndarray:
@@ -161,12 +218,22 @@ def softmax(s) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _log_softmax(u):
+    """Log-softmax along the last axis; each row as if taken alone."""
+    shifted = u - u.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def softmax_vjp(p, upstream) -> np.ndarray:
     """Apply the transposed softmax Jacobian at ``p = softmax(s)`` to ``upstream``.
 
     The Jacobian is diag(p) - p p^T, so the vjp is p * (upstream - p . upstream).
+    (B, K) matrices give each row's vjp, with the bits of that row alone.
     """
-    return p * (upstream - p @ upstream)
+    p, upstream = np.asarray(p, dtype=np.float64), np.asarray(upstream, dtype=np.float64)
+    if p.shape != upstream.shape or not 1 <= p.ndim <= 2:
+        raise ValueError("p and upstream must have one shape, a vector or a (B, K) matrix")
+    return p * (upstream - _row_dots(p, upstream)[..., None])
 
 
 def entropy(p) -> float:

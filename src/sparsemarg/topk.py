@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import SparseDistribution, _as_scores, sparsemax, sparsemax_vjp
+from .simplex import SparseDistribution, _as_rows, _as_scores, _sparsemax_rows, sparsemax_vjp
 
-__all__ = ["TopKResult", "top_k", "topk_sparsemax", "topk_sparsemax_vjp"]
+__all__ = ["TopKResult", "top_k", "topk_sparsemax", "topk_sparsemax_rows", "topk_sparsemax_vjp"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,33 +28,52 @@ class TopKResult:
     dim: int
 
 
+def _kept(s, k: int) -> np.ndarray:
+    """Indices of the k largest scores of a vector, or of each row, ascending."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    # Stable sort of the negated scores keeps ties in ascending index order.
+    return np.sort(np.argsort(-s, axis=-1, kind="stable")[..., :k], axis=-1)
+
+
 def top_k(s, k: int) -> TopKResult:
     """Select the k largest scores; ties go to the lowest index.
 
     k larger than the vector is clamped: everything is kept.
     """
     s = _as_scores(s)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # Stable sort of the negated scores keeps ties in ascending index order.
-    order = np.argsort(-s, kind="stable")
-    kept = np.sort(order[: min(k, s.size)])
+    kept = _kept(s, k)
     return TopKResult(kept, s[kept], s.size)
 
 
-def topk_sparsemax(s, k: int):
-    """Sparsemax restricted to the k highest scores.
+def _topk_sparsemax_rows(s, k: int):
+    """Top-k sparsemax of each row of a checked (B, K) matrix: dense
+    probabilities, each row's threshold and each row's certificate."""
+    kept = _kept(s, k)
+    rows = np.arange(s.shape[0])[:, None]
+    sub, tau = _sparsemax_rows(s[rows, kept])
+    probs = np.zeros(s.shape)
+    probs[rows, kept] = sub
+    return probs, tau, (sub > 0).sum(axis=1) < k
 
-    Returns ``(dist, certificate)``.  The certificate is true iff the
-    support is strictly smaller than k, in which case the cardinality
-    constraint was inactive and ``dist`` equals plain sparsemax of ``s``.
-    """
-    kept = top_k(s, k)
-    sub = sparsemax(kept.scores)
-    dist = SparseDistribution(
-        kept.indices[sub.indices], sub.probs, sub.threshold, kept.dim
-    )
-    return dist, sub.support_size < k
+
+def topk_sparsemax_rows(scores, k: int):
+    """Sparsemax of each row of a (B, K) matrix restricted to its k highest
+    scores, as dense (B, K) rows, and each row's certificate: true iff the
+    row's support is strictly smaller than k, so that the constraint was
+    inactive and the row equals plain sparsemax.  Its vjp is
+    :func:`sparsemax_vjp_rows` at the result's supports."""
+    probs, _, certificates = _topk_sparsemax_rows(_as_rows(scores), k)
+    return probs, certificates
+
+
+def topk_sparsemax(s, k: int):
+    """``(dist, certificate)``: the one-row case of :func:`topk_sparsemax_rows`,
+    with ``dist`` in sparse form."""
+    s = _as_scores(s)
+    probs, tau, certificates = _topk_sparsemax_rows(s[None], k)
+    idx = np.flatnonzero(probs[0])
+    return SparseDistribution(idx, probs[0, idx], float(tau[0]), s.size), bool(certificates[0])
 
 
 def topk_sparsemax_vjp(s, k: int, dist: SparseDistribution, upstream) -> np.ndarray:

@@ -32,7 +32,9 @@ from .bitvec import (
 from .estimators import MovingAverageBaseline, sfe_rows, sum_and_sample_rows
 from .marginalize import CallStats, LossOracle
 from .rng import make_rng
-from .simplex import softmax, softmax_vjp, sparsemax_rows
+from .simplex import RowSupports, _log_softmax, _row_dots, softmax, softmax_vjp
+from .simplex import sparsemax_rows, sparsemax_vjp_rows
+from .topk import topk_sparsemax_rows
 
 __all__ = [
     "TrainConfig",
@@ -136,12 +138,6 @@ def make_bitvec_images(n: int = 128, d: int = 8, n_pixels: int = 36, seed: int =
     flips = rng.random((n, n_pixels)) < flip_prob
     images = np.logical_xor(clean, flips).astype(np.float64)
     return BitImageData(images, d, n_pixels)
-
-
-def _log_softmax(u):
-    """Log-softmax along the last axis; each row as if taken alone."""
-    shifted = u - u.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 class _ParamLayout:
@@ -325,11 +321,6 @@ class _BatchPass:
         return cls([(np.nan, np.nan, 0, 0, None)] * size, None)
 
 
-def _row_dots(a, b):
-    """``a[..., p] @ b[..., p]`` for each row, each as its own dot product."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def _ordered_sum(terms):
     """Sum ``terms`` along the first axis in index order, as repeated
     ``+=`` into zeros.
@@ -354,21 +345,15 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     """One minibatch: forward, loss reads, hand gradients summed in example order.
 
     The dense and sparse methods marginalize exactly over the mapping's
-    support; sfe and sum_and_sample are the library's row estimators,
-    called once on the batch's score matrix with ``rng`` (sfe also with
-    the running ``baseline``), which draw and advance the baseline in
-    example order.  The decoder's loss table is computed once, and
-    every per-example quantity has the bits a batch of one gives.  The
-    mappings and elementwise algebra work on whole (B, K) matrices.  Each
-    stacked kernel runs the per-row form's kernel on every row alone: the
-    scores are a stacked matrix-vector product (the GEMV of ``enc_w @
-    x``); dense and sparse read the examples of each support size as one
-    (n, size) block of a C-ordered stack, whose stacked 1 x size by size
-    x 1 products run the dot of a 1-d ``@`` and whose ``mean(axis=1)``
-    runs the pairwise sum of a 1-d ``mean``; and the sums over examples
-    (or outcomes) add in index order.  Returns the batch record and the
-    baseline, updated when sfe drew samples.  Callers check
-    ``cfg.method`` first.
+    support, read through :class:`RowSupports`; sfe and sum_and_sample
+    are the library's row estimators, called once on the batch's score
+    matrix with ``rng`` (sfe also with the running ``baseline``), which
+    draw and advance the baseline in example order.  The mappings and
+    vjps are the library's row kernels, the scores a stacked product (the
+    GEMV of ``enc_w @ x`` per row), and the sums over examples add in
+    index order, so every per-example quantity has the bits a batch of
+    one gives.  Returns the batch record and the baseline, updated when
+    sfe drew samples.  Callers check ``cfg.method`` first.
     """
     K = model.n_messages
     method = cfg.method
@@ -400,44 +385,21 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         return _BatchPass.diverged(B), baseline
 
     if method in ("dense", "sparse"):
-        rows, outcomes = np.nonzero(q > 0)  # every outcome for dense, past the guard
-        calls = np.bincount(rows, minlength=B)
-        # The (example, outcome) pairs sorted stably by support size: each
-        # size's examples then hold one contiguous run of the flat layout,
-        # an (n, size) block with one example's support per row.  The stack
-        # is C-ordered, so every row is unit-stride: a dot over strided
-        # rows runs another kernel, with other bits.
-        by_size = np.argsort(calls[rows], kind="stable")
-        rows, outcomes = rows[by_size], outcomes[by_size]
+        supports = RowSupports.of(q)  # every outcome for dense, past the guard
+        rows, outcomes, calls = supports.rows, supports.outcomes, supports.sizes
         oracle = LossOracle(lambda z: losses[z, y[rows]])
         values = oracle.eval_many(outcomes)
         probs = q[rows, outcomes]
         log_probs = np.log(probs)
-        upstream = values + coef * (log_probs + 1.0)
-        terms = np.stack([probs, values, log_probs, upstream])
-        # Per example: q . values, q . log q and the vjp centre, q . u for
-        # dense and the support mean of u for sparse.
-        reduced = np.empty((3, B))
-        at = 0
-        for size, n in enumerate(np.bincount(calls).tolist()):
-            if n:
-                block = terms[:, at:at + n * size].reshape(4, n, size)
-                dots = _row_dots(block[0], block[1:])
-                if method == "sparse":
-                    dots[2] = block[3].mean(axis=1)
-                reduced[:, rows[at:at + n * size:size]] = dots
-                at += n * size
-        loss, entropy, centre = reduced
+        loss, entropy = supports.dots(probs, values, log_probs)
         objective = loss + coef * entropy
-        g_on = upstream - centre[rows]  # sparsemax vjp: u minus its support mean
-        if method == "dense":  # softmax vjp: p * (u - p . u)
-            g_on *= probs
-        g_s = np.zeros((B, K))
-        g_s[rows, outcomes] = g_on
+        upstream = np.zeros((B, K))
+        upstream[rows, outcomes] = values + coef * (log_probs + 1.0)
+        g_s = (sparsemax_vjp_rows(supports, upstream) if method == "sparse"
+               else softmax_vjp(q, upstream))
         weights = q
     else:
-        entropy_up = np.log(q) + 1.0
-        g_s += coef * (q * (entropy_up - _row_dots(q, entropy_up)[:, None]))
+        g_s += coef * softmax_vjp(q, np.log(q) + 1.0)
         objective = loss
 
     grads = {
@@ -472,15 +434,13 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     The differentiated objective is sum_z q_z c_z - H(q) with
     c_z = D log 2 + recon(z); its score gradient is the mapping vjp of
     c + log q + 1 (the constant washes out through every mapping here).
-    The Python loop runs per example, never per outcome: the sparse and
-    topk mappings take the batch's (B, outcomes) scores in one
-    ``sparsemax_rows`` call, and the loss reads every example's support
-    in the flat (example, outcome) layout, one ``eval_many`` call per
-    block of consecutive examples of at most ``_LOSS_BLOCK`` rows.  Every
-    quantity keeps the bits of a batch of one: scores, dots and the
-    decoder product stay per row, and each example's gradient is summed
-    on its own before it joins the batch sum.  Callers check ``cfg``
-    against D first (:func:`_check_config`).
+    The Python loop runs per example, never per outcome: the dense,
+    sparse and topk mappings and vjps are one row-kernel call each on the
+    batch's (B, outcomes) matrix, and the loss reads every example's
+    support in the flat (example, outcome) layout, one ``eval_many`` call
+    per block of consecutive examples of at most ``_LOSS_BLOCK`` rows.
+    Every quantity keeps the bits of a batch of one.  Callers check
+    ``cfg`` against D first (:func:`_check_config`).
     """
     D = model.d
     method = cfg.method
@@ -491,7 +451,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     elif method == "sparsemap_budget":
         polytope = BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2))
 
-    # The mapping, example by example; sparse and topk only gather scores.
+    # The mapping: sparsemap example by example, the others in one row
+    # call on the batch's (B, outcomes) scores.
     mapped, scores = [], []
     for i in batch:
         t = model.var_scores(images[i])
@@ -501,33 +462,32 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
             best = kbest(t, cfg.k)
             scores.append(best.scores)
             mapped.append(best.rows)
-        elif method == "sparse":
+        elif method in ("dense", "sparse"):
             scores.append(A @ t)
-        elif method == "dense":
-            q = softmax(A @ t)
-            if not np.all(q > 0):
-                return _BatchPass.diverged(len(batch))
-            mapped.append(q)
         else:
             mapped.append(sparsemap(polytope, t))
-    probs = sparsemax_rows(np.array(scores)) if scores else None
+    certificates = [None] * len(batch)
+    if method == "topk":
+        probs, certificates = topk_sparsemax_rows(np.array(scores), cfg.k)
+        certificates = certificates.tolist()
+    elif method == "sparse":
+        probs = sparsemax_rows(np.array(scores))
+    elif method == "dense":
+        probs = softmax(np.array(scores))
+        if not np.all(probs > 0):
+            return _BatchPass.diverged(len(batch))
 
     # Each example's support: probabilities, float bit rows, certificate.
     supports = []
-    for j in range(len(batch)):
-        certificate = None
-        if method in ("topk", "sparse"):
+    for j, certificate in enumerate(certificates):
+        if method in ("sparsemap", "sparsemap_budget"):
+            q, rows = mapped[j].probs, mapped[j].rows
+        elif method == "dense":
+            q, rows = probs[j], A
+        else:
             on = np.flatnonzero(probs[j] > 0)
             q = probs[j, on]
-            if method == "topk":
-                rows = mapped[j][on].astype(np.float64)
-                certificate = on.size < cfg.k
-            else:
-                rows = A[on]
-        elif method == "dense":
-            q, rows = mapped[j], A
-        else:
-            q, rows = mapped[j].probs, mapped[j].rows
+            rows = mapped[j][on].astype(np.float64) if method == "topk" else A[on]
         supports.append((q, rows, certificate))
 
     dlogits = []
@@ -555,24 +515,11 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
                 start += sizes[j]
 
     grads = model.zero_grads()
-    stats, objectives = [], []
-    for j, ((q, rows, certificate), c, dl) in enumerate(read_losses()):
-        x = images[index[j]]
+    stats, objectives, upstreams = [], [], []
+    for (q, rows, certificate), c, dl in read_losses():
         log_q = np.log(q)
         neg_elbo = float(q @ c + q @ log_q)
-        up = c + log_q + 1.0
-        if method == "dense":
-            g_t = A.T @ softmax_vjp(q, up)
-        elif method in ("topk", "sparse"):
-            g_t = rows.T @ (up - up.mean())  # sparsemax vjp on the support
-        else:
-            g_t = sparsemap_vjp_probs(mapped[j], up)
-
-        # The batch sum starts at +0.0 and so never holds -0.0: adding a
-        # one-term encoder gradient straight in gives the bits of adding it
-        # to zeros first.
-        grads["enc_w"] += np.outer(g_t, x)
-        grads["enc_b"] += g_t
+        upstreams.append(c + log_q + 1.0)
         # The decoder gradient sums q_z * outer(d_z, row_z) in outcome
         # order.  Rows are 0/1, so a column set in every row is the sum of
         # w_z = q_z d_z, which is also the dec_b gradient, and a column set
@@ -593,6 +540,23 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
         grads["dec_b"] += dec_b
         stats.append((neg_elbo, neg_elbo, c.size, q.size, certificate))
         objectives.append(neg_elbo)
+
+    # The encoder gradient: the mapping's vjp of each example's upstream
+    # c + log q + 1, one row call on the batch except for sparsemap.
+    if method in ("sparsemap", "sparsemap_budget"):
+        score_grads = [sparsemap_vjp_probs(res, up) for res, up in zip(mapped, upstreams)]
+    else:
+        upstream = np.zeros(probs.shape)
+        upstream[probs > 0] = np.concatenate(upstreams)
+        g = (softmax_vjp(probs, upstream) if method == "dense"
+             else sparsemax_vjp_rows(RowSupports.of(probs), upstream))
+        score_grads = [rows.T @ g_j[p_j > 0] for (_, rows, _), g_j, p_j in zip(supports, g, probs)]
+    # The batch sum starts at +0.0 and so never holds -0.0: adding a
+    # one-term encoder gradient straight in gives the bits of adding it
+    # to zeros first.
+    for g_t, x in zip(score_grads, images[index]):
+        grads["enc_w"] += np.outer(g_t, x)
+        grads["enc_b"] += g_t
     assert sum(entry[2] for entry in stats) == oracle.calls
     return _BatchPass(stats, grads, np.array(objectives), rows=[rows for _, rows, _ in supports])
 

@@ -9,12 +9,16 @@ from hypothesis.extra.numpy import arrays
 from sparsemarg.reference import central_difference, sparsemax_bruteforce
 from sparsemarg.rng import make_rng
 from sparsemarg.simplex import (
+    RowSupports,
     SparseDistribution,
+    _row_dots,
     entropy,
     softmax,
+    softmax_vjp,
     sparsemax,
     sparsemax_rows,
     sparsemax_vjp,
+    sparsemax_vjp_rows,
 )
 
 
@@ -286,3 +290,120 @@ def test_distribution_validation():
         SparseDistribution(np.array([0, 1]), np.array([0.5, 0.4]), 0.0, 3)
     with pytest.raises(ValueError):
         SparseDistribution(np.array([0, 1]), np.array([1.0, 0.0]), 0.0, 3)
+
+
+def _spread(rng, shape):
+    """Normal entries scaled by powers of ten over 1e-8..1e8, a fifth of them -0.0."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    return values
+
+
+def _same_bits(got, expected):
+    return (np.array_equal(got, expected)
+            and np.array_equal(np.signbit(got), np.signbit(expected)))
+
+
+def test_grouped_support_dots_and_means_equal_per_row_forms():
+    # RowSupports reads each support size's rows as an (n, size) block of
+    # one C-ordered stack of flat terms (the categorical pass stacks
+    # probabilities, values and log-probabilities), and reduces it with
+    # stacked 1 x size by size x 1 products and a mean along the rows.
+    # Every row must keep the bits of the 1-d @ and .mean() on that
+    # support alone, on both sides of numpy's eight-wide pairwise-sum
+    # unroll.
+    rng = make_rng(37)
+    for size in list(range(1, 41)) + [8, 9, 16] * 5:
+        n = int(rng.integers(1, 17))
+        at = int(rng.integers(0, 4))  # blocks start anywhere in the flat layout
+        stack = _spread(rng, (4, at + n * size + 3))
+        block = stack[:, at:at + n * size].reshape(4, n, size)
+        dots = _row_dots(block[0], block[1:])
+        for j in range(3):
+            expected = np.array([q @ v for q, v in zip(block[0], block[j + 1])])
+            assert _same_bits(dots[j], expected), (size, n, j)
+        expected = np.array([row.mean() for row in block[3]])
+        assert _same_bits(block[3].mean(axis=1), expected), (size, n)
+
+
+_SIZES = list(range(1, 41)) + [8, 9, 16]
+
+
+def _mixed_support_rows(rng, K=48):
+    """Probability rows over K outcomes with support sizes 1 to 40 and 8, 9
+    and 16 again, one to three rows of each, shuffled, on random outcomes."""
+    sizes = rng.permutation(np.repeat(_SIZES, rng.integers(1, 4, size=len(_SIZES))))
+    p = np.zeros((sizes.size, K))
+    for row, size in zip(p, sizes):
+        weights = rng.random(size) + 0.1
+        row[rng.choice(K, size=size, replace=False)] = weights / weights.sum()
+    return p
+
+
+def test_row_supports_reduce_each_row_with_the_bits_of_its_support_alone():
+    rng = make_rng(38)
+    for _ in range(3):
+        p = _mixed_support_rows(rng)
+        supports = RowSupports.of(p)
+        assert np.array_equal(supports.sizes, (p > 0).sum(axis=1))
+        on = supports.rows, supports.outcomes
+        flat = _spread(rng, (2,) + p.shape)
+        dots = supports.dots(p[on], flat[0][on], flat[1][on])
+        means = supports.means(flat[0][on])
+        for i, row in enumerate(p):
+            idx = np.flatnonzero(row)
+            for j in range(2):
+                assert _same_bits(dots[j, i], row[idx] @ flat[j, i, idx]), (i, j)
+            assert _same_bits(means[i], flat[0, i, idx].mean()), i
+
+
+def test_row_vjps_have_the_bits_of_the_one_row_call():
+    # Every row of the row vjps, signed zeros included, equals the 1-d
+    # call on that row and the per-row formula: support sizes 1 to 40,
+    # mixed in one batch for sparsemax, and row lengths 1 to 40 for
+    # softmax.
+    rng = make_rng(39)
+    for _ in range(3):
+        p = _mixed_support_rows(rng)
+        u = _spread(rng, p.shape)
+        got = sparsemax_vjp_rows(RowSupports.of(p), u)
+        for row, p_row, u_row in zip(got, p, u):
+            idx = np.flatnonzero(p_row)
+            dist = SparseDistribution(idx, p_row[idx], 0.0, p_row.size)
+            expected = np.zeros(p_row.size)
+            expected[idx] = u_row[idx] - u_row[idx].mean()
+            assert _same_bits(row, expected), idx.size
+            assert _same_bits(row, sparsemax_vjp(np.zeros(p_row.size), dist, u_row)), idx.size
+    for K in _SIZES:
+        p = softmax(3.0 * rng.normal(size=(int(rng.integers(1, 17)), K)))
+        u = _spread(rng, p.shape)
+        got = softmax_vjp(p, u)
+        for row, p_row, u_row in zip(got, p, u):
+            assert _same_bits(row, p_row * (u_row - p_row @ u_row)), K
+            assert _same_bits(row, softmax_vjp(p_row, u_row)), K
+
+
+def test_softmax_vjp_works_row_by_row():
+    # The vjp once took p @ u as a matrix product: a square batch gave
+    # wrong values with no error, a non-square one failed inside numpy.
+    rng = make_rng(1)
+    for B, K in ((4, 4), (3, 5), (1, 6)):
+        s = rng.normal(size=(B, K))
+        u = rng.normal(size=(B, K))
+        fd = central_difference(lambda x: (u * softmax(x.reshape(B, K))).sum(), s.ravel(), 1e-6)
+        np.testing.assert_allclose(softmax_vjp(softmax(s), u), fd.reshape(B, K), atol=1e-8)
+
+
+def test_softmax_vjp_rejects_mismatched_shapes():
+    bad = [(np.full(3, 1 / 3), np.ones(4)), (np.full((2, 3), 1 / 3), np.ones(3)),
+           (np.full((2, 3), 1 / 3), np.ones((3, 2))), (np.full((1, 1, 2), 0.5), np.ones((1, 1, 2)))]
+    for p, u in bad:
+        with pytest.raises(ValueError, match="one shape"):
+            softmax_vjp(p, u)
+
+
+def test_sparsemax_vjp_rows_rejects_an_upstream_of_another_shape():
+    supports = RowSupports.of(sparsemax_rows(np.array([[1.0, 0.5, -0.2], [0.0, 0.0, 0.0]])))
+    for upstream in (np.ones((2, 2)), np.ones((1, 3)), np.ones(3), np.ones((2, 4))):
+        with pytest.raises(ValueError, match="shape of the supports"):
+            sparsemax_vjp_rows(supports, upstream)

@@ -6,7 +6,7 @@ import pytest
 from sparsemarg.reference import central_difference, topk_sparsemax_bruteforce
 from sparsemarg.rng import make_rng
 from sparsemarg.simplex import sparsemax, sparsemax_vjp
-from sparsemarg.topk import top_k, topk_sparsemax, topk_sparsemax_vjp
+from sparsemarg.topk import top_k, topk_sparsemax, topk_sparsemax_rows, topk_sparsemax_vjp
 
 
 def test_top_k_selection():
@@ -136,3 +136,35 @@ def test_vjp_matches_finite_differences():
         np.testing.assert_allclose(topk_sparsemax_vjp(s, 2, dist, u), fd, atol=1e-7)
         checked += 1
     assert checked > 100
+
+
+def test_topk_sparsemax_rows_equal_the_one_row_call_and_the_composition():
+    # Every row, ties included, has the bits of the 1-d call and of top_k
+    # followed by sparsemax of the kept scores; the certificate is true
+    # exactly when the support is below k.
+    rng = make_rng(6)
+    for K in (1, 2, 5, 12, 40):
+        s = rng.normal(size=(6, K))
+        s[0] = 0.0
+        s[1] = np.round(2.0 * s[1]) / 2.0
+        for k in sorted({1, 2, K // 2 + 1, K, K + 3}):
+            probs, certificates = topk_sparsemax_rows(s, k)
+            assert probs.shape == s.shape and certificates.shape == (6,)
+            for row, p_row, certificate in zip(s, probs, certificates):
+                kept = top_k(row, k)
+                sub = sparsemax(kept.scores)
+                expected = np.zeros(K)
+                expected[kept.indices[sub.indices]] = sub.probs
+                dist, one_certificate = topk_sparsemax(row, k)
+                assert np.array_equal(p_row, expected), (K, k)
+                assert np.array_equal(dist.densify(), expected), (K, k)
+                assert dist.threshold == sub.threshold
+                assert certificate == one_certificate == (sub.support_size < k)
+
+
+def test_topk_sparsemax_rows_validation():
+    for bad in ([1.0, 2.0], [[np.nan, 0.0]], np.zeros((2, 0))):
+        with pytest.raises(ValueError):
+            topk_sparsemax_rows(bad, 1)
+    with pytest.raises(ValueError):
+        topk_sparsemax_rows(np.zeros((2, 3)), 0)

@@ -22,7 +22,8 @@ from sparsemarg.toys import (
     train_bitvec_vae,
     train_categorical,
 )
-from sparsemarg.toys import _bitvec_batch, _categorical_batch, _ordered_sum, _row_dots
+from sparsemarg.simplex import _row_dots
+from sparsemarg.toys import _bitvec_batch, _categorical_batch, _ordered_sum
 
 
 def _small_cluster_data(n=64, seed=0):
@@ -325,27 +326,6 @@ def test_stacked_scores_equal_per_row_products():
             expected = np.array([model.enc_w @ x for x in X])
             assert _same_bits(model.scores(X), expected), (K, F)
             assert _same_bits(model.scores(X[0]), expected[0]), (K, F)
-
-
-def test_grouped_support_dots_and_means_equal_per_row_forms():
-    # The dense and sparse pass reads each support size's examples as an
-    # (n, size) block of one C-ordered stack of probabilities, values,
-    # log-probabilities and upstream terms, and reduces it with stacked
-    # 1 x size by size x 1 products and a mean along the rows.  Every row
-    # must keep the bits of the 1-d @ and .mean() on that support alone,
-    # on both sides of numpy's eight-wide pairwise-sum unroll.
-    rng = make_rng(37)
-    for size in list(range(1, 41)) + [8, 9, 16] * 5:
-        n = int(rng.integers(1, 17))
-        at = int(rng.integers(0, 4))  # blocks start anywhere in the flat layout
-        stack = _spread(rng, (4, at + n * size + 3))
-        block = stack[:, at:at + n * size].reshape(4, n, size)
-        dots = _row_dots(block[0], block[1:])
-        for j in range(3):
-            expected = np.array([q @ v for q, v in zip(block[0], block[j + 1])])
-            assert _same_bits(dots[j], expected), (size, n, j)
-        expected = np.array([row.mean() for row in block[3]])
-        assert _same_bits(block[3].mean(axis=1), expected), (size, n)
 
 
 def test_label_loss_is_elementwise():

@@ -1,9 +1,14 @@
 """Run the 69-run training matrix and print one fingerprint line per run.
 
-Each line holds the run's name, the sha256 of its epoch CSV and the
-``repr`` of the manifest's ``initial_loss``.  Run it once against each of
-two source trees and diff the outputs; an empty diff means the two trees
-train byte-identically on every run:
+Each line holds the run's name, the sha256 of its epoch CSV, the
+``repr`` of the manifest's ``initial_loss`` and the sha256 of the final
+parameter bytes.  The CSV rounds its floats; the parameter hash sees
+every bit, signed zeros included, so a change of one ulp anywhere in
+training shows.  The tool reads the parameters itself, by wrapping the
+train functions the CLI calls, so it needs nothing new from the tree it
+runs.  Run it once against each of two source trees and diff the
+outputs; an empty diff means the two trees train bit-identically on
+every run:
 
     PYTHONPATH=path/to/old/src python tools/train_matrix.py > old.txt
     PYTHONPATH=src python tools/train_matrix.py > new.txt
@@ -33,7 +38,7 @@ import os
 import sys
 import tempfile
 
-from sparsemarg.cli import main
+from sparsemarg import cli
 
 SEEDS = (0, 3, 9)
 CATEGORICAL = ["--n", "64", "--epochs", "4", "--k", "2"]
@@ -74,26 +79,64 @@ RUNS = (
 )
 
 
+def param_digest(model) -> str:
+    """sha256 of the model's parameter arrays' bytes, in ``PARAMS`` order."""
+    h = hashlib.sha256()
+    for key in model.PARAMS:
+        h.update(getattr(model, key).tobytes())
+    return h.hexdigest()
+
+
+@contextlib.contextmanager
+def _final_params(digests: list):
+    """Append the parameter digest of every model the CLI trains to ``digests``."""
+    names = ("train_categorical", "train_bitvec_vae")
+    originals = {name: getattr(cli, name) for name in names}
+
+    def hashing(train):
+        def wrapped(model, data, cfg):
+            log = train(model, data, cfg)
+            digests.append(param_digest(model))
+            return log
+        return wrapped
+
+    for name, train in originals.items():
+        setattr(cli, name, hashing(train))
+    try:
+        yield
+    finally:
+        for name, train in originals.items():
+            setattr(cli, name, train)
+
+
 def fingerprint(argv: list, workdir: str) -> tuple:
-    """Train once through the CLI; return the CSV's sha256 and the initial loss."""
+    """Train once through the CLI; return the CSV's sha256, the initial loss
+    and the final parameters' sha256."""
     out = os.path.join(workdir, "run.csv")
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["train"] + argv + ["--out", out])
-    if code != 0:
-        raise SystemExit("sparsemarg train %s exited with %d" % (" ".join(argv), code))
+    digests = []
+    with contextlib.redirect_stdout(io.StringIO()), _final_params(digests):
+        code = cli.main(["train"] + argv + ["--out", out])
+    if code != 0 or len(digests) != 1:
+        raise SystemExit("sparsemarg train %s exited with %d after %d trainings"
+                         % (" ".join(argv), code, len(digests)))
     with open(out, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     with open(out + ".manifest.json") as fh:
         initial_loss = json.load(fh)["initial_loss"]
-    return digest, initial_loss
+    return digest, initial_loss, digests[0]
+
+
+def line(name: str, seed: int, argv: list, workdir: str) -> str:
+    """The matrix line of one run: name and seed, CSV hash, initial loss, parameter hash."""
+    digest, initial_loss, params = fingerprint(argv + ["--seed", str(seed)], workdir)
+    return "%s_seed%d %s %r %s" % (name, seed, digest, initial_loss, params)
 
 
 def run_matrix() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, argv in RUNS:
             for seed in SEEDS:
-                digest, initial_loss = fingerprint(argv + ["--seed", str(seed)], workdir)
-                print("%s_seed%d %s %r" % (name, seed, digest, initial_loss), flush=True)
+                print(line(name, seed, argv, workdir), flush=True)
     return 0
 
 
