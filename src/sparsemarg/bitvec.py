@@ -2,11 +2,12 @@
 
 A configuration is a bit-vector a in {0,1}^D scored by <a, t> for
 per-variable scores t.  This module provides the highest-scoring
-configuration (MAP), a budget-constrained MAP, k-best enumeration in
-O(k D log D) without touching the remaining 2^D - k configurations, and
-exhaustive enumeration for small D as a cross-check.  Polytope adapters
-at the bottom expose these oracles through the interface the active-set
-solver expects.
+configuration (MAP), a budget-constrained MAP, k-best enumeration of
+one score vector or of a batch of them, which sorts only the variables
+that can flip and never touches the remaining 2^D - k configurations,
+and exhaustive enumeration for small D as a cross-check.  Polytope
+adapters at the bottom expose these oracles through the interface the
+active-set solver expects.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .simplex import _row_dots
+
 __all__ = [
     "Structure",
     "KBest",
     "map_oracle",
     "budget_map_oracle",
     "kbest",
+    "kbest_rows",
     "enumerate_all",
     "config_matrix",
     "BitVectorPolytope",
@@ -122,8 +126,128 @@ class KBest:
             yield Structure(tuple(bits), score)
 
 
+def _as_score_rows(T):
+    T = np.asarray(T, dtype=np.float64)
+    if T.ndim != 2 or T.size == 0:
+        raise ValueError("variable scores must be a nonempty (B, D) matrix")
+    if not np.isfinite(T).all():
+        raise ValueError("variable scores must be finite")
+    return T
+
+
+def _flippable(T, m: int):
+    """The first m variables of each row of T under the order
+    (|t_i|, t_i <= 0, i if t_i > 0 else -i), as a (B, m) index matrix,
+    and their costs |t_i|.
+
+    Only variables whose cost is at most a row's m-th smallest cost can
+    be among them, so one ``argpartition`` on |t| cuts each row to those,
+    and only they are sorted by the full key.  Every row keeps as many
+    candidates as the row with the most ties at its cut; the extra ones
+    cost more than their row's cut and sort after its first m.
+    """
+    B, D = T.shape
+    if m == 0:
+        return np.empty((B, 0), dtype=np.intp), np.empty((B, 0))
+    r = np.arange(B)[:, None]
+    cost = np.abs(T)
+    if m < D:
+        cand = np.argpartition(cost, m - 1, axis=1)[:, :m]
+        c = cost[r, cand]
+        below = cost <= c[:, -1:]  # the m-th smallest cost sits last
+        if np.count_nonzero(below) > B * m:  # ties at some row's cut
+            width = int(below.sum(axis=1).max())
+            cand = np.argpartition(cost, width - 1, axis=1)[:, :width]
+            c = cost[r, cand]
+    else:
+        cand, c = np.broadcast_to(np.arange(D), (B, D)), cost
+    pos = T[r, cand] > 0
+    order = np.lexsort((np.where(pos, cand, -cand), ~pos, c), axis=1)[:, :m]
+    return cand[r, order], c[r, order]
+
+
+def _lawler(cost, flip, root: int, k: int) -> list:
+    """The first k pops of one row's best-first search over flip sets, as
+    integer configurations: ``root`` XOR the flips, where flipping sorted
+    position p costs ``cost[p]`` and XORs ``flip[p]``.
+
+    Heap entries: (cost, configuration, last flipped position in sorted
+    order, cost without that last flip).  No child's key is below its
+    parent's.  child1 adds a flip that costs at least every earlier one,
+    which rounding cannot absorb unless D > 2^53, and a zero-cost flip
+    turns a 0 into a 1, which is lexicographically larger.  child2 swaps
+    the last flip for the next, no cheaper one; within a tie class the
+    order puts positive scores first by ascending index (the 1 -> 0 flip
+    moves right) and the rest by descending index (the 0 -> 1 flip moves
+    left), so every such swap is lexicographically larger.  Pushing child1
+    and popping the next entry are one ``heappushpop``.
+    """
+    push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
+    heap, configs, n = [], [], len(flip)
+    entry = (0.0, root, -1, 0.0)
+    while True:
+        c, config, last, trail = entry
+        configs.append(config)
+        nxt = last + 1
+        if len(configs) == k:
+            return configs
+        if nxt < n:
+            if last >= 0:
+                push(heap, (trail + cost[nxt], config ^ flip[last] ^ flip[nxt], nxt, trail))
+            entry = pushpop(heap, (c + cost[nxt], config ^ flip[nxt], nxt, c))
+        elif heap:
+            entry = pop(heap)
+        else:
+            return configs
+
+
+def _kbest_rows(T, k: int):
+    """:func:`kbest_rows` of a checked (B, D) matrix."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    B, D = T.shape
+    k_eff = min(k, 1 << D) if D < 63 else k
+    # A node whose last flip sits at sorted position m has m + 1 ancestors,
+    # all with smaller keys, so it pops no earlier than pop m + 2.  The
+    # k_eff pops thus flip only the first k_eff - 1 positions, and no child
+    # past them is pushed.
+    reach, costs = _flippable(T, min(k_eff - 1, D))
+    # Variable i is bit D-1-i of a configuration, so integer order is
+    # lexicographic order and flipping variable i is one XOR.
+    pad = -D % 8
+    nbytes = (D + pad) // 8
+    configs = []
+    for cost, flips, root in zip(costs.tolist(), reach.tolist(), np.packbits(T > 0, axis=1)):
+        configs += _lawler(cost, [1 << (D - 1 - i) for i in flips],
+                           int.from_bytes(root.tobytes(), "big") >> pad, k_eff)
+    packed = np.frombuffer(b"".join([c.to_bytes(nbytes, "big") for c in configs]),
+                           dtype=np.uint8)
+    rows = np.unpackbits(packed.reshape(B * k_eff, nbytes), axis=1)[:, pad:].reshape(B, k_eff, D)
+    rows.flags.writeable = False
+    # Each score has the bits of np.dot of its row with t.  That is the
+    # stacked per-row dot, except at D = 1, where np.dot takes the
+    # one-element rows as scalars, so 0 * t_0 keeps the sign of t_0.
+    f = rows.astype(np.float64)
+    scores = f[..., 0] * T[:, :1] if D == 1 else _row_dots(f, T[:, None, :])
+    return rows, scores
+
+
+def kbest_rows(scores, k: int):
+    """The k highest-scoring configurations of each row of a (B, D) score
+    matrix, best first: a read-only uint8 (B, k', D) array of their bits
+    and a float64 (B, k') array of their scores, k' = min(k, 2^D).
+    :func:`kbest` is its one-row case, and documents the order.
+
+    Each row's search flips only its first k' - 1 variables in the
+    search's order (:func:`_flippable`).  Roots, unpacked rows and scores
+    are built for the whole batch at once; the heap runs per row.
+    """
+    return _kbest_rows(_as_score_rows(scores), k)
+
+
 def kbest(t, k: int) -> KBest:
-    """The k highest-scoring configurations, best first, as a :class:`KBest`.
+    """The k highest-scoring configurations, best first, as a :class:`KBest`:
+    the one-row case of :func:`kbest_rows`.
 
     Ordering is by score descending with the lexicographically smallest
     bit-vector winning ties.  Best-first search over flip sets away from
@@ -133,63 +257,16 @@ def kbest(t, k: int) -> KBest:
     order (|t_i|, t_i <= 0, i if t_i > 0 else -i) no child sorts before
     its parent, so every pop is final and a tie class is never
     enumerated: ``kbest(np.zeros(128), 16)`` takes under a millisecond.
+    Only the first min(k, 2^D) - 1 variables in that order can flip, and
+    only variables no costlier than the last of them are sorted.
 
     A cost is the rounded sum along the search path.  Where magnitudes
     differ by a few ulps, distinct sums can round to one cost and the
     search order decides among them; ``kbest_bruteforce``, which rounds
     ``bits @ t`` instead, may order such inputs differently.
     """
-    t = _as_variable_scores(t)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    D = t.size
-    k_eff = min(k, 1 << D) if D < 63 else k
-    idx = np.arange(D)
-    order = np.lexsort((np.where(t > 0, idx, -idx), t <= 0, np.abs(t)))
-    # A node whose last flip sits at sorted position m has m + 1 ancestors,
-    # all with smaller keys, so it pops no earlier than pop m + 2.  The
-    # k_eff pops thus flip only the first k_eff - 1 positions, and no child
-    # past them is pushed.
-    reach = order[:k_eff - 1]
-    cost = np.abs(t)[reach].tolist()
-    # Variable i is bit D-1-i of a configuration, so integer order is
-    # lexicographic order and flipping variable i is one XOR.
-    flip = [1 << (D - 1 - i) for i in reach.tolist()]
-    pad = -D % 8
-    root = int.from_bytes(np.packbits(t > 0).tobytes(), "big") >> pad
-
-    # Heap entries: (cost, configuration, last flipped position in sorted
-    # order, cost without that last flip).  No child's key is below its
-    # parent's.  child1 adds a flip that costs at least every earlier one,
-    # which rounding cannot absorb unless D > 2^53, and a zero-cost flip
-    # turns a 0 into a 1, which is lexicographically larger.  child2 swaps
-    # the last flip for the next, no cheaper one; within a tie class the
-    # order puts positive scores first by ascending index (the 1 -> 0 flip
-    # moves right) and the rest by descending index (the 0 -> 1 flip moves
-    # left), so every such swap is lexicographically larger.
-    heap = [(0.0, root, -1, 0.0)]
-    masks = []
-    while heap and len(masks) < k_eff:
-        c, config, last, trail = heapq.heappop(heap)
-        masks.append(config)
-        nxt = last + 1
-        if nxt < len(flip):
-            heapq.heappush(heap, (c + cost[nxt], config ^ flip[nxt], nxt, c))
-            if last >= 0:
-                heapq.heappush(
-                    heap,
-                    (trail + cost[nxt], config ^ flip[last] ^ flip[nxt], nxt, trail),
-                )
-    nbytes = (D + pad) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "big") for m in masks), dtype=np.uint8)
-    rows = np.unpackbits(packed.reshape(len(masks), nbytes), axis=1)[:, pad:]
-    rows.flags.writeable = False
-    # Each score has the bits of a 1-d dot of its row with t: stacked
-    # 1 x D by D x 1 products give them, a (k, D) @ t product need not, and
-    # at D = 1 only the plain product keeps the dot's -0.0 for 0 * t_0 < 0.
-    f = rows.astype(np.float64)
-    scores = f[:, 0] * t[0] if D == 1 else np.matmul(f[:, None, :], t[:, None])[:, 0, 0]
-    return KBest(rows, scores)
+    rows, scores = _kbest_rows(_as_variable_scores(t)[None], k)
+    return KBest(rows[0], scores[0])
 
 
 def enumerate_all(t) -> list:

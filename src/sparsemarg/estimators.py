@@ -21,6 +21,7 @@ import numpy as np
 
 from .marginalize import LossOracle
 from .simplex import _as_rows, _as_scores, softmax, softmax_vjp
+from .topk import _kept
 
 __all__ = [
     "Estimate",
@@ -206,19 +207,19 @@ def sum_and_sample_rows(scores, loss: LossOracle, k: int,
 
     Each row is what :func:`sum_and_sample_grad` gives it, with the rows
     drawing from ``rng`` in row order.  A row's top-k set (ties to the
-    lower index) and its complement come from one stable sort, both read
-    in ascending index order.  Rows whose complement mass is at most 1e-14
-    draw nothing; the others draw from their complement in proportion to
-    p.  ``loss.eval_many((rows, outcomes))`` reads every row's kept
-    outcomes and then its draw, k or k + 1 calls per row.
+    lower index) is the one :func:`top_k` keeps, and its complement is
+    the rest of the order it was cut from; both are read in ascending
+    index order.  Rows whose complement mass is at most 1e-14 draw
+    nothing; the others draw from their complement in proportion to p.
+    ``loss.eval_many((rows, outcomes))`` reads every row's kept outcomes
+    and then its draw, k or k + 1 calls per row.
     """
     s = _as_rows(scores)
     B, K = s.shape
     if not 1 <= k < K:
         raise ValueError("k must satisfy 1 <= k < K")
     p = softmax(s)
-    order = np.argsort(-s, axis=1, kind="stable")
-    kept = np.sort(order[:, :k], axis=1)
+    kept, order = _kept(s, k)
     rows = np.arange(B)[:, None]
     p_kept = p[rows, kept]
     comp_mass = 1.0 - p_kept.sum(axis=1)

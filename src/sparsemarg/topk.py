@@ -28,12 +28,14 @@ class TopKResult:
     dim: int
 
 
-def _kept(s, k: int) -> np.ndarray:
-    """Indices of the k largest scores of a vector, or of each row, ascending."""
+def _kept(s, k: int):
+    """Indices of the k largest scores of a vector, or of each row,
+    ascending, and the order they were cut from: every index by
+    descending score, ties in ascending index order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    # Stable sort of the negated scores keeps ties in ascending index order.
-    return np.sort(np.argsort(-s, axis=-1, kind="stable")[..., :k], axis=-1)
+    order = np.argsort(-s, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1), order
 
 
 def top_k(s, k: int) -> TopKResult:
@@ -42,14 +44,14 @@ def top_k(s, k: int) -> TopKResult:
     k larger than the vector is clamped: everything is kept.
     """
     s = _as_scores(s)
-    kept = _kept(s, k)
+    kept, _ = _kept(s, k)
     return TopKResult(kept, s[kept], s.size)
 
 
 def _topk_sparsemax_rows(s, k: int):
     """Top-k sparsemax of each row of a checked (B, K) matrix: dense
     probabilities, each row's threshold and each row's certificate."""
-    kept = _kept(s, k)
+    kept, _ = _kept(s, k)
     rows = np.arange(s.shape[0])[:, None]
     sub, tau = _sparsemax_rows(s[rows, kept])
     probs = np.zeros(s.shape)

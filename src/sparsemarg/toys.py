@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activeset import sparsemap, sparsemap_vjp_probs
-from .bitvec import (
-    BitVectorPolytope,
-    BudgetedBitVectorPolytope,
-    config_matrix,
-    kbest,
-)
+from .bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix, kbest_rows
 from .estimators import MovingAverageBaseline, sfe_rows, sum_and_sample_rows
 from .marginalize import CallStats, LossOracle
 from .rng import make_rng
@@ -140,6 +135,15 @@ def make_bitvec_images(n: int = 128, d: int = 8, n_pixels: int = 36, seed: int =
     return BitImageData(images, d, n_pixels)
 
 
+def _encode(model, x) -> np.ndarray:
+    """``enc_w @ x + enc_b`` for one input, or for each row of a batch.
+
+    A stacked product runs the matrix-vector kernel once per row, so
+    every row has the bits of ``enc_w @ row`` taken alone.
+    """
+    return np.matmul(model.enc_w, np.asarray(x)[..., None])[..., 0] + model.enc_b
+
+
 class _ParamLayout:
     """Parameter plumbing for a model whose arrays are named, in order, by ``PARAMS``.
 
@@ -202,12 +206,9 @@ class ToyCategoricalModel(_ParamLayout):
         return self.enc_w.shape[0]
 
     def scores(self, x) -> np.ndarray:
-        """Message scores of one feature vector, or of each row of a batch.
-
-        A stacked product runs the matrix-vector kernel once per row, so
-        every row has the bits of ``enc_w @ row`` taken alone.
-        """
-        return np.matmul(self.enc_w, np.asarray(x)[..., None])[..., 0] + self.enc_b
+        """Message scores of one feature vector, or of each row of a batch
+        (:func:`_encode`)."""
+        return _encode(self, x)
 
     def label_loss(self, z, y):
         """Cross-entropy of label ``y`` under message ``z``'s decoder.
@@ -268,7 +269,9 @@ class ToyBitVectorVAE(_ParamLayout):
         return self.enc_w.shape[0]
 
     def var_scores(self, x) -> np.ndarray:
-        return self.enc_w @ x + self.enc_b
+        """Variable scores of one image, or of each row of a batch
+        (:func:`_encode`)."""
+        return _encode(self, x)
 
     def recon_loss_and_dlogits(self, bits, x):
         """Reconstruction loss of ``x`` from latent ``bits`` and its
@@ -427,6 +430,39 @@ def _blocks(sizes, limit: int):
     yield lo, len(sizes)
 
 
+def _decoder_weight_terms(w, rows, dec_b, out):
+    """Each example's decoder-weight gradient, the sum of outer(w_z, row_z)
+    over its outcomes z in order, written to the (n, P, D) ``out`` up to
+    the sign of its zeros.
+
+    ``w`` is (n, S, P), ``rows`` the (n, S, D) 0/1 bit rows and ``dec_b``
+    the (n, P) ordered sums of ``w`` over z.  Examples with fewer outcomes
+    are padded with zero weights and copies of a real row.  A sum in
+    order from +0.0 never holds -0.0, so a zero term of either sign leaves
+    its bits unchanged: padding adds nothing, and the batch sum of these
+    gradients has the bits of the exact ones.  Rows are 0/1, so a column
+    set in every row of an example is its ``dec_b``, a column set in none
+    a zero, and only the mixed columns need the outer terms.  They are
+    gathered to the front of each example and added in one step per
+    outcome into an (n, columns, P) sum, so no stack of terms is built,
+    however many outcomes there are (2^D for dense).
+    """
+    n, S, P = w.shape
+    first = rows[:, 0]
+    np.multiply(dec_b[:, :, None], first[:, None, :], out=out)
+    e, c = np.nonzero((rows != first[:, None, :]).any(axis=1))
+    if e.size:
+        width = np.bincount(e, minlength=n)
+        j = np.arange(e.size) - np.repeat(np.cumsum(width) - width, width)
+        picked = np.zeros((S, n, width.max(), 1))
+        picked[:, e, j, 0] = rows[e, :, c].T
+        w_z = np.ascontiguousarray(w.transpose(1, 0, 2))[:, :, None, :]
+        sums, term = np.zeros((n, width.max(), P)), np.empty((n, width.max(), P))
+        for z in range(S):
+            sums += np.multiply(picked[z], w_z[z], out=term)
+        out[e, :, c] = sums[e, j]
+
+
 def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _BatchPass:
     """One minibatch of images: posterior over bit-vectors, negative ELBO,
     hand gradients summed in example order.
@@ -434,61 +470,48 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     The differentiated objective is sum_z q_z c_z - H(q) with
     c_z = D log 2 + recon(z); its score gradient is the mapping vjp of
     c + log q + 1 (the constant washes out through every mapping here).
-    The Python loop runs per example, never per outcome: the dense,
-    sparse and topk mappings and vjps are one row-kernel call each on the
-    batch's (B, outcomes) matrix, and the loss reads every example's
-    support in the flat (example, outcome) layout, one ``eval_many`` call
-    per block of consecutive examples of at most ``_LOSS_BLOCK`` rows.
-    Every quantity keeps the bits of a batch of one.  Callers check
-    ``cfg`` against D first (:func:`_check_config`).
+    The variable scores are one stacked product, and every method lays
+    out its posterior as (B, K) probabilities over K bit rows, a (K, D)
+    matrix shared by the batch (dense, sparse) or one per example (topk's
+    k best from :func:`kbest_rows`, sparsemap's support, padded).  Only
+    the sparsemap solves and their vjps run example by example.  The loss
+    reads each block of consecutive examples of at most ``_LOSS_BLOCK``
+    rows in one ``eval_many`` call.  Within a block the supports are
+    grouped by size (:class:`RowSupports`): each size's examples take
+    their neg-ELBO dots and encoder terms as one stacked step, and the
+    decoder sums run once on the block padded to its largest support
+    (:func:`_decoder_weight_terms`).  The sums over examples then add in
+    batch order, so every quantity keeps the bits of a batch of one.
+    Callers check ``cfg`` against D first (:func:`_check_config`).
     """
     D = model.d
     method = cfg.method
-    if method in ("dense", "sparse"):
-        A = config_matrix(D)
-    elif method == "sparsemap":
-        polytope = BitVectorPolytope(D)
-    elif method == "sparsemap_budget":
-        polytope = BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2))
-
-    # The mapping: sparsemap example by example, the others in one row
-    # call on the batch's (B, outcomes) scores.
-    mapped, scores = [], []
-    for i in batch:
-        t = model.var_scores(images[i])
-        if not np.all(np.isfinite(t)):
-            return _BatchPass.diverged(len(batch))
-        if method == "topk":
-            best = kbest(t, cfg.k)
-            scores.append(best.scores)
-            mapped.append(best.rows)
-        elif method in ("dense", "sparse"):
-            scores.append(A @ t)
-        else:
-            mapped.append(sparsemap(polytope, t))
-    certificates = [None] * len(batch)
+    X = images[np.asarray(batch)]
+    B = X.shape[0]
+    T = model.var_scores(X)
+    if not np.all(np.isfinite(T)):
+        return _BatchPass.diverged(B)
+    certificates = [None] * B
+    solved = None
     if method == "topk":
-        probs, certificates = topk_sparsemax_rows(np.array(scores), cfg.k)
+        configs, scores = kbest_rows(T, cfg.k)
+        probs, certificates = topk_sparsemax_rows(scores, cfg.k)
         certificates = certificates.tolist()
-    elif method == "sparse":
-        probs = sparsemax_rows(np.array(scores))
-    elif method == "dense":
-        probs = softmax(np.array(scores))
-        if not np.all(probs > 0):
-            return _BatchPass.diverged(len(batch))
-
-    # Each example's support: probabilities, float bit rows, certificate.
-    supports = []
-    for j, certificate in enumerate(certificates):
-        if method in ("sparsemap", "sparsemap_budget"):
-            q, rows = mapped[j].probs, mapped[j].rows
-        elif method == "dense":
-            q, rows = probs[j], A
-        else:
-            on = np.flatnonzero(probs[j] > 0)
-            q = probs[j, on]
-            rows = mapped[j][on].astype(np.float64) if method == "topk" else A[on]
-        supports.append((q, rows, certificate))
+    elif method in ("dense", "sparse"):
+        configs = config_matrix(D)
+        scores = np.matmul(configs, T[:, :, None])[..., 0]  # the GEMV of A @ t per row
+        probs = softmax(scores) if method == "dense" else sparsemax_rows(scores)
+        if method == "dense" and not np.all(probs > 0):
+            return _BatchPass.diverged(B)
+    else:
+        polytope = (BitVectorPolytope(D) if method == "sparsemap" else
+                    BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2)))
+        solved = [sparsemap(polytope, t) for t in T]
+        K = max(res.probs.size for res in solved)
+        probs, configs = np.zeros((B, K)), np.zeros((B, K, D))
+        for j, res in enumerate(solved):  # each support's weights are positive
+            probs[j, :res.probs.size] = res.probs
+            configs[j, :res.probs.size] = res.rows
 
     dlogits = []
 
@@ -499,66 +522,53 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
         return D * np.log(2.0) + recon
 
     oracle = LossOracle(neg_log_joint)
-    index = np.asarray(batch)
-    sizes = [q.size for q, _, _ in supports]
-
-    def read_losses():
-        """Each support with its losses and decoder-output gradients: one
-        ``eval_many`` per block of the flat stack, sliced by example."""
-        for lo, hi in _blocks(sizes, _LOSS_BLOCK):
-            c = oracle.eval_many((np.concatenate([rows for _, rows, _ in supports[lo:hi]]),
-                                  np.repeat(images[index[lo:hi]], sizes[lo:hi], axis=0)))
-            dl = dlogits.pop()
-            start = 0
-            for j in range(lo, hi):
-                yield supports[j], c[start:start + sizes[j]], dl[start:start + sizes[j]]
-                start += sizes[j]
-
-    grads = model.zero_grads()
-    stats, objectives, upstreams = [], [], []
-    for (q, rows, certificate), c, dl in read_losses():
+    sizes = (probs > 0).sum(axis=1)
+    neg_elbo, g_t = np.empty(B), np.empty((B, D))
+    dec_b, dec_w = np.empty((B,) + model.dec_b.shape), np.empty((B,) + model.dec_w.shape)
+    support_rows = [None] * B
+    for lo, hi in _blocks(sizes.tolist(), _LOSS_BLOCK):
+        supports = RowSupports.of(probs[lo:hi])
+        on = lo + supports.rows, supports.outcomes
+        rows = (configs[on[1]] if configs.ndim == 2 else configs[on]).astype(np.float64,
+                                                                             copy=False)
+        c = oracle.eval_many((rows, X[on[0]]))
+        q = probs[on]
+        w = q[:, None] * dlogits.pop()
         log_q = np.log(q)
-        neg_elbo = float(q @ c + q @ log_q)
-        upstreams.append(c + log_q + 1.0)
-        # The decoder gradient sums q_z * outer(d_z, row_z) in outcome
-        # order.  Rows are 0/1, so a column set in every row is the sum of
-        # w_z = q_z d_z, which is also the dec_b gradient, and a column set
-        # in none is +0.0; only the mixed columns need the outer terms.
-        w = q[:, None] * dl
-        dec_b = _ordered_sum(w)
-        count = rows.sum(axis=0)
-        dec_w = np.zeros_like(model.dec_w)
-        dec_w[:, count == q.size] = dec_b[:, None]
-        # Blocks of columns keep the (S, P, block) terms near 2^16 entries
-        # when S is large, as for dense over all 2^D configurations.
-        cols = np.flatnonzero((count > 0) & (count < q.size))
-        step = max(1, (1 << 16) // w.size)
-        for lo in range(0, cols.size, step):
-            block = cols[lo:lo + step]
-            dec_w[:, block] = _ordered_sum(w[:, :, None] * rows[:, None, block])
-        grads["dec_w"] += dec_w
-        grads["dec_b"] += dec_b
-        stats.append((neg_elbo, neg_elbo, c.size, q.size, certificate))
-        objectives.append(neg_elbo)
-
-    # The encoder gradient: the mapping's vjp of each example's upstream
-    # c + log q + 1, one row call on the batch except for sparsemap.
-    if method in ("sparsemap", "sparsemap_budget"):
-        score_grads = [sparsemap_vjp_probs(res, up) for res, up in zip(mapped, upstreams)]
-    else:
-        upstream = np.zeros(probs.shape)
-        upstream[probs > 0] = np.concatenate(upstreams)
-        g = (softmax_vjp(probs, upstream) if method == "dense"
-             else sparsemax_vjp_rows(RowSupports.of(probs), upstream))
-        score_grads = [rows.T @ g_j[p_j > 0] for (_, rows, _), g_j, p_j in zip(supports, g, probs)]
-    # The batch sum starts at +0.0 and so never holds -0.0: adding a
-    # one-term encoder gradient straight in gives the bits of adding it
-    # to zeros first.
-    for g_t, x in zip(score_grads, images[index]):
-        grads["enc_w"] += np.outer(g_t, x)
-        grads["enc_b"] += g_t
-    assert sum(entry[2] for entry in stats) == oracle.calls
-    return _BatchPass(stats, grads, np.array(objectives), rows=[rows for _, rows, _ in supports])
+        dots = supports.dots(q, c, log_q)
+        neg_elbo[lo:hi] = dots[0] + dots[1]
+        upstream = np.zeros(supports.shape)
+        upstream[supports.rows, supports.outcomes] = c + log_q + 1.0
+        if solved is not None:  # the solver's vjp, one example at a time
+            g_t[lo:hi] = [sparsemap_vjp_probs(solved[j], upstream[j - lo, :sizes[j]])
+                          for j in range(lo, hi)]
+        else:
+            g = (softmax_vjp(probs[lo:hi], upstream) if method == "dense"
+                 else sparsemax_vjp_rows(supports, upstream))[supports.rows, supports.outcomes]
+        # Each size's examples as one (n, S) block, and every example
+        # padded to the block's largest support for the decoder sums.
+        S_max = int(sizes[lo:hi].max())
+        W, R = np.zeros((hi - lo, S_max, w.shape[1])), np.empty((hi - lo, S_max, D))
+        for examples, start, stop, (n, S) in supports.runs:
+            R_run = rows[start:stop].reshape(n, S, D)
+            W[examples, :S] = w[start:stop].reshape(n, S, -1)
+            R[examples, :S] = R_run
+            R[examples, S:] = R_run[:, :1]
+            if solved is None:  # through the rows, R^T g: a GEMV per example
+                g_t[lo + examples] = np.matmul(R_run.transpose(0, 2, 1),
+                                               g[start:stop].reshape(n, S, 1))[..., 0]
+            for e, r in zip((lo + examples).tolist(), R_run):
+                support_rows[e] = r
+        dec_b[lo:hi] = _ordered_sum(W.transpose(1, 0, 2))
+        _decoder_weight_terms(W, R, dec_b[lo:hi], dec_w[lo:hi])
+    assert sizes.sum() == oracle.calls
+    grads = {"dec_w": _ordered_sum(dec_w), "dec_b": _ordered_sum(dec_b)}
+    del dec_w  # before the encoder terms, which are as large
+    grads["enc_w"] = _ordered_sum(g_t[:, :, None] * X[:, None, :])
+    grads["enc_b"] = _ordered_sum(g_t)
+    calls = sizes.tolist()
+    stats = list(zip(neg_elbo.tolist(), neg_elbo.tolist(), calls, calls, certificates))
+    return _BatchPass(stats, grads, neg_elbo, rows=support_rows)
 
 
 def _check_config(task: str, cfg: TrainConfig, n: int, size: int):

@@ -1,6 +1,7 @@
 """MAP, budget, and k-best oracles over independent binary variables."""
 
 import hashlib
+import heapq
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sparsemarg.bitvec import (
     config_matrix,
     enumerate_all,
     kbest,
+    kbest_rows,
     map_oracle,
 )
 from sparsemarg.reference import kbest_bruteforce
@@ -174,6 +176,83 @@ def test_kbest_returns_rows_and_scores_with_the_bits_of_per_row_dots():
             digest.update(bytes(st.bits))
             digest.update(np.float64(st.score).tobytes())
     assert digest.hexdigest() == _KBEST_DIGEST
+
+
+def _kbest_reference(t, k):
+    """The one-vector k-best as it was before the row form: a lexsort of
+    all D variables, one heap, and each score the ``np.dot`` of its row
+    with t.  Returns the uint8 (k', D) rows and the float64 (k',) scores."""
+    D = t.size
+    k_eff = min(k, 1 << D) if D < 63 else k
+    idx = np.arange(D)
+    order = np.lexsort((np.where(t > 0, idx, -idx), t <= 0, np.abs(t)))
+    reach = order[:k_eff - 1]
+    cost = np.abs(t)[reach].tolist()
+    flip = [1 << (D - 1 - i) for i in reach.tolist()]
+    pad = -D % 8
+    root = int.from_bytes(np.packbits(t > 0).tobytes(), "big") >> pad
+    heap, masks = [(0.0, root, -1, 0.0)], []
+    while heap and len(masks) < k_eff:
+        c, config, last, trail = heapq.heappop(heap)
+        masks.append(config)
+        nxt = last + 1
+        if nxt < len(flip):
+            heapq.heappush(heap, (c + cost[nxt], config ^ flip[nxt], nxt, c))
+            if last >= 0:
+                heapq.heappush(
+                    heap, (trail + cost[nxt], config ^ flip[last] ^ flip[nxt], nxt, trail))
+    nbytes = (D + pad) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(nbytes, "big") for m in masks), dtype=np.uint8)
+    rows = np.unpackbits(packed.reshape(len(masks), nbytes), axis=1)[:, pad:]
+    return rows, np.array([np.dot(row.astype(np.int64), t) for row in rows])
+
+
+def _cut_ties(rng, d, k):
+    """Scores whose (k-1)-th smallest magnitude is shared, with both signs,
+    by variables on both sides of the cut, below a few distinct smaller
+    magnitudes and among larger ones."""
+    small = rng.uniform(0.01, 0.2, size=min(d, max(0, k - 4)))
+    tied = rng.choice([-0.5, 0.5], size=min(d - small.size, 7))
+    large = rng.normal(size=d - small.size - tied.size) * 3.0
+    large += np.sign(large) * 1.0
+    return rng.permutation(np.concatenate((small * rng.choice([-1.0, 1.0], small.size),
+                                           tied, large)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 128, 1000])
+def test_row_kbest_is_the_reference_kbest_byte_for_byte(d):
+    # kbest_rows sorts only the variables no costlier than each row's cut,
+    # and builds every row's roots, bits and scores at once: each row must
+    # still be the reference's k-best of that row alone, rows and score
+    # bytes, signed zeros included (at D = 1, np.dot gives 0 * t_0 the sign
+    # of t_0).
+    rng = make_rng(50 + d)
+    for k in (1, 2, 3, 16, 17, 40, (1 << d) + 3 if d < 6 else 70):
+        T = np.array([rng.normal(size=d),
+                      np.round(rng.normal(size=d) * 2.0) / 4.0,
+                      np.zeros(d),
+                      -np.zeros(d),
+                      _cut_ties(rng, d, k)])
+        rows, scores = kbest_rows(T, k)
+        assert rows.dtype == np.uint8 and scores.dtype == np.float64
+        assert rows.shape == (5, min(k, 1 << d), d) and scores.shape == rows.shape[:2]
+        assert not rows.flags.writeable
+        for i, t in enumerate(T):
+            ref_rows, ref_scores = _kbest_reference(t, k)
+            assert rows[i].tobytes() == ref_rows.tobytes(), (d, k, i)
+            assert scores[i].tobytes() == ref_scores.tobytes(), (d, k, i)
+            one = kbest(t, k)
+            assert one.rows.tobytes() == ref_rows.tobytes(), (d, k, i)
+            assert one.scores.tobytes() == ref_scores.tobytes(), (d, k, i)
+
+
+def test_row_kbest_rejects_bad_input():
+    for bad in (np.zeros(3), np.zeros((2, 0)), np.zeros((0, 3)), np.array([[0.0, np.nan]]),
+                np.array([[np.inf, 1.0]])):
+        with pytest.raises(ValueError):
+            kbest_rows(bad, 2)
+    with pytest.raises(ValueError):
+        kbest_rows(np.zeros((2, 3)), 0)
 
 
 def test_structure_index_and_score_cache():

@@ -23,7 +23,7 @@ from sparsemarg.toys import (
     train_categorical,
 )
 from sparsemarg.simplex import _row_dots
-from sparsemarg.toys import _bitvec_batch, _categorical_batch, _ordered_sum
+from sparsemarg.toys import _bitvec_batch, _categorical_batch, _decoder_weight_terms, _ordered_sum
 
 
 def _small_cluster_data(n=64, seed=0):
@@ -326,6 +326,16 @@ def test_stacked_scores_equal_per_row_products():
             expected = np.array([model.enc_w @ x for x in X])
             assert _same_bits(model.scores(X), expected), (K, F)
             assert _same_bits(model.scores(X[0]), expected[0]), (K, F)
+    # The bit-vector pass scores its images the same way, at the task's
+    # sizes and past D = 64.
+    for D in (1, 3, 6, 8, 12, 32, 64, 70, 128, 1000):
+        for P in (1, 7, 36):
+            model = ToyBitVectorVAE.init(d=D, n_pixels=P, seed=D + P, scale=1.0)
+            model.enc_b = _spread(rng, D)
+            X = (rng.random((int(rng.integers(1, 20)), P)) < 0.4).astype(np.float64)
+            expected = np.array([model.enc_w @ x + model.enc_b for x in X])
+            assert _same_bits(model.var_scores(X), expected), (D, P)
+            assert _same_bits(model.var_scores(X[0]), expected[0]), (D, P)
 
 
 def test_label_loss_is_elementwise():
@@ -420,6 +430,37 @@ def test_bitvec_batch_pass_equals_examples_one_at_a_time(method, d):
         assert np.array_equal(whole.grads[key], grads[key])
         assert np.array_equal(np.signbit(whole.grads[key]), np.signbit(grads[key]))
     assert max(entry[3] for entry in stats) > 1  # some decoder gradient sums several terms
+
+
+def test_decoder_weight_terms_sum_to_the_per_outcome_gradients():
+    # Padded outcomes carry zero weights and repeat a real row, columns
+    # set in every row or in none skip the outer terms, and the mixed
+    # columns of all examples add one outcome at a time: the batch sum of
+    # the terms must keep the bits of summing each example's outer terms
+    # in outcome order, then the examples in batch order, signed zeros
+    # included.  Support sizes 1 to S, with S up to 300.
+    rng = make_rng(48)
+    for n, S, D, P in ((16, 16, 128, 36), (5, 9, 6, 36), (3, 300, 10, 4), (1, 1, 3, 2),
+                       (7, 4, 64, 1)):
+        sizes = rng.integers(1, S + 1, size=n)
+        sizes[rng.integers(n)] = S
+        w, rows = np.zeros((n, S, P)), np.empty((n, S, D))
+        expected = np.zeros((P, D))
+        dec_b = np.zeros((n, P))
+        for e, size in enumerate(sizes):
+            root = rng.random(D) < 0.5
+            flips = rng.random((size, D)) < np.where(rng.random(D) < 0.2, 0.5, 0.0)
+            rows[e, :size] = np.logical_xor(root, flips)
+            rows[e, size:] = rows[e, 0]
+            w[e, :size] = _spread(rng, (size, P))
+            one = np.zeros((P, D))
+            for w_z, row in zip(w[e, :size], rows[e, :size]):
+                one += np.outer(w_z, row)
+                dec_b[e] += w_z
+            expected += one
+        out = np.empty((n, P, D))
+        _decoder_weight_terms(w, rows, dec_b, out)
+        assert _same_bits(_ordered_sum(out), expected), (n, S, D, P)
 
 
 def test_stacked_decoder_products_equal_per_row_products():

@@ -1,4 +1,4 @@
-"""Run the 69-run training matrix and print one fingerprint line per run.
+"""Run the 87-run training matrix and print one fingerprint line per run.
 
 Each line holds the run's name, the sha256 of its epoch CSV, the
 ``repr`` of the manifest's ``initial_loss`` and the sha256 of the final
@@ -25,7 +25,10 @@ examples by support size, so the mix of sizes in a batch is part of what
 is tested.  Topk runs at k above 2^D (D = 3), at D = 64 (where k is no
 longer clamped to 2^D), past D = 64 and at the benchmark's D = 128,
 k = 16, and sparse and dense also run at D = 12, the largest enumeration
-(K = 4096, a dense batch past one loss block).
+(K = 4096, a dense batch past one loss block).  The bit-vector pass
+groups each batch's supports by size too, so topk at D = 128, sparse at
+D = 6 and sparsemap at D = 8 also run at ``--batch-size 1`` and at
+``--n 50``, whose last batch of 16 holds 2 examples.
 """
 
 from __future__ import annotations
@@ -76,6 +79,18 @@ RUNS = (
     ("bitvec_sparsemap_d8", ["bitvec", "--method", "sparsemap", "--d", "8"] + BITVEC),
     ("bitvec_sparsemap_budget_d8_b3",
      ["bitvec", "--method", "sparsemap_budget", "--d", "8", "--budget", "3"] + BITVEC),
+    ("bitvec_topk_d128_k16_b1",
+     ["bitvec", "--method", "topk", "--d", "128", "--k", "16", "--batch-size", "1"] + BITVEC),
+    ("bitvec_topk_d128_k16_n50",
+     ["bitvec", "--method", "topk", "--d", "128", "--k", "16", "--n", "50", "--epochs", "3"]),
+    ("bitvec_sparse_d6_b1",
+     ["bitvec", "--method", "sparse", "--d", "6", "--batch-size", "1"] + BITVEC),
+    ("bitvec_sparse_d6_n50",
+     ["bitvec", "--method", "sparse", "--d", "6", "--n", "50", "--epochs", "3"]),
+    ("bitvec_sparsemap_d8_b1",
+     ["bitvec", "--method", "sparsemap", "--d", "8", "--batch-size", "1"] + BITVEC),
+    ("bitvec_sparsemap_d8_n50",
+     ["bitvec", "--method", "sparsemap", "--d", "8", "--n", "50", "--epochs", "3"]),
 )
 
 
