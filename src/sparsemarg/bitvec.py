@@ -69,18 +69,38 @@ class Structure:
         return int.from_bytes(packed.tobytes(), "little")
 
 
-def _structure(bits, t) -> Structure:
-    """The Structure of a 0/1 integer ``bits`` array, with its float row
-    built once."""
-    row = bits.astype(np.float64)
+def _structure(bits, scores) -> Structure:
+    """The Structure of the one row of uint8 ``bits`` and ``scores`` that
+    a row oracle returned, with its float row built once."""
+    row = bits[0].astype(np.float64)
     row.flags.writeable = False
-    return Structure(tuple(bits.tolist()), float(row @ t), row)
+    return Structure(tuple(bits[0].tolist()), float(scores[0]), row)
+
+
+def _scored(bits, T):
+    """``bits`` with the score of each row, its own dot with that row of T."""
+    return bits, _row_dots(bits.astype(np.float64), T)
+
+
+def _map_rows(T):
+    """:meth:`BitVectorPolytope.map_rows` of a checked (B, D) matrix."""
+    return _scored((T >= 0).view(np.uint8), T)
+
+
+def _budget_map_rows(T, budget: int):
+    """:meth:`BudgetedBitVectorPolytope.map_rows` of a checked (B, D) matrix."""
+    if not 1 <= budget <= T.shape[1]:
+        raise ValueError("budget must be in [1, D]")
+    r = np.arange(T.shape[0])[:, None]
+    order = np.argsort(-T, axis=1, kind="stable")[:, :budget]
+    bits = np.zeros(T.shape, dtype=np.uint8)
+    bits[r, order] = T[r, order] >= 0
+    return _scored(bits, T)
 
 
 def map_oracle(t) -> Structure:
     """Highest-scoring configuration: bit i is active iff t_i >= 0."""
-    t = _as_variable_scores(t)
-    return _structure((t >= 0).view(np.uint8), t)
+    return _structure(*_map_rows(_as_variable_scores(t)[None]))
 
 
 def budget_map_oracle(t, budget: int) -> Structure:
@@ -89,13 +109,7 @@ def budget_map_oracle(t, budget: int) -> Structure:
     Activates the nonnegative entries among the ``budget`` largest scores;
     ties at the boundary go to the lowest index.
     """
-    t = _as_variable_scores(t)
-    if not 1 <= budget <= t.size:
-        raise ValueError("budget must be in [1, D]")
-    order = np.argsort(-t, kind="stable")[:budget]
-    bits = np.zeros(t.size, dtype=np.int64)
-    bits[order[t[order] >= 0]] = 1
-    return _structure(bits, t)
+    return _structure(*_budget_map_rows(_as_variable_scores(t)[None], budget))
 
 
 class KBest:
@@ -301,6 +315,13 @@ class BitVectorPolytope:
             raise ValueError("dim must be >= 1")
         self.dim = dim
 
+    def map_rows(self, scores):
+        """The best vertex of each row of a (B, D) score matrix: a uint8
+        (B, D) array of their bits and a float64 (B,) array of their
+        scores, each row's dot with its own scores.  :meth:`map` is its
+        one-row case."""
+        return _map_rows(_as_score_rows(scores))
+
     def map(self, t) -> Structure:
         return map_oracle(t)
 
@@ -321,6 +342,12 @@ class BudgetedBitVectorPolytope(BitVectorPolytope):
             raise ValueError("budget must be in [1, D]")
         self.budget = budget
 
+    def map_rows(self, scores):
+        """:meth:`BitVectorPolytope.map_rows` under the budget: the
+        nonnegative entries among each row's ``budget`` largest scores, by
+        one stable descending sort of the rows."""
+        return _budget_map_rows(_as_score_rows(scores), self.budget)
+
     def map(self, t) -> Structure:
         return budget_map_oracle(t, self.budget)
 
@@ -339,9 +366,9 @@ class IdentityPolytope:
 
     def map(self, t) -> Structure:
         t = _as_variable_scores(t)
-        bits = np.zeros(t.size, dtype=np.int64)
-        bits[int(np.argmax(t))] = 1
-        return _structure(bits, t)
+        bits = np.zeros((1, t.size), dtype=np.uint8)
+        bits[0, int(np.argmax(t))] = 1
+        return _structure(*_scored(bits, t[None]))
 
     @property
     def n_outcomes(self) -> int:

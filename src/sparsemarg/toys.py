@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activeset import sparsemap, sparsemap_vjp_probs
+from .activeset import sparsemap_rows, sparsemap_vjp_rows
 from .bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix, kbest_rows
 from .estimators import MovingAverageBaseline, sfe_rows, sum_and_sample_rows
 from .marginalize import CallStats, LossOracle
@@ -286,9 +286,12 @@ class ToyBitVectorVAE(_ParamLayout):
             resid = out - x
             return 0.5 * _row_dots(resid, resid), resid
         # Bernoulli negative log-likelihood with logits:
-        # softplus(out) - x * out, gradient sigmoid(out) - x.
+        # softplus(out) - x * out, gradient sigmoid(out) - x.  Below about
+        # -709, exp(-out) overflows to inf and the sigmoid is the 0.0 it
+        # should be, so the overflow is no error.
         val = np.logaddexp(0.0, out).sum(axis=-1) - _row_dots(out, x)
-        return val, 1.0 / (1.0 + np.exp(-out)) - x
+        with np.errstate(over="ignore"):
+            return val, 1.0 / (1.0 + np.exp(-out)) - x
 
     def objective_with_grad(self, example, cfg: TrainConfig):
         """Total objective, flat gradient, and the set of supported bit rows."""
@@ -473,8 +476,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     The variable scores are one stacked product, and every method lays
     out its posterior as (B, K) probabilities over K bit rows, a (K, D)
     matrix shared by the batch (dense, sparse) or one per example (topk's
-    k best from :func:`kbest_rows`, sparsemap's support, padded).  Only
-    the sparsemap solves and their vjps run example by example.  The loss
+    k best from :func:`kbest_rows`, sparsemap's support from one
+    :func:`sparsemap_rows` call, padded).  The loss
     reads each block of consecutive examples of at most ``_LOSS_BLOCK``
     rows in one ``eval_many`` call.  Within a block the supports are
     grouped by size (:class:`RowSupports`): each size's examples take
@@ -506,12 +509,12 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     else:
         polytope = (BitVectorPolytope(D) if method == "sparsemap" else
                     BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2)))
-        solved = [sparsemap(polytope, t) for t in T]
-        K = max(res.probs.size for res in solved)
-        probs, configs = np.zeros((B, K)), np.zeros((B, K, D))
-        for j, res in enumerate(solved):  # each support's weights are positive
-            probs[j, :res.probs.size] = res.probs
-            configs[j, :res.probs.size] = res.rows
+        solved = sparsemap_rows(polytope, T)
+        size = np.array([res.support_size for res in solved])
+        on = np.arange(size.max()) < size[:, None]  # each support's weights are positive
+        probs, configs = np.zeros(on.shape), np.zeros(on.shape + (D,))
+        probs[on] = np.concatenate([res.probs for res in solved])
+        configs[on] = np.concatenate([res.rows for res in solved])
 
     dlogits = []
 
@@ -539,9 +542,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
         neg_elbo[lo:hi] = dots[0] + dots[1]
         upstream = np.zeros(supports.shape)
         upstream[supports.rows, supports.outcomes] = c + log_q + 1.0
-        if solved is not None:  # the solver's vjp, one example at a time
-            g_t[lo:hi] = [sparsemap_vjp_probs(solved[j], upstream[j - lo, :sizes[j]])
-                          for j in range(lo, hi)]
+        if solved is not None:
+            g_t[lo:hi] = sparsemap_vjp_rows(solved[lo:hi], upstream)
         else:
             g = (softmax_vjp(probs[lo:hi], upstream) if method == "dense"
                  else sparsemax_vjp_rows(supports, upstream))[supports.rows, supports.outcomes]

@@ -292,3 +292,45 @@ def test_polytope_adapters():
     bpoly = BudgetedBitVectorPolytope(4, 2)
     st = bpoly.map(np.array([1.0, 0.5, 0.25, 2.0]))
     assert sum(st.bits) <= 2
+
+
+def _map_reference(t, budget=None):
+    # The oracles as they were written for one vector: the sign rule, or a
+    # stable descending sort cut at the budget, scored by the 1-d @.
+    if budget is None:
+        bits = (t >= 0).astype(np.int64)
+    else:
+        order = np.argsort(-t, kind="stable")[:budget]
+        bits = np.zeros(t.size, dtype=np.int64)
+        bits[order[t[order] >= 0]] = 1
+    row = bits.astype(np.float64)
+    return tuple(bits.tolist()), float(row @ t)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 32, 40, 65])
+def test_map_rows_has_the_bits_of_the_one_vector_oracles(d):
+    rng = make_rng(200 + d)
+    T = rng.normal(size=(24, d))
+    T[1::4] = np.round(T[1::4] * 2.0) / 4.0  # quarter-step ties
+    T[2::4] = 0.0
+    T[3::4][rng.random((6, d)) < 0.4] = 0.0
+    T[5] = -0.0  # signed zeros count as nonnegative
+    T[9, : d // 2] = -T[9, d // 2 : 2 * (d // 2)]
+    polytopes = [BitVectorPolytope(d)] + [BudgetedBitVectorPolytope(d, b)
+                                          for b in sorted({1, max(1, d // 2), d})]
+    for poly in polytopes:
+        bits, scores = poly.map_rows(T)
+        assert bits.dtype == np.uint8 and bits.shape == T.shape
+        assert scores.dtype == np.float64 and scores.shape == (T.shape[0],)
+        for i, t in enumerate(T):
+            ref_bits, ref_score = _map_reference(t, getattr(poly, "budget", None))
+            assert tuple(bits[i].tolist()) == ref_bits
+            assert np.float64(scores[i]).tobytes() == np.float64(ref_score).tobytes()
+            one = poly.map(t)  # the one-row case
+            assert one.bits == ref_bits
+            assert np.float64(one.score).tobytes() == np.float64(ref_score).tobytes()
+            assert np.array_equal(one.as_array(), bits[i])
+    with pytest.raises(ValueError, match="finite"):
+        BitVectorPolytope(d).map_rows(np.full((2, d), np.inf))
+    with pytest.raises(ValueError, match=r"\(B, D\) matrix"):
+        BitVectorPolytope(d).map_rows(np.zeros(d))

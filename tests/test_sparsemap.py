@@ -15,8 +15,10 @@ from sparsemarg.activeset import (
     _triangular_solve,
     active_set_step,
     sparsemap,
+    sparsemap_rows,
     sparsemap_vjp,
     sparsemap_vjp_probs,
+    sparsemap_vjp_rows,
 )
 from sparsemarg.bitvec import (
     BitVectorPolytope,
@@ -716,3 +718,313 @@ def test_max_condition_is_the_largest_estimate_the_solver_checked():
         assert res.max_condition == state.max_condition
         assert res.max_condition >= 1.0
     assert sparsemap(BitVectorPolytope(3), [4.0, 5.0, 6.0]).max_condition == 1.0
+
+
+# --- The batch solver ------------------------------------------------------
+
+
+def _reference_solve(oracle, t, max_iter=None, tol=1e-9):
+    """The active set one row at a time, written as it was before the batch
+    solver: a Python-float ratio test, a set of bit tuples for the known
+    structures, and the factor grown and shrunk through its public API."""
+    t = np.asarray(t, dtype=np.float64)
+    max_iter = 100 + 10 * oracle.dim if max_iter is None else max_iter
+    first = oracle.map(t)
+    structures, rows = [first], np.asarray(first.bits, dtype=np.float64)[None]
+    probs, moments, tau, nu = np.ones(1), rows[0], np.nan, np.nan
+    factor = CholeskyFactor(rows @ rows.T + 1.0)
+    out = dict(iterations=0, adds=0, drops=0, refactorizations=0, widenings=0,
+               max_condition=1.0, converged=False)
+    for _ in range(max_iter):
+        u, v = factor.solve(rows @ t), factor.solve(np.ones(len(rows)))
+        lam = (1.0 - u.sum()) / v.sum()
+        p_hat, tau_hat = u + lam * v, 1.0 - lam
+        gamma, blocker = 1.0, -1
+        for j, (p, q) in enumerate(zip(probs.tolist(), p_hat.tolist())):
+            if p > q and p / (p - q) < gamma:
+                gamma, blocker = p / (p - q), j
+        out["iterations"] += 1
+        if blocker >= 0:
+            cycle = gamma == 0.0 and blocker == probs.size - 1
+            assert not (cycle and out["widenings"] >= 3)
+            probs = np.delete((1.0 - gamma) * probs + gamma * p_hat, blocker)
+            del structures[blocker]
+            rows = np.delete(rows, blocker, axis=0)
+            factor.drop(blocker)
+            moments = rows.T @ probs
+            out["drops"] += 1
+            if cycle:
+                factor = CholeskyFactor(rows @ rows.T + 1.0)
+                out["refactorizations"] += 1
+                out["widenings"] += 1
+                tol *= 10.0
+            continue
+        moments, tau = rows.T @ p_hat, tau_hat
+        candidate = oracle.map(t - moments)
+        nu = tau_hat - candidate.score
+        if nu >= -tol or candidate.bits in {s.bits for s in structures}:
+            probs, out["converged"] = p_hat, True
+            break
+        a = np.asarray(candidate.bits, dtype=np.float64)
+        cross = rows.dot(a) + 1.0
+        structures.append(candidate)
+        rows = np.vstack([rows, a])
+        try:
+            factor.append(cross, float(a.dot(a)) + 1.0)
+        except np.linalg.LinAlgError:
+            factor = CholeskyFactor(rows @ rows.T + 1.0)
+            out["refactorizations"] += 1
+        cond = factor.condition_estimate()
+        out["max_condition"] = max(out["max_condition"], cond)
+        if cond > 1e12:
+            factor = CholeskyFactor(rows @ rows.T + 1.0)
+            out["refactorizations"] += 1
+        probs = np.concatenate((p_hat, [0.0]))
+        out["adds"] += 1
+    keep = probs > 0.0
+    out.update(bits=[s.bits for s, k in zip(structures, keep) if k], probs=probs[keep].tobytes(),
+               rows=rows[keep].tobytes(), moments=moments.tobytes(),
+               tau=np.float64(tau).tobytes(), nu_min=np.float64(nu).tobytes())
+    return out
+
+
+def _fingerprint(res):
+    """Everything a result holds, by value and by bytes."""
+    return dict(bits=[s.bits for s in res.structures], probs=res.probs.tobytes(),
+                rows=res.rows.tobytes(), moments=res.moments.tobytes(),
+                tau=np.float64(res.tau).tobytes(), nu_min=np.float64(res.nu_min).tobytes(),
+                converged=res.converged, iterations=res.iterations, adds=res.adds,
+                drops=res.drops, refactorizations=res.refactorizations,
+                widenings=res.widenings, max_condition=res.max_condition)
+
+
+def _mixed_rows(rng, n, d):
+    """n score rows of four kinds in turn: normal, quarter-step ties, all
+    zeros, and normal with 40 % exact zeros."""
+    T = rng.normal(size=(n, d))
+    T[1::4] = np.round(T[1::4] * 2.0) / 4.0
+    T[2::4] = 0.0
+    zeros40 = T[3::4]
+    zeros40[rng.random(zeros40.shape) < 0.4] = 0.0
+    T[3::4] = zeros40
+    return T
+
+
+def _polytopes(d):
+    return [BitVectorPolytope(d)] + [BudgetedBitVectorPolytope(d, b)
+                                     for b in sorted({1, max(1, d // 4), d})]
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 32, 40])
+def test_rows_solve_equals_each_row_alone_byte_for_byte(d):
+    rng = make_rng(300 + d)
+    for oracle in _polytopes(d):
+        T = _mixed_rows(rng, 12, d)
+        solved = sparsemap_rows(oracle, T)
+        assert len(solved) == len(T)
+        steps = [res.iterations for res in solved]
+        for t, res in zip(T, solved):
+            alone = _fingerprint(sparsemap(oracle, t))
+            assert _fingerprint(res) == alone
+            reference = _reference_solve(oracle, t)
+            assert {key: alone[key] for key in reference} == reference
+        if d >= 8:  # rows of one batch converge many steps apart
+            assert max(steps) - min(steps) >= (5 if d == 8 else 12)
+
+
+def test_rows_solve_steps_rows_that_drop_beside_rows_that_add(monkeypatch):
+    # Record, for each lockstep step, which rows dropped and which added.
+    import sparsemarg.activeset as activeset
+
+    steps, current = [], {}
+    advance, drop, add = activeset._advance_rows, activeset._drop_step, activeset._add_step
+
+    def advance_rows(states, oracle, T):
+        current.clear()
+        out = advance(states, oracle, T)
+        steps.append(dict(current))
+        return out
+
+    def drop_step(state, *args):
+        current[id(state)] = "drop"
+        return drop(state, *args)
+
+    def add_step(state, *args):
+        current[id(state)] = "add"
+        return add(state, *args)
+
+    monkeypatch.setattr(activeset, "_advance_rows", advance_rows)
+    monkeypatch.setattr(activeset, "_drop_step", drop_step)
+    monkeypatch.setattr(activeset, "_add_step", add_step)
+    rng = make_rng(310)
+    oracle = BitVectorPolytope(24)
+    T = _mixed_rows(rng, 16, 24)
+    solved = sparsemap_rows(oracle, T)
+    assert any({"drop", "add"} <= set(step.values()) for step in steps)
+    monkeypatch.undo()
+    for t, res in zip(T, solved):
+        assert _fingerprint(res) == _fingerprint(sparsemap(oracle, t))
+
+
+class _ForcingOracle:
+    """``BitVectorPolytope(2)``, except that at the residual (0, -1) it
+    offers the vertex (0, 1) with score 1e3 its first ``times`` times: the
+    relaxed QP rejects it, so the row refactorizes and widens its
+    tolerance once each time.  Only ``map``: the batch solver reaches it
+    through its one-row adapter."""
+
+    dim = 2
+
+    def __init__(self, times):
+        self.times = times
+        self.polytope = BitVectorPolytope(2)
+
+    def map(self, t):
+        if self.times and np.array_equal(t, [0.0, -1.0]):
+            self.times -= 1
+            return Structure((0, 1), 1e3)
+        return self.polytope.map(t)
+
+
+def test_rows_solve_widens_one_row_beside_rows_that_do_not():
+    T = np.array([[0.3, -0.2], [1.0, -1.0], [0.25, 0.25], [0.0, 0.0], [2.0, -0.5]])
+    solved = sparsemap_rows(_ForcingOracle(2), T)
+    assert [res.widenings for res in solved] == [0, 2, 0, 0, 0]
+    for t, res in zip(T, solved):
+        assert _fingerprint(res) == _fingerprint(sparsemap(_ForcingOracle(2), t))
+        reference = _reference_solve(_ForcingOracle(2), t)
+        assert {key: _fingerprint(res)[key] for key in reference} == reference
+    with pytest.raises(ActiveSetCycleError):
+        sparsemap_rows(_ForcingOracle(10), T)
+
+
+class _ConstantOracle:
+    """Offers the vertex (1, 0, 0) with score 1e3 at any scores: from its
+    second call on, a candidate already in the support whose nu is far
+    below -tol."""
+
+    dim = 3
+
+    def map(self, t):
+        return Structure((1, 0, 0), 1e3)
+
+
+def test_rows_solve_stops_at_a_candidate_already_in_the_support():
+    T = make_rng(315).normal(size=(5, 3))
+    solved = sparsemap_rows(_ConstantOracle(), T)
+    for t, res in zip(T, solved):
+        assert res.converged and res.iterations == 1 and res.nu_min < -1e2
+        assert [s.bits for s in res.structures] == [(1, 0, 0)]
+        assert _fingerprint(res) == _fingerprint(sparsemap(_ConstantOracle(), t))
+        reference = _reference_solve(_ConstantOracle(), t)
+        assert {key: _fingerprint(res)[key] for key in reference} == reference
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 5])
+def test_rows_solve_caps_each_row_at_max_iter(max_iter):
+    rng = make_rng(320 + max_iter)
+    oracle = BudgetedBitVectorPolytope(16, 5)
+    T = _mixed_rows(rng, 8, 16)
+    T[4], T[7] = 5.0, -5.0  # vertices: one step each
+    solved = sparsemap_rows(oracle, T, max_iter=max_iter)
+    assert all(res.iterations <= max_iter for res in solved)
+    assert any(not res.converged for res in solved) and any(res.converged for res in solved)
+    for t, res in zip(T, solved):
+        assert _fingerprint(res) == _fingerprint(sparsemap(oracle, t, max_iter=max_iter))
+
+
+def _first_error(oracle, T):
+    """The error a loop of one-row solves over T raises first."""
+    for t in T:
+        try:
+            sparsemap(oracle, t)
+        except Exception as exc:  # the loop stops at the first row that raises
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # Overflow at the first step (row 1) before a drop that would empty the
+    # support at the second (row 3): the lower row's error wins.
+    ([[0.3, -0.2], [1e308, 1e308], [0.5, 0.5], [1e16, 3e18]], "scores overflow"),
+    ([[0.3, -0.2], [1e16, 3e18], [0.5, 0.5], [1e308, 1e308]], "a drop would empty"),
+    ([[0.1, 0.2], [np.nan, 0.0], [1e308, 1e308]], "scores must be finite"),
+    ([[1e17, 0.5], [1e308, 1e308]], "no structure keeps positive weight"),
+    ([[0.1, 0.2], [1e17, 0.5], [np.inf, 0.0]], "no structure keeps positive weight"),
+])
+def test_rows_solve_raises_the_error_of_the_lowest_row(rows, expected, capfd):
+    T = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for oracle in (BitVectorPolytope(2), BudgetedBitVectorPolytope(2, 2)):
+            loop = _first_error(oracle, T)
+            assert loop is not None and expected in str(loop)
+            with pytest.raises(type(loop)) as raised:
+                sparsemap_rows(oracle, T)
+            assert str(raised.value) == str(loop)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_rows_solve_rejects_bad_arguments():
+    oracle = BitVectorPolytope(3)
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match=r"\(B, oracle.dim\) matrix"):
+            sparsemap_rows(oracle, bad)
+    with pytest.raises(ValueError, match="tol"):
+        sparsemap_rows(oracle, np.zeros((2, 3)), tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        sparsemap_rows(oracle, np.zeros((2, 3)), max_iter=0)
+    assert sparsemap_rows(oracle, np.zeros((0, 3))) == []
+
+
+def _reference_vjp(res, upstream):
+    # The projection as it was written for one result: a fresh Cholesky
+    # factor of the bordered Gram matrix and two triangular solves each.
+    L = np.linalg.cholesky(res.rows @ res.rows.T + 1.0)
+    u = solve_triangular(L.T, solve_triangular(L, upstream, lower=True), lower=False)
+    ones = np.ones(len(upstream))
+    v = solve_triangular(L.T, solve_triangular(L, ones, lower=True), lower=False)
+    return res.rows.T @ (u - (u.sum() / v.sum()) * v)
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_rows_vjp_has_the_bits_of_each_row_alone(d):
+    rng = make_rng(330 + d)
+    for oracle in _polytopes(d):
+        T = _mixed_rows(rng, 16, d)
+        solved = sparsemap_rows(oracle, T)
+        sizes = [res.support_size for res in solved]
+        K = max(sizes) + 2
+        upstream = rng.normal(size=(len(T), K)) * 10.0 ** rng.integers(-3, 4, size=(len(T), 1))
+        upstream[::3] = -upstream[::3]
+        upstream[1, 0] = -0.0
+        g = sparsemap_vjp_rows(solved, upstream)
+        assert g.shape == (len(T), d)
+        for i, res in enumerate(solved):
+            alone = sparsemap_vjp_probs(res, upstream[i, :sizes[i]])
+            assert g[i].tobytes() == alone.tobytes()  # sign bits included
+            assert alone.tobytes() == _reference_vjp(res, upstream[i, :sizes[i]]).tobytes()
+        if d >= 8:
+            assert len(set(sizes)) > 2
+        # Entries past a row's support are ignored.
+        padded = upstream.copy()
+        for i, n in enumerate(sizes):
+            padded[i, n:] = np.nan
+        assert sparsemap_vjp_rows(solved, padded).tobytes() == g.tobytes()
+
+
+def test_rows_vjp_raises_the_error_of_the_lowest_row():
+    oracle = BitVectorPolytope(4)
+    T = np.array([[0.4, -0.3, 0.1, 0.2], [0.3, -0.2, 0.1, 0.05], [0.2, 0.1, -0.1, 0.3]])
+    solved = sparsemap_rows(oracle, T)
+    capped = sparsemap(oracle, np.linspace(-0.4, 0.4, 4), max_iter=1)
+    assert not capped.converged
+    upstream = np.ones((3, 8))
+    upstream[2, 0] = np.inf
+    with pytest.raises(ValueError, match="requires a converged result"):
+        sparsemap_vjp_rows([solved[0], capped, solved[2]], upstream)
+    with pytest.raises(ValueError, match="must be finite"):
+        sparsemap_vjp_rows(solved, upstream)
+    for bad in (np.ones((2, 8)), np.ones((3, 1)), np.ones(8)):
+        with pytest.raises(ValueError, match=r"\(B, K\) matrix"):
+            sparsemap_vjp_rows(solved, bad)

@@ -571,6 +571,22 @@ def test_bitvec_batch_pass_equals_per_outcome_reference(method, d, k, recon):
     assert max(entry[3] for entry in stats) > 1  # some decoder gradient sums several terms
 
 
+def test_bernoulli_decoder_saturates_without_an_overflow_warning():
+    # Decoder outputs of -800 overflow exp(-out) in the sigmoid, which is
+    # then exactly 0.0, as it should be; +800 gives exactly 1.0.  Neither
+    # may warn (RuntimeWarnings are errors under this suite's settings).
+    model = ToyBitVectorVAE.init(d=2, n_pixels=4, seed=0)
+    model.dec_w = np.array([[800.0, 0.0], [-800.0, 0.0], [0.0, 800.0], [0.0, -800.0]])
+    bits = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+    x = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    val, d = model.recon_loss_and_dlogits(bits, x)
+    out = np.array([[800.0, -800.0, 800.0, -800.0], [800.0, -800.0, 0.0, 0.0], [0.0] * 4])
+    sigmoid = np.where(out > 0, 1.0, np.where(out < 0, 0.0, 0.5))
+    assert np.array_equal(d, sigmoid - x)
+    assert np.array_equal(val, [np.logaddexp(0.0, o).sum() - o @ xi for o, xi in zip(out, x)])
+    assert np.isfinite(val).all()
+
+
 @pytest.mark.parametrize("method, d, k", [("dense", 12, 8), ("dense", 10, 8), ("topk", 24, 1500)])
 def test_bitvec_loss_reads_whole_examples_in_blocks_of_at_most_4096_rows(method, d, k):
     images = make_bitvec_images(n=12, d=d, seed=45)

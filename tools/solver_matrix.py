@@ -19,10 +19,18 @@ zeros.  Ties and zeros are where the active set meets degenerate steps.
 Half the inputs, in alternate groups of four (one of each kind), are on
 ``BudgetedBitVectorPolytope`` with a budget drawn from 1..D, the rest on
 ``BitVectorPolytope``.
+
+With ``--rows`` the tool prints the same listing from the batch solver:
+the inputs of each (polytope, D, budget) group, all four kinds mixed, are
+solved as one ``sparsemap_rows`` batch, and the lines come out in index
+order.  Both listings must equal the per-input listing of the older tree.
+If a group's batch raises, each of its inputs is solved as a batch of
+one, so that the listing still names each input's own outcome.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 
@@ -70,12 +78,49 @@ def fingerprint(res) -> str:
         res.refactorizations, res.widenings)
 
 
-def run_matrix() -> int:
+def _outcome(solve) -> str:
+    try:
+        return fingerprint(solve())
+    except Exception as exc:  # a failed solve is one line of the listing
+        return type(exc).__name__
+
+
+def per_input():
+    """(index, kind, label, outcome) of each input, each solved alone."""
     for i, (kind, oracle, t, label) in enumerate(corpus()):
+        yield i, kind, label, _outcome(lambda: sparsemap(oracle, t))
+
+
+def batched():
+    """(index, kind, label, outcome) of each input, each group of one
+    polytope, D and budget solved as one batch; in index order."""
+    # Imported here, so that the per-input listing runs on older trees too.
+    from sparsemarg.activeset import sparsemap_rows
+
+    groups = {}
+    for i, (kind, oracle, t, label) in enumerate(corpus()):
+        key = (type(oracle).__name__, label)
+        groups.setdefault(key, (oracle, []))[1].append((i, kind, label, t))
+    lines = {}
+    for oracle, members in groups.values():
         try:
-            result = fingerprint(sparsemap(oracle, t))
-        except Exception as exc:  # a failed solve is one line of the listing
-            result = type(exc).__name__
+            outcomes = [fingerprint(res) for res in
+                        sparsemap_rows(oracle, np.array([t for *_, t in members]))]
+        except Exception:  # the batch raises one row's error; each input gets its own
+            outcomes = [_outcome(lambda t=t: sparsemap_rows(oracle, t[None])[0])
+                        for *_, t in members]
+        for (i, kind, label, _), outcome in zip(members, outcomes):
+            lines[i] = (i, kind, label, outcome)
+    for i in sorted(lines):
+        yield lines[i]
+
+
+def run_matrix(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rows", action="store_true",
+                        help="solve each (polytope, D, budget) group as one sparsemap_rows batch")
+    args = parser.parse_args(argv)
+    for i, kind, label, result in (batched() if args.rows else per_input()):
         print("%d %s %s %s" % (i, kind, label, result), flush=True)
     return 0
 

@@ -1,4 +1,4 @@
-"""Run the 87-run training matrix and print one fingerprint line per run.
+"""Run the 93-run training matrix and print one fingerprint line per run.
 
 Each line holds the run's name, the sha256 of its epoch CSV, the
 ``repr`` of the manifest's ``initial_loss`` and the sha256 of the final
@@ -28,7 +28,10 @@ k = 16, and sparse and dense also run at D = 12, the largest enumeration
 (K = 4096, a dense batch past one loss block).  The bit-vector pass
 groups each batch's supports by size too, so topk at D = 128, sparse at
 D = 6 and sparsemap at D = 8 also run at ``--batch-size 1`` and at
-``--n 50``, whose last batch of 16 holds 2 examples.
+``--n 50``, whose last batch of 16 holds 2 examples.  The SparseMAP
+solver advances a batch's solves together, grouped by support size, so
+sparsemap and sparsemap_budget also run at the benchmark's shape:
+D = 32, batches of 8 and a budget of 4.
 """
 
 from __future__ import annotations
@@ -91,6 +94,11 @@ RUNS = (
      ["bitvec", "--method", "sparsemap", "--d", "8", "--batch-size", "1"] + BITVEC),
     ("bitvec_sparsemap_d8_n50",
      ["bitvec", "--method", "sparsemap", "--d", "8", "--n", "50", "--epochs", "3"]),
+    ("bitvec_sparsemap_d32_b8",
+     ["bitvec", "--method", "sparsemap", "--d", "32", "--batch-size", "8"] + BITVEC),
+    ("bitvec_sparsemap_budget_d32_b8_b4",
+     ["bitvec", "--method", "sparsemap_budget", "--d", "32", "--batch-size", "8",
+      "--budget", "4"] + BITVEC),
 )
 
 
