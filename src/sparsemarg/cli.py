@@ -219,6 +219,8 @@ def cmd_train(args) -> int:
         "outputs": [out],
         "initial_loss": log.initial_loss,
         "diverged": log.diverged,
+        "initial_loss_s": log.initial_loss_s,
+        "epoch_s": log.epoch_s,
     }
     _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
     print("wrote %s (%d epochs)" % (out, len(log.rows)))

@@ -18,6 +18,7 @@ finite differences by :func:`model_grad_check`.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,10 @@ class TrainingLog:
     initial_loss: float
     rows: list = field(default_factory=list)
     diverged: bool = False
+    # Wall seconds of the initial-loss pass and of each epoch in ``rows``:
+    # timings, so not part of a log's equality.
+    initial_loss_s: float = field(default=0.0, compare=False)
+    epoch_s: list = field(default_factory=list, compare=False)
 
 
 @dataclass(frozen=True)
@@ -304,6 +309,23 @@ class ToyBitVectorVAE(_ParamLayout):
 
 
 @dataclass(eq=False)
+class _Posterior:
+    """What a pass's mapping gave its ``mapped`` examples: ``parts``, each
+    an array or list with one entry per mapped example, in batch order."""
+
+    mapped: np.ndarray  # (B,) bool, over the pass's batch
+    parts: tuple
+
+    def take(self, positions):
+        """The parts at the batch ``positions``, or None unless all were mapped."""
+        if not self.mapped[positions].all():
+            return None
+        j = (np.cumsum(self.mapped) - 1)[positions]
+        return tuple(part[j] if isinstance(part, np.ndarray) else [part[i] for i in j.tolist()]
+                     for part in self.parts)
+
+
+@dataclass(eq=False)
 class _BatchPass:
     """One minibatch: per-example log entries and the summed gradients.
 
@@ -313,18 +335,38 @@ class _BatchPass:
     gradients, or None when the divergence guard tripped: a non-finite
     score, or a zero probability whose log the objective would take.
     The categorical pass also returns the (B, K) probabilities, the
-    bit-vector pass each example's (support, D) bit rows.
+    bit-vector pass each example's (support, D) bit rows.  The
+    gradient-free pass fills only ``losses``, NaN where its guard
+    tripped, and ``posterior``.
     """
 
-    stats: list
+    stats: list | None
     grads: dict | None
     objectives: np.ndarray | None = None
     probs: np.ndarray | None = None
     rows: list | None = None
+    losses: np.ndarray | None = None
+    posterior: _Posterior | None = None
 
     @classmethod
     def diverged(cls, size: int) -> "_BatchPass":
         return cls([(np.nan, np.nan, 0, 0, None)] * size, None)
+
+    @classmethod
+    def loss_only(cls, size: int, at, losses, parts) -> "_BatchPass":
+        """The gradient-free pass's record: ``losses`` and ``parts`` of the
+        batch positions ``at``, NaN losses elsewhere."""
+        full, mapped = np.full(size, np.nan), np.zeros(size, dtype=bool)
+        full[at], mapped[at] = losses, True
+        return cls(None, None, losses=full, posterior=_Posterior(mapped, parts))
+
+
+def _clear(at, run: int, bad):
+    """Which of the batch positions ``at`` pass the divergence guard of the
+    gradient-free pass: a ``bad`` one trips its run of ``run`` consecutive
+    positions."""
+    runs = at // run
+    return ~np.isin(runs, runs[bad])
 
 
 def _ordered_sum(terms):
@@ -347,7 +389,8 @@ def _ordered_sum(terms):
 
 
 def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg: TrainConfig,
-                       rng=None, baseline: MovingAverageBaseline | None = None):
+                       rng=None, baseline: MovingAverageBaseline | None = None, *,
+                       guard: int | None = None, posterior: tuple | None = None):
     """One minibatch: forward, loss reads, hand gradients summed in example order.
 
     The dense and sparse methods marginalize exactly over the mapping's
@@ -360,6 +403,13 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     index order, so every per-example quantity has the bits a batch of
     one gives.  Returns the batch record and the baseline, updated when
     sfe drew samples.  Callers check ``cfg.method`` first.
+
+    Two keywords serve :func:`_train`, for dense and sparse.  With
+    ``guard``, this is the gradient-free pass (:meth:`_BatchPass.loss_only`):
+    it stops at the losses, and its divergence guard trips each run of
+    ``guard`` consecutive examples on its own, leaving that run unmapped.
+    ``posterior`` is these examples' ``(q,)`` from that pass, taken in
+    place of mapping them again.
     """
     K = model.n_messages
     method = cfg.method
@@ -368,12 +418,20 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     B = y.size
     X = features[batch]
     s = model.scores(X)
+    at = np.arange(B)  # the batch positions still in the pass
     if not np.all(np.isfinite(s)):
-        return _BatchPass.diverged(B), baseline
+        if guard is None:
+            return _BatchPass.diverged(B), baseline
+        ok = _clear(at, guard, ~np.isfinite(s).all(axis=1))
+        if not ok.any():
+            return _BatchPass.loss_only(B, at[ok], [], ()), baseline
+        at, s, y = at[ok], s[ok], y[ok]
     # Every message's loss for every label; the decoder softmax is its exp.
     losses = model.label_loss(np.arange(K)[:, None], np.arange(model.dec_w.shape[1]))
     dec = np.exp(-losses)
-    if method == "sparse":
+    if posterior is not None:
+        (q,) = posterior
+    elif method == "sparse":
         q = sparsemax_rows(s)
     elif method == "dense":
         q = softmax(s)
@@ -388,7 +446,10 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         weights[est.rows, est.outcomes] = est.weights
         calls = np.bincount(est.rows, minlength=B)
     if method != "sparse" and not np.all(q > 0):  # the entropy term would take log(0)
-        return _BatchPass.diverged(B), baseline
+        if guard is None:
+            return _BatchPass.diverged(B), baseline
+        ok = _clear(at, guard, ~(q > 0).all(axis=1))
+        at, q, y = at[ok], q[ok], y[ok]
 
     if method in ("dense", "sparse"):
         supports = RowSupports.of(q)  # every outcome for dense, past the guard
@@ -398,6 +459,8 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         probs = q[rows, outcomes]
         log_probs = np.log(probs)
         loss, entropy = supports.dots(probs, values, log_probs)
+        if guard is not None:
+            return _BatchPass.loss_only(B, at, loss, (q,)), baseline
         objective = loss + coef * entropy
         upstream = np.zeros((B, K))
         upstream[rows, outcomes] = values + coef * (log_probs + 1.0)
@@ -466,7 +529,8 @@ def _decoder_weight_terms(w, rows, dec_b, out):
         out[e, :, c] = sums[e, j]
 
 
-def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _BatchPass:
+def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
+                  guard: int | None = None, posterior: tuple | None = None) -> _BatchPass:
     """One minibatch of images: posterior over bit-vectors, negative ELBO,
     hand gradients summed in example order.
 
@@ -486,30 +550,53 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     (:func:`_decoder_weight_terms`).  The sums over examples then add in
     batch order, so every quantity keeps the bits of a batch of one.
     Callers check ``cfg`` against D first (:func:`_check_config`).
+
+    ``guard`` and ``posterior`` serve :func:`_train` as in
+    :func:`_categorical_batch`.  The posterior is ``(probs,)`` for dense
+    and sparse, ``(bits, probs, certificates)`` for topk and the
+    ``(results,)`` of the solves for the SparseMAP methods.
     """
     D = model.d
     method = cfg.method
     X = images[np.asarray(batch)]
     B = X.shape[0]
     T = model.var_scores(X)
+    at = np.arange(B)  # the batch positions still in the pass
     if not np.all(np.isfinite(T)):
-        return _BatchPass.diverged(B)
-    certificates = [None] * B
+        if guard is None:
+            return _BatchPass.diverged(B)
+        ok = _clear(at, guard, ~np.isfinite(T).all(axis=1))
+        if not ok.any():
+            return _BatchPass.loss_only(B, at[ok], [], ())
+        at, T, X = at[ok], T[ok], X[ok]
+    if posterior is None:
+        if method == "topk":
+            configs, scores = kbest_rows(T, cfg.k)
+            posterior = (configs,) + topk_sparsemax_rows(scores, cfg.k)
+        elif method in ("dense", "sparse"):
+            scores = np.matmul(config_matrix(D), T[:, :, None])[..., 0]  # A @ t's GEMV per row
+            posterior = (softmax(scores) if method == "dense" else sparsemax_rows(scores),)
+        else:
+            polytope = (BitVectorPolytope(D) if method == "sparsemap" else
+                        BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2)))
+            posterior = (sparsemap_rows(polytope, T),)
+            if guard is not None and not all(res.converged for res in posterior[0]):
+                # The vjp this pass skips refuses such a result; raise as it would.
+                raise ValueError("backward pass requires a converged result")
+    if method == "dense" and not np.all(posterior[0] > 0):
+        if guard is None:
+            return _BatchPass.diverged(B)
+        ok = _clear(at, guard, ~(posterior[0] > 0).all(axis=1))
+        at, X, posterior = at[ok], X[ok], (posterior[0][ok],)
+    certificates = [None] * at.size
     solved = None
     if method == "topk":
-        configs, scores = kbest_rows(T, cfg.k)
-        probs, certificates = topk_sparsemax_rows(scores, cfg.k)
+        configs, probs, certificates = posterior
         certificates = certificates.tolist()
     elif method in ("dense", "sparse"):
-        configs = config_matrix(D)
-        scores = np.matmul(configs, T[:, :, None])[..., 0]  # the GEMV of A @ t per row
-        probs = softmax(scores) if method == "dense" else sparsemax_rows(scores)
-        if method == "dense" and not np.all(probs > 0):
-            return _BatchPass.diverged(B)
+        configs, (probs,) = config_matrix(D), posterior
     else:
-        polytope = (BitVectorPolytope(D) if method == "sparsemap" else
-                    BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2)))
-        solved = sparsemap_rows(polytope, T)
+        (solved,) = posterior
         size = np.array([res.support_size for res in solved])
         on = np.arange(size.max()) < size[:, None]  # each support's weights are positive
         probs, configs = np.zeros(on.shape), np.zeros(on.shape + (D,))
@@ -521,14 +608,17 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
     def neg_log_joint(outcomes):
         bits, x = outcomes  # one (bit row, image) pair per outcome
         recon, d = model.recon_loss_and_dlogits(bits, x)
-        dlogits.append(d)
+        if guard is None:
+            dlogits.append(d)
         return D * np.log(2.0) + recon
 
     oracle = LossOracle(neg_log_joint)
     sizes = (probs > 0).sum(axis=1)
-    neg_elbo, g_t = np.empty(B), np.empty((B, D))
-    dec_b, dec_w = np.empty((B,) + model.dec_b.shape), np.empty((B,) + model.dec_w.shape)
-    support_rows = [None] * B
+    m = at.size  # the examples mapped: all of a training batch
+    neg_elbo = np.empty(m)
+    if guard is None:
+        g_t, support_rows = np.empty((m, D)), [None] * m
+        dec_b, dec_w = np.empty((m,) + model.dec_b.shape), np.empty((m,) + model.dec_w.shape)
     for lo, hi in _blocks(sizes.tolist(), _LOSS_BLOCK):
         supports = RowSupports.of(probs[lo:hi])
         on = lo + supports.rows, supports.outcomes
@@ -536,10 +626,12 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
                                                                              copy=False)
         c = oracle.eval_many((rows, X[on[0]]))
         q = probs[on]
-        w = q[:, None] * dlogits.pop()
         log_q = np.log(q)
         dots = supports.dots(q, c, log_q)
         neg_elbo[lo:hi] = dots[0] + dots[1]
+        if guard is not None:
+            continue
+        w = q[:, None] * dlogits.pop()
         upstream = np.zeros(supports.shape)
         upstream[supports.rows, supports.outcomes] = c + log_q + 1.0
         if solved is not None:
@@ -564,6 +656,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig) -> _B
         dec_b[lo:hi] = _ordered_sum(W.transpose(1, 0, 2))
         _decoder_weight_terms(W, R, dec_b[lo:hi], dec_w[lo:hi])
     assert sizes.sum() == oracle.calls
+    if guard is not None:
+        return _BatchPass.loss_only(B, at, neg_elbo, posterior)
     grads = {"dec_w": _ordered_sum(dec_w), "dec_b": _ordered_sum(dec_b)}
     del dec_w  # before the encoder terms, which are as large
     grads["enc_w"] = _ordered_sum(g_t[:, :, None] * X[:, None, :])
@@ -624,33 +718,62 @@ def _finish_epoch(epoch, stats) -> EpochRow:
     )
 
 
-def _initial_loss(n: int, batch_size: int, batch_pass) -> float:
+def _initial_loss(n: int, batch_size: int, loss_pass):
+    """The mean loss of the ``n`` examples and their :class:`_Posterior`,
+    from one gradient-free pass over them all, ``loss_pass(indices, guard)``.
+
+    Its divergence guard trips each run of ``batch_size`` examples on its
+    own, as it would trip the batches of a loop over them, and a tripped
+    run's losses are NaN.  Every loss has the bits of a batch of one and
+    adds in example order from 0.0, as that loop's sum would.  If the
+    pass raises, the runs are passed one at a time, in order, so that the
+    error raised is the first run's, the one that loop would raise.
+    """
+    examples = np.arange(n)
+    try:
+        out = loss_pass(examples, batch_size)
+    except Exception:
+        for start in range(0, n, batch_size):
+            loss_pass(examples[start:start + batch_size], batch_size)
+        raise
     total = 0.0
-    for start in range(0, n, batch_size):
-        for loss, *_ in batch_pass(np.arange(start, min(start + batch_size, n))).stats:
-            total += loss
-    return total / n
+    for loss in out.losses.tolist():
+        total += loss
+    return total / n, out.posterior
 
 
 def _train(task: str, model, n: int, cfg: TrainConfig, eval_cfg: TrainConfig, batch_pass):
     """Minibatch SGD over ``n`` examples, reshuffled every epoch.
 
-    ``batch_pass(indices, config, rng)`` returns the :class:`_BatchPass`
-    of those examples; ``rng`` is the generator that also draws the
-    shuffles.  The initial loss is the mean loss under ``eval_cfg`` before
-    any update.  A batch whose divergence guard trips, or an update that
-    leaves a parameter non-finite, ends training with the log marked
-    diverged.
+    ``batch_pass(indices, config, rng, guard=None, posterior=None)``
+    returns the :class:`_BatchPass` of those examples; ``rng`` is the
+    generator that also draws the shuffles.  The initial loss is the mean
+    loss under ``eval_cfg`` before any update, from one gradient-free pass
+    over all ``n`` examples (:func:`_initial_loss`).  When ``eval_cfg``
+    has ``cfg``'s method, the first batch of epoch 1, at the same
+    parameters, takes its examples' posterior from that pass instead of
+    mapping them again.  A batch whose divergence guard trips, or an
+    update that leaves a parameter non-finite, ends training with the log
+    marked diverged.  The log holds the wall seconds of the initial pass
+    and of each epoch.
     """
-    log = TrainingLog(task=task, config=cfg, initial_loss=_initial_loss(
-        n, cfg.batch_size, lambda batch: batch_pass(batch, eval_cfg, None)))
+    started = time.perf_counter()
+    initial_loss, posterior = _initial_loss(
+        n, cfg.batch_size, lambda batch, guard: batch_pass(batch, eval_cfg, None, guard=guard))
+    log = TrainingLog(task=task, config=cfg, initial_loss=initial_loss,
+                      initial_loss_s=time.perf_counter() - started)
+    if eval_cfg.method != cfg.method:
+        posterior = None
     rng = make_rng(cfg.seed)
     for epoch in range(1, cfg.epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(n)
         stats = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start: start + cfg.batch_size]
-            out = batch_pass(batch, cfg, rng)
+            reused = None if posterior is None else posterior.take(batch)
+            posterior = None
+            out = batch_pass(batch, cfg, rng, posterior=reused)
             if out.grads is None:
                 log.diverged = True
                 return log
@@ -662,6 +785,7 @@ def _train(task: str, model, n: int, cfg: TrainConfig, eval_cfg: TrainConfig, ba
                 log.diverged = True
                 return log
         row = _finish_epoch(epoch, stats)
+        log.epoch_s.append(time.perf_counter() - started)
         log.rows.append(row)
         if not np.isfinite(row.loss):
             log.diverged = True
@@ -683,10 +807,10 @@ def train_categorical(model: ToyCategoricalModel, data: ClusterData, cfg: TrainC
                            entropy_coef=cfg.entropy_coef)
     baseline = MovingAverageBaseline()
 
-    def batch_pass(batch, config, rng):
+    def batch_pass(batch, config, rng, **keywords):
         nonlocal baseline
         out, baseline = _categorical_batch(
-            model, data.features, data.labels, batch, config, rng, baseline
+            model, data.features, data.labels, batch, config, rng, baseline, **keywords
         )
         return out
 
@@ -702,7 +826,8 @@ def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfi
     """
     _check_config("bitvec", cfg, data.images.shape[0], model.d)
     return _train("bitvec", model, data.images.shape[0], cfg, cfg,
-                  lambda batch, config, rng: _bitvec_batch(model, data.images, batch, config))
+                  lambda batch, config, rng, **keywords: _bitvec_batch(
+                      model, data.images, batch, config, **keywords))
 
 
 def model_grad_check(model, cfg: TrainConfig, example, h: float = 1e-5) -> GradCheckReport:

@@ -228,6 +228,15 @@ def test_train_writes_manifest_sidecar(tmp_path):
     assert manifest["started"] <= manifest["finished"]
 
 
+def test_train_manifest_records_wall_seconds_per_phase(tmp_path):
+    out = _run_train(tmp_path, "timed.csv", ["train", "bitvec", "--method", "sparsemap", "--d", "6",
+                                             "--n", "16", "--epochs", "3", "--seed", "2"])
+    manifest = json.loads((tmp_path / "timed.csv.manifest.json").read_text())
+    assert isinstance(manifest["initial_loss_s"], float) and manifest["initial_loss_s"] >= 0.0
+    assert len(manifest["epoch_s"]) == len(_rows(out)[1]) == 3
+    assert all(isinstance(s, float) and s >= 0.0 for s in manifest["epoch_s"])
+
+
 def test_train_manifest_isolates_timestamps(tmp_path):
     # Reruns may differ in the manifest timestamps but never in the CSV.
     argv = ["train", "bitvec", "--method", "topk", "--k", "4", "--d", "5",

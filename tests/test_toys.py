@@ -13,6 +13,8 @@ from sparsemarg.topk import top_k
 from sparsemarg.toys import (
     BITVEC_METHODS,
     CATEGORICAL_METHODS,
+    BitImageData,
+    ClusterData,
     ToyBitVectorVAE,
     ToyCategoricalModel,
     TrainConfig,
@@ -145,6 +147,168 @@ def test_divergence_guard_flags_zero_dense_probability_on_bit_vectors():
     assert log.rows == []
     with pytest.raises(ValueError):
         model.objective_with_grad(images.images[0], TrainConfig(method="dense"))
+
+
+def _per_batch_initial_loss(batch_pass, n, batch_size):
+    """The initial loss as a loop of the training pass, gradients and all,
+    over batches of ``batch_size``: the reference for the gradient-free
+    pass over the whole data set."""
+    total = 0.0
+    for start in range(0, n, batch_size):
+        for loss, *_ in batch_pass(np.arange(start, min(start + batch_size, n))).stats:
+            total += loss
+    return total / n
+
+
+def _outcome(run):
+    """The repr of what ``run()`` returns, or the type and text of what it raises."""
+    try:
+        return repr(run())
+    except Exception as exc:  # the error is the outcome compared
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _initial_loss_outcomes(task, method, inputs, batch_size):
+    """A zero-epoch run's initial loss and the per-batch reference's, as
+    outcomes, at the same parameters; ``inputs`` is an (n, width) array of
+    features or images."""
+    n = inputs.shape[0]
+    cfg = TrainConfig(method=method, epochs=0, batch_size=batch_size, k=4, budget=3)
+    if task == "categorical":
+        labels = make_cluster_data(n=n, n_clusters=4, feat_dim=inputs.shape[1], seed=50).labels
+        data = ClusterData(inputs, labels, 4)
+        model = ToyCategoricalModel.init(n_messages=8, n_classes=4, feat_dim=inputs.shape[1],
+                                         seed=51, scale=0.3)
+        eval_cfg = TrainConfig(method="sparse" if method == "sparse" else "dense")
+        reference = lambda batch: _categorical_batch(model, inputs, labels, batch, eval_cfg)[0]
+        train = lambda: train_categorical(model, data, cfg).initial_loss
+    else:
+        data = BitImageData(inputs, 8, inputs.shape[1])
+        model = ToyBitVectorVAE.init(d=8, n_pixels=inputs.shape[1], seed=52, scale=0.3)
+        reference = lambda batch: _bitvec_batch(model, inputs, batch, cfg)
+        train = lambda: train_bitvec_vae(model, data, cfg).initial_loss
+    return _outcome(train), _outcome(lambda: _per_batch_initial_loss(reference, n, batch_size))
+
+
+_TASK_METHODS = ([pytest.param("categorical", m, id="categorical_" + m)
+                  for m in CATEGORICAL_METHODS]
+                 + [pytest.param("bitvec", m, id="bitvec_" + m) for m in BITVEC_METHODS])
+
+
+def _inputs(task, n=50):
+    if task == "categorical":
+        return make_cluster_data(n=n, n_clusters=4, feat_dim=8, seed=53).features.copy()
+    return make_bitvec_images(n=n, d=8, seed=54).images.copy()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task, method", _TASK_METHODS)
+def test_initial_loss_has_the_bits_of_the_per_batch_loop(task, method):
+    # One gradient-free pass over all examples must give the repr of the
+    # loop over training batches, at 50 examples (a short last batch) and
+    # with one batch holding them all; an image holding inf makes both NaN.
+    inputs = _inputs(task)
+    for batch_size in (1, 8, 16, 64):
+        got, expected = _initial_loss_outcomes(task, method, inputs, batch_size)
+        assert got == expected, batch_size
+        assert np.isfinite(float(got))
+    inputs[3, 2] = np.inf
+    for batch_size in (1, 8, 64):
+        assert _initial_loss_outcomes(task, method, inputs, batch_size) == ("nan", "nan")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task, method", _TASK_METHODS)
+def test_initial_loss_raises_or_is_nan_where_the_per_batch_loop_does(task, method):
+    # An example scaled by 1e50 is too large for SparseMAP to resolve.  A
+    # batch of 8 holding it beside a batch holding a non-finite example,
+    # in either order, raises in the loop; in one batch with it, the
+    # guard leaves it unsolved and the loss is NaN.
+    outcomes = []
+    for scaled, broken in ((2, 12), (12, 2), (2, 5)):
+        inputs = _inputs(task)
+        inputs[scaled] *= 1e50
+        inputs[broken, 0] = np.nan
+        got, expected = _initial_loss_outcomes(task, method, inputs, 8)
+        assert got == expected, (scaled, broken)
+        outcomes.append(got)
+    if method.startswith("sparsemap"):
+        assert all(o.startswith("ValueError: scores too large to resolve") for o in outcomes[:2])
+        assert outcomes[2] == "nan"
+    else:
+        assert outcomes == ["nan"] * 3
+
+
+def test_initial_loss_raises_the_first_error_of_the_per_batch_loop(monkeypatch):
+    # Capped at two steps, the solves stop unconverged, which the training
+    # pass's vjp refuses, and an example scaled by 1e50 in the second
+    # batch fails its solve.  The loop raises the first batch's error, the
+    # vjp's; so must the gradient-free pass, which has no vjp.
+    from sparsemarg import toys
+
+    solve = toys.sparsemap_rows
+    monkeypatch.setattr(toys, "sparsemap_rows", lambda oracle, T: solve(oracle, T, max_iter=2))
+    inputs = _inputs("bitvec")
+    inputs[12] *= 1e50
+    got, expected = _initial_loss_outcomes("bitvec", "sparsemap", inputs, 8)
+    assert got == expected == "ValueError: backward pass requires a converged result"
+
+
+@pytest.mark.parametrize("task, method", _TASK_METHODS)
+def test_first_batch_trains_bit_for_bit_on_the_reused_posterior(task, method, monkeypatch):
+    # The first batch of epoch 1 takes its posterior from the initial pass;
+    # mapping its examples again must give the same log and parameters.
+    from sparsemarg import toys
+
+    def train():
+        cfg = TrainConfig(method=method, epochs=2, batch_size=8, k=4, budget=3, seed=2)
+        if task == "bitvec":
+            model = ToyBitVectorVAE.init(d=8, n_pixels=36, seed=57, scale=0.3)
+            log = train_bitvec_vae(model, make_bitvec_images(n=24, d=8, seed=58), cfg)
+        else:
+            model = ToyCategoricalModel.init(n_messages=8, n_classes=4, feat_dim=8, seed=57,
+                                             scale=0.3)
+            log = train_categorical(model, _small_cluster_data(n=24), cfg)
+        return log, [getattr(model, key).tobytes() for key in model.PARAMS]
+
+    reused = train()
+    monkeypatch.setattr(toys._Posterior, "take", lambda self, positions: None)
+    assert train() == reused
+
+
+@pytest.mark.parametrize("task, method, mapping, vjp", [
+    ("bitvec", "sparsemap", "sparsemap_rows", "sparsemap_vjp_rows"),
+    ("bitvec", "topk", "kbest_rows", "sparsemax_vjp_rows"),
+    ("bitvec", "sparse", "sparsemax_rows", "sparsemax_vjp_rows"),
+    ("categorical", "sparse", "sparsemax_rows", "sparsemax_vjp_rows"),
+])
+def test_initial_pass_maps_once_without_gradients_and_the_first_batch_reuses_it(
+        task, method, mapping, vjp, monkeypatch):
+    from sparsemarg import toys
+
+    counts = {}
+    for name in (mapping, vjp, "_decoder_weight_terms"):
+        def counted(*args, _name=name, _original=getattr(toys, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(toys, name, counted)
+
+    def calls(epochs):
+        counts.clear()
+        cfg = TrainConfig(method=method, epochs=epochs, batch_size=8, k=4, seed=1)
+        if task == "bitvec":
+            train_bitvec_vae(ToyBitVectorVAE.init(d=8, n_pixels=36, seed=55),
+                             make_bitvec_images(n=24, d=8, seed=56), cfg)
+        else:
+            train_categorical(ToyCategoricalModel.init(n_messages=8, n_classes=4, feat_dim=8,
+                                                       seed=55), _small_cluster_data(n=24), cfg)
+        return counts.copy()
+
+    assert calls(0) == {mapping: 1}  # one mapping of all 24 examples, no backward pass
+    trained = {mapping: 1 + 2, vjp: 3}  # three batches, the first mapped by the initial pass
+    if task == "bitvec":
+        trained["_decoder_weight_terms"] = 3
+    assert calls(1) == trained
 
 
 def _decoder_log_probs(model, z):

@@ -1,4 +1,4 @@
-"""Run the 93-run training matrix and print one fingerprint line per run.
+"""Run the 120-run training matrix and print one fingerprint line per run.
 
 Each line holds the run's name, the sha256 of its epoch CSV, the
 ``repr`` of the manifest's ``initial_loss`` and the sha256 of the final
@@ -31,7 +31,12 @@ D = 6 and sparsemap at D = 8 also run at ``--batch-size 1`` and at
 ``--n 50``, whose last batch of 16 holds 2 examples.  The SparseMAP
 solver advances a batch's solves together, grouped by support size, so
 sparsemap and sparsemap_budget also run at the benchmark's shape:
-D = 32, batches of 8 and a budget of 4.
+D = 32, batches of 8 and a budget of 4.  The initial loss is one
+gradient-free pass over the whole data set, whose divergence guard acts
+per batch, and the first training batch reuses its posterior; so every
+bit-vector method and categorical sparse and sfe also run at
+``--epochs 0`` (the initial loss alone), and sparsemap runs with one
+batch of 32 holding all 24 examples.
 """
 
 from __future__ import annotations
@@ -99,6 +104,26 @@ RUNS = (
     ("bitvec_sparsemap_budget_d32_b8_b4",
      ["bitvec", "--method", "sparsemap_budget", "--d", "32", "--batch-size", "8",
       "--budget", "4"] + BITVEC),
+    ("categorical_sparse_e0",
+     ["categorical", "--method", "sparse", "--n", "64", "--epochs", "0", "--k", "2"]),
+    ("categorical_sfe_e0",
+     ["categorical", "--method", "sfe", "--n", "64", "--epochs", "0", "--k", "2"]),
+    ("bitvec_dense_d6_e0", ["bitvec", "--method", "dense", "--d", "6", "--n", "24",
+                            "--epochs", "0"]),
+    ("bitvec_sparse_d6_e0", ["bitvec", "--method", "sparse", "--d", "6", "--n", "24",
+                             "--epochs", "0"]),
+    ("bitvec_topk_d128_k16_e0", ["bitvec", "--method", "topk", "--d", "128", "--k", "16",
+                                 "--n", "24", "--epochs", "0"]),
+    ("bitvec_sparsemap_d8_e0", ["bitvec", "--method", "sparsemap", "--d", "8", "--n", "24",
+                                "--epochs", "0"]),
+    ("bitvec_sparsemap_budget_d8_b3_e0",
+     ["bitvec", "--method", "sparsemap_budget", "--d", "8", "--budget", "3", "--n", "24",
+      "--epochs", "0"]),
+    ("bitvec_sparsemap_d32_b8_e0",
+     ["bitvec", "--method", "sparsemap", "--d", "32", "--batch-size", "8", "--n", "24",
+      "--epochs", "0"]),
+    ("bitvec_sparsemap_d8_bs32",
+     ["bitvec", "--method", "sparsemap", "--d", "8", "--batch-size", "32"] + BITVEC),
 )
 
 
