@@ -15,11 +15,13 @@ contains the all-zeros vertex and absorbs the simplex equality constraint,
 and which is grown and shrunk by one structure per iteration.
 
 The rows of a score matrix are solved together (:func:`sparsemap_rows`):
-every row advances one step at a time, and each step takes the rows of
-one support size at once, as stacked arrays, leaving only the triangular
-solves and the factor updates to each row.  Every row keeps the bits of
-its solve alone, so :func:`sparsemap` and :func:`active_set_step` are
-the one-row case.
+their active sets are one stack of vertex rows, factors, weights, scores
+and moments (:class:`_ActiveSets`), every row advances one step at a
+time, and each step gathers the rows of one support size, takes their
+products as stacked arrays and scatters the results back, leaving the
+triangular solves, drops and refactorizations to each row.  Every row
+keeps the bits of its solve alone, so :func:`sparsemap` and
+:func:`active_set_step` are the one-row case.
 
 The backward pass differentiates the fixed-support KKT system; both vjps
 (through the structure probabilities and through the moments) reuse the
@@ -57,11 +59,11 @@ __all__ = [
 _COND_LIMIT = 1e12
 # Outcome ids are int64 while every id fits; past that they stay Python ints.
 _INT64_OUTCOMES = 1 << 63
-# A growing factor or vertex matrix reserves room for this many structures,
-# and twice its size when that is full.
+# A stack of factors or vertex rows starts with room for this many
+# structures in each row, and doubles its room when a row needs more.
 _MIN_ROOM = 16
-_ONES = np.ones(128)
-_ONES.flags.writeable = False
+_ROW0 = np.zeros(1, dtype=np.intp)
+_ROW0.flags.writeable = False
 
 
 class DegenerateSupportError(RuntimeError):
@@ -73,20 +75,15 @@ class ActiveSetCycleError(RuntimeError):
     refactorization and three tolerance widenings."""
 
 
-def _ones(n: int) -> np.ndarray:
-    return _ONES[:n] if n <= _ONES.size else np.ones(n)
-
-
-def _room(buf, n: int, square: bool = False) -> np.ndarray:
-    """``buf`` if it has a row free past its first ``n``, else a zeroed
-    buffer of max(2 n, 16) rows holding the same leading block: as many
-    columns when ``square``, else as wide as ``buf``."""
-    if n < buf.shape[0]:
-        return buf
-    rows = max(2 * n, _MIN_ROOM)
-    grown = np.zeros((rows, rows if square else buf.shape[1]))
-    grown[:n, : buf.shape[1]] = buf[:n]
-    return grown
+def _room(a, cap: int, axes) -> np.ndarray:
+    """A zeroed array like ``a`` but ``cap`` long along ``axes``, holding
+    ``a`` in its leading block."""
+    shape = list(a.shape)
+    for axis in axes:
+        shape[axis] = cap
+    out = np.zeros(shape)
+    out[tuple(map(slice, a.shape))] = a
+    return out
 
 
 def _dtrtrs(L, b, trans: int) -> np.ndarray:
@@ -97,8 +94,9 @@ def _dtrtrs(L, b, trans: int) -> np.ndarray:
     LAPACK sees the Fortran view ``L.T``, an upper factor whose leading
     dimension is the row length; this is the call
     ``scipy.linalg.solve_triangular`` makes for a square ``L``, without its
-    per-call validation.  An emptied factor is passed as 0 x 0, which
-    LAPACK refuses (info -7, a leading dimension below 1).
+    per-call validation.  The solution has the same bits whatever the
+    leading dimension.  An emptied factor is passed as 0 x 0, which LAPACK
+    refuses (info -7, a leading dimension below 1).
     """
     x, info = dtrtrs(L.T if L.shape[0] else L[:, :0], b, 0, trans)  # lower=0
     if info != 0:
@@ -116,74 +114,84 @@ def _triangular_solve(L, b, trans: int) -> np.ndarray:
     return _dtrtrs(L, b, trans)
 
 
-class CholeskyFactor:
-    """Lower-triangular factor of the bordered Gram matrix A'A + 11^T.
+def _condition(hi: float, lo: float) -> float:
+    """(hi / lo)^2, inf when ``lo`` is not positive or the square overflows."""
+    if not lo > 0:
+        return math.inf
+    try:
+        return (hi / lo) ** 2
+    except OverflowError:
+        return math.inf
 
-    Supports growing by one column (rank-one update against the existing
-    factor) and deleting an arbitrary column (row removal followed by
-    Givens re-triangularization), plus two-triangular-solve application
-    of the inverse.  The factor is the leading block of a buffer with
-    room to grow, zero right of its diagonal, and it keeps the largest and
-    smallest |diagonal| entry for :meth:`condition_estimate`: exact on an
-    append, recomputed on first use after a drop, whose rotations change
-    the diagonal.
+
+class _Factors:
+    """Lower-triangular factors of bordered Gram matrices A'A + 11^T, one
+    per row of a stack.
+
+    Row b's factor is the leading ``n[b]`` x ``n[b]`` block of ``L[b]``,
+    zero right of its diagonal; the rows below it are scratch that the
+    next append overwrites.  All rows share one room, doubled when a row
+    needs more: LAPACK gives a triangular solve the same bits whatever the
+    leading dimension, and wherever the factor sits in the stack.
+    ``hi[b]`` and ``lo[b]`` are the largest and smallest |diagonal| entry
+    of row b's factor: exact on an append, and NaN, recomputed on first
+    use, after a drop or a rebuild, which change the diagonal.  The sizes
+    and bounds are lists of Python numbers: a step reads and writes them
+    for a few rows at a time, where a numpy call per update costs more.
     """
 
-    def __init__(self, gram):
-        gram = np.atleast_2d(np.asarray(gram, dtype=np.float64))
-        self._buf = np.linalg.cholesky(gram)
-        self._n = self._buf.shape[0]
-        self._bounds = None
+    def __init__(self, L, n: list):
+        self.L, self.n = L, n
+        self.hi, self.lo = [math.nan] * len(n), [math.nan] * len(n)
 
-    @classmethod
-    def _of(cls, L) -> "CholeskyFactor":
-        """The factor whose lower triangle is the square array ``L``, taken as it is."""
-        out = object.__new__(cls)
-        out._buf, out._n, out._bounds = L, L.shape[0], None
-        return out
+    def _reserve(self, size: int):
+        """Make room for ``size`` structures in every row."""
+        cap = self.L.shape[1]
+        if size > cap:
+            self.L = _room(self.L, max(2 * cap, _MIN_ROOM), (1, 2))
 
-    def copy(self) -> "CholeskyFactor":
-        out = object.__new__(CholeskyFactor)
-        out._buf = self._buf.copy()
-        out._n = self._n
-        out._bounds = self._bounds
-        return out
+    def _grow(self, ids, n: int, E, pivots: list, diag: list):
+        """Append to the factors of the rows ``ids`` (an int array), all of
+        size ``n``, the rows of ``E`` = L^{-1} cross, whose pivots are
+        diag - ell'ell, with diagonal entries sqrt(pivot).  Returns the
+        rows whose pivot is numerically zero, which stay as they were, and
+        the others with their grown factors' condition estimates
+        (:meth:`_condition`), as lists."""
+        bad, grown, roots, cond, redo = [], [], [], [], []
+        sizes, hi, lo = self.n, self.hi, self.lo
+        for b, pivot, d in zip(ids.tolist(), pivots, diag):
+            if pivot <= 1e-12 * max(d, 1.0):
+                bad.append(b)
+                continue
+            # A NaN pivot passes the test; its row's bounds are then
+            # recomputed, and the NaN carries.
+            r = math.sqrt(pivot)
+            sizes[b] = n + 1
+            h, l = hi[b], lo[b]
+            if r == r and l == l:
+                hi[b] = h = r if r > h else h
+                lo[b] = l = r if r < l else l
+                cond.append(_condition(h, l))
+            else:
+                hi[b] = lo[b] = math.nan
+                redo.append(len(cond))
+                cond.append(math.nan)
+            grown.append(b)
+            roots.append(r)
+        if bad:
+            ok = ~np.isin(ids, bad)
+            ids, E = ids[ok], E[ok]
+        self._reserve(n + 1)
+        self.L[ids, n, :n] = E
+        self.L[ids, n, n] = roots
+        for j in redo:
+            cond[j] = self._condition(grown[j])
+        return bad, grown, cond
 
-    @property
-    def size(self) -> int:
-        return self._n
-
-    @property
-    def _L(self) -> np.ndarray:
-        """The factor, a view of the leading block of the buffer."""
-        return self._buf[: self._n, : self._n]
-
-    def append(self, cross, diag: float):
-        """Grow by one structure given its cross terms and diagonal entry."""
-        ell = _triangular_solve(self._buf[: self._n], np.asarray(cross, dtype=np.float64), 1)
-        self._grow(ell, diag - float(ell @ ell), diag)
-
-    def _grow(self, ell, pivot: float, diag: float):
-        """Append the row ``ell`` = L^{-1} cross, whose pivot is diag - ell'ell."""
-        if pivot <= 1e-12 * max(diag, 1.0):
-            raise np.linalg.LinAlgError("new column is numerically dependent")
-        n = self._n
-        buf = self._buf
-        if n >= buf.shape[0]:
-            self._buf = buf = _room(buf, n, square=True)
-        buf[n, :n] = ell
-        buf[n, n] = root = math.sqrt(pivot)
-        self._n = n + 1
-        if self._bounds is not None:
-            hi, lo = self._bounds
-            # A NaN pivot passes the test above; the recompute's numpy max
-            # and min then carry the NaN.
-            self._bounds = (max(hi, root), min(lo, root)) if root == root else None
-
-    def drop(self, j: int):
-        """Delete row/column j of the factored matrix."""
-        n = self._n
-        M = self._buf
+    def _drop(self, b: int, j: int):
+        """Delete row/column j of row b's factor."""
+        n = self.n[b]
+        M = self.L[b]
         M[j : n - 1] = M[j + 1 : n]
         # Rows past j now reach one column beyond the diagonal; rotate
         # column pairs to push the factor back to lower-triangular form.
@@ -194,37 +202,89 @@ class CholeskyFactor:
         # j.. that they change.
         block = M[j : n - 1, j:n].tolist()
         for k in range(n - 1 - j):
-            a, b = block[k][k], block[k][k + 1]
-            rad = float(np.hypot(a, b))
+            a, c = block[k][k], block[k][k + 1]
+            rad = float(np.hypot(a, c))
             if rad == 0.0:
                 continue
-            c, s = a / rad, b / rad
+            cos, sin = a / rad, c / rad
             for row in block[k:]:
                 x, y = row[k], row[k + 1]
-                row[k], row[k + 1] = c * x + s * y, c * y - s * x
+                row[k], row[k + 1] = cos * x + sin * y, cos * y - sin * x
             block[k][k], block[k][k + 1] = rad, 0.0
         if block:
             M[j : n - 1, j:n] = block
-        self._n = n - 1
-        self._bounds = None
+        self.n[b] = n - 1
+        self.hi[b] = self.lo[b] = math.nan
+
+    def _rebuild(self, b: int, gram):
+        """Make row b's factor the Cholesky factor of ``gram``; raises
+        LinAlgError, leaving the row as it was, if that is not positive
+        definite."""
+        m = gram.shape[0]
+        self._reserve(m)
+        self.L[b, :m, :m] = np.linalg.cholesky(gram)
+        self.n[b] = m
+        self.hi[b] = self.lo[b] = math.nan
+
+    def _condition(self, b: int) -> float:
+        """(max |diag L| / min |diag L|)^2 of row b's factor, inf when the
+        smallest is 0."""
+        if self.lo[b] != self.lo[b]:
+            n = self.n[b]
+            d = np.abs(np.diagonal(self.L[b, :n, :n]))
+            self.hi[b], self.lo[b] = float(d.max()), float(d.min())
+        return _condition(self.hi[b], self.lo[b])
+
+
+class CholeskyFactor(_Factors):
+    """Lower-triangular factor of the bordered Gram matrix A'A + 11^T.
+
+    Supports growing by one column (rank-one update against the existing
+    factor) and deleting an arbitrary column (row removal followed by
+    Givens re-triangularization), plus two-triangular-solve application
+    of the inverse.  It is the one-row case of the stacked factors the
+    solver keeps (:class:`_Factors`): the factor is the leading block of a
+    buffer with room to grow, and :meth:`condition_estimate` reads the
+    kept |diagonal| bounds.
+    """
+
+    def __init__(self, gram):
+        L = np.linalg.cholesky(np.atleast_2d(np.asarray(gram, dtype=np.float64)))
+        super().__init__(L[None], [L.shape[0]])
+
+    def copy(self) -> "CholeskyFactor":
+        out = object.__new__(CholeskyFactor)
+        out.L, out.n, out.hi, out.lo = self.L.copy(), list(self.n), list(self.hi), list(self.lo)
+        return out
+
+    @property
+    def size(self) -> int:
+        return self.n[0]
+
+    @property
+    def _L(self) -> np.ndarray:
+        """The factor, a view of the leading block of the buffer."""
+        n = self.n[0]
+        return self.L[0, :n, :n]
+
+    def append(self, cross, diag: float):
+        """Grow by one structure given its cross terms and diagonal entry."""
+        ell = _triangular_solve(self.L[0, : self.n[0]], np.asarray(cross, dtype=np.float64), 1)
+        if self._grow(_ROW0, self.n[0], ell[None], [diag - float(ell @ ell)], [diag])[0]:
+            raise np.linalg.LinAlgError("new column is numerically dependent")
+
+    def drop(self, j: int):
+        """Delete row/column j of the factored matrix."""
+        self._drop(0, j)
 
     def solve(self, b) -> np.ndarray:
-        L = self._buf[: self._n]
+        L = self.L[0, : self.n[0]]
         y = _triangular_solve(L, np.asarray(b, dtype=np.float64), 1)
         return _triangular_solve(L, y, 0)
 
     def condition_estimate(self) -> float:
         """(max |diag L| / min |diag L|)^2, inf when the smallest is 0."""
-        if self._bounds is None:
-            d = np.abs(np.diagonal(self._L))
-            self._bounds = (float(d.max()), float(d.min()))
-        hi, lo = self._bounds
-        if not lo > 0:
-            return math.inf
-        try:
-            return (hi / lo) ** 2
-        except OverflowError:
-            return math.inf
+        return self._condition(0)
 
 
 def _vertex_rows(structures) -> np.ndarray:
@@ -253,31 +313,70 @@ def _unresolved(t, what: str) -> ValueError:
                       % (float(np.abs(t).max()), what))
 
 
+class _ActiveSets(_Factors):
+    """The active sets of the rows of a (B, D) score matrix ``T``, stacked.
+
+    Row b's support holds ``n[b]`` structures: their vertex rows are the
+    leading rows of ``V[b]`` (cap, D), their weights and oracle scores the
+    leading entries of ``W[b]`` and ``S[b]``, their bits (as bytes) the
+    list ``keys[b]``, and the bordered Gram factor of their rows is the
+    one :class:`_Factors` keeps in ``L[b]``.  ``M`` holds the moments.
+    The per-row lists ``tau``, ``nu_min``, ``tol``, ``converged``,
+    ``iteration``, ``adds``, ``drops``, ``refactorizations``,
+    ``widen_count`` and ``max_condition`` are the fields of
+    :class:`ActiveSetState`.  A new stack holds empty supports.
+    """
+
+    def __init__(self, T, cap: int, tol):
+        B, D = T.shape
+        super().__init__(np.zeros((B, cap, cap)), [0] * B)
+        self.T = T
+        self.V, self.W, self.S = np.zeros((B, cap, D)), np.zeros((B, cap)), np.zeros((B, cap))
+        self.M = np.zeros((B, D))
+        self.keys = [[] for _ in range(B)]
+        self.tau, self.nu_min, self.tol = [math.nan] * B, [math.nan] * B, [tol] * B
+        self.converged = [False] * B
+        self.iteration, self.adds, self.drops = [0] * B, [0] * B, [0] * B
+        self.refactorizations, self.widen_count = [0] * B, [0] * B
+        self.max_condition = [1.0] * B
+
+    def _reserve(self, size: int):
+        cap = self.V.shape[1]
+        if size > cap:
+            super()._reserve(size)
+            cap = self.L.shape[1]
+            self.V = _room(self.V, cap, (1,))
+            self.W, self.S = _room(self.W, cap, (1,)), _room(self.S, cap, (1,))
+
+    def _refactorize(self, b: int, size: int):
+        """Rebuild row b's factor from its first ``size`` vertex rows."""
+        self._rebuild(b, _gram(self.V[b, :size]))
+        self.refactorizations[b] += 1
+
+
 class ActiveSetState:
     """One iterate of the active-set solve.
 
     ``probs`` are the current simplex weights over ``structures``,
     ``moments`` is their combination A p, and ``kkt_factor`` holds the
     bordered Gram factor for the current support.  ``rows`` is the vertex
-    matrix A' (one row per structure), grown and shrunk with the factor;
-    it is built from ``structures`` when not given.  The solver keeps only
-    the rows and each structure's oracle score: ``structures`` is built
-    from them when first read, and kept up to date from then on.
-    ``adds``, ``drops`` and ``refactorizations`` count support changes and
-    factors rebuilt from scratch, and ``max_condition`` is the largest
-    :meth:`CholeskyFactor.condition_estimate` met so far: the first
-    factor's, then the one checked after each add.  The solvers advance
-    their states in place; :func:`active_set_step` steps a copy and leaves
-    its input as it was.
+    matrix A' (one row per structure); it is built from ``structures``
+    when not given.  A stepped state keeps only the rows and each
+    structure's oracle score: ``structures`` is built from them when first
+    read.  ``adds``, ``drops`` and ``refactorizations`` count support
+    changes and factors rebuilt from scratch, and ``max_condition`` is the
+    largest :meth:`CholeskyFactor.condition_estimate` met so far: the
+    first factor's, then the one checked after each add.  The solvers
+    hold their iterates as one stack of rows (:class:`_ActiveSets`);
+    :func:`active_set_step` packs a state into a stack of one and unpacks
+    the stepped row as a new state.
     """
 
     def __init__(self, structures, probs, moments, tau, kkt_factor, iteration=0,
                  converged=False, nu_min=float("nan"), tol=1e-9, widen_count=0, rows=None,
                  adds=0, drops=0, refactorizations=0, max_condition=None):
-        # ``rows`` is the leading block of ``_row_buf``.
         rows = _vertex_rows(structures) if rows is None else rows
-        self._row_buf = np.array(rows, dtype=np.float64)
-        self.rows = self._row_buf[: len(structures)]
+        self.rows = np.array(rows, dtype=np.float64)[: len(structures)]
         self._structures = structures
         self._scores = [s.score for s in structures]
         self.probs, self.moments, self.tau, self.kkt_factor = probs, moments, tau, kkt_factor
@@ -287,57 +386,45 @@ class ActiveSetState:
         self.max_condition = (kkt_factor.condition_estimate() if max_condition is None
                               else max_condition)
 
-    @classmethod
-    def _at_vertex(cls, row, score: float, factor: CholeskyFactor, tol: float) -> "ActiveSetState":
-        """The first iterate of a solve: weight 1 on the vertex of the float
-        ``row``, whose factor is 1 x 1; its Structure is not built."""
-        state = object.__new__(cls)
-        state._row_buf = row[None].copy()
-        state.rows = state._row_buf
-        state._structures, state._scores = None, [score]
-        state.probs, state.moments, state.tau, state.kkt_factor = np.ones(1), row, math.nan, factor
-        state.iteration, state.converged, state.nu_min = 0, False, math.nan
-        state.tol, state.widen_count = tol, 0
-        state.adds = state.drops = state.refactorizations = 0
-        state.max_condition = 1.0  # the estimate of a 1 x 1 factor
-        return state
-
     @property
     def structures(self) -> list:
         if self._structures is None:
             self._structures = _structures_of(self.rows, self._scores)
         return self._structures
 
-    def copy(self) -> "ActiveSetState":
-        """A state that shares no mutable part with this one."""
-        out = object.__new__(ActiveSetState)
-        out.__dict__.update(self.__dict__)
-        out._row_buf = out.rows = np.array(self.rows)
-        out._scores = list(self._scores)
-        if self._structures is not None:
-            out._structures = list(self._structures)
-        out.kkt_factor = self.kkt_factor.copy()
-        return out
+    def _stack(self, t) -> _ActiveSets:
+        """This state as a stack of one row, on the scores ``t``, sharing
+        no mutable part with it."""
+        n, factor = self.probs.size, self.kkt_factor
+        sets = _ActiveSets(t[None], max(n, _MIN_ROOM), self.tol)
+        sets.L[0, :n, :n], sets.n[0], sets.hi[0], sets.lo[0] = (
+            factor._L, n, factor.hi[0], factor.lo[0])
+        sets.V[0, :n], sets.W[0, :n], sets.S[0, :n] = self.rows, self.probs, self._scores
+        sets.keys[0] = [bits.tobytes() for bits in self.rows.astype(np.uint8)]
+        sets.M[0], sets.tau[0], sets.nu_min[0] = self.moments, self.tau, self.nu_min
+        sets.converged[0], sets.iteration[0], sets.widen_count[0] = (
+            self.converged, self.iteration, self.widen_count)
+        sets.adds[0], sets.drops[0], sets.refactorizations[0] = (
+            self.adds, self.drops, self.refactorizations)
+        sets.max_condition[0] = self.max_condition
+        return sets
 
-    def _add(self, row, score: float):
-        n = len(self._scores)
-        buf = self._row_buf
-        if n >= buf.shape[0]:
-            self._row_buf = buf = _room(buf, n)
-        buf[n] = row
-        self.rows = buf[: n + 1]
-        self._scores.append(score)
-        if self._structures is not None:
-            self._structures += _structures_of(row[None], [score])
-
-    def _drop(self, j: int):
-        n = len(self._scores)
-        buf = self._row_buf
-        buf[j : n - 1] = buf[j + 1 : n]
-        self.rows = buf[: n - 1]
-        self._scores.pop(j)
-        if self._structures is not None:
-            self._structures.pop(j)
+    @classmethod
+    def _of(cls, sets: _ActiveSets) -> "ActiveSetState":
+        """The state of the one row of ``sets``, viewing its arrays."""
+        n = sets.n[0]
+        state = object.__new__(cls)
+        state.rows, state.probs, state.moments = sets.V[0, :n], sets.W[0, :n], sets.M[0]
+        state._structures, state._scores = None, sets.S[0, :n].tolist()
+        state.tau, state.nu_min, state.tol = sets.tau[0], sets.nu_min[0], sets.tol[0]
+        state.kkt_factor = factor = object.__new__(CholeskyFactor)
+        factor.L, factor.n, factor.hi, factor.lo = sets.L, sets.n, sets.hi, sets.lo
+        state.converged, state.iteration, state.widen_count = (
+            sets.converged[0], sets.iteration[0], sets.widen_count[0])
+        state.adds, state.drops = sets.adds[0], sets.drops[0]
+        state.refactorizations, state.max_condition = (
+            sets.refactorizations[0], sets.max_condition[0])
+        return state
 
 
 def _oracle_rows(oracle, R):
@@ -352,7 +439,7 @@ def _oracle_rows(oracle, R):
     if map_rows is not None:
         try:
             bits, scores = map_rows(R)
-            return bits, scores, {}
+            return np.ascontiguousarray(bits, dtype=np.uint8), scores, {}
         except Exception:  # some row is at fault; each row's own call shows which
             def one(r):
                 bits, scores = map_rows(r[None])
@@ -370,211 +457,221 @@ def _oracle_rows(oracle, R):
     return bits, scores, errors
 
 
-def _refactorize(state: ActiveSetState):
-    state.kkt_factor = CholeskyFactor(_gram(state.rows))
-    state.refactorizations += 1
-
-
-def _relaxed_checked(state: ActiveSetState, At) -> None:
+def _relaxed_checked(L, At) -> None:
     """Raise the error the relaxed solve of one row meets, if any: a
     non-finite A't or forward solve (scores near the float range adding up
-    past it), or a singular factor."""
-    if not (np.isfinite(At).all()
-            and np.isfinite(_dtrtrs(state.kkt_factor._buf[: At.size], At, 1)).all()):
+    past it), or a singular factor ``L``."""
+    if not (np.isfinite(At).all() and np.isfinite(_dtrtrs(L, At, 1)).all()):
         raise ValueError(_OVERFLOW)
 
 
-def _relaxed_rows(states, idx, T, errors):
-    """The relaxed QP on the current support of the states at ``idx``, all
-    of one support size.
+def _relaxed_rows(sets: _ActiveSets, ids, n: int, errors):
+    """The relaxed QP on the current supports of the rows ``ids`` of
+    ``sets``, all of size ``n``.
 
     With K = A'A + 11^T the bordered KKT system reduces to two solves:
     p = K^{-1} A't + (1 - tau) K^{-1} 1, with 1 - tau fixed by 1'p = 1.
-    The solves run unchecked.  Where a factor is singular or a solution
-    not finite, each row is checked again step by step
-    (:func:`_relaxed_checked`) before anything else is computed, and a
-    row's error goes to ``errors``.  Returns the positions solved, their
-    stacked vertex rows and scores, p and tau.
+    The solves run unchecked, one row at a time: a triangular solve with
+    two right-hand sides does not give the bits of two one-column solves.
+    Where a factor is singular or a solution not finite, each row is
+    checked again step by step (:func:`_relaxed_checked`) before anything
+    else is computed, and a row's error goes to ``errors``.  Returns the
+    rows solved, their stacked vertex rows, scores and factors, p and tau.
     """
-    g, n = len(idx), states[idx[0]].probs.size
-    R = np.array([states[i].rows for i in idx])
-    Tg = T[idx]
+    R, Tg, Lg = sets.V[ids, :n], sets.T[ids], sets.L[ids, :n, :n]
     At = np.matmul(R, Tg[:, :, None])[..., 0]
-    ones = _ones(n)
-    UV, singular = [None] * (2 * g), False
-    for j, (i, b) in enumerate(zip(idx, At)):
-        L = states[i].kkt_factor._buf[:n].T  # dtrtrs(a, b, lower, trans), as _dtrtrs calls it
-        y, info = dtrtrs(L, b, 0, 1)
-        singular |= info != 0
-        UV[j] = dtrtrs(L, y, 0, 0)[0]
-        UV[g + j] = dtrtrs(L, dtrtrs(L, ones, 0, 1)[0], 0, 0)[0]
-    UV = np.array(UV)
-    if singular or not np.isfinite(UV).all():
+    g = ids.size
+    UV = np.empty((2 * g, n))
+    UV[:g], UV[g:] = At, 1.0
+    singular = 0
+    # dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b), as _dtrtrs
+    # calls it, solving in place: rows j and g + j of UV become K^{-1} A't
+    # and K^{-1} 1 of row j.
+    for L, u, v in zip(Lg.transpose(0, 2, 1), UV[:g], UV[g:]):
+        singular |= dtrtrs(L, u, 0, 1, 0, n, 1)[1]
+        dtrtrs(L, u, 0, 0, 0, n, 1)
+        dtrtrs(L, v, 0, 1, 0, n, 1)
+        dtrtrs(L, v, 0, 0, 0, n, 1)
+    sums = UV.sum(axis=1)
+    # A row sum is finite wherever its row is; one that overflows only
+    # sends the rows through the checks, which then pass.
+    if singular or not math.isfinite(sum(sums.tolist())):
         keep = []
-        for j, i in enumerate(idx):
+        for j, b in enumerate(ids.tolist()):
             try:
-                _relaxed_checked(states[i], At[j])
+                _relaxed_checked(Lg[j], At[j])
                 keep.append(j)
             except ValueError as exc:  # LinAlgError included
-                errors[i] = exc
-        if not keep:
-            return [], None, None, None, None
+                errors[b] = exc
         if len(keep) < g:
-            UV = UV[keep + [g + j for j in keep]]
-            idx, R, Tg, g = [idx[j] for j in keep], R[keep], Tg[keep], len(keep)
-    sums = UV.sum(axis=1)
+            rows = keep + [g + j for j in keep]
+            UV, sums = UV[rows], sums[rows]
+            ids, R, Tg, Lg, g = ids[keep], R[keep], Tg[keep], Lg[keep], len(keep)
     lam = (1.0 - sums[:g]) / sums[g:]
-    return idx, R, Tg, UV[:g] + lam[:, None] * UV[g:], 1.0 - lam
+    return ids, R, Tg, Lg, UV[:g] + lam[:, None] * UV[g:], 1.0 - lam
 
 
-def _drop_step(state: ActiveSetState, t, gamma: float, blocker: int, p_hat):
-    """Step ``gamma`` of the way to ``p_hat`` and drop the structure at
-    ``blocker``, whose weight that brings to zero."""
-    if state.probs.size == 1:
-        raise _unresolved(t, "a drop would empty the support")
+def _drop_step(sets: _ActiveSets, b: int, gamma: float, blocker: int, p_hat):
+    """Step row b ``gamma`` of the way to ``p_hat`` and drop the structure
+    at ``blocker``, whose weight that brings to zero."""
+    n = sets.n[b]
+    if n == 1:
+        raise _unresolved(sets.T[b], "a drop would empty the support")
     # A zero-length drop of the newest structure, the one the previous
     # step added at weight 0, leaves the factor as exactly L[:-1, :-1]
     # and the weights and moments bitwise where the add put them, so the
     # next step would ask the oracle at the same residual and add the
     # same structure again.  Refactorize and widen the dual tolerance,
     # giving up after three rounds.
-    cycle = gamma == 0.0 and blocker == state.probs.size - 1
-    if cycle and state.widen_count >= 3:
+    cycle = gamma == 0.0 and blocker == n - 1
+    if cycle and sets.widen_count[b] >= 3:
         raise ActiveSetCycleError(
             "active set keeps exchanging the same structure after 3 tolerance widenings"
         )
-    probs = (1.0 - gamma) * state.probs + gamma * p_hat
-    state.probs = np.delete(probs, blocker)
-    state._drop(blocker)
-    state.kkt_factor.drop(blocker)
+    W = sets.W[b]
+    probs = (1.0 - gamma) * W[:n] + gamma * p_hat
+    W[:blocker], W[blocker : n - 1], W[n - 1] = probs[:blocker], probs[blocker + 1 :], 0.0
+    for a in (sets.V[b], sets.S[b]):
+        a[blocker : n - 1] = a[blocker + 1 : n]
+    del sets.keys[b][blocker]
+    sets._drop(b, blocker)
     # No condition check here: in exact arithmetic, deleting a structure
     # conditions each later Cholesky pivot on fewer structures, so no
     # pivot falls, and the next add runs the check again.
-    state.moments = state.rows.T @ state.probs
-    state.iteration += 1
-    state.drops += 1
+    sets.M[b] = sets.V[b, : n - 1].T @ W[: n - 1]
+    sets.iteration[b] += 1
+    sets.drops[b] += 1
     if cycle:
-        _refactorize(state)
-        state.tol *= 10.0
-        state.widen_count += 1
+        sets._refactorize(b, n - 1)
+        sets.tol[b] *= 10.0
+        sets.widen_count[b] += 1
 
 
-def _add_step(state: ActiveSetState, row, score: float, ell, pivot: float, diag: float):
-    """Add the vertex of the float ``row`` to ``state``'s support, growing
-    its factor by the new row ``ell`` = L^{-1} cross and its pivot."""
-    state._add(row, score)
-    try:
-        state.kkt_factor._grow(ell, pivot, diag)
-    except np.linalg.LinAlgError:
+def _add_step(sets: _ActiveSets, ids, n: int, F, scores, E, pivots: list, diag: list, errors):
+    """Add to the supports of the rows ``ids`` (an int array), all of size
+    ``n``, the vertices of the float rows ``F`` with their oracle
+    ``scores``, growing each factor by its row of ``E`` = L^{-1} cross,
+    its pivot and its diagonal entry a'a + 1.  A row's error goes to
+    ``errors``."""
+    sets._reserve(n + 1)
+    sets.V[ids, n], sets.S[ids, n] = F, scores  # the weight is W[b, n], kept at 0
+    bad, grown, cond = sets._grow(ids, n, E, pivots, diag)
+    for b in bad:
         try:
-            _refactorize(state)
+            sets._refactorize(b, n + 1)
         except np.linalg.LinAlgError as exc:
-            raise DegenerateSupportError(
-                "candidate structure is affinely dependent on the active set"
-            ) from exc
-    cond = state.kkt_factor.condition_estimate()
-    if cond > state.max_condition:
-        state.max_condition = cond
-    if cond > _COND_LIMIT:
-        _refactorize(state)
-    state.adds += 1
+            errors[b] = DegenerateSupportError(
+                "candidate structure is affinely dependent on the active set")
+            errors[b].__cause__ = exc
+        else:
+            grown.append(b)
+            cond.append(sets._condition(b))
+    best, adds = sets.max_condition, sets.adds
+    for b, c in zip(grown, cond):
+        if c > best[b]:
+            best[b] = c
+        if c > _COND_LIMIT:
+            try:
+                sets._refactorize(b, n + 1)
+            except Exception as exc:
+                errors[b] = exc
+        adds[b] += 1
 
 
-def _advance_rows(states, oracle, T) -> dict:
-    """One :func:`active_set_step` of every state in ``states`` (none
-    converged) on its row of ``T``, made in place.
+def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
+    """One :func:`active_set_step` of each row in the list ``live`` of
+    ``sets`` (none converged), made in place.
 
-    The states are grouped by support size.  Each group takes A't, the
-    sums of the relaxed solution and the moments as stacked products, and
-    the ratio test, the "already in the support" test and an add's cross
-    terms and pivots for all its rows at once; the triangular solves,
-    drops, refactorizations and widenings run per row on its own factor.
-    Every stacked product is one per-row kernel on arrays of one size, so
-    each row has the bits of its step alone.  The oracle is asked once,
-    for every row that reaches it.  Returns {position: exception} for the
-    rows whose step raised; those may be left part-way.
+    The rows are grouped by support size.  Each group gathers its vertex
+    rows and factors from the stack, and takes A't, the sums of the
+    relaxed solution, the moments, the ratio test and an add's cross
+    terms and pivots as stacked arrays, and writes the weights, moments,
+    added vertex rows and factor rows back by scatter; the triangular
+    solves, the drops, the refactorizations and the widenings run per
+    row, and so do the tests and counters on the per-row lists.  Every
+    stacked product is one per-row kernel on arrays of one size, so each
+    row has the bits of its step alone.  The oracle is asked once, for
+    every row that reaches it.  Returns {row: exception} for the rows
+    whose step raised; those may be left part-way.
     """
-    errors, by_size, reach = {}, {}, []
-    for i, state in enumerate(states):
-        by_size.setdefault(state.probs.size, []).append(i)
-    for idx in by_size.values():
-        idx, R, Tg, P_hat, tau_hat = _relaxed_rows(states, idx, T, errors)
-        if not idx:
+    errors, reach, by_size, sizes = {}, [], {}, sets.n
+    for b in live:
+        by_size.setdefault(sizes[b], []).append(b)
+    for n, ids in by_size.items():
+        ids, R, Tg, Lg, P_hat, tau_hat = _relaxed_rows(sets, np.array(ids), n, errors)
+        if not ids.size:
             continue
         # The ratio test: the first index at the smallest p / (p - p_hat)
         # over p > p_hat, and only below 1.  A ratio below 1 needs a
-        # p_hat below 0: p > p_hat >= 0 gives p - p_hat <= p, and a ratio of
-        # at least 1 in floating point too.  Like a test on Python floats,
-        # it warns of nothing, and fmin skips the NaN of inf / inf.
-        if (P_hat < 0.0).any():
-            P = np.array([states[i].probs for i in idx])
+        # p_hat below 0 (fmin skips NaN, as a test p_hat < 0 would): p >
+        # p_hat >= 0 gives p - p_hat <= p, and a ratio of at least 1 in
+        # floating point too.  Like a test on Python floats, it warns of
+        # nothing, and fmin skips the NaN of inf / inf.
+        if np.fmin.reduce(P_hat, axis=None) < 0.0:
+            P = sets.W[ids, :n]
             with np.errstate(all="ignore"):
                 ratio = np.divide(P, P - P_hat, out=np.full(P.shape, np.inf), where=P > P_hat)
             gamma = np.fmin.reduce(ratio, axis=1)
-            go = []
-            for j, blocked in enumerate((gamma < 1.0).tolist()):
-                if not blocked:
-                    go.append(j)
+            blocked = gamma < 1.0
+            if True in blocked.tolist():
+                blocker = np.argmax(ratio == gamma[:, None], axis=1)
+                for j in np.flatnonzero(blocked).tolist():
+                    b, k = int(ids[j]), int(blocker[j])
+                    try:
+                        _drop_step(sets, b, float(ratio[j, k]), k, P_hat[j])
+                    except Exception as exc:
+                        errors[b] = exc
+                go = ~blocked
+                if True not in go.tolist():
                     continue
-                blocker = int(np.argmax(ratio[j] == gamma[j]))
-                try:
-                    _drop_step(states[idx[j]], T[idx[j]], float(ratio[j, blocker]), blocker,
-                               P_hat[j])
-                except Exception as exc:
-                    errors[idx[j]] = exc
-            if not go:
-                continue
-            if len(go) < len(idx):
-                idx, R, Tg = [idx[j] for j in go], R[go], Tg[go]
-                P_hat, tau_hat = P_hat[go], tau_hat[go]
+                ids, R, Tg, Lg, P_hat, tau_hat = (
+                    ids[go], R[go], Tg[go], Lg[go], P_hat[go], tau_hat[go])
         M = np.matmul(R.transpose(0, 2, 1), P_hat[:, :, None])[..., 0]
-        reach.append((idx, R, P_hat, tau_hat, M, Tg - M))
+        reach.append((n, ids, R, Lg, P_hat, tau_hat, M, Tg - M))
     if not reach:
         return errors
     bits, scores, failed = _oracle_rows(
-        oracle, reach[0][5] if len(reach) == 1 else np.concatenate([r[5] for r in reach]))
-    at = 0
-    for idx, R, P_hat, tau_hat, M, _ in reach:
-        g = len(idx)
-        cand, score = bits[at:at + g], scores[at:at + g]
-        nu = tau_hat - score
-        known = (R == cand[:, None, :]).all(axis=2).any(axis=1).tolist()
-        add = []
-        for j, (i, v, k) in enumerate(zip(idx, nu.tolist(), known)):
-            if failed and at + j in failed:
-                errors[i] = failed[at + j]
-                continue
-            state = states[i]
-            state.moments, state.tau, state.nu_min = M[j], tau_hat[j], nu[j]
-            state.iteration += 1
-            if v >= -state.tol or k:
-                state.probs = P_hat[j]
-                state.converged = True
+        oracle, reach[0][-1] if len(reach) == 1 else np.concatenate([r[-1] for r in reach]))
+    D = bits.shape[1]
+    raw, at = bits.tobytes(), 0
+    tau_of, nu_of, steps, tol, converged, known = (
+        sets.tau, sets.nu_min, sets.iteration, sets.tol, sets.converged, sets.keys)
+    for n, ids, R, Lg, P_hat, tau_hat, M, _ in reach:
+        g = ids.size
+        sets.M[ids], sets.W[ids, :n] = M, P_hat
+        start, add, diag = at, [], []
+        for b, tau, nu in zip(ids.tolist(), tau_hat.tolist(),
+                              (tau_hat - scores[at:at + g]).tolist()):
+            if failed and at in failed:
+                errors[b] = failed[at]
             else:
-                add.append(j)
-        at += g
+                tau_of[b], nu_of[b] = tau, nu
+                steps[b] += 1
+                if nu >= -tol[b]:
+                    converged[b] = True
+                else:  # unless the candidate is already in the support
+                    key = raw[at * D:(at + 1) * D]
+                    if key in known[b]:
+                        converged[b] = True
+                    else:
+                        add.append(at)
+                        known[b].append(key)
+                        diag.append(sum(key) + 1.0)  # a'a + 1
+            at += 1
         if not add:
             continue
         if len(add) < g:
-            cand, score, R, P_hat = cand[add], score[add], R[add], P_hat[add]
-        F = cand.astype(np.float64)
+            go = np.array(add) - start
+            ids, R, Lg = ids[go], R[go], Lg[go]
+            F, score = bits[add].astype(np.float64), scores[add]
+        else:
+            F, score = bits[start:at].astype(np.float64), scores[start:at]
         # 0/1 products: whole numbers, so any summation order gives their bits.
-        cross = np.matmul(R, F[:, :, None])[..., 0] + 1.0
-        diag = F.sum(axis=1) + 1.0
-        n = R.shape[1]
-        probs = np.zeros((len(add), n + 1))
-        probs[:, :n] = P_hat
-        ells = [dtrtrs(states[idx[k]].kkt_factor._buf[:n].T, c, 0, 1)[0]
-                for k, c in zip(add, cross)]
-        E = np.array(ells)
-        pivots, diag = (diag - _row_dots(E, E)).tolist(), diag.tolist()
-        for j, (k, sc) in enumerate(zip(add, score.tolist())):
-            state = states[idx[k]]
-            state.probs = probs[j]
-            try:
-                _add_step(state, F[j], sc, ells[j], pivots[j], diag[j])
-            except Exception as exc:
-                errors[idx[k]] = exc
+        E = np.matmul(R, F[:, :, None])[..., 0] + 1.0  # the cross terms, then in place
+        for L, cross in zip(Lg.transpose(0, 2, 1), E):  # ell = L^{-1} cross
+            dtrtrs(L, cross, 0, 1, 0, n, 1)
+        pivots = [d - e for d, e in zip(diag, _row_dots(E, E).tolist())]
+        _add_step(sets, ids, n, F, score, E, pivots, diag, errors)
     return errors
 
 
@@ -582,18 +679,19 @@ def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
     """One iteration: relaxed QP solve, then either drop a blocking
     structure or query the oracle and add the most violated one.
 
-    A converged state is returned unchanged; otherwise the step is made on
-    a copy, which is returned.  The support changes by at most one
-    structure per call and the objective never increases.  This is the
-    one-row case of the step :func:`sparsemap_rows` takes.
+    A converged state is returned unchanged; otherwise the state is
+    stepped as a stack of one row and returned as a new state, leaving
+    ``state`` as it was.  The support changes by at most one structure per
+    call and the objective never increases.  This is the one-row case of
+    the step :func:`sparsemap_rows` takes.
     """
     if state.converged:
         return state
-    out = state.copy()
-    errors = _advance_rows([out], oracle, np.asarray(t, dtype=np.float64)[None])
+    sets = state._stack(np.asarray(t, dtype=np.float64))
+    errors = _advance_rows(sets, oracle, [0])
     if errors:
         raise errors[0]
-    return out
+    return ActiveSetState._of(sets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -670,63 +768,64 @@ def _check_solver(oracle, tol: float, max_iter) -> int:
 
 def _solve_rows(oracle, T, max_iter: int, tol: float) -> list:
     """:func:`sparsemap_rows` of a (B, oracle.dim) matrix, after the
-    argument checks.  The states advance in lockstep; once a row raises,
-    the rows after it stop, since the batch raises the first row's error."""
+    argument checks.  The rows' active sets advance in lockstep as one
+    stack (:class:`_ActiveSets`); once a row raises, the rows after it
+    stop, since the batch raises the first row's error."""
     B = T.shape[0]
     errors = {i: ValueError("scores must be finite")
               for i in np.flatnonzero(~np.isfinite(T).all(axis=1)).tolist()}
-    states = {}
+    sets = _ActiveSets(T, _MIN_ROOM, tol)
     # Scores near the float range can overflow in the oracle's scores and
     # in A't.  The step that meets a non-finite A't raises ValueError, and
     # numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore"):
         head = min(errors, default=B)
         if head:
+            # Each row starts at weight 1 on its MAP vertex, with a 1 x 1 factor.
             bits, scores, failed = _oracle_rows(oracle, T[:head])
             errors.update(failed)
             F = bits.astype(np.float64)
-            L = np.linalg.cholesky(F.sum(axis=1)[:, None, None] + 1.0)  # the 1 x 1 Gram factors
-            for i, score in enumerate(scores.tolist()):
-                if i not in failed:
-                    factor = CholeskyFactor._of(L[i])
-                    states[i] = ActiveSetState._at_vertex(F[i], score, factor, tol)
-        live = sorted(states)
+            sets.V[:head, 0], sets.S[:head, 0], sets.W[:head, 0], sets.M[:head] = F, scores, 1.0, F
+            sets.L[:head, :1, :1] = np.linalg.cholesky(F.sum(axis=1)[:, None, None] + 1.0)
+            sets.n[:head] = [1] * head
+            sets.keys[:head] = [[key] for key in map(bytes, bits)]
         for _ in range(max_iter):
-            head = min(errors, default=B)
-            live = [i for i in live if i < head and not states[i].converged]
+            converged = sets.converged
+            live = [b for b in range(min(errors, default=B)) if not converged[b]]
             if not live:
                 break
-            for j, exc in _advance_rows([states[i] for i in live], oracle, T[live]).items():
-                errors[live[j]] = exc
+            errors.update(_advance_rows(sets, oracle, live))
     n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
     index_of = getattr(oracle, "outcome_index", lambda s: s.index)
     results = []
     for i in range(B):
         if i in errors:
             raise errors[i]
-        state = states[i]
-        probs, rows, scores = state.probs, state.rows, state._scores
+        n = sets.n[i]
+        probs, rows, scores = sets.W[i, :n], sets.V[i, :n], sets.S[i, :n].tolist()
         keep = probs > 0.0
-        if not keep.all():
+        if keep.all():
+            rows = rows.copy()  # not a view that keeps the whole stack alive
+        else:
             if not keep.any():
                 raise _unresolved(T[i], "no structure keeps positive weight")
             probs, rows = probs[keep], rows[keep]
             scores = [s for s, k in zip(scores, keep.tolist()) if k]
         results.append(SparseMapResult(
             probs=probs,
-            moments=state.moments,
-            tau=state.tau,
-            converged=state.converged,
-            iterations=state.iteration,
-            nu_min=state.nu_min,
+            moments=sets.M[i],
+            tau=sets.tau[i],
+            converged=sets.converged[i],
+            iterations=sets.iteration[i],
+            nu_min=sets.nu_min[i],
             n_outcomes=n_outcomes,
             index_of=index_of,
             rows=rows,
-            adds=state.adds,
-            drops=state.drops,
-            refactorizations=state.refactorizations,
-            widenings=state.widen_count,
-            max_condition=state.max_condition,
+            adds=sets.adds[i],
+            drops=sets.drops[i],
+            refactorizations=sets.refactorizations[i],
+            widenings=sets.widen_count[i],
+            max_condition=sets.max_condition[i],
             _scores=scores,
         ))
     return results
@@ -768,6 +867,19 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
     return _solve_rows(oracle, t[None], _check_solver(oracle, tol, max_iter), tol)[0]
 
 
+def _finite_rows(X, rows, idx, errors) -> list:
+    """The positions in ``rows`` whose row of ``X`` is finite: one test of
+    all of X, then one per row only if that fails.  The results ``idx`` of
+    the others get the error of a non-finite right-hand side."""
+    if np.isfinite(X).all():
+        return list(rows)
+    finite = np.isfinite(X).all(axis=1).tolist()
+    for j in rows:
+        if not finite[j]:
+            errors[idx[j]] = ValueError("right-hand side must be finite")
+    return [j for j in rows if finite[j]]
+
+
 def _vjp_rows(results, upstream) -> np.ndarray:
     """:func:`sparsemap_vjp_rows` after the shape check.
 
@@ -777,8 +889,10 @@ def _vjp_rows(results, upstream) -> np.ndarray:
     probabilities to their scores A't; it reduces to the centering
     projector I - 11^T/n when the structures are orthonormal one-hots.
     The supports of one size take their Gram matrices, Cholesky factors,
-    sums and the products with A as stacks, and the triangular solves run
-    per row.
+    finiteness tests (of the upstream, then of the forward solves), sums
+    and the products with A as stacks, and the triangular solves run per
+    row.  A factor from a Cholesky decomposition has a positive diagonal,
+    so LAPACK never finds it singular.
     """
     errors, by_size = {}, {}
     for i, res in enumerate(results):
@@ -800,21 +914,23 @@ def _vjp_rows(results, upstream) -> np.ndarray:
                 except np.linalg.LinAlgError as exc:
                     errors[i] = DegenerateSupportError("active-set Gram matrix is singular")
                     errors[i].__cause__ = exc
-        U, V, ok = [], [], []
-        for j, i in enumerate(idx):
-            if i in errors:
-                continue
-            try:
-                U.append(_triangular_solve(Ls[j], _triangular_solve(Ls[j], upstream[i, :n], 1), 0))
-            except ValueError as exc:
-                errors[i] = exc
-                continue
-            V.append(_dtrtrs(Ls[j], _dtrtrs(Ls[j], _ones(n), 1), 0))
-            ok.append(j)
-        if ok:
-            U, V, R = np.array(U), np.array(V), R[ok]
+        # dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b), as _dtrtrs
+        # calls it, solving in place: U becomes K^{-1} upstream, V K^{-1} 1.
+        Lt, U = Ls.transpose(0, 2, 1), upstream[idx, :n]
+        rows = _finite_rows(U, [j for j, i in enumerate(idx) if i not in errors], idx, errors)
+        for j in rows:
+            dtrtrs(Lt[j], U[j], 0, 1, 0, n, 1)
+        rows = _finite_rows(U, rows, idx, errors)
+        if rows:
+            V = np.ones((len(idx), n))
+            for j in rows:
+                dtrtrs(Lt[j], U[j], 0, 0, 0, n, 1)
+                dtrtrs(Lt[j], V[j], 0, 1, 0, n, 1)
+                dtrtrs(Lt[j], V[j], 0, 0, 0, n, 1)
+            if len(rows) < len(idx):
+                R, U, V = R[rows], U[rows], V[rows]
             X = U - (U.sum(axis=1) / V.sum(axis=1))[:, None] * V
-            out[[idx[j] for j in ok]] = np.matmul(R.transpose(0, 2, 1), X[:, :, None])[..., 0]
+            out[[idx[j] for j in rows]] = np.matmul(R.transpose(0, 2, 1), X[:, :, None])[..., 0]
     if errors:
         raise errors[min(errors)]
     return out

@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .activeset import sparsemap
+from .activeset import sparsemap, sparsemap_rows
 from .bitvec import BitVectorPolytope, kbest
 from .checks import SUITES, run_suite
 from .rng import make_rng
@@ -120,6 +120,11 @@ def _bench_call(op: str, size: int, rng):
         t = rng.normal(size=size)
         oracle = BitVectorPolytope(size)
         return lambda: sparsemap(oracle, t), lambda res: res.iterations
+    if op == "sparsemap_rows":  # the batch solve training makes, 8 rows
+        T = rng.normal(size=(8, size))
+        oracle = BitVectorPolytope(size)
+        return (lambda: sparsemap_rows(oracle, T),
+                lambda results: np.mean([res.iterations for res in results]))
     raise AssertionError(op)
 
 
@@ -240,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
 
     p_bench = sub.add_parser("bench", help="micro-benchmark an operation")
-    p_bench.add_argument("--op", choices=("sparsemax", "topk", "kbest", "sparsemap"),
+    p_bench.add_argument("--op", choices=("sparsemax", "topk", "kbest", "sparsemap",
+                                          "sparsemap_rows"),
                          default="sparsemax")
     p_bench.add_argument("--sizes", default="10,100,1000",
                          help="comma-separated problem sizes")

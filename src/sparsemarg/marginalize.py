@@ -66,12 +66,9 @@ class CallStats:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.size == 0:
             raise ValueError("no call counts given")
-        return cls(
-            mean=float(counts.mean()),
-            p10=float(np.percentile(counts, 10)),
-            median=float(np.percentile(counts, 50)),
-            p90=float(np.percentile(counts, 90)),
-        )
+        # One percentile call interpolates each quantile as its own call would.
+        p10, median, p90 = np.percentile(counts, (10, 50, 90)).tolist()
+        return cls(mean=float(counts.mean()), p10=p10, median=median, p90=p90)
 
 
 def sparse_expectation(dist: SparseDistribution, loss: LossOracle) -> float:

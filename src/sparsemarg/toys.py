@@ -718,62 +718,96 @@ def _finish_epoch(epoch, stats) -> EpochRow:
     )
 
 
-def _initial_loss(n: int, batch_size: int, loss_pass):
-    """The mean loss of the ``n`` examples and their :class:`_Posterior`,
-    from one gradient-free pass over them all, ``loss_pass(indices, guard)``.
+def _joined(pieces) -> tuple:
+    """The posterior parts of ``pieces``, (positions, parts) pairs that
+    together hold positions 0.. once each, in position order."""
+    if len(pieces) == 1:
+        return pieces[0][1]
+    order = np.argsort(np.concatenate([positions for positions, _ in pieces]))
+    joined = []
+    for k, part in enumerate(pieces[0][1]):
+        if isinstance(part, np.ndarray):
+            joined.append(np.concatenate([parts[k] for _, parts in pieces])[order])
+        else:
+            flat = [x for _, parts in pieces for x in parts[k]]
+            joined.append([flat[i] for i in order.tolist()])
+    return tuple(joined)
 
-    Its divergence guard trips each run of ``batch_size`` examples on its
-    own, as it would trip the batches of a loop over them, and a tripped
-    run's losses are NaN.  Every loss has the bits of a batch of one and
-    adds in example order from 0.0, as that loop's sum would.  If the
-    pass raises, the runs are passed one at a time, in order, so that the
-    error raised is the first run's, the one that loop would raise.
+
+def _initial_loss(n: int, batch_size: int, width: int, loss_pass, first=None):
+    """The mean loss of the ``n`` examples, from gradient-free passes
+    ``loss_pass(indices, guard)`` over them in order, and the posterior
+    parts of the examples ``first`` (epoch 1's first batch), or None.
+
+    Each pass takes whole runs of ``batch_size`` examples, as many as keep
+    its posterior within ``_LOSS_BLOCK`` rows at ``width`` rows an
+    example, and at least one, so the memory a pass holds does not grow
+    with ``n``.  Its divergence guard trips each run on its own, as it
+    would trip the batches of a loop over them, and a tripped run's losses
+    are NaN.  Every loss has the bits of a batch of one and adds in
+    example order from 0.0, as that loop's sum would.  If a pass raises,
+    its runs are passed one at a time, in order, so that the error raised
+    is the first run's, the one that loop would raise.  Of the posterior,
+    only the rows of ``first`` are kept, and they are returned only if
+    every one of them was mapped.
     """
     examples = np.arange(n)
-    try:
-        out = loss_pass(examples, batch_size)
-    except Exception:
-        for start in range(0, n, batch_size):
-            loss_pass(examples[start:start + batch_size], batch_size)
-        raise
-    total = 0.0
-    for loss in out.losses.tolist():
-        total += loss
-    return total / n, out.posterior
+    chunk = batch_size * max(1, _LOSS_BLOCK // (batch_size * width))
+    total, pieces = 0.0, [] if first is not None else None
+    for lo in range(0, n, chunk):
+        part = examples[lo:lo + chunk]
+        try:
+            out = loss_pass(part, batch_size)
+        except Exception:
+            for start in range(0, part.size, batch_size):
+                loss_pass(part[start:start + batch_size], batch_size)
+            raise
+        for loss in out.losses.tolist():
+            total += loss
+        if pieces is not None:
+            mine = np.flatnonzero((first >= lo) & (first < lo + part.size))
+            if mine.size:
+                parts = out.posterior.take(first[mine] - lo)
+                pieces = None if parts is None else pieces + [(mine, parts)]
+    return total / n, None if pieces is None else _joined(pieces)
 
 
-def _train(task: str, model, n: int, cfg: TrainConfig, eval_cfg: TrainConfig, batch_pass):
+def _train(task: str, model, n: int, width: int, cfg: TrainConfig, eval_cfg: TrainConfig,
+           batch_pass):
     """Minibatch SGD over ``n`` examples, reshuffled every epoch.
 
     ``batch_pass(indices, config, rng, guard=None, posterior=None)``
     returns the :class:`_BatchPass` of those examples; ``rng`` is the
     generator that also draws the shuffles.  The initial loss is the mean
-    loss under ``eval_cfg`` before any update, from one gradient-free pass
-    over all ``n`` examples (:func:`_initial_loss`).  When ``eval_cfg``
-    has ``cfg``'s method, the first batch of epoch 1, at the same
-    parameters, takes its examples' posterior from that pass instead of
-    mapping them again.  A batch whose divergence guard trips, or an
-    update that leaves a parameter non-finite, ends training with the log
-    marked diverged.  The log holds the wall seconds of the initial pass
-    and of each epoch.
+    loss under ``eval_cfg`` before any update, from gradient-free passes
+    over all ``n`` examples, ``width`` posterior rows each
+    (:func:`_initial_loss`).  Those passes draw nothing, so epoch 1's
+    order is drawn first, and when ``eval_cfg`` has ``cfg``'s method, the
+    first batch of epoch 1, at the same parameters, takes its examples'
+    posterior from them instead of mapping them again.  A batch whose
+    divergence guard trips, or an update that leaves a parameter
+    non-finite, ends training with the log marked diverged.  The log
+    holds the wall seconds of the initial pass and of each epoch.
     """
+    rng = make_rng(cfg.seed)
+    order = rng.permutation(n) if cfg.epochs else None
+    reuse = order is not None and eval_cfg.method == cfg.method
+    first = order[:cfg.batch_size] if reuse else None
     started = time.perf_counter()
-    initial_loss, posterior = _initial_loss(
-        n, cfg.batch_size, lambda batch, guard: batch_pass(batch, eval_cfg, None, guard=guard))
+    initial_loss, reused = _initial_loss(
+        n, cfg.batch_size, width,
+        lambda batch, guard: batch_pass(batch, eval_cfg, None, guard=guard), first)
     log = TrainingLog(task=task, config=cfg, initial_loss=initial_loss,
                       initial_loss_s=time.perf_counter() - started)
-    if eval_cfg.method != cfg.method:
-        posterior = None
-    rng = make_rng(cfg.seed)
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
-        order = rng.permutation(n)
+        if epoch > 1:
+            order = rng.permutation(n)
         stats = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start: start + cfg.batch_size]
-            reused = None if posterior is None else posterior.take(batch)
-            posterior = None
             out = batch_pass(batch, cfg, rng, posterior=reused)
+            reused = None
             if out.grads is None:
                 log.diverged = True
                 return log
@@ -814,7 +848,8 @@ def train_categorical(model: ToyCategoricalModel, data: ClusterData, cfg: TrainC
         )
         return out
 
-    return _train("categorical", model, data.features.shape[0], cfg, eval_cfg, batch_pass)
+    return _train("categorical", model, data.features.shape[0], model.n_messages, cfg, eval_cfg,
+                  batch_pass)
 
 
 def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfig) -> TrainingLog:
@@ -825,7 +860,11 @@ def train_bitvec_vae(model: ToyBitVectorVAE, data: BitImageData, cfg: TrainConfi
     certificate held (support strictly below k).
     """
     _check_config("bitvec", cfg, data.images.shape[0], model.d)
-    return _train("bitvec", model, data.images.shape[0], cfg, cfg,
+    D = model.d
+    # Posterior rows per example: every configuration, the k best, or a
+    # SparseMAP support of at most D + 1 vertices.
+    width = {"dense": 1 << D, "sparse": 1 << D, "topk": min(cfg.k, 1 << D)}.get(cfg.method, D + 1)
+    return _train("bitvec", model, data.images.shape[0], width, cfg, cfg,
                   lambda batch, config, rng, **keywords: _bitvec_batch(
                       model, data.images, batch, config, **keywords))
 

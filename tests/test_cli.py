@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from sparsemarg.cli import TRAIN_COLUMNS, main
+from sparsemarg.activeset import sparsemap
+from sparsemarg.bitvec import BitVectorPolytope
+from sparsemarg.cli import TRAIN_COLUMNS, _fmt, main
+from sparsemarg.rng import make_rng
 
 
 def _run_train(tmp_path, name, argv):
@@ -67,6 +71,23 @@ def test_bench_sparsemap_reports_iterations(tmp_path):
     assert code == 0
     _, rows = _rows(out)
     assert all(float(r[4]) >= 1 for r in rows)
+
+
+def test_bench_sparsemap_rows_reports_iterations_per_row(tmp_path):
+    # One batch of 8 score rows per call; mean_iters is per row, so it
+    # equals the mean of the 8 one-row solves' iterations.
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--op", "sparsemap_rows", "--sizes", "4,12",
+                 "--trials", "3", "--seed", "5", "--out", str(out)])
+    assert code == 0
+    header, rows = _rows(out)
+    assert [r[:2] for r in rows] == [["sparsemap_rows", "4"], ["sparsemap_rows", "12"]]
+    rng = make_rng(5)
+    for row in rows:
+        d = int(row[1])
+        T = rng.normal(size=(8, d))
+        iters = [sparsemap(BitVectorPolytope(d), t).iterations for t in T]
+        assert row[4] == _fmt(np.mean(iters))
 
 
 def test_bench_sparsemap_past_64_bits(tmp_path):

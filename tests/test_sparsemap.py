@@ -723,10 +723,11 @@ def test_max_condition_is_the_largest_estimate_the_solver_checked():
 # --- The batch solver ------------------------------------------------------
 
 
-def _reference_solve(oracle, t, max_iter=None, tol=1e-9):
+def _reference_solve(oracle, t, max_iter=None, tol=1e-9, cond_limit=1e12):
     """The active set one row at a time, written as it was before the batch
     solver: a Python-float ratio test, a set of bit tuples for the known
-    structures, and the factor grown and shrunk through its public API."""
+    structures, and the factor grown and shrunk through its public API,
+    rebuilt when its condition estimate passes ``cond_limit``."""
     t = np.asarray(t, dtype=np.float64)
     max_iter = 100 + 10 * oracle.dim if max_iter is None else max_iter
     first = oracle.map(t)
@@ -776,7 +777,7 @@ def _reference_solve(oracle, t, max_iter=None, tol=1e-9):
             out["refactorizations"] += 1
         cond = factor.condition_estimate()
         out["max_condition"] = max(out["max_condition"], cond)
-        if cond > 1e12:
+        if cond > cond_limit:
             factor = CholeskyFactor(rows @ rows.T + 1.0)
             out["refactorizations"] += 1
         probs = np.concatenate((p_hat, [0.0]))
@@ -839,19 +840,19 @@ def test_rows_solve_steps_rows_that_drop_beside_rows_that_add(monkeypatch):
     steps, current = [], {}
     advance, drop, add = activeset._advance_rows, activeset._drop_step, activeset._add_step
 
-    def advance_rows(states, oracle, T):
+    def advance_rows(sets, oracle, live):
         current.clear()
-        out = advance(states, oracle, T)
+        out = advance(sets, oracle, live)
         steps.append(dict(current))
         return out
 
-    def drop_step(state, *args):
-        current[id(state)] = "drop"
-        return drop(state, *args)
+    def drop_step(sets, row, *args):
+        current[row] = "drop"
+        return drop(sets, row, *args)
 
-    def add_step(state, *args):
-        current[id(state)] = "add"
-        return add(state, *args)
+    def add_step(sets, rows, *args):
+        current.update(dict.fromkeys(rows.tolist(), "add"))
+        return add(sets, rows, *args)
 
     monkeypatch.setattr(activeset, "_advance_rows", advance_rows)
     monkeypatch.setattr(activeset, "_drop_step", drop_step)
@@ -864,6 +865,46 @@ def test_rows_solve_steps_rows_that_drop_beside_rows_that_add(monkeypatch):
     monkeypatch.undo()
     for t, res in zip(T, solved):
         assert _fingerprint(res) == _fingerprint(sparsemap(oracle, t))
+
+
+def test_stacked_rows_outgrow_their_room_beside_drops_rebuilds_and_convergence(monkeypatch):
+    # One batch at D = 40, the condition limit lowered to 5 so that factors
+    # are rebuilt often.  At one lockstep step a row's support outgrows the
+    # room for 16 structures that every row of the stack starts with, while
+    # other rows drop, rebuild their factor and converge.  Every row has
+    # the bits and counters of the reference, and keeps them when the
+    # batch is reversed or split in two.
+    import sparsemarg.activeset as activeset
+
+    monkeypatch.setattr(activeset, "_COND_LIMIT", 5.0)
+    steps, advance = [], activeset._advance_rows
+
+    def advance_rows(sets, oracle, live):
+        n, drops, rebuilds, done, room = (list(sets.n), list(sets.drops),
+                                          list(sets.refactorizations), list(sets.converged),
+                                          sets.V.shape[1])
+        out = advance(sets, oracle, live)
+        steps.append(dict(
+            grew={b for b in live if n[b] == room < sets.n[b]},
+            dropped={b for b in live if sets.drops[b] > drops[b]},
+            rebuilt={b for b in live if sets.refactorizations[b] > rebuilds[b]},
+            converged={b for b in live if sets.converged[b] and not done[b]}))
+        return out
+
+    monkeypatch.setattr(activeset, "_advance_rows", advance_rows)
+    oracle = BitVectorPolytope(40)
+    T = _mixed_rows(make_rng(402), 16, 40) * 0.5
+    solved = [_fingerprint(res) for res in sparsemap_rows(oracle, T)]
+    monkeypatch.setattr(activeset, "_advance_rows", advance)
+    others = ("dropped", "rebuilt", "converged")
+    assert any(step["grew"] and all(step[k] - step["grew"] for k in others) for step in steps)
+    assert max(len(fp["bits"]) for fp in solved) > 16
+    for t, fp in zip(T, solved):
+        reference = _reference_solve(oracle, t, cond_limit=5.0)
+        assert {key: fp[key] for key in reference} == reference
+    assert [_fingerprint(res) for res in sparsemap_rows(oracle, T[::-1])] == solved[::-1]
+    halves = [[_fingerprint(res) for res in sparsemap_rows(oracle, T[k::2])] for k in (0, 1)]
+    assert [fp for pair in zip(*halves) for fp in pair] == solved
 
 
 class _ForcingOracle:

@@ -239,6 +239,34 @@ def test_initial_loss_raises_or_is_nan_where_the_per_batch_loop_does(task, metho
         assert outcomes == ["nan"] * 3
 
 
+@pytest.mark.parametrize("task, method, n, width", [
+    ("bitvec", "sparse", 50, 256),  # every configuration at D = 8
+    ("bitvec", "topk", 1100, 4),
+    ("bitvec", "sparsemap", 500, 9),  # a support of at most D + 1
+    ("categorical", "dense", 600, 8),  # K = 8 messages
+])
+def test_initial_pass_maps_at_most_a_loss_block_of_posterior_rows(task, method, n, width,
+                                                                   monkeypatch):
+    # Past 4096 posterior rows the initial pass maps whole runs of 8
+    # examples, as many as fit, in order; the initial loss keeps the bits
+    # of the per-batch loop.
+    from sparsemarg import toys
+
+    mapped = []
+    for name, at in (("sparsemax_rows", 0), ("softmax", 0), ("kbest_rows", 0),
+                     ("sparsemap_rows", 1)):
+        def counted(*args, _at=at, _original=getattr(toys, name), **kwargs):
+            mapped.append(len(args[_at]))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(toys, name, counted)
+    got, expected = _initial_loss_outcomes(task, method, _inputs(task, n), 8)
+    assert got == expected and np.isfinite(float(got))
+    chunk = 8 * (toys._LOSS_BLOCK // (8 * width))
+    passes = np.cumsum(mapped).tolist().index(n) + 1  # the training run's calls come first
+    assert mapped[:passes] == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
+    assert passes > 1 and chunk * width <= toys._LOSS_BLOCK
+
+
 def test_initial_loss_raises_the_first_error_of_the_per_batch_loop(monkeypatch):
     # Capped at two steps, the solves stop unconverged, which the training
     # pass's vjp refuses, and an example scaled by 1e50 in the second
@@ -304,8 +332,12 @@ def test_initial_pass_maps_once_without_gradients_and_the_first_batch_reuses_it(
                                                        seed=55), _small_cluster_data(n=24), cfg)
         return counts.copy()
 
-    assert calls(0) == {mapping: 1}  # one mapping of all 24 examples, no backward pass
-    trained = {mapping: 1 + 2, vjp: 3}  # three batches, the first mapped by the initial pass
+    # One mapping of all 24 examples, no backward pass, except that bit-vector
+    # sparse holds 2^8 = 256 posterior rows an example: its initial pass maps
+    # 16 examples, then 8, each within 4096 rows.
+    passes = 2 if (task, method) == ("bitvec", "sparse") else 1
+    assert calls(0) == {mapping: passes}
+    trained = {mapping: passes + 2, vjp: 3}  # three batches, the first mapped by the initial pass
     if task == "bitvec":
         trained["_decoder_weight_terms"] = 3
     assert calls(1) == trained
