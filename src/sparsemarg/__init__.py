@@ -4,11 +4,8 @@ supports."""
 
 from .activeset import (
     ActiveSetCycleError,
-    ActiveSetState,
-    CholeskyFactor,
     DegenerateSupportError,
     SparseMapResult,
-    active_set_step,
     sparsemap,
     sparsemap_vjp,
     sparsemap_vjp_probs,
@@ -56,11 +53,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActiveSetCycleError",
-    "ActiveSetState",
     "BitVectorPolytope",
     "BudgetedBitVectorPolytope",
     "CallStats",
-    "CholeskyFactor",
     "DegenerateSupportError",
     "Estimate",
     "IdentityPolytope",
@@ -72,7 +67,6 @@ __all__ = [
     "SparseMapResult",
     "Structure",
     "TopKResult",
-    "active_set_step",
     "budget_map_oracle",
     "config_matrix",
     "dense_grad",

@@ -1,8 +1,9 @@
 """SparseMAP: quadratic projection of variable scores onto the moment
 polytope of a structured space, solved by an active-set method.
 
-Given a polytope exposing a maximization oracle ``map(t)`` over vertices
-a_z in {0,1}^D, solve
+Given a polytope exposing ``dim`` and a row maximization oracle
+``map_rows(T)`` over vertices a_z in {0,1}^D (the uint8 (B, D) bits of
+each row's best vertex and their float (B,) scores), solve
 
     min_{p in simplex} || A p - t ||^2
 
@@ -20,8 +21,8 @@ and moments (:class:`_ActiveSets`), every row advances one step at a
 time, and each step gathers the rows of one support size, takes their
 products as stacked arrays and scatters the results back, leaving the
 triangular solves, drops and refactorizations to each row.  Every row
-keeps the bits of its solve alone, so :func:`sparsemap` and
-:func:`active_set_step` are the one-row case.
+keeps the bits of its solve alone, so :func:`sparsemap` is the one-row
+case.
 
 The backward pass differentiates the fixed-support KKT system; both vjps
 (through the structure probabilities and through the moments) reuse the
@@ -43,12 +44,9 @@ from .bitvec import Structure
 from .simplex import SparseDistribution, _row_dots
 
 __all__ = [
-    "ActiveSetState",
     "SparseMapResult",
-    "CholeskyFactor",
     "DegenerateSupportError",
     "ActiveSetCycleError",
-    "active_set_step",
     "sparsemap",
     "sparsemap_rows",
     "sparsemap_vjp",
@@ -62,8 +60,6 @@ _INT64_OUTCOMES = 1 << 63
 # A stack of factors or vertex rows starts with room for this many
 # structures in each row, and doubles its room when a row needs more.
 _MIN_ROOM = 16
-_ROW0 = np.zeros(1, dtype=np.intp)
-_ROW0.flags.writeable = False
 
 
 class DegenerateSupportError(RuntimeError):
@@ -104,16 +100,6 @@ def _dtrtrs(L, b, trans: int) -> np.ndarray:
     return x
 
 
-def _triangular_solve(L, b, trans: int) -> np.ndarray:
-    """:func:`_dtrtrs` for a right-hand side that must be finite.  ``L`` is
-    always a Cholesky factor built here, so only ``b`` needs the check,
-    made on Python floats: at the sizes of a support that is faster than
-    two numpy calls."""
-    if not all(map(math.isfinite, b.ravel().tolist())):
-        raise ValueError("right-hand side must be finite")
-    return _dtrtrs(L, b, trans)
-
-
 def _condition(hi: float, lo: float) -> float:
     """(hi / lo)^2, inf when ``lo`` is not positive or the square overflows."""
     if not lo > 0:
@@ -124,31 +110,72 @@ def _condition(hi: float, lo: float) -> float:
         return math.inf
 
 
-class _Factors:
-    """Lower-triangular factors of bordered Gram matrices A'A + 11^T, one
-    per row of a stack.
+def _structures_of(rows, scores) -> list:
+    """One Structure per 0/1 row of ``rows``, with its oracle score."""
+    return [Structure(tuple(bits), score)
+            for bits, score in zip(rows.astype(np.uint8).tolist(), scores)]
 
-    Row b's factor is the leading ``n[b]`` x ``n[b]`` block of ``L[b]``,
-    zero right of its diagonal; the rows below it are scratch that the
-    next append overwrites.  All rows share one room, doubled when a row
-    needs more: LAPACK gives a triangular solve the same bits whatever the
-    leading dimension, and wherever the factor sits in the stack.
-    ``hi[b]`` and ``lo[b]`` are the largest and smallest |diagonal| entry
-    of row b's factor: exact on an append, and NaN, recomputed on first
-    use, after a drop or a rebuild, which change the diagonal.  The sizes
-    and bounds are lists of Python numbers: a step reads and writes them
-    for a few rows at a time, where a numpy call per update costs more.
+
+def _gram(rows) -> np.ndarray:
+    """Bordered Gram matrix A'A + 11^T of the vertex rows."""
+    return rows @ rows.T + 1.0
+
+
+_OVERFLOW = "scores overflow: a relaxed solve of the active set is not finite"
+
+
+def _unresolved(t, what: str) -> ValueError:
+    """The error for scores whose scale the relaxed solves cannot resolve:
+    at |t| near 1e16 and past, A't swamps the simplex constraint's ones."""
+    return ValueError("scores too large to resolve (max |t| = %.3g): %s"
+                      % (float(np.abs(t).max()), what))
+
+
+class _ActiveSets:
+    """The active sets of the rows of a (B, D) score matrix ``T``, stacked.
+
+    Row b's support holds ``n[b]`` structures: their vertex rows are the
+    leading rows of ``V[b]`` (cap, D), their weights and oracle scores the
+    leading entries of ``W[b]`` and ``S[b]``, their bits (as bytes) the
+    list ``keys[b]``, and ``M[b]`` holds the moments.  The lower-triangular
+    factor of their bordered Gram matrix A'A + 11^T is the leading
+    ``n[b]`` x ``n[b]`` block of ``L[b]``, zero right of its diagonal; the
+    rows below it are scratch that the next append overwrites.  All rows
+    share one room ``cap``, doubled when a row needs more: LAPACK gives a
+    triangular solve the same bits whatever the leading dimension, and
+    wherever the factor sits in the stack.  ``hi[b]`` and ``lo[b]`` are
+    the largest and smallest |diagonal| entry of row b's factor: exact on
+    an append, and NaN, recomputed on first use, after a drop or a
+    rebuild, which change the diagonal.  The per-row lists ``tau``,
+    ``nu_min``, ``tol``, ``converged``, ``iteration``, ``adds``,
+    ``drops``, ``refactorizations``, ``widen_count`` and
+    ``max_condition`` hold the rest of each row's iterate.  The sizes,
+    bounds and scalars are lists of Python numbers: a step reads and
+    writes them for a few rows at a time, where a numpy call per update
+    costs more.  A new stack holds empty supports.
     """
 
-    def __init__(self, L, n: list):
-        self.L, self.n = L, n
-        self.hi, self.lo = [math.nan] * len(n), [math.nan] * len(n)
+    def __init__(self, T, cap: int, tol):
+        B, D = T.shape
+        self.T = T
+        self.L, self.V = np.zeros((B, cap, cap)), np.zeros((B, cap, D))
+        self.W, self.S = np.zeros((B, cap)), np.zeros((B, cap))
+        self.M = np.zeros((B, D))
+        self.n, self.keys = [0] * B, [[] for _ in range(B)]
+        self.hi, self.lo = [math.nan] * B, [math.nan] * B
+        self.tau, self.nu_min, self.tol = [math.nan] * B, [math.nan] * B, [tol] * B
+        self.converged = [False] * B
+        self.iteration, self.adds, self.drops = [0] * B, [0] * B, [0] * B
+        self.refactorizations, self.widen_count = [0] * B, [0] * B
+        self.max_condition = [1.0] * B
 
     def _reserve(self, size: int):
         """Make room for ``size`` structures in every row."""
         cap = self.L.shape[1]
         if size > cap:
-            self.L = _room(self.L, max(2 * cap, _MIN_ROOM), (1, 2))
+            cap = max(2 * cap, size)
+            self.L = _room(self.L, cap, (1, 2))
+            self.V, self.W, self.S = (_room(a, cap, (1,)) for a in (self.V, self.W, self.S))
 
     def _grow(self, ids, n: int, E, pivots: list, diag: list):
         """Append to the factors of the rows ``ids`` (an int array), all of
@@ -235,226 +262,31 @@ class _Factors:
             self.hi[b], self.lo[b] = float(d.max()), float(d.min())
         return _condition(self.hi[b], self.lo[b])
 
-
-class CholeskyFactor(_Factors):
-    """Lower-triangular factor of the bordered Gram matrix A'A + 11^T.
-
-    Supports growing by one column (rank-one update against the existing
-    factor) and deleting an arbitrary column (row removal followed by
-    Givens re-triangularization), plus two-triangular-solve application
-    of the inverse.  It is the one-row case of the stacked factors the
-    solver keeps (:class:`_Factors`): the factor is the leading block of a
-    buffer with room to grow, and :meth:`condition_estimate` reads the
-    kept |diagonal| bounds.
-    """
-
-    def __init__(self, gram):
-        L = np.linalg.cholesky(np.atleast_2d(np.asarray(gram, dtype=np.float64)))
-        super().__init__(L[None], [L.shape[0]])
-
-    def copy(self) -> "CholeskyFactor":
-        out = object.__new__(CholeskyFactor)
-        out.L, out.n, out.hi, out.lo = self.L.copy(), list(self.n), list(self.hi), list(self.lo)
-        return out
-
-    @property
-    def size(self) -> int:
-        return self.n[0]
-
-    @property
-    def _L(self) -> np.ndarray:
-        """The factor, a view of the leading block of the buffer."""
-        n = self.n[0]
-        return self.L[0, :n, :n]
-
-    def append(self, cross, diag: float):
-        """Grow by one structure given its cross terms and diagonal entry."""
-        ell = _triangular_solve(self.L[0, : self.n[0]], np.asarray(cross, dtype=np.float64), 1)
-        if self._grow(_ROW0, self.n[0], ell[None], [diag - float(ell @ ell)], [diag])[0]:
-            raise np.linalg.LinAlgError("new column is numerically dependent")
-
-    def drop(self, j: int):
-        """Delete row/column j of the factored matrix."""
-        self._drop(0, j)
-
-    def solve(self, b) -> np.ndarray:
-        L = self.L[0, : self.n[0]]
-        y = _triangular_solve(L, np.asarray(b, dtype=np.float64), 1)
-        return _triangular_solve(L, y, 0)
-
-    def condition_estimate(self) -> float:
-        """(max |diag L| / min |diag L|)^2, inf when the smallest is 0."""
-        return self._condition(0)
-
-
-def _vertex_rows(structures) -> np.ndarray:
-    """Vertex matrix A' with one C-ordered row per structure, shape (n, D)."""
-    return np.array([s.bits for s in structures], dtype=np.float64)
-
-
-def _structures_of(rows, scores) -> list:
-    """One Structure per 0/1 row of ``rows``, with its oracle score."""
-    return [Structure(tuple(bits), score)
-            for bits, score in zip(rows.astype(np.uint8).tolist(), scores)]
-
-
-def _gram(rows) -> np.ndarray:
-    """Bordered Gram matrix A'A + 11^T of the vertex rows."""
-    return rows @ rows.T + 1.0
-
-
-_OVERFLOW = "scores overflow: a relaxed solve of the active set is not finite"
-
-
-def _unresolved(t, what: str) -> ValueError:
-    """The error for scores whose scale the relaxed solves cannot resolve:
-    at |t| near 1e16 and past, A't swamps the simplex constraint's ones."""
-    return ValueError("scores too large to resolve (max |t| = %.3g): %s"
-                      % (float(np.abs(t).max()), what))
-
-
-class _ActiveSets(_Factors):
-    """The active sets of the rows of a (B, D) score matrix ``T``, stacked.
-
-    Row b's support holds ``n[b]`` structures: their vertex rows are the
-    leading rows of ``V[b]`` (cap, D), their weights and oracle scores the
-    leading entries of ``W[b]`` and ``S[b]``, their bits (as bytes) the
-    list ``keys[b]``, and the bordered Gram factor of their rows is the
-    one :class:`_Factors` keeps in ``L[b]``.  ``M`` holds the moments.
-    The per-row lists ``tau``, ``nu_min``, ``tol``, ``converged``,
-    ``iteration``, ``adds``, ``drops``, ``refactorizations``,
-    ``widen_count`` and ``max_condition`` are the fields of
-    :class:`ActiveSetState`.  A new stack holds empty supports.
-    """
-
-    def __init__(self, T, cap: int, tol):
-        B, D = T.shape
-        super().__init__(np.zeros((B, cap, cap)), [0] * B)
-        self.T = T
-        self.V, self.W, self.S = np.zeros((B, cap, D)), np.zeros((B, cap)), np.zeros((B, cap))
-        self.M = np.zeros((B, D))
-        self.keys = [[] for _ in range(B)]
-        self.tau, self.nu_min, self.tol = [math.nan] * B, [math.nan] * B, [tol] * B
-        self.converged = [False] * B
-        self.iteration, self.adds, self.drops = [0] * B, [0] * B, [0] * B
-        self.refactorizations, self.widen_count = [0] * B, [0] * B
-        self.max_condition = [1.0] * B
-
-    def _reserve(self, size: int):
-        cap = self.V.shape[1]
-        if size > cap:
-            super()._reserve(size)
-            cap = self.L.shape[1]
-            self.V = _room(self.V, cap, (1,))
-            self.W, self.S = _room(self.W, cap, (1,)), _room(self.S, cap, (1,))
-
     def _refactorize(self, b: int, size: int):
         """Rebuild row b's factor from its first ``size`` vertex rows."""
         self._rebuild(b, _gram(self.V[b, :size]))
         self.refactorizations[b] += 1
 
 
-class ActiveSetState:
-    """One iterate of the active-set solve.
-
-    ``probs`` are the current simplex weights over ``structures``,
-    ``moments`` is their combination A p, and ``kkt_factor`` holds the
-    bordered Gram factor for the current support.  ``rows`` is the vertex
-    matrix A' (one row per structure); it is built from ``structures``
-    when not given.  A stepped state keeps only the rows and each
-    structure's oracle score: ``structures`` is built from them when first
-    read.  ``adds``, ``drops`` and ``refactorizations`` count support
-    changes and factors rebuilt from scratch, and ``max_condition`` is the
-    largest :meth:`CholeskyFactor.condition_estimate` met so far: the
-    first factor's, then the one checked after each add.  The solvers
-    hold their iterates as one stack of rows (:class:`_ActiveSets`);
-    :func:`active_set_step` packs a state into a stack of one and unpacks
-    the stepped row as a new state.
-    """
-
-    def __init__(self, structures, probs, moments, tau, kkt_factor, iteration=0,
-                 converged=False, nu_min=float("nan"), tol=1e-9, widen_count=0, rows=None,
-                 adds=0, drops=0, refactorizations=0, max_condition=None):
-        rows = _vertex_rows(structures) if rows is None else rows
-        self.rows = np.array(rows, dtype=np.float64)[: len(structures)]
-        self._structures = structures
-        self._scores = [s.score for s in structures]
-        self.probs, self.moments, self.tau, self.kkt_factor = probs, moments, tau, kkt_factor
-        self.iteration, self.converged, self.nu_min = iteration, converged, nu_min
-        self.tol, self.widen_count = tol, widen_count
-        self.adds, self.drops, self.refactorizations = adds, drops, refactorizations
-        self.max_condition = (kkt_factor.condition_estimate() if max_condition is None
-                              else max_condition)
-
-    @property
-    def structures(self) -> list:
-        if self._structures is None:
-            self._structures = _structures_of(self.rows, self._scores)
-        return self._structures
-
-    def _stack(self, t) -> _ActiveSets:
-        """This state as a stack of one row, on the scores ``t``, sharing
-        no mutable part with it."""
-        n, factor = self.probs.size, self.kkt_factor
-        sets = _ActiveSets(t[None], max(n, _MIN_ROOM), self.tol)
-        sets.L[0, :n, :n], sets.n[0], sets.hi[0], sets.lo[0] = (
-            factor._L, n, factor.hi[0], factor.lo[0])
-        sets.V[0, :n], sets.W[0, :n], sets.S[0, :n] = self.rows, self.probs, self._scores
-        sets.keys[0] = [bits.tobytes() for bits in self.rows.astype(np.uint8)]
-        sets.M[0], sets.tau[0], sets.nu_min[0] = self.moments, self.tau, self.nu_min
-        sets.converged[0], sets.iteration[0], sets.widen_count[0] = (
-            self.converged, self.iteration, self.widen_count)
-        sets.adds[0], sets.drops[0], sets.refactorizations[0] = (
-            self.adds, self.drops, self.refactorizations)
-        sets.max_condition[0] = self.max_condition
-        return sets
-
-    @classmethod
-    def _of(cls, sets: _ActiveSets) -> "ActiveSetState":
-        """The state of the one row of ``sets``, viewing its arrays."""
-        n = sets.n[0]
-        state = object.__new__(cls)
-        state.rows, state.probs, state.moments = sets.V[0, :n], sets.W[0, :n], sets.M[0]
-        state._structures, state._scores = None, sets.S[0, :n].tolist()
-        state.tau, state.nu_min, state.tol = sets.tau[0], sets.nu_min[0], sets.tol[0]
-        state.kkt_factor = factor = object.__new__(CholeskyFactor)
-        factor.L, factor.n, factor.hi, factor.lo = sets.L, sets.n, sets.hi, sets.lo
-        state.converged, state.iteration, state.widen_count = (
-            sets.converged[0], sets.iteration[0], sets.widen_count[0])
-        state.adds, state.drops = sets.adds[0], sets.drops[0]
-        state.refactorizations, state.max_condition = (
-            sets.refactorizations[0], sets.max_condition[0])
-        return state
-
-
 def _oracle_rows(oracle, R):
     """The oracle's best vertex for each row of R: uint8 (B, D) bits, float
     (B,) scores, and {row: exception} for the rows whose call raised.
 
-    ``oracle.map_rows`` takes the whole matrix where the oracle has it; if
-    that raises, each row is asked alone, so that only the rows at fault
-    fail.  An oracle with only ``map`` is asked row by row.
+    ``oracle.map_rows`` takes the whole matrix; if that raises, each row
+    is asked alone, so that only the rows at fault fail.
     """
-    map_rows = getattr(oracle, "map_rows", None)
-    if map_rows is not None:
-        try:
-            bits, scores = map_rows(R)
-            return np.ascontiguousarray(bits, dtype=np.uint8), scores, {}
-        except Exception:  # some row is at fault; each row's own call shows which
-            def one(r):
-                bits, scores = map_rows(r[None])
-                return bits[0], scores[0]
-    else:
-        def one(r):
-            structure = oracle.map(r)
-            return structure.bits, structure.score
-    bits, scores, errors = np.zeros(R.shape, dtype=np.uint8), np.zeros(len(R)), {}
-    for i, r in enumerate(R):
-        try:
-            bits[i], scores[i] = one(r)
-        except Exception as exc:  # the error this row's own solve meets
-            errors[i] = exc
-    return bits, scores, errors
+    try:
+        bits, scores = oracle.map_rows(R)
+    except Exception:  # some row is at fault; each row's own call shows which
+        bits, scores, errors = np.zeros(R.shape, dtype=np.uint8), np.zeros(len(R)), {}
+        for i, r in enumerate(R):
+            try:
+                one_bits, one_score = oracle.map_rows(r[None])
+                bits[i], scores[i] = one_bits[0], one_score[0]
+            except Exception as exc:  # the error this row's own solve meets
+                errors[i] = exc
+        return bits, scores, errors
+    return np.ascontiguousarray(bits, dtype=np.uint8), scores, {}
 
 
 def _relaxed_checked(L, At) -> None:
@@ -579,8 +411,12 @@ def _add_step(sets: _ActiveSets, ids, n: int, F, scores, E, pivots: list, diag: 
 
 
 def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
-    """One :func:`active_set_step` of each row in the list ``live`` of
-    ``sets`` (none converged), made in place.
+    """One active-set step of each row in the list ``live`` of ``sets``
+    (none converged), made in place: a relaxed QP solve, then either a
+    drop of the structure that blocks the step or an oracle query that
+    adds the most violated structure or certifies the row converged.  A
+    step changes a support by at most one structure and never raises the
+    objective.
 
     The rows are grouped by support size.  Each group gathers its vertex
     rows and factors from the stack, and takes A't, the sums of the
@@ -675,25 +511,6 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
     return errors
 
 
-def active_set_step(state: ActiveSetState, oracle, t) -> ActiveSetState:
-    """One iteration: relaxed QP solve, then either drop a blocking
-    structure or query the oracle and add the most violated one.
-
-    A converged state is returned unchanged; otherwise the state is
-    stepped as a stack of one row and returned as a new state, leaving
-    ``state`` as it was.  The support changes by at most one structure per
-    call and the objective never increases.  This is the one-row case of
-    the step :func:`sparsemap_rows` takes.
-    """
-    if state.converged:
-        return state
-    sets = state._stack(np.asarray(t, dtype=np.float64))
-    errors = _advance_rows(sets, oracle, [0])
-    if errors:
-        raise errors[0]
-    return ActiveSetState._of(sets)
-
-
 @dataclass(frozen=True, eq=False)
 class SparseMapResult:
     """Converged (or iteration-capped) SparseMAP solution.
@@ -707,7 +524,8 @@ class SparseMapResult:
     ``refactorizations`` and ``widenings`` count what the solver did:
     ``iterations == adds + drops + int(converged)``.  ``max_condition`` is
     the largest condition estimate of the bordered Gram factor the solver
-    met (see :class:`ActiveSetState`); past 1e12 it rebuilt the factor.
+    checked, (max |diag L| / min |diag L|)^2: the first factor's, then the
+    one after each add; past 1e12 it rebuilt the factor.
     """
 
     probs: np.ndarray
@@ -837,11 +655,10 @@ def sparsemap_rows(oracle, scores, *, max_iter: int | None = None, tol: float = 
 
     The rows are solved together: each step advances every unconverged
     row once, the rows of one support size as stacked arrays, and
-    ``oracle.map_rows(scores)``, when the oracle has it, answers every row
-    of a step in one call; an oracle with only ``map`` is called once per
-    row.  ``max_iter`` caps each row's steps.  If rows raise, the error
-    raised is the one of the lowest-index row, the error a loop of
-    :func:`sparsemap` over the rows would raise.
+    ``oracle.map_rows`` answers every row of a step in one call (each row
+    alone where that call raises).  ``max_iter`` caps each row's steps.
+    If rows raise, the error raised is the one of the lowest-index row,
+    the error a loop of :func:`sparsemap` over the rows would raise.
     """
     T = np.asarray(scores, dtype=np.float64)
     if T.ndim != 2 or T.shape[1] != oracle.dim:
@@ -853,9 +670,10 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
     """Project ``t`` onto the polytope served by ``oracle``: the one-row
     case of :func:`sparsemap_rows`.
 
-    ``oracle`` must expose ``dim`` and ``map(scores) -> Structure``; the
-    optional ``n_outcomes`` / ``outcome_index`` hooks control how the
-    result is keyed as a distribution.  Starts from the MAP vertex and
+    ``oracle`` must expose ``dim`` and ``map_rows(T)``, which returns the
+    uint8 (B, D) bits of the best vertex of each row of T and their float
+    (B,) scores; the optional ``n_outcomes`` / ``outcome_index`` hooks
+    control how the result is keyed as a distribution.  Starts from the MAP vertex and
     runs until the oracle certifies dual feasibility (``nu_min >= -tol``)
     or ``max_iter`` (default 100 + 10 D) steps have been taken.
     """

@@ -364,11 +364,17 @@ class IdentityPolytope:
             raise ValueError("dim must be >= 1")
         self.dim = dim
 
+    def map_rows(self, scores):
+        """The one-hot of each row's argmax, first index on ties, as a
+        uint8 (B, K) array, and its float64 (B,) scores, each row's dot
+        with its own scores.  :meth:`map` is its one-row case."""
+        T = _as_score_rows(scores)
+        bits = np.zeros(T.shape, dtype=np.uint8)
+        bits[np.arange(T.shape[0]), np.argmax(T, axis=1)] = 1
+        return _scored(bits, T)
+
     def map(self, t) -> Structure:
-        t = _as_variable_scores(t)
-        bits = np.zeros((1, t.size), dtype=np.uint8)
-        bits[0, int(np.argmax(t))] = 1
-        return _structure(*_scored(bits, t[None]))
+        return _structure(*self.map_rows(_as_variable_scores(t)[None]))
 
     @property
     def n_outcomes(self) -> int:

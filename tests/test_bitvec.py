@@ -9,6 +9,7 @@ import pytest
 from sparsemarg.bitvec import (
     BitVectorPolytope,
     BudgetedBitVectorPolytope,
+    IdentityPolytope,
     KBest,
     Structure,
     budget_map_oracle,
@@ -294,15 +295,19 @@ def test_polytope_adapters():
     assert sum(st.bits) <= 2
 
 
-def _map_reference(t, budget=None):
-    # The oracles as they were written for one vector: the sign rule, or a
-    # stable descending sort cut at the budget, scored by the 1-d @.
-    if budget is None:
-        bits = (t >= 0).astype(np.int64)
-    else:
-        order = np.argsort(-t, kind="stable")[:budget]
-        bits = np.zeros(t.size, dtype=np.int64)
+def _map_reference(t, poly):
+    # The oracles as they were written for one vector: the argmax, first
+    # index on ties (where -0.0 ties 0.0), the sign rule, or a stable
+    # descending sort cut at the budget, scored by the 1-d @.
+    bits = np.zeros(t.size, dtype=np.int64)
+    if isinstance(poly, IdentityPolytope):
+        values = t.tolist()
+        bits[values.index(max(values))] = 1
+    elif isinstance(poly, BudgetedBitVectorPolytope):
+        order = np.argsort(-t, kind="stable")[: poly.budget]
         bits[order[t[order] >= 0]] = 1
+    else:
+        bits = (t >= 0).astype(np.int64)
     row = bits.astype(np.float64)
     return tuple(bits.tolist()), float(row @ t)
 
@@ -316,14 +321,20 @@ def test_map_rows_has_the_bits_of_the_one_vector_oracles(d):
     T[3::4][rng.random((6, d)) < 0.4] = 0.0
     T[5] = -0.0  # signed zeros count as nonnegative
     T[9, : d // 2] = -T[9, d // 2 : 2 * (d // 2)]
-    polytopes = [BitVectorPolytope(d)] + [BudgetedBitVectorPolytope(d, b)
-                                          for b in sorted({1, max(1, d // 2), d})]
+    # For the argmax: -0.0 ties 0.0, and a -0.0 above negative scores.
+    signed = np.zeros((2, d))
+    signed[0, ::2] = -0.0
+    signed[1, :-1] = -1.0
+    signed[1, -1] = -0.0
+    T = np.vstack([T, signed])
+    polytopes = [BitVectorPolytope(d), IdentityPolytope(d)] + [
+        BudgetedBitVectorPolytope(d, b) for b in sorted({1, max(1, d // 2), d})]
     for poly in polytopes:
         bits, scores = poly.map_rows(T)
         assert bits.dtype == np.uint8 and bits.shape == T.shape
         assert scores.dtype == np.float64 and scores.shape == (T.shape[0],)
         for i, t in enumerate(T):
-            ref_bits, ref_score = _map_reference(t, getattr(poly, "budget", None))
+            ref_bits, ref_score = _map_reference(t, poly)
             assert tuple(bits[i].tolist()) == ref_bits
             assert np.float64(scores[i]).tobytes() == np.float64(ref_score).tobytes()
             one = poly.map(t)  # the one-row case

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sparsemarg.activeset import ActiveSetState, CholeskyFactor, sparsemap
+from sparsemarg.activeset import sparsemap
 from sparsemarg.bitvec import BitVectorPolytope
 from sparsemarg.estimators import sum_and_sample_grad, sum_and_sample_rows
 from sparsemarg.marginalize import LossOracle
@@ -22,13 +22,6 @@ from sparsemarg.toys import (
 T = np.array([0.4, -0.3, 0.1, 0.2])
 
 
-def _state():
-    first = BitVectorPolytope(4).map(T)
-    v = first.as_array()
-    return ActiveSetState(structures=[first], probs=np.array([1.0]), moments=v,
-                          tau=float("nan"), kkt_factor=CholeskyFactor(np.array([[v @ v + 1.0]])))
-
-
 def _batch_pass():
     images = make_bitvec_images(n=2, d=3, seed=1)
     model = ToyBitVectorVAE.init(d=3, n_pixels=images.n_pixels, seed=2)
@@ -38,7 +31,6 @@ def _batch_pass():
 MAKERS = {
     "SparseDistribution": lambda: sparsemax(T),
     "TopKResult": lambda: top_k(T, 2),
-    "ActiveSetState": _state,
     "SparseMapResult": lambda: sparsemap(BitVectorPolytope(4), T),
     "Estimate": lambda: sum_and_sample_grad(T, LossOracle(float), 2, make_rng(0)),
     "RowEstimates": lambda: sum_and_sample_rows(

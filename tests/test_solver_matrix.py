@@ -1,0 +1,40 @@
+"""The bit-identity gate of ``tools/solver_matrix.py``: the per-input and
+the batched listing print the same lines, each in the documented format."""
+
+import contextlib
+import importlib.util
+import io
+import re
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "solver_matrix.py"
+_SPEC = importlib.util.spec_from_file_location("solver_matrix", _PATH)
+solver_matrix = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(solver_matrix)
+
+# index, kind, polytope, then the result's sha256 and counters (or the
+# class name of the exception the solve raised)
+_LINE = re.compile(r"^(\d+) (normal|ties|zeros|zeros40) D=\d+(,b=\d+)? "
+                   r"(?:[0-9a-f]{64} converged=(True|False) iterations=\d+ adds=\d+ "
+                   r"drops=(\d+) refactorizations=\d+ widenings=\d+|\w+)$")
+
+
+def _listing(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert solver_matrix.run_matrix(argv) == 0
+    return out.getvalue().splitlines()
+
+
+def test_per_input_and_batched_listings_print_the_same_lines(monkeypatch):
+    monkeypatch.setattr(solver_matrix, "N_INPUTS", 96)
+    lines = _listing([])
+    assert _listing(["--rows"]) == lines
+    assert len(lines) == 96
+    matches = [_LINE.match(line) for line in lines]
+    assert all(matches), [line for line, m in zip(lines, matches) if not m]
+    assert [int(m.group(1)) for m in matches] == list(range(96))
+    assert [m.group(2) for m in matches] == list(solver_matrix.KINDS) * 24
+    # The corpus's first inputs all converge, and some of them drop.
+    assert all(m.group(4) == "True" for m in matches)
+    assert any(int(m.group(5)) > 0 for m in matches)

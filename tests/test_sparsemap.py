@@ -1,19 +1,23 @@
 """Active-set projection onto structure polytopes and its backward pass."""
 
+import itertools
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
+import sparsemarg.activeset as activeset
 from sparsemarg.activeset import (
+    _MIN_ROOM,
     ActiveSetCycleError,
-    ActiveSetState,
-    CholeskyFactor,
     DegenerateSupportError,
     SparseMapResult,
-    _triangular_solve,
-    active_set_step,
+    _ActiveSets,
+    _dtrtrs,
     sparsemap,
     sparsemap_rows,
     sparsemap_vjp,
@@ -32,10 +36,47 @@ from sparsemarg.rng import make_rng
 from sparsemarg.simplex import sparsemax, sparsemax_vjp
 
 
-def _objective(oracle_dim, structures, probs, t):
-    cols = np.array([s.as_array() for s in structures]).T
-    mu = cols @ probs
-    return float(((mu - t) ** 2).sum())
+def _objective(it):
+    return float(((it.rows.T @ it.probs - it.t) ** 2).sum())
+
+
+def _iterate(sets, b):
+    """Row b of the stack ``sets``, copied: its scores, vertex rows,
+    weights, moments, factor, the bits of its structures, and its
+    scalars."""
+    n = sets.n[b]
+    return SimpleNamespace(
+        t=sets.T[b].copy(), rows=sets.V[b, :n].copy(), probs=sets.W[b, :n].copy(),
+        moments=sets.M[b].copy(), L=sets.L[b, :n, :n].copy(),
+        bits=[tuple(key) for key in sets.keys[b]], tol=sets.tol[b],
+        converged=sets.converged[b], iteration=sets.iteration[b], adds=sets.adds[b],
+        drops=sets.drops[b], refactorizations=sets.refactorizations[b],
+        widen_count=sets.widen_count[b], max_condition=sets.max_condition[b])
+
+
+def _frozen(it):
+    """Everything an iterate holds, by value and by bytes."""
+    return {key: value.tobytes() if isinstance(value, np.ndarray) else value
+            for key, value in vars(it).items()}
+
+
+def _observe(monkeypatch):
+    """Record every step the solver takes: each call of ``_advance_rows``
+    appends the stack, its live rows, each live row's iterate before the
+    step, each one's after it (the rows that did not raise), and the
+    errors, to the returned list."""
+    steps, advance = [], activeset._advance_rows
+
+    def advance_rows(sets, oracle, live):
+        before = {b: _iterate(sets, b) for b in live}
+        errors = advance(sets, oracle, live)
+        after = {b: _iterate(sets, b) for b in live if b not in errors}
+        steps.append(SimpleNamespace(sets=sets, live=list(live), before=before, after=after,
+                                     errors=errors))
+        return errors
+
+    monkeypatch.setattr(activeset, "_advance_rows", advance_rows)
+    return steps
 
 
 def test_identity_polytope_equals_sparsemax_frozen():
@@ -133,61 +174,43 @@ def test_rejects_bad_inputs():
         sparsemap(BitVectorPolytope(2), [0.1, 0.2], max_iter=0)
 
 
-def test_step_adds_second_vertex_on_near_tie():
+def test_step_adds_second_vertex_on_near_tie(monkeypatch):
     # Hand trace: starting at the MAP vertex e0 for t = [1, 0.9], the
     # first step must bring in the runner-up vertex.
-    oracle = IdentityPolytope(2)
-    t = np.array([1.0, 0.9])
-    state = _initial_state(oracle, t)
-    assert [s.bits for s in state.structures] == [(1, 0)]
-    stepped = active_set_step(state, oracle, t)
-    assert {s.bits for s in stepped.structures} == {(1, 0), (0, 1)}
+    steps = _observe(monkeypatch)
+    sparsemap(IdentityPolytope(2), [1.0, 0.9])
+    assert steps[0].before[0].bits == [(1, 0)]
+    assert set(steps[0].after[0].bits) == {(1, 0), (0, 1)}
 
 
-def test_step_at_optimum_is_converged_noop():
-    oracle = IdentityPolytope(2)
-    t = np.array([1.0, 0.9])
-    state = _initial_state(oracle, t)
-    for _ in range(10):
-        state = active_set_step(state, oracle, t)
-        if state.converged:
-            break
-    assert state.converged
-    again = active_set_step(state, oracle, t)
-    assert again is state
+def test_step_at_optimum_is_converged_noop(monkeypatch):
+    # The rows of a batch converge steps apart.  Once a row has converged
+    # no later step takes it, and its iterate stays as that step left it.
+    steps = _observe(monkeypatch)
+    for oracle, T in ((IdentityPolytope(2), np.array([[1.0, 0.9], [0.2, 0.1], [5.0, -5.0]])),
+                      (BitVectorPolytope(8), _mixed_rows(make_rng(20), 12, 8))):
+        steps.clear()
+        solved = sparsemap_rows(oracle, T)
+        done = {}
+        for step in steps:
+            assert not done.keys() & set(step.live)
+            done.update({b: it for b, it in step.after.items() if it.converged})
+        assert sorted(done) == list(range(len(T)))
+        assert len({res.iterations for res in solved}) > 1
+        for b, it in done.items():
+            assert _frozen(_iterate(steps[-1].sets, b)) == _frozen(it)
+            assert solved[b].iterations == it.iteration
 
 
-def test_step_objective_monotone():
+def test_step_objective_monotone(monkeypatch):
+    steps = _observe(monkeypatch)
     rng = make_rng(4)
     for _ in range(50):
         d = int(rng.integers(2, 9))
-        t = rng.normal(size=d)
-        oracle = BitVectorPolytope(d)
-        state = _initial_state(oracle, t)
-        prev = _objective(d, state.structures, state.probs, t)
-        for _ in range(100):
-            state = active_set_step(state, oracle, t)
-            cur = _objective(d, state.structures, state.probs, t)
-            assert cur <= prev + 1e-12
-            prev = cur
-            if state.converged:
-                break
-        assert state.converged
-
-
-def _initial_state(oracle, t):
-    return _state_of(oracle.map(np.asarray(t, dtype=np.float64)))
-
-
-def _state_of(first):
-    v = first.as_array()
-    return ActiveSetState(
-        structures=[first],
-        probs=np.array([1.0]),
-        moments=v,
-        tau=float("nan"),
-        kkt_factor=CholeskyFactor(np.array([[v @ v + 1.0]])),
-    )
+        assert sparsemap(BitVectorPolytope(d), rng.normal(size=d)).converged
+    for step in steps:
+        for b, it in step.after.items():
+            assert _objective(it) <= _objective(step.before[b]) + 1e-12
 
 
 def test_vjp_identity_matches_sparsemax_vjp():
@@ -273,32 +296,56 @@ def test_distribution_keys_by_outcome_id():
     np.testing.assert_allclose(dist.probs.sum(), 1.0)
 
 
+def _stack(B):
+    """An empty stack of B rows, with the solver's starting room."""
+    return _ActiveSets(np.zeros((B, 1)), _MIN_ROOM, 1e-9)
+
+
+def _append(sets, ids, crosses, diags):
+    """Grow the factors of the rows ``ids`` of ``sets``, all of one size,
+    by one structure each, given its cross terms and diagonal entry, as
+    the solver's add does: ell = L^{-1} cross (here by scipy), pivot
+    diag - ell'ell.  Returns what ``_ActiveSets._grow`` returns."""
+    n = sets.n[ids[0]]
+    E = np.array([solve_triangular(sets.L[b, :n, :n], cross, lower=True)
+                  for b, cross in zip(ids, crosses)])
+    return sets._grow(np.array(ids), n, E, [d - e @ e for d, e in zip(diags, E)], list(diags))
+
+
 def test_cholesky_factor_append_drop_agree_with_refactor():
+    # One stack of 50 rows, each grown column by column to its own bordered
+    # matrix and then dropped one structure: two triangular solves through
+    # each factor, read in the stack's wider buffer, solve the matrix.
     rng = make_rng(8)
-    for _ in range(50):
+    sets, grams = _stack(50), []
+    for b in range(50):
         n = int(rng.integers(2, 7))
         m = rng.normal(size=(n, n + 2))
-        gram = m @ m.T + np.eye(n)  # PD
-        factor = CholeskyFactor(gram[:1, :1].copy())
-        for j in range(1, n):
-            factor.append(gram[:j, j].copy(), float(gram[j, j]))
-        direct = np.linalg.cholesky(gram)
-        np.testing.assert_allclose(factor.solve(np.ones(n)),
-                                   np.linalg.solve(gram, np.ones(n)), atol=1e-9)
+        grams.append(m @ m.T + np.eye(n))  # PD
+        sets._rebuild(b, grams[b][:1, :1].copy())
+    for j in range(1, 6):
+        ids = [b for b, gram in enumerate(grams) if j < len(gram)]
+        _append(sets, ids, [grams[b][:j, j] for b in ids], [float(grams[b][j, j]) for b in ids])
+
+    def solve(b, rhs):
+        L = sets.L[b, : sets.n[b]]
+        return _dtrtrs(L, _dtrtrs(L, rhs, 1), 0)
+
+    for b, gram in enumerate(grams):
+        n = len(gram)
+        np.testing.assert_allclose(solve(b, np.ones(n)), np.linalg.solve(gram, np.ones(n)),
+                                   atol=1e-9)
         j = int(rng.integers(n))
-        factor.drop(j)
+        sets._drop(b, j)
         reduced = np.delete(np.delete(gram, j, axis=0), j, axis=1)
-        np.testing.assert_allclose(
-            factor.solve(np.ones(n - 1)),
-            np.linalg.solve(reduced, np.ones(n - 1)),
-            atol=1e-9,
-        )
-        del direct
+        np.testing.assert_allclose(solve(b, np.ones(n - 1)),
+                                   np.linalg.solve(reduced, np.ones(n - 1)), atol=1e-9)
 
 
-def test_triangular_solves_match_scipy_wrapper():
+def test_dtrtrs_solves_match_scipy_wrapper():
     # scipy's checked solve_triangular is the reference for the direct
-    # LAPACK call: same bits, forward, back and through the factor.
+    # LAPACK calls: same bits, forward, back and through the factor, in
+    # place as the solver calls dtrtrs, and in a stack's wider buffer.
     rng = make_rng(9)
     for n in range(1, 41):
         for _ in range(8):
@@ -306,32 +353,36 @@ def test_triangular_solves_match_scipy_wrapper():
             gram = m @ m.T + np.eye(n)
             L = np.linalg.cholesky(gram)
             b = rng.normal(size=n) * float(rng.choice([1e-3, 1.0, 1e3]))
-            assert np.array_equal(_triangular_solve(L, b, 1), solve_triangular(L, b, lower=True))
-            assert np.array_equal(_triangular_solve(L, b, 0), solve_triangular(L.T, b, lower=False))
-            expected = solve_triangular(L.T, solve_triangular(L, b, lower=True), lower=False)
-            assert np.array_equal(CholeskyFactor(gram).solve(b), expected)
+            forward = solve_triangular(L, b, lower=True)
+            assert np.array_equal(_dtrtrs(L, b, 1), forward)
+            assert np.array_equal(_dtrtrs(L, b, 0), solve_triangular(L.T, b, lower=False))
+            expected = solve_triangular(L.T, forward, lower=False)
+            assert np.array_equal(_dtrtrs(L, _dtrtrs(L, b, 1), 0), expected)
+            # dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b), in place.
+            x = b.copy()
+            dtrtrs(L.T, x, 0, 1, 0, n, 1)
+            assert np.array_equal(x, forward)
+            dtrtrs(L.T, x, 0, 0, 0, n, 1)
+            assert np.array_equal(x, expected)
             B = rng.normal(size=(n, 2))
             expected = solve_triangular(L.T, solve_triangular(L, B, lower=True), lower=False)
-            assert np.array_equal(CholeskyFactor(gram).solve(B), expected)
+            assert np.array_equal(_dtrtrs(L, _dtrtrs(L, B, 1), 0), expected)
             if n > 1:
-                grown = CholeskyFactor(gram[:-1, :-1])
-                grown.append(gram[:-1, -1].copy(), float(gram[-1, -1]))
-                ell = solve_triangular(grown._L[:-1, :-1], gram[:-1, -1], lower=True)
-                assert np.array_equal(grown._L[-1, :-1], ell)
-                # The grown factor sits in a wider buffer; LAPACK reads it
-                # with that leading dimension and gives the same bits.
-                Lg = grown._L.copy()
+                # Row 1 of a stack grows to the whole matrix by one append;
+                # LAPACK reads its factor with the stack's room as the
+                # leading dimension and gives the same bits.
+                sets = _stack(2)
+                sets._rebuild(1, gram[:-1, :-1])
+                _append(sets, [1], [gram[:-1, -1]], [float(gram[-1, -1])])
+                Lg = sets.L[1, :n, :n].copy()
+                ell = solve_triangular(Lg[:-1, :-1], gram[:-1, -1], lower=True)
+                assert np.array_equal(Lg[-1, :-1], ell)
                 expected = solve_triangular(Lg.T, solve_triangular(Lg, b, lower=True), lower=False)
-                assert np.array_equal(grown.solve(b), expected)
+                wide = sets.L[1, :n]
+                assert np.array_equal(_dtrtrs(wide, _dtrtrs(wide, b, 1), 0), expected)
 
 
 def test_non_finite_right_hand_side_raises_value_error():
-    factor = CholeskyFactor(np.eye(3) + 1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            factor.solve([1.0, bad, 0.0])
-        with pytest.raises(ValueError):
-            factor.solve([[1.0, bad], [0.0, 0.0], [0.0, 0.0]])
     res = sparsemap(BitVectorPolytope(4), [0.3, -0.2, 0.1, 0.05])
     assert res.converged and res.support_size >= 2
     for bad in (np.nan, np.inf, -np.inf):
@@ -349,72 +400,70 @@ def test_singular_factor_raises_linalg_error():
     L = np.array([[1.0, 0.0], [0.5, 0.0]])
     for trans in (0, 1):
         with pytest.raises(np.linalg.LinAlgError):
-            _triangular_solve(L, np.ones(2), trans)
+            _dtrtrs(L, np.ones(2), trans)
     with pytest.raises(np.linalg.LinAlgError):
         solve_triangular(L, np.ones(2), lower=True)
-    factor = CholeskyFactor(np.eye(2))
-    factor._L[1, 1] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        factor.solve(np.ones(2))
+    sets = _stack(2)
+    sets._rebuild(1, np.eye(2))
+    sets.L[1, 1, 1] = 0.0
+    for trans in (0, 1):
+        with pytest.raises(np.linalg.LinAlgError):
+            _dtrtrs(sets.L[1, :2], np.ones(2), trans)
 
 
 class _ScriptedOracle:
-    """Serves the given vertices first, each with a score high enough to
-    force an add, then the true MAP vertex of ``BitVectorPolytope``."""
+    """Serves the given vertices first, one per row asked, each with a
+    score high enough to force an add, then the true MAP vertex of
+    ``BitVectorPolytope``.  The first is a solve's starting vertex."""
 
     def __init__(self, dim, script):
         self.dim = dim
         self.script = [tuple(int(b) for b in bits) for bits in script]
         self.polytope = BitVectorPolytope(dim)
 
-    def map(self, t):
-        if self.script:
-            return Structure(self.script.pop(0), 1e3)
-        return self.polytope.map(t)
+    def map_rows(self, T):
+        bits, scores = self.polytope.map_rows(T)
+        for i in range(min(len(T), len(self.script))):
+            bits[i], scores[i] = self.script.pop(0), 1e3
+        return bits, scores
 
 
-def _state_at(bits):
-    return _state_of(Structure(bits, 0.0))
+def _assert_rows_track(it):
+    rebuilt = np.array(it.bits, dtype=np.float64).reshape(it.rows.shape)
+    assert np.array_equal(it.rows, rebuilt)
+    np.testing.assert_allclose(it.L @ it.L.T, rebuilt @ rebuilt.T + 1.0, rtol=1e-9, atol=1e-9)
 
 
-def _assert_rows_track(state):
-    rebuilt = np.array([s.bits for s in state.structures], dtype=np.float64)
-    assert state.rows.flags.c_contiguous
-    assert np.array_equal(state.rows, rebuilt)
-    L = state.kkt_factor._L
-    np.testing.assert_allclose(L @ L.T, rebuilt @ rebuilt.T + 1.0, rtol=1e-9, atol=1e-9)
+def _check_steps(steps):
+    """The kept vertex matrix and factor before and after every step."""
+    for step in steps:
+        assert step.sets.V.flags.c_contiguous
+        for b, it in step.after.items():
+            prev = step.before[b]
+            _assert_rows_track(prev)
+            _assert_rows_track(it)
+            if it.drops > prev.drops:
+                assert np.array_equal(it.moments, it.rows.T @ it.probs)
+            if it.widen_count > prev.widen_count:
+                # Only a step that leaves the iterate where it was is a cycle.
+                assert np.array_equal(it.moments, prev.moments)
 
 
-def _checked_steps(oracle, t, state=None, max_steps=500):
-    """Step to convergence, checking the kept vertex matrix after every step."""
-    t = np.asarray(t, dtype=np.float64)
-    state = _initial_state(oracle, t) if state is None else state
-    _assert_rows_track(state)
-    for _ in range(max_steps):
-        prev = state
-        state = active_set_step(state, oracle, t)
-        _assert_rows_track(state)
-        if state.drops > prev.drops:
-            assert np.array_equal(state.moments, state.rows.T @ state.probs)
-        if state.widen_count > prev.widen_count:
-            # Only a step that leaves the iterate where it was is a cycle.
-            assert np.array_equal(state.moments, prev.moments)
-        if state.converged:
-            return state
-    raise AssertionError("no convergence in %d steps" % max_steps)
-
-
-def test_vertex_matrix_tracks_structures_on_random_scores():
+def test_vertex_matrix_tracks_structures_on_random_scores(monkeypatch):
+    steps = _observe(monkeypatch)
     rng = make_rng(10)
     drops = 0
     for _ in range(60):
         d = int(rng.integers(2, 25))
-        state = _checked_steps(BitVectorPolytope(d), rng.normal(size=d) * 1.5)
-        drops += state.drops
+        res = sparsemap(BitVectorPolytope(d), rng.normal(size=d) * 1.5)
+        assert res.converged
+        drops += res.drops
     assert drops > 0
+    _check_steps(steps)
 
 
-def test_vertex_matrix_tracks_structures_on_ties_and_zeros():
+def test_vertex_matrix_tracks_structures_on_ties_and_zeros(monkeypatch):
+    steps = _observe(monkeypatch)
     rng = make_rng(11)
     for trial in range(80):
         d = int(rng.integers(2, 12))
@@ -422,44 +471,50 @@ def test_vertex_matrix_tracks_structures_on_ties_and_zeros():
             t = np.zeros(d)
         else:
             t = np.round(rng.normal(size=d) * 2.0) / 4.0
-        _checked_steps(BitVectorPolytope(d), t)
+        assert sparsemap(BitVectorPolytope(d), t).converged
     # Quarter-step ties at D = 6 drop a vertex and add it back, but the drop
     # lowers the objective (0.3958 to 0.375), so it is not a cycle.
     t = [-0.25, -0.5, 0.5, 0.25, 0.0, -0.25]
-    exchanged = _checked_steps(BitVectorPolytope(6), t)
-    assert exchanged.widen_count == 0
+    exchanged = sparsemap(BitVectorPolytope(6), t)
+    assert exchanged.converged and exchanged.drops > 0
+    assert exchanged.widenings == 0
     np.testing.assert_allclose(exchanged.moments, hypercube_projection(t), atol=1e-12)
+    _check_steps(steps)
 
 
-def test_vertex_matrix_tracks_structures_on_budgeted_polytope():
+def test_vertex_matrix_tracks_structures_on_budgeted_polytope(monkeypatch):
+    steps = _observe(monkeypatch)
     rng = make_rng(12)
     for trial in range(60):
         d = int(rng.integers(2, 12))
         b = int(rng.integers(1, d + 1))
         t = np.zeros(d) if trial % 3 == 0 else rng.normal(size=d)
-        _checked_steps(BudgetedBitVectorPolytope(d, b), t)
+        assert sparsemap(BudgetedBitVectorPolytope(d, b), t).converged
     # Zero scores: at D = 7 a structure is dropped and re-added, but the
     # drop lowers the objective from 1.43 to 1.6e-34; at D = 38 a step of
     # length zero drops an older structure of weight zero.  Neither repeats.
     for d, b in ((7, 5), (38, 11)):
-        exchanged = _checked_steps(BudgetedBitVectorPolytope(d, b), np.zeros(d))
-        assert exchanged.widen_count == 0
+        exchanged = sparsemap(BudgetedBitVectorPolytope(d, b), np.zeros(d))
+        assert exchanged.converged and exchanged.drops > 0
+        assert exchanged.widenings == 0
+    _check_steps(steps)
 
 
-def test_vertex_matrix_survives_cycle_handling_until_it_gives_up():
+def test_vertex_matrix_survives_cycle_handling_until_it_gives_up(monkeypatch):
     # An oracle that keeps offering a vertex the relaxed QP rejects makes
     # the active set add and drop it in turn: three refactorizations with
     # widened tolerance, then ActiveSetCycleError.
-    t = np.array([1.0, -1.0])
-    oracle = _ScriptedOracle(2, [(0, 1)] * 10)
-    state = _state_at((1, 0))
+    steps = _observe(monkeypatch)
     with pytest.raises(ActiveSetCycleError):
-        for _ in range(10):
-            state = active_set_step(state, oracle, t)
-            _assert_rows_track(state)
-    assert state.widen_count == 3
-    assert state.refactorizations == 3
-    assert state.tol == pytest.approx(1e-6)
+        sparsemap(_ScriptedOracle(2, [(1, 0)] + [(0, 1)] * 10), [1.0, -1.0])
+    assert isinstance(steps[-1].errors[0], ActiveSetCycleError)
+    _check_steps(steps)
+    # The step that gives up leaves the row as the step before it did.
+    last = _iterate(steps[-1].sets, 0)
+    assert _frozen(last) == _frozen(steps[-2].after[0])
+    assert last.widen_count == 3
+    assert last.refactorizations == 3
+    assert last.tol == pytest.approx(1e-6)
 
 
 def test_exchange_that_lowers_the_objective_is_not_a_cycle():
@@ -473,26 +528,24 @@ def test_exchange_that_lowers_the_objective_is_not_a_cycle():
     np.testing.assert_allclose(res.moments, hypercube_projection(t), atol=1e-12)
 
 
-def test_vertex_matrix_survives_append_fallback():
+def test_vertex_matrix_survives_append_fallback(monkeypatch):
     # (0,0,1,0) = (0,1,1,1) + (1,0,0,0) - (1,1,0,1) is affinely dependent
     # on the support, so the rank-one append refuses it and the solver
     # refactorizes from the vertex matrix (or reports the degeneracy).
     t = np.array([0.35965336448637086, 0.25290413531651446,
                   -0.16609138370147483, 0.2841483171693065])
-    script = [(1, 1, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)]
-    oracle = _ScriptedOracle(4, script)
-    state = _state_at((0, 1, 1, 1))
-    for _ in range(2):
-        state = active_set_step(state, oracle, t)
-        _assert_rows_track(state)
-    assert state.refactorizations == 0
+    script = [(0, 1, 1, 1), (1, 1, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)]
+    steps = _observe(monkeypatch)
     try:
-        state = active_set_step(state, oracle, t)
+        res = sparsemap(_ScriptedOracle(4, script), t)
     except DegenerateSupportError:
-        return
-    _assert_rows_track(state)
-    assert state.refactorizations >= 1
-    _checked_steps(oracle, t, state)
+        assert len(steps) == 3 and 0 in steps[2].errors
+        res = None
+    assert [step.after[0].refactorizations for step in steps[:2]] == [0, 0]
+    _check_steps(steps)
+    if res is not None:
+        assert steps[2].after[0].refactorizations >= 1
+        assert res.converged
 
 
 def test_solver_counters_account_for_every_iteration():
@@ -556,53 +609,6 @@ def test_outcome_ids_are_computed_on_first_read(monkeypatch):
     assert ids.tolist() == [index.fget(s) for s in res.structures]
 
 
-def _snapshot(state):
-    """Everything a step could change in a state, by identity or by bytes."""
-    return (
-        [id(s) for s in state.structures],
-        state.probs.tobytes(),
-        state.moments.tobytes(),
-        state.rows.tobytes(),
-        state.kkt_factor._L.tobytes(),
-        (state.iteration, state.adds, state.drops, state.widen_count,
-         state.refactorizations, state.tol, state.converged),
-    )
-
-
-def test_active_set_step_leaves_its_input_as_it_was():
-    # sparsemap steps one state in place; the public step must copy first.
-    runs = [(_ScriptedOracle(2, [(0, 1)] * 10), np.array([1.0, -1.0]), _state_at((1, 0)))]
-    rng = make_rng(17)
-    for _ in range(40):
-        d = int(rng.integers(2, 12))
-        t = rng.normal(size=d)
-        runs.append((BitVectorPolytope(d), t, _initial_state(BitVectorPolytope(d), t)))
-    seen = set()
-    for oracle, t, state in runs:
-        for _ in range(200):
-            before = _snapshot(state)
-            try:
-                out = active_set_step(state, oracle, t)
-            except ActiveSetCycleError:
-                assert _snapshot(state) == before
-                break
-            assert out is not state
-            assert _snapshot(state) == before
-            assert out.structures is not state.structures
-            assert out.kkt_factor is not state.kkt_factor
-            if out.widen_count > state.widen_count:
-                seen.add("widen")
-            elif out.drops > state.drops:
-                seen.add("drop")
-            elif out.adds > state.adds:
-                seen.add("add")
-            state = out
-            if state.converged:
-                assert active_set_step(state, oracle, t) is state
-                break
-    assert seen == {"add", "drop", "widen"}
-
-
 def _reference_append(L, cross, diag):
     # The factor update as a fresh zeroed (n+1)^2 matrix.
     n = L.shape[0]
@@ -632,13 +638,33 @@ def _reference_drop(L, j):
     return np.ascontiguousarray(M[:, : n - 1])
 
 
+def _reference_condition(L):
+    """(max |diag L| / min |diag L|)^2, inf when the min is not > 0 or the
+    square overflows."""
+    d = np.abs(np.diag(L))
+    hi, lo = float(d.max()), float(d.min())
+    if not lo > 0:
+        return math.inf
+    try:
+        return (hi / lo) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def test_factor_updates_and_diagonal_bounds_are_exact():
-    # Random append and drop sequences at sizes 1 to 40: the factor's lower
-    # triangle has the bits of the whole-matrix updates, its upper triangle
-    # stays zero, and condition_estimate() is (max |diag| / min |diag|)^2
-    # of the factor, bit for bit, though it keeps the bounds as it goes.
+    # Random append and drop sequences at sizes 1 to 40, one per row of a
+    # stack of 60, with the appends of one size grown together as the
+    # solver grows them.  Each factor's lower triangle has the bits of the
+    # whole-matrix updates, its upper triangle stays zero, the stack's
+    # room doubles from 16 to 64, and the condition estimate is
+    # (max |diag| / min |diag|)^2 of the factor, bit for bit, both as
+    # _grow returns it from the bounds it keeps and as _condition reads it.
+    # _condition is read for a random half of the rows each round, so some
+    # appends find the bounds a drop or rebuild left unknown.
     rng = make_rng(18)
-    for trial in range(60):
+    B = 60
+    sets, grams, members, pools, refs, rounds = _stack(B), [], [], [], [], []
+    for trial in range(B):
         N = int(rng.integers(1, 41))
         if trial % 2:
             rows = (rng.random((N, N + 3)) < 0.5).astype(np.float64)
@@ -647,31 +673,67 @@ def test_factor_updates_and_diagonal_bounds_are_exact():
             m = rng.normal(size=(N, N + 2))
             gram = m @ m.T + np.eye(N)
         order = [int(i) for i in rng.permutation(N)]
-        members = order[:1]
-        pool = order[1:]
-        factor = CholeskyFactor(gram[np.ix_(members, members)])
-        ref = factor._L.copy()
-        for _ in range(3 * N):
-            if pool and (len(members) == 1 or rng.random() < 0.6):
-                j = pool.pop()
-                cross, diag = gram[members, j], float(gram[j, j])
-                factor.append(cross.copy(), diag)
-                ref = _reference_append(ref, cross, diag)
-                members.append(j)
-            else:
-                k = int(rng.integers(len(members)))
-                factor.drop(k)
-                ref = _reference_drop(ref, k)
-                pool.append(members.pop(k))
-            L = factor._L
-            assert L.shape == (len(members), len(members))
-            assert np.tril(L).tobytes() == np.tril(ref).tobytes()
+        grams.append(gram)
+        members.append(order[:1])
+        pools.append(order[1:])
+        first = gram[np.ix_(members[-1], members[-1])]
+        sets._rebuild(trial, first)
+        refs.append(np.linalg.cholesky(first))
+        rounds.append(3 * N)
+    rooms = {sets.L.shape[1]}
+    for r in range(max(rounds)):
+        grow = {}
+        for b in range(B):
+            if r >= rounds[b]:
+                continue
+            if pools[b] and (len(members[b]) == 1 or rng.random() < 0.6):
+                grow.setdefault(sets.n[b], []).append((b, pools[b].pop()))
+            elif len(members[b]) > 1:
+                k = int(rng.integers(len(members[b])))
+                sets._drop(b, k)
+                refs[b] = _reference_drop(refs[b], k)
+                pools[b].append(members[b].pop(k))
+        for adds in grow.values():
+            ids = [b for b, _ in adds]
+            crosses = [grams[b][members[b], j] for b, j in adds]
+            diags = [float(grams[b][j, j]) for b, j in adds]
+            bad, grown, cond = _append(sets, ids, crosses, diags)
+            assert bad == [] and grown == ids
+            for (b, j), cross, diag, c in zip(adds, crosses, diags, cond):
+                refs[b] = _reference_append(refs[b], cross, diag)
+                members[b].append(j)
+                assert c == _reference_condition(refs[b])
+        rooms.add(sets.L.shape[1])
+        for b in range(B):
+            n = sets.n[b]
+            L = sets.L[b, :n, :n]
+            assert n == len(members[b])
+            assert np.tril(L).tobytes() == np.tril(refs[b]).tobytes()
             assert not np.triu(L, 1).any()
-            d = np.abs(np.diag(L))
-            assert factor.condition_estimate() == float((d.max() / d.min()) ** 2)
-            copied = factor.copy()
-            assert copied.condition_estimate() == factor.condition_estimate()
-            assert copied._L.tobytes() == L.tobytes()
+            if rng.random() < 0.5:
+                assert sets._condition(b) == _reference_condition(refs[b])
+    assert rooms == {16, 32, 64}
+
+
+def test_max_condition_is_the_largest_estimate_the_solver_checked(monkeypatch):
+    steps = _observe(monkeypatch)
+    rng = make_rng(19)
+    for trial in range(60):
+        d = int(rng.integers(1, 14))
+        oracle = BudgetedBitVectorPolytope(d, max(1, d // 2)) if trial % 2 else BitVectorPolytope(d)
+        steps.clear()
+        res = sparsemap(oracle, rng.normal(size=d))
+        its = [steps[0].before[0]] + [step.after[0] for step in steps]
+        estimates = [_reference_condition(its[0].L)]
+        assert estimates == [1.0] and its[0].max_condition == 1.0
+        for prev, it in zip(its, its[1:]):
+            if it.adds > prev.adds:
+                estimates.append(_reference_condition(it.L))
+            assert it.max_condition == max(estimates)
+        assert its[-1].converged
+        assert res.max_condition == its[-1].max_condition
+        assert res.max_condition >= 1.0
+    assert sparsemap(BitVectorPolytope(3), [4.0, 5.0, 6.0]).max_condition == 1.0
 
 
 @pytest.mark.parametrize(
@@ -699,45 +761,36 @@ def test_scores_past_the_solvable_scale_are_a_clear_error(t, what, capfd):
     assert capfd.readouterr() == ("", "")
 
 
-def test_max_condition_is_the_largest_estimate_the_solver_checked():
-    rng = make_rng(19)
-    for trial in range(60):
-        d = int(rng.integers(1, 14))
-        oracle = BudgetedBitVectorPolytope(d, max(1, d // 2)) if trial % 2 else BitVectorPolytope(d)
-        t = rng.normal(size=d)
-        res = sparsemap(oracle, t)
-        state = _initial_state(oracle, t)
-        estimates = [state.kkt_factor.condition_estimate()]
-        assert estimates == [1.0] and state.max_condition == 1.0
-        while not state.converged:
-            prev = state
-            state = active_set_step(state, oracle, t)
-            if state.adds > prev.adds:
-                estimates.append(state.kkt_factor.condition_estimate())
-            assert state.max_condition == max(estimates)
-        assert res.max_condition == state.max_condition
-        assert res.max_condition >= 1.0
-    assert sparsemap(BitVectorPolytope(3), [4.0, 5.0, 6.0]).max_condition == 1.0
-
-
 # --- The batch solver ------------------------------------------------------
 
 
+def _map_one(oracle, t):
+    """The oracle's best vertex for one score vector: its bits, its score."""
+    bits, scores = oracle.map_rows(t[None])
+    return tuple(bits[0].tolist()), float(scores[0])
+
+
 def _reference_solve(oracle, t, max_iter=None, tol=1e-9, cond_limit=1e12):
-    """The active set one row at a time, written as it was before the batch
-    solver: a Python-float ratio test, a set of bit tuples for the known
-    structures, and the factor grown and shrunk through its public API,
-    rebuilt when its condition estimate passes ``cond_limit``."""
+    """The active set one row at a time, written out apart from the
+    solver: scipy's triangular solves, a Python-float ratio test, a list
+    of bit tuples for the known structures, and the factor grown and
+    shrunk by this file's whole-matrix updates, rebuilt where an append's
+    pivot is numerically zero or the condition estimate passes
+    ``cond_limit``."""
     t = np.asarray(t, dtype=np.float64)
     max_iter = 100 + 10 * oracle.dim if max_iter is None else max_iter
-    first = oracle.map(t)
-    structures, rows = [first], np.asarray(first.bits, dtype=np.float64)[None]
+    known = [_map_one(oracle, t)[0]]
+    rows = np.asarray(known[0], dtype=np.float64)[None]
     probs, moments, tau, nu = np.ones(1), rows[0], np.nan, np.nan
-    factor = CholeskyFactor(rows @ rows.T + 1.0)
+    L = np.linalg.cholesky(rows @ rows.T + 1.0)
+
+    def solve(b):
+        return solve_triangular(L.T, solve_triangular(L, b, lower=True), lower=False)
+
     out = dict(iterations=0, adds=0, drops=0, refactorizations=0, widenings=0,
                max_condition=1.0, converged=False)
     for _ in range(max_iter):
-        u, v = factor.solve(rows @ t), factor.solve(np.ones(len(rows)))
+        u, v = solve(rows @ t), solve(np.ones(len(rows)))
         lam = (1.0 - u.sum()) / v.sum()
         p_hat, tau_hat = u + lam * v, 1.0 - lam
         gamma, blocker = 1.0, -1
@@ -749,41 +802,42 @@ def _reference_solve(oracle, t, max_iter=None, tol=1e-9, cond_limit=1e12):
             cycle = gamma == 0.0 and blocker == probs.size - 1
             assert not (cycle and out["widenings"] >= 3)
             probs = np.delete((1.0 - gamma) * probs + gamma * p_hat, blocker)
-            del structures[blocker]
+            del known[blocker]
             rows = np.delete(rows, blocker, axis=0)
-            factor.drop(blocker)
+            L = _reference_drop(L, blocker)
             moments = rows.T @ probs
             out["drops"] += 1
             if cycle:
-                factor = CholeskyFactor(rows @ rows.T + 1.0)
+                L = np.linalg.cholesky(rows @ rows.T + 1.0)
                 out["refactorizations"] += 1
                 out["widenings"] += 1
                 tol *= 10.0
             continue
         moments, tau = rows.T @ p_hat, tau_hat
-        candidate = oracle.map(t - moments)
-        nu = tau_hat - candidate.score
-        if nu >= -tol or candidate.bits in {s.bits for s in structures}:
+        bits, score = _map_one(oracle, t - moments)
+        nu = tau_hat - score
+        if nu >= -tol or bits in known:
             probs, out["converged"] = p_hat, True
             break
-        a = np.asarray(candidate.bits, dtype=np.float64)
-        cross = rows.dot(a) + 1.0
-        structures.append(candidate)
+        a = np.asarray(bits, dtype=np.float64)
+        cross, diag = rows.dot(a) + 1.0, float(a.dot(a)) + 1.0
+        known.append(bits)
         rows = np.vstack([rows, a])
-        try:
-            factor.append(cross, float(a.dot(a)) + 1.0)
-        except np.linalg.LinAlgError:
-            factor = CholeskyFactor(rows @ rows.T + 1.0)
+        ell = solve_triangular(L, cross, lower=True)
+        if diag - ell @ ell <= 1e-12 * max(diag, 1.0):  # the append refuses it
+            L = np.linalg.cholesky(rows @ rows.T + 1.0)
             out["refactorizations"] += 1
-        cond = factor.condition_estimate()
+        else:
+            L = _reference_append(L, cross, diag)
+        cond = _reference_condition(L)
         out["max_condition"] = max(out["max_condition"], cond)
         if cond > cond_limit:
-            factor = CholeskyFactor(rows @ rows.T + 1.0)
+            L = np.linalg.cholesky(rows @ rows.T + 1.0)
             out["refactorizations"] += 1
         probs = np.concatenate((p_hat, [0.0]))
         out["adds"] += 1
     keep = probs > 0.0
-    out.update(bits=[s.bits for s, k in zip(structures, keep) if k], probs=probs[keep].tobytes(),
+    out.update(bits=[bits for bits, k in zip(known, keep) if k], probs=probs[keep].tobytes(),
                rows=rows[keep].tobytes(), moments=moments.tobytes(),
                tau=np.float64(tau).tobytes(), nu_min=np.float64(nu).tobytes())
     return out
@@ -835,8 +889,6 @@ def test_rows_solve_equals_each_row_alone_byte_for_byte(d):
 
 def test_rows_solve_steps_rows_that_drop_beside_rows_that_add(monkeypatch):
     # Record, for each lockstep step, which rows dropped and which added.
-    import sparsemarg.activeset as activeset
-
     steps, current = [], {}
     advance, drop, add = activeset._advance_rows, activeset._drop_step, activeset._add_step
 
@@ -874,8 +926,6 @@ def test_stacked_rows_outgrow_their_room_beside_drops_rebuilds_and_convergence(m
     # other rows drop, rebuild their factor and converge.  Every row has
     # the bits and counters of the reference, and keeps them when the
     # batch is reversed or split in two.
-    import sparsemarg.activeset as activeset
-
     monkeypatch.setattr(activeset, "_COND_LIMIT", 5.0)
     steps, advance = [], activeset._advance_rows
 
@@ -911,8 +961,7 @@ class _ForcingOracle:
     """``BitVectorPolytope(2)``, except that at the residual (0, -1) it
     offers the vertex (0, 1) with score 1e3 its first ``times`` times: the
     relaxed QP rejects it, so the row refactorizes and widens its
-    tolerance once each time.  Only ``map``: the batch solver reaches it
-    through its one-row adapter."""
+    tolerance once each time.  The rows of a call are answered in order."""
 
     dim = 2
 
@@ -920,11 +969,13 @@ class _ForcingOracle:
         self.times = times
         self.polytope = BitVectorPolytope(2)
 
-    def map(self, t):
-        if self.times and np.array_equal(t, [0.0, -1.0]):
-            self.times -= 1
-            return Structure((0, 1), 1e3)
-        return self.polytope.map(t)
+    def map_rows(self, T):
+        bits, scores = self.polytope.map_rows(T)
+        for i, t in enumerate(T):
+            if self.times and np.array_equal(t, [0.0, -1.0]):
+                self.times -= 1
+                bits[i], scores[i] = (0, 1), 1e3
+        return bits, scores
 
 
 def test_rows_solve_widens_one_row_beside_rows_that_do_not():
@@ -946,8 +997,10 @@ class _ConstantOracle:
 
     dim = 3
 
-    def map(self, t):
-        return Structure((1, 0, 0), 1e3)
+    def map_rows(self, T):
+        bits = np.zeros((len(T), 3), dtype=np.uint8)
+        bits[:, 0] = 1
+        return bits, np.full(len(T), 1e3)
 
 
 def test_rows_solve_stops_at_a_candidate_already_in_the_support():
@@ -959,6 +1012,25 @@ def test_rows_solve_stops_at_a_candidate_already_in_the_support():
         assert _fingerprint(res) == _fingerprint(sparsemap(_ConstantOracle(), t))
         reference = _reference_solve(_ConstantOracle(), t)
         assert {key: _fingerprint(res)[key] for key in reference} == reference
+
+
+def test_rows_solve_leaves_its_scores_and_shares_no_memory_between_results():
+    # The score matrix is left byte for byte as it was, and no two results
+    # of a batch, nor a result and the scores, share memory: writing to one
+    # result's probs, moments or rows changes nothing else.
+    rng = make_rng(316)
+    drops = 0
+    for oracle in _polytopes(12):
+        T = _mixed_rows(rng, 16, 12)
+        before = T.tobytes()
+        solved = sparsemap_rows(oracle, T)
+        assert T.tobytes() == before
+        drops += sum(res.drops for res in solved)
+        arrays = [(i, a) for i, res in enumerate(solved) for a in (res.probs, res.moments, res.rows)]
+        for (i, a), (j, b) in itertools.combinations(arrays, 2):
+            assert i == j or not np.shares_memory(a, b)
+        assert not any(np.shares_memory(a, T) for _, a in arrays)
+    assert drops > 0
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 5])
