@@ -28,6 +28,13 @@ The backward pass differentiates the fixed-support KKT system; both vjps
 (through the structure probabilities and through the moments) reuse the
 same bordered projection, taken for a batch of solutions grouped by
 support size (:func:`sparsemap_vjp_rows`).
+
+A batch, solved or differentiated, raises the error of its lowest-index
+row that raises, the error a loop of one-row calls would raise.  The
+stacked pass keeps no account of which row is at fault: if it raises
+anything, its rows are run again one at a time, in order, and the first
+of them to raise raises.  A batch that raises thus runs its rows again,
+up to and including the failing one; a batch that does not pays nothing.
 """
 
 from __future__ import annotations
@@ -269,24 +276,10 @@ class _ActiveSets:
 
 
 def _oracle_rows(oracle, R):
-    """The oracle's best vertex for each row of R: uint8 (B, D) bits, float
-    (B,) scores, and {row: exception} for the rows whose call raised.
-
-    ``oracle.map_rows`` takes the whole matrix; if that raises, each row
-    is asked alone, so that only the rows at fault fail.
-    """
-    try:
-        bits, scores = oracle.map_rows(R)
-    except Exception:  # some row is at fault; each row's own call shows which
-        bits, scores, errors = np.zeros(R.shape, dtype=np.uint8), np.zeros(len(R)), {}
-        for i, r in enumerate(R):
-            try:
-                one_bits, one_score = oracle.map_rows(r[None])
-                bits[i], scores[i] = one_bits[0], one_score[0]
-            except Exception as exc:  # the error this row's own solve meets
-                errors[i] = exc
-        return bits, scores, errors
-    return np.ascontiguousarray(bits, dtype=np.uint8), scores, {}
+    """The oracle's best vertex for each row of R: uint8 (B, D) bits and
+    float (B,) scores, from one ``oracle.map_rows`` call."""
+    bits, scores = oracle.map_rows(R)
+    return np.ascontiguousarray(bits, dtype=np.uint8), scores
 
 
 def _relaxed_checked(L, At) -> None:
@@ -297,7 +290,7 @@ def _relaxed_checked(L, At) -> None:
         raise ValueError(_OVERFLOW)
 
 
-def _relaxed_rows(sets: _ActiveSets, ids, n: int, errors):
+def _relaxed_rows(sets: _ActiveSets, ids, n: int):
     """The relaxed QP on the current supports of the rows ``ids`` of
     ``sets``, all of size ``n``.
 
@@ -307,8 +300,8 @@ def _relaxed_rows(sets: _ActiveSets, ids, n: int, errors):
     two right-hand sides does not give the bits of two one-column solves.
     Where a factor is singular or a solution not finite, each row is
     checked again step by step (:func:`_relaxed_checked`) before anything
-    else is computed, and a row's error goes to ``errors``.  Returns the
-    rows solved, their stacked vertex rows, scores and factors, p and tau.
+    else is computed.  Returns the rows' stacked vertex rows, scores and
+    factors, p and tau.
     """
     R, Tg, Lg = sets.V[ids, :n], sets.T[ids], sets.L[ids, :n, :n]
     At = np.matmul(R, Tg[:, :, None])[..., 0]
@@ -328,19 +321,10 @@ def _relaxed_rows(sets: _ActiveSets, ids, n: int, errors):
     # A row sum is finite wherever its row is; one that overflows only
     # sends the rows through the checks, which then pass.
     if singular or not math.isfinite(sum(sums.tolist())):
-        keep = []
-        for j, b in enumerate(ids.tolist()):
-            try:
-                _relaxed_checked(Lg[j], At[j])
-                keep.append(j)
-            except ValueError as exc:  # LinAlgError included
-                errors[b] = exc
-        if len(keep) < g:
-            rows = keep + [g + j for j in keep]
-            UV, sums = UV[rows], sums[rows]
-            ids, R, Tg, Lg, g = ids[keep], R[keep], Tg[keep], Lg[keep], len(keep)
+        for L, at in zip(Lg, At):
+            _relaxed_checked(L, at)
     lam = (1.0 - sums[:g]) / sums[g:]
-    return ids, R, Tg, Lg, UV[:g] + lam[:, None] * UV[g:], 1.0 - lam
+    return R, Tg, Lg, UV[:g] + lam[:, None] * UV[g:], 1.0 - lam
 
 
 def _drop_step(sets: _ActiveSets, b: int, gamma: float, blocker: int, p_hat):
@@ -379,12 +363,11 @@ def _drop_step(sets: _ActiveSets, b: int, gamma: float, blocker: int, p_hat):
         sets.widen_count[b] += 1
 
 
-def _add_step(sets: _ActiveSets, ids, n: int, F, scores, E, pivots: list, diag: list, errors):
+def _add_step(sets: _ActiveSets, ids, n: int, F, scores, E, pivots: list, diag: list):
     """Add to the supports of the rows ``ids`` (an int array), all of size
     ``n``, the vertices of the float rows ``F`` with their oracle
     ``scores``, growing each factor by its row of ``E`` = L^{-1} cross,
-    its pivot and its diagonal entry a'a + 1.  A row's error goes to
-    ``errors``."""
+    its pivot and its diagonal entry a'a + 1."""
     sets._reserve(n + 1)
     sets.V[ids, n], sets.S[ids, n] = F, scores  # the weight is W[b, n], kept at 0
     bad, grown, cond = sets._grow(ids, n, E, pivots, diag)
@@ -392,25 +375,20 @@ def _add_step(sets: _ActiveSets, ids, n: int, F, scores, E, pivots: list, diag: 
         try:
             sets._refactorize(b, n + 1)
         except np.linalg.LinAlgError as exc:
-            errors[b] = DegenerateSupportError(
-                "candidate structure is affinely dependent on the active set")
-            errors[b].__cause__ = exc
-        else:
-            grown.append(b)
-            cond.append(sets._condition(b))
+            raise DegenerateSupportError(
+                "candidate structure is affinely dependent on the active set") from exc
+        grown.append(b)
+        cond.append(sets._condition(b))
     best, adds = sets.max_condition, sets.adds
     for b, c in zip(grown, cond):
         if c > best[b]:
             best[b] = c
         if c > _COND_LIMIT:
-            try:
-                sets._refactorize(b, n + 1)
-            except Exception as exc:
-                errors[b] = exc
+            sets._refactorize(b, n + 1)
         adds[b] += 1
 
 
-def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
+def _advance_rows(sets: _ActiveSets, oracle, live) -> None:
     """One active-set step of each row in the list ``live`` of ``sets``
     (none converged), made in place: a relaxed QP solve, then either a
     drop of the structure that blocks the step or an oracle query that
@@ -427,16 +405,15 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
     row, and so do the tests and counters on the per-row lists.  Every
     stacked product is one per-row kernel on arrays of one size, so each
     row has the bits of its step alone.  The oracle is asked once, for
-    every row that reaches it.  Returns {row: exception} for the rows
-    whose step raised; those may be left part-way.
+    every row that reaches it.  A step that raises may leave its rows
+    part-way.
     """
-    errors, reach, by_size, sizes = {}, [], {}, sets.n
+    reach, by_size, sizes = [], {}, sets.n
     for b in live:
         by_size.setdefault(sizes[b], []).append(b)
     for n, ids in by_size.items():
-        ids, R, Tg, Lg, P_hat, tau_hat = _relaxed_rows(sets, np.array(ids), n, errors)
-        if not ids.size:
-            continue
+        ids = np.array(ids)
+        R, Tg, Lg, P_hat, tau_hat = _relaxed_rows(sets, ids, n)
         # The ratio test: the first index at the smallest p / (p - p_hat)
         # over p > p_hat, and only below 1.  A ratio below 1 needs a
         # p_hat below 0 (fmin skips NaN, as a test p_hat < 0 would): p >
@@ -452,11 +429,8 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
             if True in blocked.tolist():
                 blocker = np.argmax(ratio == gamma[:, None], axis=1)
                 for j in np.flatnonzero(blocked).tolist():
-                    b, k = int(ids[j]), int(blocker[j])
-                    try:
-                        _drop_step(sets, b, float(ratio[j, k]), k, P_hat[j])
-                    except Exception as exc:
-                        errors[b] = exc
+                    k = int(blocker[j])
+                    _drop_step(sets, int(ids[j]), float(ratio[j, k]), k, P_hat[j])
                 go = ~blocked
                 if True not in go.tolist():
                     continue
@@ -465,8 +439,8 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
         M = np.matmul(R.transpose(0, 2, 1), P_hat[:, :, None])[..., 0]
         reach.append((n, ids, R, Lg, P_hat, tau_hat, M, Tg - M))
     if not reach:
-        return errors
-    bits, scores, failed = _oracle_rows(
+        return
+    bits, scores = _oracle_rows(
         oracle, reach[0][-1] if len(reach) == 1 else np.concatenate([r[-1] for r in reach]))
     D = bits.shape[1]
     raw, at = bits.tobytes(), 0
@@ -478,21 +452,18 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
         start, add, diag = at, [], []
         for b, tau, nu in zip(ids.tolist(), tau_hat.tolist(),
                               (tau_hat - scores[at:at + g]).tolist()):
-            if failed and at in failed:
-                errors[b] = failed[at]
-            else:
-                tau_of[b], nu_of[b] = tau, nu
-                steps[b] += 1
-                if nu >= -tol[b]:
+            tau_of[b], nu_of[b] = tau, nu
+            steps[b] += 1
+            if nu >= -tol[b]:
+                converged[b] = True
+            else:  # unless the candidate is already in the support
+                key = raw[at * D:(at + 1) * D]
+                if key in known[b]:
                     converged[b] = True
-                else:  # unless the candidate is already in the support
-                    key = raw[at * D:(at + 1) * D]
-                    if key in known[b]:
-                        converged[b] = True
-                    else:
-                        add.append(at)
-                        known[b].append(key)
-                        diag.append(sum(key) + 1.0)  # a'a + 1
+                else:
+                    add.append(at)
+                    known[b].append(key)
+                    diag.append(sum(key) + 1.0)  # a'a + 1
             at += 1
         if not add:
             continue
@@ -507,8 +478,7 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> dict:
         for L, cross in zip(Lg.transpose(0, 2, 1), E):  # ell = L^{-1} cross
             dtrtrs(L, cross, 0, 1, 0, n, 1)
         pivots = [d - e for d, e in zip(diag, _row_dots(E, E).tolist())]
-        _add_step(sets, ids, n, F, score, E, pivots, diag, errors)
-    return errors
+        _add_step(sets, ids, n, F, score, E, pivots, diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,41 +554,47 @@ def _check_solver(oracle, tol: float, max_iter) -> int:
     return max_iter
 
 
+def _row_by_row(stacked, *batch):
+    """``stacked(*batch)``, the rows of the batch run together; if that
+    raises, ``stacked`` of each row alone instead, in order, so that the
+    first row that raises raises, and a batch of one re-raises."""
+    try:
+        return stacked(*batch)
+    except Exception:
+        if len(batch[0]) == 1:
+            raise
+    return [stacked(*(a[i:i + 1] for a in batch))[0] for i in range(len(batch[0]))]
+
+
 def _solve_rows(oracle, T, max_iter: int, tol: float) -> list:
     """:func:`sparsemap_rows` of a (B, oracle.dim) matrix, after the
-    argument checks.  The rows' active sets advance in lockstep as one
-    stack (:class:`_ActiveSets`); once a row raises, the rows after it
-    stop, since the batch raises the first row's error."""
+    argument checks, as one stack (:class:`_ActiveSets`) whose rows
+    advance in lockstep; the first error met in any row is raised."""
+    if not np.isfinite(T).all():
+        raise ValueError("scores must be finite")
     B = T.shape[0]
-    errors = {i: ValueError("scores must be finite")
-              for i in np.flatnonzero(~np.isfinite(T).all(axis=1)).tolist()}
     sets = _ActiveSets(T, _MIN_ROOM, tol)
     # Scores near the float range can overflow in the oracle's scores and
     # in A't.  The step that meets a non-finite A't raises ValueError, and
     # numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore"):
-        head = min(errors, default=B)
-        if head:
+        if B:
             # Each row starts at weight 1 on its MAP vertex, with a 1 x 1 factor.
-            bits, scores, failed = _oracle_rows(oracle, T[:head])
-            errors.update(failed)
+            bits, scores = _oracle_rows(oracle, T)
             F = bits.astype(np.float64)
-            sets.V[:head, 0], sets.S[:head, 0], sets.W[:head, 0], sets.M[:head] = F, scores, 1.0, F
-            sets.L[:head, :1, :1] = np.linalg.cholesky(F.sum(axis=1)[:, None, None] + 1.0)
-            sets.n[:head] = [1] * head
-            sets.keys[:head] = [[key] for key in map(bytes, bits)]
+            sets.V[:, 0], sets.S[:, 0], sets.W[:, 0], sets.M[:] = F, scores, 1.0, F
+            sets.L[:, :1, :1] = np.linalg.cholesky(F.sum(axis=1)[:, None, None] + 1.0)
+            sets.n[:] = [1] * B
+            sets.keys[:] = [[key] for key in map(bytes, bits)]
         for _ in range(max_iter):
-            converged = sets.converged
-            live = [b for b in range(min(errors, default=B)) if not converged[b]]
+            live = [b for b, done in enumerate(sets.converged) if not done]
             if not live:
                 break
-            errors.update(_advance_rows(sets, oracle, live))
+            _advance_rows(sets, oracle, live)
     n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
     index_of = getattr(oracle, "outcome_index", lambda s: s.index)
     results = []
     for i in range(B):
-        if i in errors:
-            raise errors[i]
         n = sets.n[i]
         probs, rows, scores = sets.W[i, :n], sets.V[i, :n], sets.S[i, :n].tolist()
         keep = probs > 0.0
@@ -655,15 +631,16 @@ def sparsemap_rows(oracle, scores, *, max_iter: int | None = None, tol: float = 
 
     The rows are solved together: each step advances every unconverged
     row once, the rows of one support size as stacked arrays, and
-    ``oracle.map_rows`` answers every row of a step in one call (each row
-    alone where that call raises).  ``max_iter`` caps each row's steps.
-    If rows raise, the error raised is the one of the lowest-index row,
-    the error a loop of :func:`sparsemap` over the rows would raise.
+    ``oracle.map_rows`` answers every row of a step in one call.
+    ``max_iter`` caps each row's steps.  If rows raise, the error raised
+    is the one of the lowest-index row, the error a loop of
+    :func:`sparsemap` over the rows would raise.
     """
     T = np.asarray(scores, dtype=np.float64)
     if T.ndim != 2 or T.shape[1] != oracle.dim:
         raise ValueError("scores must be a (B, oracle.dim) matrix")
-    return _solve_rows(oracle, T, _check_solver(oracle, tol, max_iter), tol)
+    max_iter = _check_solver(oracle, tol, max_iter)
+    return _row_by_row(lambda rows: _solve_rows(oracle, rows, max_iter, tol), T)
 
 
 def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> SparseMapResult:
@@ -685,21 +662,9 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
     return _solve_rows(oracle, t[None], _check_solver(oracle, tol, max_iter), tol)[0]
 
 
-def _finite_rows(X, rows, idx, errors) -> list:
-    """The positions in ``rows`` whose row of ``X`` is finite: one test of
-    all of X, then one per row only if that fails.  The results ``idx`` of
-    the others get the error of a non-finite right-hand side."""
-    if np.isfinite(X).all():
-        return list(rows)
-    finite = np.isfinite(X).all(axis=1).tolist()
-    for j in rows:
-        if not finite[j]:
-            errors[idx[j]] = ValueError("right-hand side must be finite")
-    return [j for j in rows if finite[j]]
-
-
 def _vjp_rows(results, upstream) -> np.ndarray:
-    """:func:`sparsemap_vjp_rows` after the shape check.
+    """:func:`sparsemap_vjp_rows` after the shape check, all rows together;
+    the first error met in any row is raised.
 
     Each support's bordered projection X = K^{-1} - K^{-1}1 1'K^{-1} /
     (1'K^{-1}1), K = A'A + 11^T, is applied to its upstream and mapped
@@ -712,45 +677,34 @@ def _vjp_rows(results, upstream) -> np.ndarray:
     row.  A factor from a Cholesky decomposition has a positive diagonal,
     so LAPACK never finds it singular.
     """
-    errors, by_size = {}, {}
+    by_size = {}
     for i, res in enumerate(results):
-        if res.converged:
-            by_size.setdefault(res.probs.size, []).append(i)
-        else:
-            errors[i] = ValueError("backward pass requires a converged result")
+        if not res.converged:
+            raise ValueError("backward pass requires a converged result")
+        by_size.setdefault(res.probs.size, []).append(i)
     out = np.empty((len(results), results[0].rows.shape[1] if results else 0))
     for n, idx in by_size.items():
         R = np.array([results[i].rows for i in idx])
         G = np.matmul(R, R.transpose(0, 2, 1)) + 1.0
         try:
             Ls = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:  # find the rows at fault
-            Ls = np.empty_like(G)
-            for j, i in enumerate(idx):
-                try:
-                    Ls[j] = np.linalg.cholesky(G[j])
-                except np.linalg.LinAlgError as exc:
-                    errors[i] = DegenerateSupportError("active-set Gram matrix is singular")
-                    errors[i].__cause__ = exc
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSupportError("active-set Gram matrix is singular") from exc
         # dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b), as _dtrtrs
         # calls it, solving in place: U becomes K^{-1} upstream, V K^{-1} 1.
-        Lt, U = Ls.transpose(0, 2, 1), upstream[idx, :n]
-        rows = _finite_rows(U, [j for j, i in enumerate(idx) if i not in errors], idx, errors)
-        for j in rows:
-            dtrtrs(Lt[j], U[j], 0, 1, 0, n, 1)
-        rows = _finite_rows(U, rows, idx, errors)
-        if rows:
-            V = np.ones((len(idx), n))
-            for j in rows:
-                dtrtrs(Lt[j], U[j], 0, 0, 0, n, 1)
-                dtrtrs(Lt[j], V[j], 0, 1, 0, n, 1)
-                dtrtrs(Lt[j], V[j], 0, 0, 0, n, 1)
-            if len(rows) < len(idx):
-                R, U, V = R[rows], U[rows], V[rows]
-            X = U - (U.sum(axis=1) / V.sum(axis=1))[:, None] * V
-            out[[idx[j] for j in rows]] = np.matmul(R.transpose(0, 2, 1), X[:, :, None])[..., 0]
-    if errors:
-        raise errors[min(errors)]
+        Lt, U, V = Ls.transpose(0, 2, 1), upstream[idx, :n], np.ones((len(idx), n))
+        if not np.isfinite(U).all():
+            raise ValueError("right-hand side must be finite")
+        for L, u in zip(Lt, U):
+            dtrtrs(L, u, 0, 1, 0, n, 1)
+        if not np.isfinite(U).all():
+            raise ValueError("right-hand side must be finite")
+        for L, u, v in zip(Lt, U, V):
+            dtrtrs(L, u, 0, 0, 0, n, 1)
+            dtrtrs(L, v, 0, 1, 0, n, 1)
+            dtrtrs(L, v, 0, 0, 0, n, 1)
+        X = U - (U.sum(axis=1) / V.sum(axis=1))[:, None] * V
+        out[idx] = np.matmul(R.transpose(0, 2, 1), X[:, :, None])[..., 0]
     return out
 
 
@@ -769,7 +723,7 @@ def sparsemap_vjp_rows(results, upstream) -> np.ndarray:
             results and upstream.shape[1] < max(res.probs.size for res in results)):
         raise ValueError("upstream must be a (B, K) matrix with one row per result and "
                          "K at least the largest support")
-    return _vjp_rows(results, upstream)
+    return np.asarray(_row_by_row(_vjp_rows, results, upstream))
 
 
 def sparsemap_vjp_probs(result: SparseMapResult, upstream) -> np.ndarray:

@@ -49,17 +49,12 @@ class Structure:
 
     Identity (equality, hashing) is by bit content only; the score is a
     cached value relative to whatever scores the structure was built from.
-    ``row``, when given, is the bits as a read-only float row, which
-    :meth:`as_array` then returns instead of building one.
     """
 
     bits: tuple
     score: float = field(compare=False)
-    row: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def as_array(self) -> np.ndarray:
-        if self.row is not None:
-            return self.row
         return np.asarray(self.bits, dtype=np.float64)
 
     @property
@@ -71,10 +66,8 @@ class Structure:
 
 def _structure(bits, scores) -> Structure:
     """The Structure of the one row of uint8 ``bits`` and ``scores`` that
-    a row oracle returned, with its float row built once."""
-    row = bits[0].astype(np.float64)
-    row.flags.writeable = False
-    return Structure(tuple(bits[0].tolist()), float(scores[0]), row)
+    a row oracle returned."""
+    return Structure(tuple(bits[0].tolist()), float(scores[0]))
 
 
 def _scored(bits, T):

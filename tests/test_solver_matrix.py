@@ -1,5 +1,6 @@
 """The bit-identity gate of ``tools/solver_matrix.py``: the per-input and
-the batched listing print the same lines, each in the documented format."""
+the batched listing print the same lines, each in the documented format,
+on both the main corpus and the error corpus."""
 
 import contextlib
 import importlib.util
@@ -13,10 +14,10 @@ solver_matrix = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(solver_matrix)
 
 # index, kind, polytope, then the result's sha256 and counters (or the
-# class name of the exception the solve raised)
-_LINE = re.compile(r"^(\d+) (normal|ties|zeros|zeros40) D=\d+(,b=\d+)? "
+# class name and text of the exception the solve raised)
+_LINE = re.compile(r"^(\d+) (normal|ties|zeros|zeros40|nonfinite|huge|overflow) D=\d+(,b=\d+)? "
                    r"(?:[0-9a-f]{64} converged=(True|False) iterations=\d+ adds=\d+ "
-                   r"drops=(\d+) refactorizations=\d+ widenings=\d+|\w+)$")
+                   r"drops=(\d+) refactorizations=\d+ widenings=\d+|(\w+: .+))$")
 
 
 def _listing(argv):
@@ -28,13 +29,21 @@ def _listing(argv):
 
 def test_per_input_and_batched_listings_print_the_same_lines(monkeypatch):
     monkeypatch.setattr(solver_matrix, "N_INPUTS", 96)
+    monkeypatch.setattr(solver_matrix, "N_ERRORS", 64)
     lines = _listing([])
     assert _listing(["--rows"]) == lines
-    assert len(lines) == 96
+    assert len(lines) == 160
     matches = [_LINE.match(line) for line in lines]
     assert all(matches), [line for line, m in zip(lines, matches) if not m]
-    assert [int(m.group(1)) for m in matches] == list(range(96))
-    assert [m.group(2) for m in matches] == list(solver_matrix.KINDS) * 24
-    # The corpus's first inputs all converge, and some of them drop.
-    assert all(m.group(4) == "True" for m in matches)
-    assert any(int(m.group(5)) > 0 for m in matches)
+    assert [int(m.group(1)) for m in matches] == list(range(160))
+    assert [m.group(2) for m in matches] == (list(solver_matrix.KINDS) * 24
+                                             + list(solver_matrix.ERROR_KINDS) * 16)
+    # The main corpus's first inputs all converge, and some of them drop.
+    assert all(m.group(4) == "True" for m in matches[:96])
+    assert any(int(m.group(5)) > 0 for m in matches[:96])
+    # The error corpus mixes solves with errors, and every non-finite
+    # input raises.
+    errors = {m.group(6) for m in matches[96:]}
+    assert None in errors and len(errors) > 2
+    assert all(m.group(6) == "ValueError: scores must be finite"
+               for m in matches[96:] if m.group(2) == "nonfinite")

@@ -7,6 +7,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
@@ -63,17 +66,21 @@ def _frozen(it):
 def _observe(monkeypatch):
     """Record every step the solver takes: each call of ``_advance_rows``
     appends the stack, its live rows, each live row's iterate before the
-    step, each one's after it (the rows that did not raise), and the
-    errors, to the returned list."""
+    step, each one's after it (none if the step raised), and the
+    exception the step raised (or None), to the returned list.  A step
+    that raises still raises."""
     steps, advance = [], activeset._advance_rows
 
     def advance_rows(sets, oracle, live):
-        before = {b: _iterate(sets, b) for b in live}
-        errors = advance(sets, oracle, live)
-        after = {b: _iterate(sets, b) for b in live if b not in errors}
-        steps.append(SimpleNamespace(sets=sets, live=list(live), before=before, after=after,
-                                     errors=errors))
-        return errors
+        step = SimpleNamespace(sets=sets, live=list(live), after={}, error=None,
+                               before={b: _iterate(sets, b) for b in live})
+        steps.append(step)
+        try:
+            advance(sets, oracle, live)
+        except Exception as exc:
+            step.error = exc
+            raise
+        step.after = {b: _iterate(sets, b) for b in live}
 
     monkeypatch.setattr(activeset, "_advance_rows", advance_rows)
     return steps
@@ -507,7 +514,8 @@ def test_vertex_matrix_survives_cycle_handling_until_it_gives_up(monkeypatch):
     steps = _observe(monkeypatch)
     with pytest.raises(ActiveSetCycleError):
         sparsemap(_ScriptedOracle(2, [(1, 0)] + [(0, 1)] * 10), [1.0, -1.0])
-    assert isinstance(steps[-1].errors[0], ActiveSetCycleError)
+    assert isinstance(steps[-1].error, ActiveSetCycleError)
+    assert all(step.error is None for step in steps[:-1])
     _check_steps(steps)
     # The step that gives up leaves the row as the step before it did.
     last = _iterate(steps[-1].sets, 0)
@@ -539,7 +547,7 @@ def test_vertex_matrix_survives_append_fallback(monkeypatch):
     try:
         res = sparsemap(_ScriptedOracle(4, script), t)
     except DegenerateSupportError:
-        assert len(steps) == 3 and 0 in steps[2].errors
+        assert len(steps) == 3 and isinstance(steps[2].error, DegenerateSupportError)
         res = None
     assert [step.after[0].refactorizations for step in steps[:2]] == [0, 0]
     _check_steps(steps)
@@ -1078,6 +1086,61 @@ def test_rows_solve_raises_the_error_of_the_lowest_row(rows, expected, capfd):
     assert capfd.readouterr() == ("", "")
 
 
+# Rows at D = 2 that raise alone: not finite; overflowing; so large that no
+# structure keeps positive weight; so large that a drop would empty the
+# support.
+_FAILING_ROWS = ([np.nan, 0.5], [0.5, np.nan], [np.inf, 0.0], [-1.0, -np.inf],
+                 [1e308, 1e308], [1e17, 0.5], [1e16, 3e18])
+_D2_POLYTOPES = _polytopes(2)
+_contract = settings(max_examples=150, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _rows_with_failures(draw, failing):
+    """2-12 rows: normal score rows at D = 2, with 0-3 of them, at random
+    positions, replaced by draws from ``failing``."""
+    B = draw(st.integers(2, 12))
+    rows = draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+                         min_size=B, max_size=B))
+    bad = draw(st.lists(st.integers(0, B - 1), max_size=3, unique=True))
+    return rows, {i: draw(st.sampled_from(failing)) for i in bad}
+
+
+def _quietly(call, capfd):
+    """``call()``'s result or exception, asserting that it warns of nothing
+    and prints nothing."""
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except Exception as exc:  # the outcome under test
+            out = exc
+    assert caught == []
+    assert capfd.readouterr() == ("", "")
+    return out
+
+
+@_contract
+@given(oracle=st.sampled_from(_D2_POLYTOPES), drawn=_rows_with_failures(_FAILING_ROWS))
+def test_rows_solve_raises_the_first_error_of_a_loop(oracle, drawn, capfd):
+    rows, bad = drawn
+    for i, row in bad.items():
+        rows[i] = row
+    T = np.array(rows)
+    before = T.tobytes()
+    loop = _quietly(lambda: _first_error(oracle, T), capfd)
+    solved = _quietly(lambda: sparsemap_rows(oracle, T), capfd)
+    assert T.tobytes() == before
+    if loop is None:
+        assert not bad
+        assert [_fingerprint(res) for res in solved] == [
+            _fingerprint(sparsemap(oracle, t)) for t in T]
+    else:
+        assert type(solved) is type(loop) and str(solved) == str(loop)
+
+
 def test_rows_solve_rejects_bad_arguments():
     oracle = BitVectorPolytope(3)
     for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((2, 3, 1))):
@@ -1141,3 +1204,40 @@ def test_rows_vjp_raises_the_error_of_the_lowest_row():
     for bad in (np.ones((2, 8)), np.ones((3, 1)), np.ones(8)):
         with pytest.raises(ValueError, match=r"\(B, K\) matrix"):
             sparsemap_vjp_rows(solved, bad)
+
+
+@_contract
+@given(oracle=st.sampled_from(_D2_POLYTOPES),
+       drawn=_rows_with_failures(["unconverged", np.nan, np.inf, -np.inf]),
+       data=st.data())
+def test_rows_vjp_raises_the_first_error_of_a_loop(oracle, drawn, data, capfd):
+    rows, bad = drawn
+    solved = [sparsemap(oracle, t) for t in rows]
+    capped = sparsemap(oracle, [0.3, -0.2], max_iter=1)
+    assert not capped.converged
+    K = max(res.support_size for res in solved + [capped]) + data.draw(st.integers(0, 2))
+    upstream = data.draw(arrays(np.float64, (len(rows), K), elements=st.floats(-10.0, 10.0)))
+    for i, kind in bad.items():
+        if kind == "unconverged":
+            solved[i] = capped
+        else:  # at an entry past the row's support it is ignored
+            upstream[i, data.draw(st.integers(0, K - 1))] = kind
+    before = upstream.tobytes()
+
+    def loop():
+        for res, u in zip(solved, upstream):
+            try:
+                sparsemap_vjp_probs(res, u[:res.support_size])
+            except Exception as exc:  # the loop stops at the first row that raises
+                return exc
+        return None
+
+    first = _quietly(loop, capfd)
+    g = _quietly(lambda: sparsemap_vjp_rows(solved, upstream), capfd)
+    assert upstream.tobytes() == before
+    if first is None:
+        assert g.shape == (len(rows), 2)
+        for res, u, row in zip(solved, upstream, g):
+            assert row.tobytes() == sparsemap_vjp_probs(res, u[:res.support_size]).tobytes()
+    else:
+        assert type(g) is type(first) and str(g) == str(first)

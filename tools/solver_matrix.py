@@ -1,8 +1,9 @@
-"""Solve a seeded corpus of 3,000 SparseMAP inputs and print one line per input.
+"""Solve a seeded corpus of 3,000 SparseMAP inputs, and 1,000 more that
+mostly raise, and print one line per input.
 
 Each line holds the input's index, its kind, its polytope, and either the
-class name of the exception the solve raised or a fingerprint of the
-result: the sha256 of the structures' bits and the ``probs``,
+class name and text of the exception the solve raised or a fingerprint of
+the result: the sha256 of the structures' bits and the ``probs``,
 ``moments``, ``tau`` and ``nu_min`` bytes, then ``converged`` and the
 counters ``iterations``, ``adds``, ``drops``, ``refactorizations`` and
 ``widenings``, so that a counter drift shows as well.  Run it once
@@ -20,12 +21,24 @@ Half the inputs, in alternate groups of four (one of each kind), are on
 ``BudgetedBitVectorPolytope`` with a budget drawn from 1..D, the rest on
 ``BitVectorPolytope``.
 
+The error corpus follows, from its own seeded stream, so that the first
+3,000 lines do not depend on it.  It covers D = 2 to 8, on the same two
+polytopes in the same alternation, in four kinds: normal scores, normal
+scores with one entry NaN or +-inf, scores of magnitude 1e12 to 1e19
+(where the relaxed solves can give every structure weight 0, or a drop
+would empty the support) and of magnitude 1e300 to 1e308 (where sums
+overflow).
+
 With ``--rows`` the tool prints the same listing from the batch solver:
 the inputs of each (polytope, D, budget) group, all four kinds mixed, are
 solved as one ``sparsemap_rows`` batch, and the lines come out in index
 order.  Both listings must equal the per-input listing of the older tree.
-If a group's batch raises, each of its inputs is solved as a batch of
-one, so that the listing still names each input's own outcome.
+A batch raises the error of its lowest row that raises alone.  So when a
+group's batch raises, the first of its inputs that raises alone prints
+the batch's error, the inputs before it print their solves as one batch,
+and the inputs after it are solved as a batch again: each input that
+raises shows the error of a batch whose lowest failing row it is, and a
+batch that raised another row's error shows in the diff.
 """
 
 from __future__ import annotations
@@ -43,10 +56,14 @@ from sparsemarg.rng import make_rng
 SEED = 0
 N_INPUTS = 3000
 KINDS = ("normal", "ties", "zeros", "zeros40")
+ERROR_SEED = 1
+N_ERRORS = 1000
+ERROR_KINDS = ("normal", "nonfinite", "huge", "overflow")
 
 
 def corpus():
-    """Yield (kind, oracle, scores, label) for every input, in index order."""
+    """Yield (kind, oracle, label, scores) for every input of the main
+    corpus, in index order."""
     rng = make_rng(SEED)
     for i in range(N_INPUTS):
         kind = KINDS[i % 4]
@@ -58,11 +75,35 @@ def corpus():
             t = np.zeros(d)
         elif kind == "zeros40":
             t[rng.random(d) < 0.4] = 0.0
-        if (i // 4) % 2:
-            b = int(rng.integers(1, d + 1))
-            yield kind, BudgetedBitVectorPolytope(d, b), t, "D=%d,b=%d" % (d, b)
+        yield (kind, *_polytope(rng, i, d), t)
+
+
+def error_corpus():
+    """Yield (kind, oracle, label, scores) for every input of the error
+    corpus, in index order."""
+    rng = make_rng(ERROR_SEED)
+    for i in range(N_ERRORS):
+        kind = ERROR_KINDS[i % 4]
+        d = int(rng.integers(2, 9))
+        if kind == "normal":
+            t = rng.normal(size=d)
+        elif kind == "nonfinite":
+            t = rng.normal(size=d)
+            t[rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
         else:
-            yield kind, BitVectorPolytope(d), t, "D=%d" % d
+            lo, hi = (12, 19) if kind == "huge" else (300, 308)
+            t = rng.uniform(-1.5, 1.5, size=d) * 10.0 ** rng.uniform(lo, hi)
+        yield (kind, *_polytope(rng, i, d), t)
+
+
+def _polytope(rng, i: int, d: int):
+    """Input i's polytope and its label: in alternate groups of four, a
+    BudgetedBitVectorPolytope with a budget drawn from 1..d, or a
+    BitVectorPolytope."""
+    if (i // 4) % 2:
+        b = int(rng.integers(1, d + 1))
+        return BudgetedBitVectorPolytope(d, b), "D=%d,b=%d" % (d, b)
+    return BitVectorPolytope(d), "D=%d" % d
 
 
 def fingerprint(res) -> str:
@@ -78,38 +119,64 @@ def fingerprint(res) -> str:
         res.refactorizations, res.widenings)
 
 
+def inputs():
+    """(part, kind, oracle, label, scores) of every input, in index order:
+    part 0 is the main corpus, part 1 the error corpus."""
+    for part, inputs in enumerate((corpus(), error_corpus())):
+        for kind, oracle, label, t in inputs:
+            yield part, kind, oracle, label, t
+
+
+def _error(exc) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def _outcome(solve) -> str:
     try:
         return fingerprint(solve())
     except Exception as exc:  # a failed solve is one line of the listing
-        return type(exc).__name__
+        return _error(exc)
 
 
 def per_input():
     """(index, kind, label, outcome) of each input, each solved alone."""
-    for i, (kind, oracle, t, label) in enumerate(corpus()):
+    for i, (_, kind, oracle, label, t) in enumerate(inputs()):
         yield i, kind, label, _outcome(lambda: sparsemap(oracle, t))
+
+
+def _batch_outcomes(sparsemap_rows, oracle, T) -> list:
+    """The outcome of each row of T from ``sparsemap_rows`` batches: all
+    of T, and each time a batch raises, the rows after the first one that
+    raises alone, whose outcome is the batch's error."""
+    outcomes = []
+    while True:
+        try:
+            return outcomes + [fingerprint(res) for res in sparsemap_rows(oracle, T)]
+        except Exception as exc:  # a failed batch is the first failing row's line
+            error = _error(exc)
+        alone = (_outcome(lambda t=t: sparsemap_rows(oracle, t[None])[0]) for t in T)
+        k = next((k for k, line in enumerate(alone) if " converged=" not in line), None)
+        if k is None:
+            raise RuntimeError("a batch raised %s, but none of its rows raises alone" % error)
+        outcomes += [fingerprint(res) for res in sparsemap_rows(oracle, T[:k])] + [error]
+        T = T[k + 1:]
 
 
 def batched():
     """(index, kind, label, outcome) of each input, each group of one
-    polytope, D and budget solved as one batch; in index order."""
+    corpus, polytope, D and budget solved as one batch; in index order."""
     # Imported here, so that the per-input listing runs on older trees too.
     from sparsemarg.activeset import sparsemap_rows
 
     groups = {}
-    for i, (kind, oracle, t, label) in enumerate(corpus()):
-        key = (type(oracle).__name__, label)
+    for i, (part, kind, oracle, label, t) in enumerate(inputs()):
+        key = (part, type(oracle).__name__, label)
         groups.setdefault(key, (oracle, []))[1].append((i, kind, label, t))
     lines = {}
     for oracle, members in groups.values():
-        try:
-            outcomes = [fingerprint(res) for res in
-                        sparsemap_rows(oracle, np.array([t for *_, t in members]))]
-        except Exception:  # the batch raises one row's error; each input gets its own
-            outcomes = [_outcome(lambda t=t: sparsemap_rows(oracle, t[None])[0])
-                        for *_, t in members]
-        for (i, kind, label, _), outcome in zip(members, outcomes):
+        T = np.array([t for *_, t in members])
+        for (i, kind, label, _), outcome in zip(members,
+                                                _batch_outcomes(sparsemap_rows, oracle, T)):
             lines[i] = (i, kind, label, outcome)
     for i in sorted(lines):
         yield lines[i]
