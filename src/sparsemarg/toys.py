@@ -309,23 +309,6 @@ class ToyBitVectorVAE(_ParamLayout):
 
 
 @dataclass(eq=False)
-class _Posterior:
-    """What a pass's mapping gave its ``mapped`` examples: ``parts``, each
-    an array or list with one entry per mapped example, in batch order."""
-
-    mapped: np.ndarray  # (B,) bool, over the pass's batch
-    parts: tuple
-
-    def take(self, positions):
-        """The parts at the batch ``positions``, or None unless all were mapped."""
-        if not self.mapped[positions].all():
-            return None
-        j = (np.cumsum(self.mapped) - 1)[positions]
-        return tuple(part[j] if isinstance(part, np.ndarray) else [part[i] for i in j.tolist()]
-                     for part in self.parts)
-
-
-@dataclass(eq=False)
 class _BatchPass:
     """One minibatch: per-example log entries and the summed gradients.
 
@@ -336,8 +319,10 @@ class _BatchPass:
     score, or a zero probability whose log the objective would take.
     The categorical pass also returns the (B, K) probabilities, the
     bit-vector pass each example's (support, D) bit rows.  The
-    gradient-free pass fills only ``losses``, NaN where its guard
-    tripped, and ``posterior``.
+    gradient-free pass fills only ``losses`` and ``posterior``, the parts
+    of what its mapping gave each example, in batch order.  A tripped
+    guard gives :meth:`diverged`, in either pass: NaN losses and no
+    gradients or posterior.
     """
 
     stats: list | None
@@ -346,27 +331,17 @@ class _BatchPass:
     probs: np.ndarray | None = None
     rows: list | None = None
     losses: np.ndarray | None = None
-    posterior: _Posterior | None = None
+    posterior: tuple | None = None
 
     @classmethod
     def diverged(cls, size: int) -> "_BatchPass":
-        return cls([(np.nan, np.nan, 0, 0, None)] * size, None)
-
-    @classmethod
-    def loss_only(cls, size: int, at, losses, parts) -> "_BatchPass":
-        """The gradient-free pass's record: ``losses`` and ``parts`` of the
-        batch positions ``at``, NaN losses elsewhere."""
-        full, mapped = np.full(size, np.nan), np.zeros(size, dtype=bool)
-        full[at], mapped[at] = losses, True
-        return cls(None, None, losses=full, posterior=_Posterior(mapped, parts))
+        return cls([(np.nan, np.nan, 0, 0, None)] * size, None, losses=np.full(size, np.nan))
 
 
-def _clear(at, run: int, bad):
-    """Which of the batch positions ``at`` pass the divergence guard of the
-    gradient-free pass: a ``bad`` one trips its run of ``run`` consecutive
-    positions."""
-    runs = at // run
-    return ~np.isin(runs, runs[bad])
+def _take(parts, positions) -> tuple:
+    """The entries of each posterior part, an array or a list, at ``positions``."""
+    return tuple(part[positions] if isinstance(part, np.ndarray)
+                 else [part[i] for i in positions.tolist()] for part in parts)
 
 
 def _ordered_sum(terms):
@@ -390,7 +365,7 @@ def _ordered_sum(terms):
 
 def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg: TrainConfig,
                        rng=None, baseline: MovingAverageBaseline | None = None, *,
-                       guard: int | None = None, posterior: tuple | None = None):
+                       loss_only: bool = False, posterior: tuple | None = None):
     """One minibatch: forward, loss reads, hand gradients summed in example order.
 
     The dense and sparse methods marginalize exactly over the mapping's
@@ -405,11 +380,9 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     sfe drew samples.  Callers check ``cfg.method`` first.
 
     Two keywords serve :func:`_train`, for dense and sparse.  With
-    ``guard``, this is the gradient-free pass (:meth:`_BatchPass.loss_only`):
-    it stops at the losses, and its divergence guard trips each run of
-    ``guard`` consecutive examples on its own, leaving that run unmapped.
-    ``posterior`` is these examples' ``(q,)`` from that pass, taken in
-    place of mapping them again.
+    ``loss_only``, this is the gradient-free pass: it stops at the
+    losses.  ``posterior`` is these examples' ``(q,)`` from that pass,
+    taken in place of mapping them again.
     """
     K = model.n_messages
     method = cfg.method
@@ -418,14 +391,8 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     B = y.size
     X = features[batch]
     s = model.scores(X)
-    at = np.arange(B)  # the batch positions still in the pass
     if not np.all(np.isfinite(s)):
-        if guard is None:
-            return _BatchPass.diverged(B), baseline
-        ok = _clear(at, guard, ~np.isfinite(s).all(axis=1))
-        if not ok.any():
-            return _BatchPass.loss_only(B, at[ok], [], ()), baseline
-        at, s, y = at[ok], s[ok], y[ok]
+        return _BatchPass.diverged(B), baseline
     # Every message's loss for every label; the decoder softmax is its exp.
     losses = model.label_loss(np.arange(K)[:, None], np.arange(model.dec_w.shape[1]))
     dec = np.exp(-losses)
@@ -446,10 +413,7 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         weights[est.rows, est.outcomes] = est.weights
         calls = np.bincount(est.rows, minlength=B)
     if method != "sparse" and not np.all(q > 0):  # the entropy term would take log(0)
-        if guard is None:
-            return _BatchPass.diverged(B), baseline
-        ok = _clear(at, guard, ~(q > 0).all(axis=1))
-        at, q, y = at[ok], q[ok], y[ok]
+        return _BatchPass.diverged(B), baseline
 
     if method in ("dense", "sparse"):
         supports = RowSupports.of(q)  # every outcome for dense, past the guard
@@ -459,8 +423,8 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         probs = q[rows, outcomes]
         log_probs = np.log(probs)
         loss, entropy = supports.dots(probs, values, log_probs)
-        if guard is not None:
-            return _BatchPass.loss_only(B, at, loss, (q,)), baseline
+        if loss_only:
+            return _BatchPass(None, None, losses=loss, posterior=(q,)), baseline
         objective = loss + coef * entropy
         upstream = np.zeros((B, K))
         upstream[rows, outcomes] = values + coef * (log_probs + 1.0)
@@ -530,7 +494,7 @@ def _decoder_weight_terms(w, rows, dec_b, out):
 
 
 def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
-                  guard: int | None = None, posterior: tuple | None = None) -> _BatchPass:
+                  loss_only: bool = False, posterior: tuple | None = None) -> _BatchPass:
     """One minibatch of images: posterior over bit-vectors, negative ELBO,
     hand gradients summed in example order.
 
@@ -551,7 +515,7 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
     batch order, so every quantity keeps the bits of a batch of one.
     Callers check ``cfg`` against D first (:func:`_check_config`).
 
-    ``guard`` and ``posterior`` serve :func:`_train` as in
+    ``loss_only`` and ``posterior`` serve :func:`_train` as in
     :func:`_categorical_batch`.  The posterior is ``(probs,)`` for dense
     and sparse, ``(bits, probs, certificates)`` for topk and the
     ``(results,)`` of the solves for the SparseMAP methods.
@@ -561,14 +525,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
     X = images[np.asarray(batch)]
     B = X.shape[0]
     T = model.var_scores(X)
-    at = np.arange(B)  # the batch positions still in the pass
     if not np.all(np.isfinite(T)):
-        if guard is None:
-            return _BatchPass.diverged(B)
-        ok = _clear(at, guard, ~np.isfinite(T).all(axis=1))
-        if not ok.any():
-            return _BatchPass.loss_only(B, at[ok], [], ())
-        at, T, X = at[ok], T[ok], X[ok]
+        return _BatchPass.diverged(B)
     if posterior is None:
         if method == "topk":
             configs, scores = kbest_rows(T, cfg.k)
@@ -580,15 +538,12 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
             polytope = (BitVectorPolytope(D) if method == "sparsemap" else
                         BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2)))
             posterior = (sparsemap_rows(polytope, T),)
-            if guard is not None and not all(res.converged for res in posterior[0]):
+            if loss_only and not all(res.converged for res in posterior[0]):
                 # The vjp this pass skips refuses such a result; raise as it would.
                 raise ValueError("backward pass requires a converged result")
     if method == "dense" and not np.all(posterior[0] > 0):
-        if guard is None:
-            return _BatchPass.diverged(B)
-        ok = _clear(at, guard, ~(posterior[0] > 0).all(axis=1))
-        at, X, posterior = at[ok], X[ok], (posterior[0][ok],)
-    certificates = [None] * at.size
+        return _BatchPass.diverged(B)
+    certificates = [None] * B
     solved = None
     if method == "topk":
         configs, probs, certificates = posterior
@@ -608,17 +563,16 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
     def neg_log_joint(outcomes):
         bits, x = outcomes  # one (bit row, image) pair per outcome
         recon, d = model.recon_loss_and_dlogits(bits, x)
-        if guard is None:
+        if not loss_only:
             dlogits.append(d)
         return D * np.log(2.0) + recon
 
     oracle = LossOracle(neg_log_joint)
     sizes = (probs > 0).sum(axis=1)
-    m = at.size  # the examples mapped: all of a training batch
-    neg_elbo = np.empty(m)
-    if guard is None:
-        g_t, support_rows = np.empty((m, D)), [None] * m
-        dec_b, dec_w = np.empty((m,) + model.dec_b.shape), np.empty((m,) + model.dec_w.shape)
+    neg_elbo = np.empty(B)
+    if not loss_only:
+        g_t, support_rows = np.empty((B, D)), [None] * B
+        dec_b, dec_w = np.empty((B,) + model.dec_b.shape), np.empty((B,) + model.dec_w.shape)
     for lo, hi in _blocks(sizes.tolist(), _LOSS_BLOCK):
         supports = RowSupports.of(probs[lo:hi])
         on = lo + supports.rows, supports.outcomes
@@ -629,7 +583,7 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
         log_q = np.log(q)
         dots = supports.dots(q, c, log_q)
         neg_elbo[lo:hi] = dots[0] + dots[1]
-        if guard is not None:
+        if loss_only:
             continue
         w = q[:, None] * dlogits.pop()
         upstream = np.zeros(supports.shape)
@@ -656,8 +610,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
         dec_b[lo:hi] = _ordered_sum(W.transpose(1, 0, 2))
         _decoder_weight_terms(W, R, dec_b[lo:hi], dec_w[lo:hi])
     assert sizes.sum() == oracle.calls
-    if guard is not None:
-        return _BatchPass.loss_only(B, at, neg_elbo, posterior)
+    if loss_only:
+        return _BatchPass(None, None, losses=neg_elbo, posterior=posterior)
     grads = {"dec_w": _ordered_sum(dec_w), "dec_b": _ordered_sum(dec_b)}
     del dec_w  # before the encoder terms, which are as large
     grads["enc_w"] = _ordered_sum(g_t[:, :, None] * X[:, None, :])
@@ -736,39 +690,44 @@ def _joined(pieces) -> tuple:
 
 def _initial_loss(n: int, batch_size: int, width: int, loss_pass, first=None):
     """The mean loss of the ``n`` examples, from gradient-free passes
-    ``loss_pass(indices, guard)`` over them in order, and the posterior
-    parts of the examples ``first`` (epoch 1's first batch), or None.
+    ``loss_pass(indices)`` over them in order, and the posterior parts of
+    the examples ``first`` (epoch 1's first batch), or None.
 
     Each pass takes whole runs of ``batch_size`` examples, as many as keep
     its posterior within ``_LOSS_BLOCK`` rows at ``width`` rows an
     example, and at least one, so the memory a pass holds does not grow
-    with ``n``.  Its divergence guard trips each run on its own, as it
-    would trip the batches of a loop over them, and a tripped run's losses
-    are NaN.  Every loss has the bits of a batch of one and adds in
-    example order from 0.0, as that loop's sum would.  If a pass raises,
-    its runs are passed one at a time, in order, so that the error raised
-    is the first run's, the one that loop would raise.  Of the posterior,
-    only the rows of ``first`` are kept, and they are returned only if
-    every one of them was mapped.
+    with ``n``.  Every loss has the bits of a batch of one and adds in
+    example order from 0.0, as the sum of a loop over batches of
+    ``batch_size`` would.  A pass whose divergence guard trips, or that
+    raises, is run again one run at a time, in order, as that loop would
+    run them: a tripped run's losses are NaN, and the first run that
+    raises raises; if none raises alone, the pass's own error is raised.
+    Of the posterior, only the rows of ``first`` are kept, and they are
+    returned only if no pass that holds one of them tripped.
     """
     examples = np.arange(n)
     chunk = batch_size * max(1, _LOSS_BLOCK // (batch_size * width))
+
+    def by_runs(part):
+        return np.concatenate([loss_pass(part[start:start + batch_size]).losses
+                               for start in range(0, part.size, batch_size)])
+
     total, pieces = 0.0, [] if first is not None else None
     for lo in range(0, n, chunk):
         part = examples[lo:lo + chunk]
         try:
-            out = loss_pass(part, batch_size)
+            out = loss_pass(part)
         except Exception:
-            for start in range(0, part.size, batch_size):
-                loss_pass(part[start:start + batch_size], batch_size)
+            by_runs(part)
             raise
-        for loss in out.losses.tolist():
+        losses = out.losses if out.posterior is not None else by_runs(part)  # tripped
+        for loss in losses.tolist():
             total += loss
         if pieces is not None:
             mine = np.flatnonzero((first >= lo) & (first < lo + part.size))
             if mine.size:
-                parts = out.posterior.take(first[mine] - lo)
-                pieces = None if parts is None else pieces + [(mine, parts)]
+                pieces = (None if out.posterior is None
+                          else pieces + [(mine, _take(out.posterior, first[mine] - lo))])
     return total / n, None if pieces is None else _joined(pieces)
 
 
@@ -776,7 +735,7 @@ def _train(task: str, model, n: int, width: int, cfg: TrainConfig, eval_cfg: Tra
            batch_pass):
     """Minibatch SGD over ``n`` examples, reshuffled every epoch.
 
-    ``batch_pass(indices, config, rng, guard=None, posterior=None)``
+    ``batch_pass(indices, config, rng, loss_only=False, posterior=None)``
     returns the :class:`_BatchPass` of those examples; ``rng`` is the
     generator that also draws the shuffles.  The initial loss is the mean
     loss under ``eval_cfg`` before any update, from gradient-free passes
@@ -796,7 +755,7 @@ def _train(task: str, model, n: int, width: int, cfg: TrainConfig, eval_cfg: Tra
     started = time.perf_counter()
     initial_loss, reused = _initial_loss(
         n, cfg.batch_size, width,
-        lambda batch, guard: batch_pass(batch, eval_cfg, None, guard=guard), first)
+        lambda batch: batch_pass(batch, eval_cfg, None, loss_only=True), first)
     log = TrainingLog(task=task, config=cfg, initial_loss=initial_loss,
                       initial_loss_s=time.perf_counter() - started)
     for epoch in range(1, cfg.epochs + 1):

@@ -1,7 +1,11 @@
 """End-to-end training tasks: gradients, call accounting, invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemarg.activeset import sparsemap, sparsemap_vjp_probs
 from sparsemarg.bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix, kbest
@@ -239,6 +243,29 @@ def test_initial_loss_raises_or_is_nan_where_the_per_batch_loop_does(task, metho
         assert outcomes == ["nan"] * 3
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_initial_loss_is_the_per_batch_loop_on_any_mix_of_faults(data):
+    # Non-finite entries and 1e50-scaled examples anywhere, at any batch
+    # size: the initial loss has the repr of the loop's, or raises its
+    # error, with warnings as errors (set here, not by a mark, so that
+    # hypothesis reports a failure in a plain environment).
+    task, method = data.draw(st.sampled_from([("categorical", m) for m in CATEGORICAL_METHODS]
+                                             + [("bitvec", m) for m in BITVEC_METHODS]))
+    n = data.draw(st.integers(1, 40))
+    inputs = _inputs(task, n)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, inputs.shape[1] - 1))
+        inputs[at] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+        inputs[i] *= 1e50
+    batch_size = data.draw(st.integers(1, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, expected = _initial_loss_outcomes(task, method, inputs, batch_size)
+    assert got == expected
+
+
 @pytest.mark.parametrize("task, method, n, width", [
     ("bitvec", "sparse", 50, 256),  # every configuration at D = 8
     ("bitvec", "topk", 1100, 4),
@@ -267,6 +294,51 @@ def test_initial_pass_maps_at_most_a_loss_block_of_posterior_rows(task, method, 
     assert passes > 1 and chunk * width <= toys._LOSS_BLOCK
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task, method, n, width", [  # three passes or more
+    ("bitvec", "sparse", 50, 256),
+    ("bitvec", "topk", 2100, 4),
+    ("bitvec", "sparsemap", 1000, 9),
+    ("categorical", "dense", 1100, 8),
+])
+def test_a_tripped_initial_pass_is_mapped_again_run_by_run_alone(task, method, n, width,
+                                                                monkeypatch):
+    # An inf in one example of the second pass trips that pass's guard:
+    # only that pass is mapped again, one run of 8 at a time, except the
+    # tripped run, which trips before its mapping; every other pass is
+    # still one mapping call, and the initial loss is the loop's NaN.
+    from sparsemarg import toys
+
+    mapped = _count_mapped_rows(monkeypatch)
+    chunk = 8 * (toys._LOSS_BLOCK // (8 * width))
+    inputs = _inputs(task, n)
+    inputs[chunk + 11, 0] = np.inf
+    assert _initial_loss_outcomes(task, method, inputs, 8) == ("nan", "nan")
+
+    def runs(lo, hi):  # the runs of 8 from lo to hi, less the tripped one
+        return [min(8, hi - start) for start in range(lo, hi, 8) if start != chunk + 8]
+
+    passes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
+    redone = runs(chunk, min(2 * chunk, n))
+    assert len(passes) > 2 and len(redone) > 0
+    assert mapped == passes[:1] + redone + passes[2:] + runs(0, n)  # then the loop's batches
+
+
+def _count_mapped_rows(monkeypatch):
+    """A list to which every call of a mapping in ``toys`` appends its
+    number of rows."""
+    from sparsemarg import toys
+
+    mapped = []
+    for name, at in (("sparsemax_rows", 0), ("softmax", 0), ("kbest_rows", 0),
+                     ("sparsemap_rows", 1)):
+        def counted(*args, _at=at, _original=getattr(toys, name), **kwargs):
+            mapped.append(len(args[_at]))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(toys, name, counted)
+    return mapped
+
+
 def test_initial_loss_raises_the_first_error_of_the_per_batch_loop(monkeypatch):
     # Capped at two steps, the solves stop unconverged, which the training
     # pass's vjp refuses, and an example scaled by 1e50 in the second
@@ -288,7 +360,10 @@ def test_first_batch_trains_bit_for_bit_on_the_reused_posterior(task, method, mo
     # mapping its examples again must give the same log and parameters.
     from sparsemarg import toys
 
+    mapped = _count_mapped_rows(monkeypatch)
+
     def train():
+        mapped.clear()
         cfg = TrainConfig(method=method, epochs=2, batch_size=8, k=4, budget=3, seed=2)
         if task == "bitvec":
             model = ToyBitVectorVAE.init(d=8, n_pixels=36, seed=57, scale=0.3)
@@ -297,11 +372,20 @@ def test_first_batch_trains_bit_for_bit_on_the_reused_posterior(task, method, mo
             model = ToyCategoricalModel.init(n_messages=8, n_classes=4, feat_dim=8, seed=57,
                                              scale=0.3)
             log = train_categorical(model, _small_cluster_data(n=24), cfg)
-        return log, [getattr(model, key).tobytes() for key in model.PARAMS]
+        return log, [getattr(model, key).tobytes() for key in model.PARAMS], mapped.copy()
 
-    reused = train()
-    monkeypatch.setattr(toys._Posterior, "take", lambda self, positions: None)
-    assert train() == reused
+    reused, reused_params, reused_mapped = train()
+    # Reuse off: the initial pass keeps no posterior, so the first batch is
+    # mapped again, one more call of 8 rows wherever the posterior was reused
+    # (every method but categorical sfe and sum_and_sample).
+    initial_loss = toys._initial_loss
+    monkeypatch.setattr(toys, "_initial_loss",
+                        lambda n, batch_size, width, loss_pass, first=None:
+                        initial_loss(n, batch_size, width, loss_pass))
+    log, params, remapped = train()
+    assert (log, params) == (reused, reused_params)
+    extra = [] if method in ("sfe", "sum_and_sample") else [8]
+    assert sorted(remapped) == sorted(reused_mapped + extra)
 
 
 @pytest.mark.parametrize("task, method, mapping, vjp", [

@@ -16,6 +16,12 @@ _SPEC.loader.exec_module(train_matrix)
 
 # name_seedN, CSV sha256, repr(initial_loss), parameter sha256
 _LINE = re.compile(r"^\S+_seed\d+ [0-9a-f]{64} \S+ [0-9a-f]{64}$")
+# edge run name, then diverged and the epoch rows' sha256 (or "- -" when
+# training raised), the parameter sha256, and repr(initial_loss) or the error
+_EDGE = re.compile(r"^edge(\d+)_(categorical|bitvec)_"
+                   r"(dense|sparse|sfe|sum_and_sample|topk|sparsemap|sparsemap_budget)_"
+                   r"(clean|nonfinite|nonfinite_scaled|scaled)_n(5|24|50|90)_b(1|3|8|16)_e([012]) "
+                   r"(?:(True|False) [0-9a-f]{64}|- -) [0-9a-f]{64} (\S+|\w+: .+)$")
 
 
 def test_one_run_gives_one_documented_line_twice(tmp_path):
@@ -39,3 +45,19 @@ def test_parameter_hash_sees_one_ulp_and_the_sign_of_zero():
         assert model.enc_b[-1] == 0.0 and not np.signbit(model.enc_b[-1])
         model.enc_b[-1] = -0.0
         assert train_matrix.param_digest(model) not in (base, moved)
+
+
+def test_edge_corpus_gives_documented_lines_of_every_method_kind_and_outcome(monkeypatch):
+    monkeypatch.setattr(train_matrix, "N_EDGES", 36)
+    lines = list(train_matrix.edge_lines())
+    matches = [_EDGE.match(line) for line in lines]
+    assert all(matches), [line for line, m in zip(lines, matches) if not m]
+    assert [int(m.group(1)) for m in matches] == list(range(36))
+    # Every method once in each kind, the kinds in turn.
+    assert [(m.group(2), m.group(3)) for m in matches] == list(train_matrix.EDGE_METHODS) * 4
+    assert [m.group(4) for m in matches] == [k for k in train_matrix.EDGE_KINDS for _ in range(9)]
+    # Clean runs have finite initial losses; the faults give NaN and errors.
+    outcomes = [m.group(9) for m in matches]
+    assert all(np.isfinite(float(o)) for o in outcomes[:9])
+    assert "nan" in outcomes and any(m.group(8) is None for m in matches)
+    assert all((m.group(8) is None) == (":" in m.group(9)) for m in matches)

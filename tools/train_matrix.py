@@ -1,6 +1,7 @@
-"""Run the 120-run training matrix and print one fingerprint line per run.
+"""Run the 120-run training matrix and a 300-run edge corpus, and print one
+fingerprint line per run.
 
-Each line holds the run's name, the sha256 of its epoch CSV, the
+Each matrix line holds the run's name, the sha256 of its epoch CSV, the
 ``repr`` of the manifest's ``initial_loss`` and the sha256 of the final
 parameter bytes.  The CSV rounds its floats; the parameter hash sees
 every bit, signed zeros included, so a change of one ulp anywhere in
@@ -32,11 +33,24 @@ D = 6 and sparsemap at D = 8 also run at ``--batch-size 1`` and at
 solver advances a batch's solves together, grouped by support size, so
 sparsemap and sparsemap_budget also run at the benchmark's shape:
 D = 32, batches of 8 and a budget of 4.  The initial loss is one
-gradient-free pass over the whole data set, whose divergence guard acts
-per batch, and the first training batch reuses its posterior; so every
-bit-vector method and categorical sparse and sfe also run at
-``--epochs 0`` (the initial loss alone), and sparsemap runs with one
-batch of 32 holding all 24 examples.
+gradient-free pass over the whole data set, and the first training batch
+reuses its posterior; so every bit-vector method and categorical sparse
+and sfe also run at ``--epochs 0`` (the initial loss alone), and
+sparsemap runs with one batch of 32 holding all 24 examples.
+
+None of those runs trips the divergence guard or raises, so an edge
+corpus of 300 runs follows, from its own seeded stream, so that the
+first 120 lines do not depend on it.  It calls the public
+``sparsemarg.toys`` API, which older trees have too: every method at
+D = 8 (K = 8 messages), n of 5, 24, 50 or 90, batches of 1, 3, 8 or 16
+and 0 to 2 epochs, in four kinds in turn: clean, one or two NaN or +-inf
+entries, those plus one or two examples scaled by 1e50, and the scaling
+alone.  A pass over such data trips or raises, and the initial loss then
+runs its batches one at a time.  Each line holds the run's name,
+``diverged``, the sha256 of the epoch rows' repr and the parameter
+sha256, then the initial loss's repr; a run that raises prints ``- -``
+for the first two and the class name and text of its error last.
+Warnings are silenced and are not part of a line.
 """
 
 from __future__ import annotations
@@ -48,8 +62,12 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
-from sparsemarg import cli
+import numpy as np
+
+from sparsemarg import cli, toys
+from sparsemarg.rng import make_rng
 
 SEEDS = (0, 3, 9)
 CATEGORICAL = ["--n", "64", "--epochs", "4", "--k", "2"]
@@ -125,6 +143,12 @@ RUNS = (
     ("bitvec_sparsemap_d8_bs32",
      ["bitvec", "--method", "sparsemap", "--d", "8", "--batch-size", "32"] + BITVEC),
 )
+EDGE_SEED = 1
+N_EDGES = 300
+EDGE_METHODS = (tuple(("categorical", m) for m in ("dense", "sparse", "sfe", "sum_and_sample"))
+                + tuple(("bitvec", m) for m in ("dense", "sparse", "topk", "sparsemap",
+                                                "sparsemap_budget")))
+EDGE_KINDS = ("clean", "nonfinite", "nonfinite_scaled", "scaled")
 
 
 def param_digest(model) -> str:
@@ -180,11 +204,61 @@ def line(name: str, seed: int, argv: list, workdir: str) -> str:
     return "%s_seed%d %s %r %s" % (name, seed, digest, initial_loss, params)
 
 
+def edge_runs():
+    """Yield (name, train function, model, data, config) for every run of
+    the edge corpus, in index order, with the faults of its kind written
+    into the data."""
+    rng = make_rng(EDGE_SEED)
+    for i in range(N_EDGES):
+        task, method = EDGE_METHODS[i % len(EDGE_METHODS)]
+        kind = EDGE_KINDS[(i // len(EDGE_METHODS)) % len(EDGE_KINDS)]
+        n, batch_size = int(rng.choice([5, 24, 50, 90])), int(rng.choice([1, 3, 8, 16]))
+        epochs, seed = int(rng.integers(0, 3)), int(rng.integers(1000))
+        if task == "categorical":
+            data = toys.make_cluster_data(n=n, n_clusters=4, feat_dim=8, seed=seed)
+            model = toys.ToyCategoricalModel.init(n_messages=8, n_classes=4, feat_dim=8,
+                                                  seed=seed, scale=0.3)
+            train, inputs = toys.train_categorical, data.features
+        else:
+            data = toys.make_bitvec_images(n=n, d=8, seed=seed)
+            model = toys.ToyBitVectorVAE.init(d=8, n_pixels=data.n_pixels, seed=seed, scale=0.3)
+            train, inputs = toys.train_bitvec_vae, data.images
+        if kind.startswith("nonfinite"):
+            for _ in range(int(rng.integers(1, 3))):
+                at = rng.integers(n), rng.integers(inputs.shape[1])
+                inputs[at] = rng.choice([np.nan, np.inf, -np.inf])
+        if kind.endswith("scaled"):
+            inputs[rng.choice(n, size=int(rng.integers(1, 3)), replace=False)] *= 1e50
+        cfg = toys.TrainConfig(method=method, epochs=epochs, batch_size=batch_size, seed=seed,
+                               k=3, budget=3)
+        name = "edge%d_%s_%s_%s_n%d_b%d_e%d" % (i, task, method, kind, n, batch_size, epochs)
+        yield name, train, model, data, cfg
+
+
+def edge_lines():
+    """The line of each edge run: name, ``diverged``, the sha256 of the
+    epoch rows' repr and the parameter sha256, then the initial loss's
+    repr; or, if training raised, ``-`` for the first two and the
+    exception's class name and text last."""
+    for name, train, model, data, cfg in edge_runs():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                log = train(model, data, cfg)
+            head = "%s %s" % (log.diverged, hashlib.sha256(repr(log.rows).encode()).hexdigest())
+            outcome = repr(log.initial_loss)
+        except Exception as exc:  # a raising run is one line of the listing
+            head, outcome = "- -", "%s: %s" % (type(exc).__name__, exc)
+        yield "%s %s %s %s" % (name, head, param_digest(model), outcome)
+
+
 def run_matrix() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, argv in RUNS:
             for seed in SEEDS:
                 print(line(name, seed, argv, workdir), flush=True)
+    for edge in edge_lines():
+        print(edge, flush=True)
     return 0
 
 
