@@ -146,7 +146,8 @@ def _encode(model, x) -> np.ndarray:
     A stacked product runs the matrix-vector kernel once per row, so
     every row has the bits of ``enc_w @ row`` taken alone.
     """
-    return np.matmul(model.enc_w, np.asarray(x)[..., None])[..., 0] + model.enc_b
+    with np.errstate(invalid="ignore"):  # +inf and -inf in one input: the guard sees NaN
+        return np.matmul(model.enc_w, np.asarray(x)[..., None])[..., 0] + model.enc_b
 
 
 class _ParamLayout:
@@ -348,19 +349,32 @@ def _ordered_sum(terms):
     """Sum ``terms`` along the first axis in index order, as repeated
     ``+=`` into zeros.
 
-    A sum reduction may add pairwise; an accumulation never does.  Where
-    each term holds at least 128 entries, the sum is that ``+=`` loop,
-    whose Python step then costs less than writing the term into a
-    prefix stack.  Narrower terms, as along a long support axis, go
-    through one ``cumsum``; adding 0.0 first turns -0.0 into +0.0, as the
-    zeros it replaces would.
+    On a C-ordered stack a sum reduction over the leading axis starts from
+    zeros and adds one whole slice at a time, which is that loop.  Two
+    layouts make it add pairwise instead, so they are avoided: a view
+    whose summed axis is its contiguous one is copied C-ordered first, and
+    a sum to a single entry, along its only axis, goes through one
+    ``cumsum``; adding 0.0 first turns -0.0 into +0.0, as the zeros would.
     """
-    if terms.size < 128 * len(terms):
+    terms = np.ascontiguousarray(terms)
+    if terms.size == len(terms):
         return np.cumsum(terms + 0.0, axis=0)[-1]
-    total = np.zeros(terms.shape[1:])
-    for term in terms:
-        total += term
-    return total
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+def _ordered_outer_sum(a, b):
+    """The sum over z of outer(a[z, ..., :], b[z, ..., :]), in index order:
+    the :func:`_ordered_sum` of ``a[..., :, None] * b[..., None, :]``, with
+    the same bits and without that stack.
+
+    On C-ordered operands an ``einsum`` zero-fills its output and adds
+    each z's products into it in turn.  A result of a single entry would
+    be a dot product, which adds pairwise, so it takes the stack.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a[0].size * b.shape[-1] == 1:
+        return _ordered_sum(a[..., :, None] * b[..., None, :])
+    return np.einsum("z...i,z...j->...ij", a, b)
 
 
 def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg: TrainConfig,
@@ -374,10 +388,12 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     matrix with ``rng`` (sfe also with the running ``baseline``), which
     draw and advance the baseline in example order.  The mappings and
     vjps are the library's row kernels, the scores a stacked product (the
-    GEMV of ``enc_w @ x`` per row), and the sums over examples add in
-    index order, so every per-example quantity has the bits a batch of
-    one gives.  Returns the batch record and the baseline, updated when
-    sfe drew samples.  Callers check ``cfg.method`` first.
+    GEMV of ``enc_w @ x`` per row), and the sums over examples, and the
+    mixture's over messages, are one reduction or contraction each that
+    adds in index order (:func:`_ordered_sum`,
+    :func:`_ordered_outer_sum`), so every per-example quantity has the
+    bits a batch of one gives.  Returns the batch record and the baseline,
+    updated when sfe drew samples.  Callers check ``cfg.method`` first.
 
     Two keywords serve :func:`_train`, for dense and sparse.  With
     ``loss_only``, this is the gradient-free pass: it stops at the
@@ -436,11 +452,12 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         objective = loss
 
     grads = {
-        "enc_w": _ordered_sum(g_s[:, :, None] * X[:, None, :]),
+        "enc_w": _ordered_outer_sum(g_s, X),
         "enc_b": _ordered_sum(g_s),
-        "dec_w": _ordered_sum(weights[:, :, None] * (dec - np.eye(dec.shape[1])[y][:, None, :])),
+        "dec_w": _ordered_outer_sum(weights[:, :, None],
+                                    dec - np.eye(dec.shape[1])[y][:, None, :])[:, 0],
     }
-    mixture = _ordered_sum(q.T[:, :, None] * dec[:, None, :])  # summed over messages
+    mixture = _ordered_outer_sum(q.T, dec)  # summed over messages
     metric = (np.argmax(mixture, axis=1) == y).astype(np.float64)
     support = calls if method in ("dense", "sparse") else np.full(B, K)
     stats = list(zip(loss.tolist(), metric.tolist(), calls.tolist(), support.tolist(),
@@ -473,24 +490,21 @@ def _decoder_weight_terms(w, rows, dec_b, out):
     gradients has the bits of the exact ones.  Rows are 0/1, so a column
     set in every row of an example is its ``dec_b``, a column set in none
     a zero, and only the mixed columns need the outer terms.  They are
-    gathered to the front of each example and added in one step per
-    outcome into an (n, columns, P) sum, so no stack of terms is built,
-    however many outcomes there are (2^D for dense).
+    gathered to the front of each example and summed over the outcomes
+    by one contraction into an (n, columns, P) sum
+    (:func:`_ordered_outer_sum`), so no stack of terms is built, however
+    many outcomes there are (2^D for dense).
     """
-    n, S, P = w.shape
+    n, S = w.shape[:2]
     first = rows[:, 0]
     np.multiply(dec_b[:, :, None], first[:, None, :], out=out)
     e, c = np.nonzero((rows != first[:, None, :]).any(axis=1))
     if e.size:
         width = np.bincount(e, minlength=n)
         j = np.arange(e.size) - np.repeat(np.cumsum(width) - width, width)
-        picked = np.zeros((S, n, width.max(), 1))
-        picked[:, e, j, 0] = rows[e, :, c].T
-        w_z = np.ascontiguousarray(w.transpose(1, 0, 2))[:, :, None, :]
-        sums, term = np.zeros((n, width.max(), P)), np.empty((n, width.max(), P))
-        for z in range(S):
-            sums += np.multiply(picked[z], w_z[z], out=term)
-        out[e, :, c] = sums[e, j]
+        picked = np.zeros((S, n, width.max()))
+        picked[:, e, j] = rows[e, :, c].T
+        out[e, :, c] = _ordered_outer_sum(picked, w.transpose(1, 0, 2))[e, j]
 
 
 def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
@@ -511,8 +525,10 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
     grouped by size (:class:`RowSupports`): each size's examples take
     their neg-ELBO dots and encoder terms as one stacked step, and the
     decoder sums run once on the block padded to its largest support
-    (:func:`_decoder_weight_terms`).  The sums over examples then add in
-    batch order, so every quantity keeps the bits of a batch of one.
+    (:func:`_decoder_weight_terms`).  The sums over examples are then one
+    reduction or contraction each that adds in batch order
+    (:func:`_ordered_sum`, :func:`_ordered_outer_sum`), so every quantity
+    keeps the bits of a batch of one.
     Callers check ``cfg`` against D first (:func:`_check_config`).
 
     ``loss_only`` and ``posterior`` serve :func:`_train` as in
@@ -612,10 +628,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
     assert sizes.sum() == oracle.calls
     if loss_only:
         return _BatchPass(None, None, losses=neg_elbo, posterior=posterior)
-    grads = {"dec_w": _ordered_sum(dec_w), "dec_b": _ordered_sum(dec_b)}
-    del dec_w  # before the encoder terms, which are as large
-    grads["enc_w"] = _ordered_sum(g_t[:, :, None] * X[:, None, :])
-    grads["enc_b"] = _ordered_sum(g_t)
+    grads = {"dec_w": _ordered_sum(dec_w), "dec_b": _ordered_sum(dec_b),
+             "enc_w": _ordered_outer_sum(g_t, X), "enc_b": _ordered_sum(g_t)}
     calls = sizes.tolist()
     stats = list(zip(neg_elbo.tolist(), neg_elbo.tolist(), calls, calls, certificates))
     return _BatchPass(stats, grads, neg_elbo, rows=support_rows)

@@ -29,7 +29,13 @@ from sparsemarg.toys import (
     train_categorical,
 )
 from sparsemarg.simplex import _row_dots
-from sparsemarg.toys import _bitvec_batch, _categorical_batch, _decoder_weight_terms, _ordered_sum
+from sparsemarg.toys import (
+    _bitvec_batch,
+    _categorical_batch,
+    _decoder_weight_terms,
+    _ordered_outer_sum,
+    _ordered_sum,
+)
 
 
 def _small_cluster_data(n=64, seed=0):
@@ -124,6 +130,31 @@ def test_bitvec_divergence_guard_flags_non_finite_scores(method):
     model = ToyBitVectorVAE.init(d=4, n_pixels=36, seed=13)
     model.enc_b[1] = np.nan
     log = train_bitvec_vae(model, images, TrainConfig(method=method, epochs=3, seed=0, k=2))
+    assert log.diverged
+    assert log.rows == []
+    assert np.isnan(log.initial_loss)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task, method", [("categorical", m) for m in CATEGORICAL_METHODS]
+                         + [("bitvec", m) for m in BITVEC_METHODS])
+def test_divergence_guard_flags_an_input_holding_both_infinities(task, method):
+    # +inf and -inf in one input give inf - inf = NaN inside the encoder's
+    # product: the guard trips on that score, without an "invalid value"
+    # warning from the product.
+    if task == "categorical":
+        data = _small_cluster_data()
+        data.features[3, :2] = np.inf, -np.inf
+        model = ToyCategoricalModel.init(n_messages=4, n_classes=4, feat_dim=8, seed=4)
+        train = train_categorical
+    else:
+        data = make_bitvec_images(n=8, d=4, seed=12)
+        data.images[3, :2] = np.inf, -np.inf
+        model = ToyBitVectorVAE.init(d=4, n_pixels=36, seed=13)
+        train = train_bitvec_vae
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(model.enc_w[:, :2] @ [np.inf, -np.inf]).any()
+    log = train(model, data, TrainConfig(method=method, epochs=3, seed=0, k=2))
     assert log.diverged
     assert log.rows == []
     assert np.isnan(log.initial_loss)
@@ -562,9 +593,12 @@ def test_ordered_sum_is_repeated_accumulation():
     # A plain sum adds a contiguous run pairwise (here wherever the other
     # axes have size 1) and keeps -0.0; the batch pass needs the bits of
     # repeated += into zeros.  Both regimes: the batch axis of the
-    # categorical encoder gradient (16 wide slices of 1,024 entries, a
-    # loop) and the support axis of a D = 12 dense decoder gradient
-    # (4,096 slices of 36 entries, a cumsum).
+    # categorical encoder gradient (16 wide slices of 1,024 entries) and
+    # the support axis of a D = 12 dense decoder gradient (4,096 slices of
+    # 36 entries).  Then the layouts where a reduction or an einsum would
+    # add pairwise: the bit-vector dec_b sum at one pixel (a strided view
+    # summed along its contiguous axis), an outer-product sum to one
+    # entry, and the categorical mixture at one class (q.T, a view).
     rng = make_rng(35)
     for shape in ((17, 1), (17, 3, 1), (17, 4, 1), (9, 5, 6), (3, 5, 60), (16, 16, 64),
                   (4096, 36, 1)):
@@ -578,6 +612,58 @@ def test_ordered_sum_is_repeated_accumulation():
         got = _ordered_sum(terms)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+    for n, S in ((1, 9), (2, 9), (3, 12), (16, 17)):
+        W = _spread(rng, (n, S, 1))
+        assert _same_bits(_ordered_sum(W.transpose(1, 0, 2)), _loop_sum(W.transpose(1, 0, 2)))
+    for Z in (3, 9, 17):
+        a, b = _spread(rng, (Z, 1)), _spread(rng, (Z, 1))
+        assert _same_bits(_ordered_outer_sum(a, b), _loop_sum(a[:, :, None] * b[:, None, :]))
+    for B, K in ((16, 16), (1, 16), (3, 9)):
+        q, dec = _spread(rng, (B, K)), _spread(rng, (K, 1))
+        assert _same_bits(_ordered_outer_sum(q.T, dec),
+                          _loop_sum(q.T[:, :, None] * dec[:, None, :]))
+
+
+def _loop_sum(terms):
+    """``terms`` summed along the first axis by repeated += into zeros."""
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
+
+
+@st.composite
+def _stacks(draw, shape):
+    """An array of ``shape`` of :func:`_spread` entries, up to three of them
+    +-inf or NaN, often a transposed view of a C-ordered one."""
+    order = draw(st.permutations(range(len(shape))))
+    stored = _spread(make_rng(draw(st.integers(0, 2**32 - 1))), [shape[i] for i in order])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, stored.size - 1))
+        stored.flat[at] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return stored.transpose(np.argsort(order))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_ordered_sums_keep_the_bits_of_the_loop_on_any_layout(data):
+    # Axes of size 1, views in any axis order, signed zeros, infinities
+    # and NaN: both helpers give the loop's values, NaN where it has NaN,
+    # and its signs.  The sign of a NaN is not compared: which of two NaNs
+    # an addition keeps is not fixed, and numpy's in-place and
+    # out-of-place adds already keep different ones.
+    dims = st.sampled_from([1, 1, 1, 2, 3, 9])
+    z = data.draw(st.integers(1, 20))
+    mid = data.draw(st.lists(dims, max_size=2))
+    a = data.draw(_stacks([z] + mid + [data.draw(dims)]))
+    b = data.draw(_stacks([z] + mid + [data.draw(dims)]))
+    with np.errstate(all="ignore"):
+        pairs = ((_ordered_sum(a), _loop_sum(a)),
+                 (_ordered_outer_sum(a, b), _loop_sum(a[..., :, None] * b[..., None, :])))
+    for got, expected in pairs:
+        numbers = ~np.isnan(expected)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got)[numbers], np.signbit(expected)[numbers])
 
 
 def _spread(rng, shape):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sparsemarg.toys import ToyBitVectorVAE, ToyCategoricalModel
+from sparsemarg.toys import (BITVEC_METHODS, CATEGORICAL_METHODS, ToyBitVectorVAE,
+                             ToyCategoricalModel)
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "train_matrix.py"
 _SPEC = importlib.util.spec_from_file_location("train_matrix", _PATH)
@@ -22,6 +23,11 @@ _EDGE = re.compile(r"^edge(\d+)_(categorical|bitvec)_"
                    r"(dense|sparse|sfe|sum_and_sample|topk|sparsemap|sparsemap_budget)_"
                    r"(clean|nonfinite|nonfinite_scaled|scaled)_n(5|24|50|90)_b(1|3|8|16)_e([012]) "
                    r"(?:(True|False) [0-9a-f]{64}|- -) [0-9a-f]{64} (\S+|\w+: .+)$")
+# degenerate-shape run name, then the edge corpus's fields
+_SHAPE = re.compile(r"^shape(\d+)_(categorical|bitvec)_"
+                    r"(dense|sparse|sfe|sum_and_sample|topk|sparsemap|sparsemap_budget)_"
+                    r"(d\d+_p\d+|m\d+_f\d+_c\d+)_n(4|7|24)_b(1|3)_e([12]) "
+                    r"(?:(True|False) [0-9a-f]{64}|- -) [0-9a-f]{64} (\S+|\w+: .+)$")
 
 
 def test_one_run_gives_one_documented_line_twice(tmp_path):
@@ -60,4 +66,22 @@ def test_edge_corpus_gives_documented_lines_of_every_method_kind_and_outcome(mon
     outcomes = [m.group(9) for m in matches]
     assert all(np.isfinite(float(o)) for o in outcomes[:9])
     assert "nan" in outcomes and any(m.group(8) is None for m in matches)
+    assert all((m.group(8) is None) == (":" in m.group(9)) for m in matches)
+
+
+def test_degenerate_block_gives_edge_lines_of_every_shape_and_method(monkeypatch):
+    monkeypatch.setattr(train_matrix, "DEGENERATE_BATCHES", (1, 3))
+    lines = list(train_matrix.edge_lines(train_matrix.degenerate_runs()))
+    matches = [_SHAPE.match(line) for line in lines]
+    assert all(matches), [line for line, m in zip(lines, matches) if not m]
+    assert [int(m.group(1)) for m in matches] == list(range(54))
+    expected = [(task, method, "d%d_p%d" % sizes if task == "bitvec" else "m%d_f%d_c%d" % sizes,
+                 batch)
+                for task, sizes in train_matrix.DEGENERATE_SHAPES
+                for method in (CATEGORICAL_METHODS if task == "categorical" else BITVEC_METHODS)
+                for batch in ("1", "3")]
+    assert [(m.group(2), m.group(3), m.group(4), m.group(6)) for m in matches] == expected
+    # Only sum_and_sample at one message raises; every other run trains.
+    raised = [(m.group(3), m.group(4)) for m in matches if m.group(8) is None]
+    assert raised == [("sum_and_sample", "m1_f8_c4")] * 2
     assert all((m.group(8) is None) == (":" in m.group(9)) for m in matches)

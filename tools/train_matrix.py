@@ -1,5 +1,5 @@
-"""Run the 120-run training matrix and a 300-run edge corpus, and print one
-fingerprint line per run.
+"""Run the 120-run training matrix, a 300-run edge corpus and a 108-run
+degenerate-shape block, and print one fingerprint line per run.
 
 Each matrix line holds the run's name, the sha256 of its epoch CSV, the
 ``repr`` of the manifest's ``initial_loss`` and the sha256 of the final
@@ -51,6 +51,17 @@ runs its batches one at a time.  Each line holds the run's name,
 sha256, then the initial loss's repr; a run that raises prints ``- -``
 for the first two and the class name and text of its error last.
 Warnings are silenced and are not part of a line.
+
+The gradient sums add over a leading axis, and a sum whose result is a
+single entry, or whose summed axis is a view's contiguous one, would add
+pairwise instead.  So a block of 108 runs at degenerate shapes follows,
+from a third stream, in the edge corpus's line format: the bit-vector
+task at D = 4 with one pixel (every method; dense, sparse and topk at
+k = 16 keep supports of 9 or more outcomes) and at D = 1 with one and two
+pixels, and the categorical task with one message, one feature or one
+class (every method; sum_and_sample raises at one message).  Each shape
+and method runs at batches of 1 and 3, twice, with its n, epochs, seed
+and init scale drawn.
 """
 
 from __future__ import annotations
@@ -149,6 +160,13 @@ EDGE_METHODS = (tuple(("categorical", m) for m in ("dense", "sparse", "sfe", "su
                 + tuple(("bitvec", m) for m in ("dense", "sparse", "topk", "sparsemap",
                                                 "sparsemap_budget")))
 EDGE_KINDS = ("clean", "nonfinite", "nonfinite_scaled", "scaled")
+DEGENERATE_SEED = 2
+# (task, sizes): (D, pixels) for the bit-vector task, (messages, features,
+# classes) for the categorical one.
+DEGENERATE_SHAPES = (("bitvec", (4, 1)), ("bitvec", (1, 1)), ("bitvec", (1, 2)),
+                     ("categorical", (1, 8, 4)), ("categorical", (8, 1, 4)),
+                     ("categorical", (8, 8, 1)))
+DEGENERATE_BATCHES = (1, 3, 1, 3)
 
 
 def param_digest(model) -> str:
@@ -235,12 +253,43 @@ def edge_runs():
         yield name, train, model, data, cfg
 
 
-def edge_lines():
-    """The line of each edge run: name, ``diverged``, the sha256 of the
-    epoch rows' repr and the parameter sha256, then the initial loss's
-    repr; or, if training raised, ``-`` for the first two and the
-    exception's class name and text last."""
-    for name, train, model, data, cfg in edge_runs():
+def degenerate_runs():
+    """Yield (name, train function, model, data, config) for every run of
+    the degenerate-shape block, in index order."""
+    rng = make_rng(DEGENERATE_SEED)
+    i = 0
+    for task, sizes in DEGENERATE_SHAPES:
+        methods = toys.CATEGORICAL_METHODS if task == "categorical" else toys.BITVEC_METHODS
+        for method in methods:
+            for batch_size in DEGENERATE_BATCHES:
+                n, epochs = int(rng.choice([4, 7, 24])), int(rng.integers(1, 3))
+                seed, scale = int(rng.integers(1000)), float(rng.choice([0.01, 0.3, 1.0]))
+                if task == "categorical":
+                    messages, features, classes = sizes
+                    data = toys.make_cluster_data(n=n, n_clusters=classes, feat_dim=features,
+                                                  seed=seed)
+                    model = toys.ToyCategoricalModel.init(n_messages=messages, n_classes=classes,
+                                                          feat_dim=features, seed=seed,
+                                                          scale=scale)
+                    train, shape = toys.train_categorical, "m%d_f%d_c%d" % sizes
+                else:
+                    d, pixels = sizes
+                    data = toys.make_bitvec_images(n=n, d=d, n_pixels=pixels, seed=seed)
+                    model = toys.ToyBitVectorVAE.init(d=d, n_pixels=pixels, seed=seed, scale=scale)
+                    train, shape = toys.train_bitvec_vae, "d%d_p%d" % sizes
+                cfg = toys.TrainConfig(method=method, epochs=epochs, batch_size=batch_size,
+                                       seed=seed, k=16 if method == "topk" else 1)
+                yield ("shape%d_%s_%s_%s_n%d_b%d_e%d"
+                       % (i, task, method, shape, n, batch_size, epochs), train, model, data, cfg)
+                i += 1
+
+
+def edge_lines(runs=None):
+    """The line of each run of ``runs``, the edge corpus by default: name,
+    ``diverged``, the sha256 of the epoch rows' repr and the parameter
+    sha256, then the initial loss's repr; or, if training raised, ``-``
+    for the first two and the exception's class name and text last."""
+    for name, train, model, data, cfg in edge_runs() if runs is None else runs:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -259,6 +308,8 @@ def run_matrix() -> int:
                 print(line(name, seed, argv, workdir), flush=True)
     for edge in edge_lines():
         print(edge, flush=True)
+    for shape in edge_lines(degenerate_runs()):
+        print(shape, flush=True)
     return 0
 
 
