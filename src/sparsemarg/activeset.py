@@ -20,9 +20,11 @@ their active sets are one stack of vertex rows, factors, weights, scores
 and moments (:class:`_ActiveSets`), every row advances one step at a
 time, and each step gathers the rows of one support size, takes their
 products as stacked arrays and scatters the results back, leaving the
-triangular solves, drops and refactorizations to each row.  Every row
-keeps the bits of its solve alone, so :func:`sparsemap` is the one-row
-case.
+triangular solves, drops and refactorizations to each row.  Between
+steps the stack makes room for one more structure where a live row needs
+it, evicting its converged rows first, so a large batch holds room for
+the rows still running only.  Every row keeps the bits of its solve
+alone, so :func:`sparsemap` is the one-row case.
 
 The backward pass differentiates the fixed-support KKT system; both vjps
 (through the structure probabilities and through the moments) reuse the
@@ -45,7 +47,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .bitvec import Structure
 from .simplex import SparseDistribution, _row_dots
@@ -65,8 +66,18 @@ _COND_LIMIT = 1e12
 # Outcome ids are int64 while every id fits; past that they stay Python ints.
 _INT64_OUTCOMES = 1 << 63
 # A stack of factors or vertex rows starts with room for this many
-# structures in each row, and doubles its room when a row needs more.
+# structures in each row, and doubles its room when a live row needs more.
 _MIN_ROOM = 16
+# LAPACK's dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b), bound
+# by _lapack() on the first solve: importing the library loads no scipy.
+dtrtrs = None
+
+
+def _lapack() -> None:
+    """Bind :data:`dtrtrs` from scipy, once."""
+    global dtrtrs
+    if dtrtrs is None:
+        from scipy.linalg.lapack import dtrtrs
 
 
 class DegenerateSupportError(RuntimeError):
@@ -101,6 +112,7 @@ def _dtrtrs(L, b, trans: int) -> np.ndarray:
     leading dimension.  An emptied factor is passed as 0 x 0, which LAPACK
     refuses (info -7, a leading dimension below 1).
     """
+    _lapack()
     x, info = dtrtrs(L.T if L.shape[0] else L[:, :0], b, 0, trans)  # lower=0
     if info != 0:
         raise np.linalg.LinAlgError("singular triangular factor (dtrtrs info %d)" % info)
@@ -148,9 +160,11 @@ class _ActiveSets:
     factor of their bordered Gram matrix A'A + 11^T is the leading
     ``n[b]`` x ``n[b]`` block of ``L[b]``, zero right of its diagonal; the
     rows below it are scratch that the next append overwrites.  All rows
-    share one room ``cap``, doubled when a row needs more: LAPACK gives a
-    triangular solve the same bits whatever the leading dimension, and
-    wherever the factor sits in the stack.  ``hi[b]`` and ``lo[b]`` are
+    share one room ``cap``, which :meth:`_reserve` grows and :meth:`_keep`
+    shrinks to fewer rows: LAPACK gives a triangular solve the same bits
+    whatever the leading dimension, and wherever the factor sits in the
+    stack.  Stack row b solves row ``origin[b]`` of the batch, and
+    ``T[b]`` holds its scores.  ``hi[b]`` and ``lo[b]`` are
     the largest and smallest |diagonal| entry of row b's factor: exact on
     an append, and NaN, recomputed on first use, after a drop or a
     rebuild, which change the diagonal.  The per-row lists ``tau``,
@@ -175,6 +189,7 @@ class _ActiveSets:
         self.iteration, self.adds, self.drops = [0] * B, [0] * B, [0] * B
         self.refactorizations, self.widen_count = [0] * B, [0] * B
         self.max_condition = [1.0] * B
+        self.origin = list(range(B))
 
     def _reserve(self, size: int):
         """Make room for ``size`` structures in every row."""
@@ -184,13 +199,20 @@ class _ActiveSets:
             self.L = _room(self.L, cap, (1, 2))
             self.V, self.W, self.S = (_room(a, cap, (1,)) for a in (self.V, self.W, self.S))
 
+    def _keep(self, rows: list):
+        """Keep only the stack rows ``rows``, in order: every array and
+        list is cut to them."""
+        vars(self).update({name: a[rows] if isinstance(a, np.ndarray) else [a[b] for b in rows]
+                           for name, a in vars(self).items()})
+
     def _grow(self, ids, n: int, E, pivots: list, diag: list):
         """Append to the factors of the rows ``ids`` (an int array), all of
         size ``n``, the rows of ``E`` = L^{-1} cross, whose pivots are
-        diag - ell'ell, with diagonal entries sqrt(pivot).  Returns the
-        rows whose pivot is numerically zero, which stay as they were, and
-        the others with their grown factors' condition estimates
-        (:meth:`_condition`), as lists."""
+        diag - ell'ell, with diagonal entries sqrt(pivot), in a stack with
+        room for n + 1 structures.  Returns the rows whose pivot is
+        numerically zero, which stay as they were, and the others with
+        their grown factors' condition estimates (:meth:`_condition`), as
+        lists."""
         bad, grown, roots, cond, redo = [], [], [], [], []
         sizes, hi, lo = self.n, self.hi, self.lo
         for b, pivot, d in zip(ids.tolist(), pivots, diag):
@@ -215,7 +237,6 @@ class _ActiveSets:
         if bad:
             ok = ~np.isin(ids, bad)
             ids, E = ids[ok], E[ok]
-        self._reserve(n + 1)
         self.L[ids, n, :n] = E
         self.L[ids, n, n] = roots
         for j in redo:
@@ -251,11 +272,10 @@ class _ActiveSets:
         self.hi[b] = self.lo[b] = math.nan
 
     def _rebuild(self, b: int, gram):
-        """Make row b's factor the Cholesky factor of ``gram``; raises
-        LinAlgError, leaving the row as it was, if that is not positive
-        definite."""
+        """Make row b's factor the Cholesky factor of ``gram``, which the
+        stack has room for; raises LinAlgError, leaving the row as it was,
+        if that is not positive definite."""
         m = gram.shape[0]
-        self._reserve(m)
         self.L[b, :m, :m] = np.linalg.cholesky(gram)
         self.n[b] = m
         self.hi[b] = self.lo[b] = math.nan
@@ -368,7 +388,6 @@ def _add_step(sets: _ActiveSets, ids, n: int, F, scores, E, pivots: list, diag: 
     ``n``, the vertices of the float rows ``F`` with their oracle
     ``scores``, growing each factor by its row of ``E`` = L^{-1} cross,
     its pivot and its diagonal entry a'a + 1."""
-    sets._reserve(n + 1)
     sets.V[ids, n], sets.S[ids, n] = F, scores  # the weight is W[b, n], kept at 0
     bad, grown, cond = sets._grow(ids, n, E, pivots, diag)
     for b in bad:
@@ -566,14 +585,56 @@ def _row_by_row(stacked, *batch):
     return [stacked(*(a[i:i + 1] for a in batch))[0] for i in range(len(batch[0]))]
 
 
+def _result(sets: _ActiveSets, b: int, n_outcomes: int, index_of) -> SparseMapResult:
+    """The result of stack row b of ``sets``, holding none of the stack but
+    its weights and moments."""
+    n = sets.n[b]
+    probs, rows, scores = sets.W[b, :n], sets.V[b, :n], sets.S[b, :n].tolist()
+    keep = probs > 0.0
+    if keep.all():
+        rows = rows.copy()  # not a view that keeps the whole stack alive
+    else:
+        if not keep.any():
+            raise _unresolved(sets.T[b], "no structure keeps positive weight")
+        probs, rows = probs[keep], rows[keep]
+        scores = [s for s, k in zip(scores, keep.tolist()) if k]
+    return SparseMapResult(
+        probs=probs,
+        moments=sets.M[b],
+        tau=sets.tau[b],
+        converged=sets.converged[b],
+        iterations=sets.iteration[b],
+        nu_min=sets.nu_min[b],
+        n_outcomes=n_outcomes,
+        index_of=index_of,
+        rows=rows,
+        adds=sets.adds[b],
+        drops=sets.drops[b],
+        refactorizations=sets.refactorizations[b],
+        widenings=sets.widen_count[b],
+        max_condition=sets.max_condition[b],
+        _scores=scores,
+    )
+
+
 def _solve_rows(oracle, T, max_iter: int, tol: float) -> list:
     """:func:`sparsemap_rows` of a (B, oracle.dim) matrix, after the
     argument checks, as one stack (:class:`_ActiveSets`) whose rows
-    advance in lockstep; the first error met in any row is raised."""
+    advance in lockstep; the first error met in any row is raised.
+
+    A step adds at most one structure to a row, so the stack grows only
+    between steps, when a live row's support fills the room.  Before the
+    room doubles, the converged rows leave the stack, their results
+    built: a batch holds room for its live rows only.
+    """
+    _lapack()
     if not np.isfinite(T).all():
         raise ValueError("scores must be finite")
     B = T.shape[0]
     sets = _ActiveSets(T, _MIN_ROOM, tol)
+    n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
+    index_of = getattr(oracle, "outcome_index", lambda s: s.index)
+    results = [None] * B
     # Scores near the float range can overflow in the oracle's scores and
     # in A't.  The step that meets a non-finite A't raises ValueError, and
     # numpy's overflow warnings would only repeat it.
@@ -590,38 +651,18 @@ def _solve_rows(oracle, T, max_iter: int, tol: float) -> list:
             live = [b for b, done in enumerate(sets.converged) if not done]
             if not live:
                 break
+            size = max(sets.n[b] for b in live) + 1
+            if size > sets.V.shape[1]:
+                if len(live) < len(sets.n):
+                    for b, done in enumerate(sets.converged):
+                        if done:
+                            results[sets.origin[b]] = _result(sets, b, n_outcomes, index_of)
+                    sets._keep(live)
+                    live = list(range(len(live)))
+                sets._reserve(size)
             _advance_rows(sets, oracle, live)
-    n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
-    index_of = getattr(oracle, "outcome_index", lambda s: s.index)
-    results = []
-    for i in range(B):
-        n = sets.n[i]
-        probs, rows, scores = sets.W[i, :n], sets.V[i, :n], sets.S[i, :n].tolist()
-        keep = probs > 0.0
-        if keep.all():
-            rows = rows.copy()  # not a view that keeps the whole stack alive
-        else:
-            if not keep.any():
-                raise _unresolved(T[i], "no structure keeps positive weight")
-            probs, rows = probs[keep], rows[keep]
-            scores = [s for s, k in zip(scores, keep.tolist()) if k]
-        results.append(SparseMapResult(
-            probs=probs,
-            moments=sets.M[i],
-            tau=sets.tau[i],
-            converged=sets.converged[i],
-            iterations=sets.iteration[i],
-            nu_min=sets.nu_min[i],
-            n_outcomes=n_outcomes,
-            index_of=index_of,
-            rows=rows,
-            adds=sets.adds[i],
-            drops=sets.drops[i],
-            refactorizations=sets.refactorizations[i],
-            widenings=sets.widen_count[i],
-            max_condition=sets.max_condition[i],
-            _scores=scores,
-        ))
+    for b, i in enumerate(sets.origin):
+        results[i] = _result(sets, b, n_outcomes, index_of)
     return results
 
 
@@ -677,6 +718,7 @@ def _vjp_rows(results, upstream) -> np.ndarray:
     row.  A factor from a Cholesky decomposition has a positive diagonal,
     so LAPACK never finds it singular.
     """
+    _lapack()
     by_size = {}
     for i, res in enumerate(results):
         if not res.converged:

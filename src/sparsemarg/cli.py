@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -105,7 +106,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _bench_call(op: str, size: int, rng):
+def _bench_call(op: str, size: int, rows: int, rng):
     if op == "sparsemax":
         s = rng.normal(size=size)
         return lambda: sparsemax(s), None
@@ -120,12 +121,53 @@ def _bench_call(op: str, size: int, rng):
         t = rng.normal(size=size)
         oracle = BitVectorPolytope(size)
         return lambda: sparsemap(oracle, t), lambda res: res.iterations
-    if op == "sparsemap_rows":  # the batch solve training makes, 8 rows
-        T = rng.normal(size=(8, size))
+    if op == "sparsemap_rows":  # a batch solve; training's are 8-24 rows
+        T = rng.normal(size=(rows, size))
         oracle = BitVectorPolytope(size)
         return (lambda: sparsemap_rows(oracle, T),
                 lambda results: np.mean([res.iterations for res in results]))
     raise AssertionError(op)
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB, None where it cannot
+    be read.  Linux's VmHWM, unlike ``ru_maxrss``, starts afresh in a new
+    program instead of keeping the peak of the process that started it."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next(int(line.split()[1]) / 1024.0 for line in fh
+                        if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
+def _rss_child(op: str, sizes: str, rows: str, seed: str) -> None:
+    """Print the MB by which one call at the last of ``sizes`` raises this
+    process's peak RSS (nothing where that cannot be read), the earlier
+    sizes only drawing their inputs, as :func:`cmd_bench` draws them.  A
+    one-row solve runs first, so the figure leaves out the scipy import
+    and holds what the call itself allocates at its peak."""
+    rng = make_rng(int(seed))
+    *before, size = [int(s) for s in sizes.split(",")]
+    for s in before:
+        _bench_call(op, s, int(rows), rng)
+    fn, _ = _bench_call(op, size, int(rows), rng)
+    sparsemap(BitVectorPolytope(2), np.zeros(2))
+    start = _peak_rss_mb()
+    fn()
+    print("" if start is None else _fmt(_peak_rss_mb() - start))
+
+
+def _peak_rss_rise(op: str, sizes: list, rows: int, seed: int) -> str:
+    """:func:`_rss_child` in a fresh interpreter, whose peak RSS only that
+    call's inputs and the library have set before."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys; from sparsemarg.cli import _rss_child; _rss_child(*sys.argv[1:])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, op, ",".join(map(str, sizes)), str(rows), str(seed)],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    return proc.stdout.strip()
 
 
 def cmd_bench(args) -> int:
@@ -135,10 +177,15 @@ def cmd_bench(args) -> int:
         sizes = []
     if not sizes or any(s < 1 for s in sizes):
         return _usage_error("--sizes must be a nonempty list of positive integers")
+    if args.rows is not None and args.op != "sparsemap_rows":
+        return _usage_error("--rows applies to --op sparsemap_rows only")
+    n_rows = 8 if args.rows is None else args.rows
+    if n_rows < 1:
+        return _usage_error("--rows must be at least 1, got %d" % n_rows)
     rng = make_rng(args.seed)
     rows = []
-    for size in sizes:
-        fn, iter_of = _bench_call(args.op, size, rng)
+    for k, size in enumerate(sizes):
+        fn, iter_of = _bench_call(args.op, size, n_rows, rng)
         for _ in range(3):
             fn()
         times = np.empty(args.trials)
@@ -150,10 +197,12 @@ def cmd_bench(args) -> int:
             if iter_of is not None:
                 iters.append(iter_of(res))
         mean_iters = _fmt(np.mean(iters)) if iters else ""
-        rows.append(
-            (args.op, str(size), _fmt(np.median(times)), _fmt(np.percentile(times, 90)), mean_iters)
-        )
-    lines = ["op,size,median_ns,p90_ns,mean_iters"]
+        # Only a batch solve's memory grows with what the caller passes.
+        rss = (_peak_rss_rise(args.op, sizes[:k + 1], n_rows, args.seed)
+               if args.op == "sparsemap_rows" else "")
+        rows.append((args.op, str(size), _fmt(np.median(times)), _fmt(np.percentile(times, 90)),
+                     mean_iters, rss))
+    lines = ["op,size,median_ns,p90_ns,mean_iters,peak_rss_mb"]
     lines += [",".join(row) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -250,6 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="sparsemax")
     p_bench.add_argument("--sizes", default="10,100,1000",
                          help="comma-separated problem sizes")
+    p_bench.add_argument("--rows", type=int, default=None,
+                         help="score rows per sparsemap_rows batch (default 8)")
     p_bench.add_argument("--trials", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default=None)

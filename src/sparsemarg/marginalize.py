@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rng import make_rng
 from .simplex import SparseDistribution
@@ -97,6 +96,9 @@ def log_marginal_split(
     method).  With full support the answer is exact and the stderr is 0.
     The draws are int64, so ``dim`` past 2^63 is rejected up front.
     """
+    # Imported here: importing the library loads no scipy.
+    from scipy.special import logsumexp
+
     dim = dist.dim if dim is None else dim
     if dim > 1 << 63:
         raise ValueError("dim %d is past the 2^63 outcomes int64 draws can index" % dim)

@@ -57,11 +57,11 @@ def test_bench_row_count_and_header(tmp_path):
                  "--trials", "3", "--out", str(out)])
     assert code == 0
     header, rows = _rows(out)
-    assert header == ["op", "size", "median_ns", "p90_ns", "mean_iters"]
+    assert header == ["op", "size", "median_ns", "p90_ns", "mean_iters", "peak_rss_mb"]
     assert [r[0] for r in rows] == ["sparsemax"] * 3
     assert [r[1] for r in rows] == ["5", "20", "80"]
     assert all(float(r[2]) > 0 for r in rows)
-    assert all(r[4] == "" for r in rows)
+    assert all(r[4] == r[5] == "" for r in rows)
 
 
 def test_bench_sparsemap_reports_iterations(tmp_path):
@@ -88,6 +88,38 @@ def test_bench_sparsemap_rows_reports_iterations_per_row(tmp_path):
         T = rng.normal(size=(8, d))
         iters = [sparsemap(BitVectorPolytope(d), t).iterations for t in T]
         assert row[4] == _fmt(np.mean(iters))
+
+
+def test_bench_sparsemap_rows_takes_a_rows_size_and_reports_peak_rss(tmp_path):
+    # --rows sets the batch; each size reports the MB one call adds to the
+    # peak RSS of a fresh interpreter, more for a larger batch.
+    out = tmp_path / "bench.csv"
+    peaks = []
+    for n_rows in (2, 400):
+        code = main(["bench", "--op", "sparsemap_rows", "--sizes", "3,24", "--rows", str(n_rows),
+                     "--trials", "1", "--seed", "7", "--out", str(out)])
+        assert code == 0
+        _, rows = _rows(out)
+        rng = make_rng(7)
+        for row in rows:
+            d = int(row[1])
+            T = rng.normal(size=(n_rows, d))
+            assert row[4] == _fmt(np.mean([sparsemap(BitVectorPolytope(d), t).iterations
+                                           for t in T]))
+        peaks.append(float(rows[1][5]))
+        assert all(float(row[5]) >= 0 for row in rows)
+    assert peaks[1] > peaks[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--op", "sparsemax", "--rows", "4"], "--rows applies to --op sparsemap_rows only"),
+    (["--op", "sparsemap_rows", "--rows", "0"], "--rows must be at least 1, got 0"),
+])
+def test_bench_rows_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "never.csv"
+    assert main(["bench", "--sizes", "4", "--trials", "1", "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_sparsemap_past_64_bits(tmp_path):

@@ -312,8 +312,10 @@ def _append(sets, ids, crosses, diags):
     """Grow the factors of the rows ``ids`` of ``sets``, all of one size,
     by one structure each, given its cross terms and diagonal entry, as
     the solver's add does: ell = L^{-1} cross (here by scipy), pivot
-    diag - ell'ell.  Returns what ``_ActiveSets._grow`` returns."""
+    diag - ell'ell, after making room for them as the solver does
+    before a step.  Returns what ``_ActiveSets._grow`` returns."""
     n = sets.n[ids[0]]
+    sets._reserve(n + 1)
     E = np.array([solve_triangular(sets.L[b, :n, :n], cross, lower=True)
                   for b, cross in zip(ids, crosses)])
     return sets._grow(np.array(ids), n, E, [d - e @ e for d, e in zip(diags, E)], list(diags))
@@ -377,8 +379,10 @@ def test_dtrtrs_solves_match_scipy_wrapper():
             if n > 1:
                 # Row 1 of a stack grows to the whole matrix by one append;
                 # LAPACK reads its factor with the stack's room as the
-                # leading dimension and gives the same bits.
+                # leading dimension and gives the same bits.  The stack
+                # grows only between steps, so the room is made first.
                 sets = _stack(2)
+                sets._reserve(n)
                 sets._rebuild(1, gram[:-1, :-1])
                 _append(sets, [1], [gram[:-1, -1]], [float(gram[-1, -1])])
                 Lg = sets.L[1, :n, :n].copy()
@@ -938,12 +942,11 @@ def test_stacked_rows_outgrow_their_room_beside_drops_rebuilds_and_convergence(m
     steps, advance = [], activeset._advance_rows
 
     def advance_rows(sets, oracle, live):
-        n, drops, rebuilds, done, room = (list(sets.n), list(sets.drops),
-                                          list(sets.refactorizations), list(sets.converged),
-                                          sets.V.shape[1])
+        n, drops, rebuilds, done = (list(sets.n), list(sets.drops),
+                                    list(sets.refactorizations), list(sets.converged))
         out = advance(sets, oracle, live)
         steps.append(dict(
-            grew={b for b in live if n[b] == room < sets.n[b]},
+            grew={b for b in live if n[b] == _MIN_ROOM < sets.n[b]},
             dropped={b for b in live if sets.drops[b] > drops[b]},
             rebuilt={b for b in live if sets.refactorizations[b] > rebuilds[b]},
             converged={b for b in live if sets.converged[b] and not done[b]}))
@@ -963,6 +966,38 @@ def test_stacked_rows_outgrow_their_room_beside_drops_rebuilds_and_convergence(m
     assert [_fingerprint(res) for res in sparsemap_rows(oracle, T[::-1])] == solved[::-1]
     halves = [[_fingerprint(res) for res in sparsemap_rows(oracle, T[k::2])] for k in (0, 1)]
     assert [fp for pair in zip(*halves) for fp in pair] == solved
+
+
+def test_rows_solve_evicts_converged_rows_before_its_room_grows(monkeypatch):
+    # 256 normal score rows at D = 64: the room grows from 16 to 32 while
+    # nearly every row is live, and from 32 to 64 only after most rows
+    # have converged.  At each growth, and only then, the converged rows
+    # leave the stack, which then holds exactly the live rows, in batch
+    # order.  Every row has the bits and counters of its one-row solve.
+    steps, advance = [], activeset._advance_rows
+
+    def advance_rows(sets, oracle, live):
+        steps.append((sets.V.shape[1], list(sets.origin), list(sets.converged)))
+        return advance(sets, oracle, live)
+
+    monkeypatch.setattr(activeset, "_advance_rows", advance_rows)
+    oracle = BitVectorPolytope(64)
+    T = make_rng(330).normal(size=(256, 64))
+    solved = sparsemap_rows(oracle, T)
+    monkeypatch.undo()
+    grown = [k for k in range(1, len(steps)) if steps[k][0] > steps[k - 1][0]]
+    assert [steps[k][0] for k in grown] == [32, 64]
+    assert steps[0][:2] == (16, list(range(256)))
+    for k, (room, origin, converged) in enumerate(steps):
+        # A row is live at step k while it has taken k steps or fewer.
+        live = [i for i, res in enumerate(solved) if res.iterations > k]
+        if k in grown:
+            assert origin == live and not any(converged)
+        else:
+            assert k == 0 or origin == steps[k - 1][1]
+    assert len(steps[grown[0]][1]) > 240 and len(steps[grown[1]][1]) < 16
+    for t, res in zip(T, solved):
+        assert _fingerprint(res) == _fingerprint(sparsemap(oracle, t))
 
 
 class _ForcingOracle:

@@ -1,5 +1,5 @@
-"""Solve a seeded corpus of 3,000 SparseMAP inputs, and 1,000 more that
-mostly raise, and print one line per input.
+"""Solve a seeded corpus of 3,000 SparseMAP inputs, 1,000 more that mostly
+raise and 1,024 in large batches, and print one line per input.
 
 Each line holds the input's index, its kind, its polytope, and either the
 class name and text of the exception the solve raised or a fingerprint of
@@ -28,6 +28,12 @@ scores with one entry NaN or +-inf, scores of magnitude 1e12 to 1e19
 (where the relaxed solves can give every structure weight 0, or a drop
 would empty the support) and of magnitude 1e300 to 1e308 (where sums
 overflow).
+
+The large block follows, from a third seeded stream: 256 inputs for each
+of D = 40 and 64, on ``BitVectorPolytope`` and on a budgeted polytope,
+the four kinds of the main corpus in turn.  Solved as one batch, each of
+these groups outgrows the solver's starting room after some of its rows
+have converged, so that the batch evicts them from its stack.
 
 With ``--rows`` the tool prints the same listing from the batch solver:
 the inputs of each (polytope, D, budget) group, all four kinds mixed, are
@@ -59,6 +65,9 @@ KINDS = ("normal", "ties", "zeros", "zeros40")
 ERROR_SEED = 1
 N_ERRORS = 1000
 ERROR_KINDS = ("normal", "nonfinite", "huge", "overflow")
+LARGE_SEED = 2
+LARGE_ROWS = 256
+LARGE = ((40, None), (40, 10), (64, None), (64, 16))  # (D, budget or None)
 
 
 def corpus():
@@ -68,14 +77,19 @@ def corpus():
     for i in range(N_INPUTS):
         kind = KINDS[i % 4]
         d = int(rng.integers(2, 41))
-        t = rng.normal(size=d)
-        if kind == "ties":
-            t = np.round(t * 2.0) / 4.0
-        elif kind == "zeros":
-            t = np.zeros(d)
-        elif kind == "zeros40":
-            t[rng.random(d) < 0.4] = 0.0
-        yield (kind, *_polytope(rng, i, d), t)
+        yield (kind, *_polytope(rng, i, d), _scores(rng, kind, d))
+
+
+def _scores(rng, kind: str, d: int):
+    """Scores of one of the main corpus's kinds."""
+    t = rng.normal(size=d)
+    if kind == "ties":
+        t = np.round(t * 2.0) / 4.0
+    elif kind == "zeros":
+        t = np.zeros(d)
+    elif kind == "zeros40":
+        t[rng.random(d) < 0.4] = 0.0
+    return t
 
 
 def error_corpus():
@@ -94,6 +108,21 @@ def error_corpus():
             lo, hi = (12, 19) if kind == "huge" else (300, 308)
             t = rng.uniform(-1.5, 1.5, size=d) * 10.0 ** rng.uniform(lo, hi)
         yield (kind, *_polytope(rng, i, d), t)
+
+
+def large_corpus():
+    """Yield (kind, oracle, label, scores) for every input of the large
+    block, in index order: ``LARGE_ROWS`` for each (D, budget) of
+    ``LARGE``, the kinds of the main corpus in turn."""
+    rng = make_rng(LARGE_SEED)
+    for d, b in LARGE:
+        if b is None:
+            oracle, label = BitVectorPolytope(d), "D=%d" % d
+        else:
+            oracle, label = BudgetedBitVectorPolytope(d, b), "D=%d,b=%d" % (d, b)
+        for i in range(LARGE_ROWS):
+            kind = KINDS[i % 4]
+            yield kind, oracle, label, _scores(rng, kind, d)
 
 
 def _polytope(rng, i: int, d: int):
@@ -121,8 +150,9 @@ def fingerprint(res) -> str:
 
 def inputs():
     """(part, kind, oracle, label, scores) of every input, in index order:
-    part 0 is the main corpus, part 1 the error corpus."""
-    for part, inputs in enumerate((corpus(), error_corpus())):
+    part 0 is the main corpus, part 1 the error corpus, part 2 the large
+    block."""
+    for part, inputs in enumerate((corpus(), error_corpus(), large_corpus())):
         for kind, oracle, label, t in inputs:
             yield part, kind, oracle, label, t
 
