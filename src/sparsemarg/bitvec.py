@@ -80,10 +80,14 @@ def _map_rows(T):
     return _scored((T >= 0).view(np.uint8), T)
 
 
-def _budget_map_rows(T, budget: int):
-    """:meth:`BudgetedBitVectorPolytope.map_rows` of a checked (B, D) matrix."""
-    if not 1 <= budget <= T.shape[1]:
+def _check_budget(budget: int, dim: int):
+    if not 1 <= budget <= dim:
         raise ValueError("budget must be in [1, D]")
+
+
+def _budget_map_rows(T, budget: int):
+    """:meth:`BudgetedBitVectorPolytope.map_rows` of a checked (B, D)
+    matrix, under a budget already checked against D."""
     r = np.arange(T.shape[0])[:, None]
     order = np.argsort(-T, axis=1, kind="stable")[:, :budget]
     bits = np.zeros(T.shape, dtype=np.uint8)
@@ -102,7 +106,9 @@ def budget_map_oracle(t, budget: int) -> Structure:
     Activates the nonnegative entries among the ``budget`` largest scores;
     ties at the boundary go to the lowest index.
     """
-    return _structure(*_budget_map_rows(_as_variable_scores(t)[None], budget))
+    t = _as_variable_scores(t)
+    _check_budget(budget, t.size)
+    return _structure(*_budget_map_rows(t[None], budget))
 
 
 class KBest:
@@ -331,8 +337,7 @@ class BudgetedBitVectorPolytope(BitVectorPolytope):
 
     def __init__(self, dim: int, budget: int):
         super().__init__(dim)
-        if not 1 <= budget <= dim:
-            raise ValueError("budget must be in [1, D]")
+        _check_budget(budget, dim)
         self.budget = budget
 
     def map_rows(self, scores):

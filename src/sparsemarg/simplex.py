@@ -32,7 +32,7 @@ def _as_scores(s, ndim=1):
     if not 1 <= s.ndim <= ndim or s.size == 0:
         raise ValueError("scores must be a nonempty 1-d vector" if ndim == 1
                          else "scores must be a nonempty vector or matrix")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
     return s
 
@@ -155,9 +155,9 @@ class RowSupports:
     @classmethod
     def of(cls, probs) -> "RowSupports":
         probs = np.asarray(probs)
-        rows, outcomes = np.nonzero(probs > 0)
+        rows, outcomes = (probs > 0).nonzero()
         sizes = np.bincount(rows, minlength=len(probs))
-        by_size = np.argsort(sizes[rows], kind="stable")
+        by_size = sizes[rows].argsort(kind="stable")
         rows, runs, at = rows[by_size], [], 0
         for size, n in enumerate(np.bincount(sizes).tolist()):
             if n and size:
@@ -167,7 +167,7 @@ class RowSupports:
 
     def dots(self, p, *terms) -> np.ndarray:
         """Each row's dots of ``p`` with ``terms`` (flat pairs), as (len(terms), B)."""
-        flat, out = np.stack((p,) + terms), np.zeros((len(terms), self.shape[0]))
+        flat, out = np.array((p,) + terms), np.zeros((len(terms), self.shape[0]))
         for rows, start, stop, shape in self.runs:
             block = flat[:, start:stop].reshape((len(flat),) + shape)
             out[:, rows] = _row_dots(block[0], block[1:])

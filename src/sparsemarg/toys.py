@@ -178,10 +178,22 @@ class _ParamLayout:
     def zero_grads(self):
         return {key: np.zeros_like(getattr(self, key)) for key in self.PARAMS}
 
-    def sgd_update(self, grads, lr: float):
+    def sgd_update(self, grads, lr: float, batch_size: int = 1) -> bool:
+        """Step each parameter, in place, by ``-lr`` times its gradient
+        ``grads[key] / batch_size`` (``grads`` may hold sums over a batch),
+        and return whether every parameter is still finite.
+
+        One pass over the parameters; every one of them is stepped, even
+        after one has left the finite range.
+        """
+        finite = True
         for key in self.PARAMS:
             param = getattr(self, key)
-            param -= lr * grads[key]
+            step = grads[key] / batch_size
+            step *= lr
+            param -= step
+            finite = finite and np.isfinite(param).all()
+        return bool(finite)
 
 
 @dataclass(eq=False)
@@ -219,7 +231,8 @@ class ToyCategoricalModel(_ParamLayout):
     def label_loss(self, z, y):
         """Cross-entropy of label ``y`` under message ``z``'s decoder.
 
-        Elementwise over arrays of (z, y), broadcast together; the
+        Elementwise over arrays of (z, y), broadcast together, or over
+        slices of either axis (two full slices give the whole table); the
         decoder's log-softmax table is computed once per call.
         """
         return -_log_softmax(self.dec_w)[z, y]
@@ -407,10 +420,11 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     B = y.size
     X = features[batch]
     s = model.scores(X)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         return _BatchPass.diverged(B), baseline
-    # Every message's loss for every label; the decoder softmax is its exp.
-    losses = model.label_loss(np.arange(K)[:, None], np.arange(model.dec_w.shape[1]))
+    # Every message's loss for every label, read whole through two slices
+    # with no gather; the decoder softmax is its exp.
+    losses = model.label_loss(slice(None), slice(None))
     dec = np.exp(-losses)
     if posterior is not None:
         (q,) = posterior
@@ -428,7 +442,7 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         weights = np.zeros((B, K))
         weights[est.rows, est.outcomes] = est.weights
         calls = np.bincount(est.rows, minlength=B)
-    if method != "sparse" and not np.all(q > 0):  # the entropy term would take log(0)
+    if method != "sparse" and not (q > 0).all():  # the entropy term would take log(0)
         return _BatchPass.diverged(B), baseline
 
     if method in ("dense", "sparse"):
@@ -451,14 +465,14 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         g_s += coef * softmax_vjp(q, np.log(q) + 1.0)
         objective = loss
 
+    onehot = np.arange(dec.shape[1]) == y[:, None]  # a bool subtracts as 1.0 and 0.0
     grads = {
         "enc_w": _ordered_outer_sum(g_s, X),
         "enc_b": _ordered_sum(g_s),
-        "dec_w": _ordered_outer_sum(weights[:, :, None],
-                                    dec - np.eye(dec.shape[1])[y][:, None, :])[:, 0],
+        "dec_w": _ordered_outer_sum(weights[:, :, None], dec - onehot[:, None, :])[:, 0],
     }
     mixture = _ordered_outer_sum(q.T, dec)  # summed over messages
-    metric = (np.argmax(mixture, axis=1) == y).astype(np.float64)
+    metric = (mixture.argmax(axis=1) == y).astype(np.float64)
     support = calls if method in ("dense", "sparse") else np.full(B, K)
     stats = list(zip(loss.tolist(), metric.tolist(), calls.tolist(), support.tolist(),
                      [None] * B))
@@ -541,7 +555,7 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
     X = images[np.asarray(batch)]
     B = X.shape[0]
     T = model.var_scores(X)
-    if not np.all(np.isfinite(T)):
+    if not np.isfinite(T).all():
         return _BatchPass.diverged(B)
     if posterior is None:
         if method == "topk":
@@ -557,7 +571,7 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
             if loss_only and not all(res.converged for res in posterior[0]):
                 # The vjp this pass skips refuses such a result; raise as it would.
                 raise ValueError("backward pass requires a converged result")
-    if method == "dense" and not np.all(posterior[0] > 0):
+    if method == "dense" and not (posterior[0] > 0).all():
         return _BatchPass.diverged(B)
     certificates = [None] * B
     solved = None
@@ -668,21 +682,26 @@ def _check_config(task: str, cfg: TrainConfig, n: int, size: int):
             raise ValueError("%s must be %s, got %r" % (name, need, value))
 
 
-def _params_finite(model) -> bool:
-    return all(np.all(np.isfinite(getattr(model, key))) for key in model.PARAMS)
+def _mean(values) -> float:
+    """The mean of a nonempty sequence of floats with the bits of
+    ``np.mean``: one pairwise sum, divided by the count."""
+    return float(np.add.reduce(np.array(values, dtype=np.float64)) / len(values))
 
 
 def _finish_epoch(epoch, stats) -> EpochRow:
+    """The log row of an epoch from its examples' (loss, metric, calls,
+    support, certificate) entries; certificates that are None are left
+    out of ``cert_frac``, which is None when all are."""
     losses, metrics, calls, supports, certs = zip(*stats)
     certs = [float(c) for c in certs if c is not None]
     return EpochRow(
         epoch=epoch,
-        loss=float(np.mean(losses)),
-        metric=float(np.mean(metrics)),
+        loss=_mean(losses),
+        metric=_mean(metrics),
         calls=CallStats.from_counts(calls),
-        support_mean=float(np.mean(supports)),
-        support_max=int(np.max(supports)),
-        cert_frac=float(np.mean(certs)) if certs else None,
+        support_mean=_mean(supports),
+        support_max=int(max(supports)),
+        cert_frac=_mean(certs) if certs else None,
     )
 
 
@@ -785,10 +804,7 @@ def _train(task: str, model, n: int, width: int, cfg: TrainConfig, eval_cfg: Tra
                 log.diverged = True
                 return log
             stats.extend(out.stats)
-            for key in out.grads:
-                out.grads[key] /= len(batch)
-            model.sgd_update(out.grads, cfg.lr)
-            if not _params_finite(model):
+            if not model.sgd_update(out.grads, cfg.lr, len(batch)):
                 log.diverged = True
                 return log
         row = _finish_epoch(epoch, stats)

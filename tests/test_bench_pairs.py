@@ -1,4 +1,5 @@
-"""The gain rule of ``tools/bench_pairs.py``: enough pairs, enough wins, medians apart."""
+"""The verdicts of ``tools/bench_pairs.py``: the gain rule (enough pairs,
+enough wins, medians apart) and the worse flag (a median past its bound)."""
 
 import importlib.util
 from pathlib import Path
@@ -53,3 +54,22 @@ def test_nine_of_ten_wins_inside_the_old_spread_is_no_gain():
     s = _gain(old, new)
     assert s["wins"] == 9
     assert not s["gain"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_a_median_past_its_bound_in_the_wrong_direction_is_worse(better):
+    # Bound 0.1 on an old median of 100: a new median 11 the wrong way is
+    # worse, 9 the wrong way or any distance the right way is not.
+    sign = 1.0 if better == "higher" else -1.0
+    old = [100.0] * 10
+
+    def verdict(shift, bound=0.1):
+        new = [a + sign * shift for a in old]
+        bounds = None if bound is None else {"examples_per_s": bound}
+        return bench_pairs.summarize(_pairs(old, new), {"examples_per_s": better},
+                                     bounds)["examples_per_s"]
+
+    assert verdict(-11.0)["worse"] and not verdict(-11.0)["gain"]
+    assert not verdict(-9.0)["worse"]
+    assert not verdict(30.0)["worse"] and verdict(30.0)["gain"]
+    assert not verdict(-11.0, bound=None)["worse"]  # no bound, no flag

@@ -57,10 +57,12 @@ def test_budget_equal_to_dim_is_plain_map():
 
 
 def test_budget_rejects_bad_budget():
-    with pytest.raises(ValueError):
-        budget_map_oracle([1.0, 2.0], 0)
-    with pytest.raises(ValueError):
-        budget_map_oracle([1.0, 2.0], 3)
+    # At the two public entries: the oracle and the polytope's constructor.
+    for budget in (0, 3):
+        with pytest.raises(ValueError, match=r"budget must be in \[1, D\]"):
+            budget_map_oracle([1.0, 2.0], budget)
+        with pytest.raises(ValueError, match=r"budget must be in \[1, D\]"):
+            BudgetedBitVectorPolytope(2, budget)
 
 
 def test_kbest_frozen_example():

@@ -1,16 +1,18 @@
 """End-to-end training tasks: gradients, call accounting, invariants."""
 
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparsemarg import toys
 from sparsemarg.activeset import sparsemap, sparsemap_vjp_probs
 from sparsemarg.bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix, kbest
 from sparsemarg.estimators import MovingAverageBaseline
-from sparsemarg.marginalize import LossOracle
+from sparsemarg.marginalize import CallStats, LossOracle
 from sparsemarg.rng import make_rng
 from sparsemarg.simplex import softmax, softmax_vjp, sparsemax, sparsemax_vjp
 from sparsemarg.topk import top_k
@@ -19,6 +21,7 @@ from sparsemarg.toys import (
     CATEGORICAL_METHODS,
     BitImageData,
     ClusterData,
+    EpochRow,
     ToyBitVectorVAE,
     ToyCategoricalModel,
     TrainConfig,
@@ -1001,6 +1004,167 @@ def test_param_layout_round_trips(make_model):
     model.sgd_update(grads, 1.0)
     assert not model.get_params().any()
     assert "sgd_update" in vars(type(model))  # a tracer wraps each class's own entry
+
+
+def _tuple_formula_epoch(epoch, stats) -> EpochRow:
+    """An epoch's log row by ``zip``, ``np.mean`` and ``np.max`` on tuples:
+    the reference for :func:`sparsemarg.toys._finish_epoch`."""
+    losses, metrics, calls, supports, certs = zip(*stats)
+    certs = [float(c) for c in certs if c is not None]
+    return EpochRow(
+        epoch=epoch,
+        loss=float(np.mean(losses)),
+        metric=float(np.mean(metrics)),
+        calls=CallStats.from_counts(calls),
+        support_mean=float(np.mean(supports)),
+        support_max=int(np.max(supports)),
+        cert_frac=float(np.mean(certs)) if certs else None,
+    )
+
+
+def _three_pass_train(task, model, data, cfg):
+    """Training as a plain loop over batches with the three-pass SGD step:
+    the gradient sums divided by the batch size in place, the update of
+    every parameter, then a finiteness test of every parameter.  The
+    reference for the one-pass step of ``train_categorical`` and
+    ``train_bitvec_vae``; returns (initial loss, rows, diverged)."""
+    if task == "categorical":
+        n = data.features.shape[0]
+        eval_cfg = TrainConfig(method="sparse" if cfg.method == "sparse" else "dense",
+                               entropy_coef=cfg.entropy_coef)
+        baseline = MovingAverageBaseline()
+
+        def batch_pass(batch, config, rng):
+            nonlocal baseline
+            out, baseline = toys._categorical_batch(model, data.features, data.labels, batch,
+                                                    config, rng, baseline)
+            return out
+    else:
+        n, eval_cfg = data.images.shape[0], cfg
+
+        def batch_pass(batch, config, rng):
+            return toys._bitvec_batch(model, data.images, batch, config)
+
+    rng = make_rng(cfg.seed)
+    order = rng.permutation(n)
+    initial = _per_batch_initial_loss(lambda batch: batch_pass(batch, eval_cfg, None), n,
+                                      cfg.batch_size)
+    rows = []
+    for epoch in range(1, cfg.epochs + 1):
+        if epoch > 1:
+            order = rng.permutation(n)
+        stats = []
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            out = batch_pass(batch, cfg, rng)
+            if out.grads is None:
+                return initial, rows, True
+            stats.extend(out.stats)
+            for key in out.grads:
+                out.grads[key] /= len(batch)
+            for key in model.PARAMS:
+                param = getattr(model, key)
+                param -= cfg.lr * out.grads[key]
+            if not all(np.all(np.isfinite(getattr(model, key))) for key in model.PARAMS):
+                return initial, rows, True
+        rows.append(_tuple_formula_epoch(epoch, stats))
+        if not np.isfinite(rows[-1].loss):
+            return initial, rows, True
+    return initial, rows, False
+
+
+def _train_both(task, method, **overrides):
+    """A training run and its three-pass reference from one initial model,
+    each as (initial loss repr, rows, diverged, parameter bytes)."""
+    cfg = TrainConfig(method=method, epochs=2, batch_size=6, k=2 if task == "categorical" else 4,
+                      budget=2, seed=6, **overrides)
+    runs = []
+    for reference in (False, True):
+        if task == "categorical":
+            model = ToyCategoricalModel.init(n_messages=8, n_classes=4, feat_dim=8, seed=60,
+                                             scale=0.3)
+            data, train = _small_cluster_data(n=20, seed=61), train_categorical
+        else:
+            model = ToyBitVectorVAE.init(d=6, n_pixels=36, seed=62, scale=0.3)
+            data, train = make_bitvec_images(n=20, d=6, seed=63), train_bitvec_vae
+        if reference:
+            initial, rows, diverged = _three_pass_train(task, model, data, cfg)
+        else:
+            log = train(model, data, cfg)
+            initial, rows, diverged = log.initial_loss, log.rows, log.diverged
+        params = [getattr(model, key).tobytes() for key in model.PARAMS]
+        runs.append((repr(initial), rows, diverged, params))
+    return runs
+
+
+@pytest.mark.parametrize("task, method", _TASK_METHODS)
+def test_one_pass_sgd_step_trains_as_the_three_pass_loop(task, method):
+    # Batches of 6, 6, 6 and 2: the step divides by each batch's own size,
+    # not a power of two, so a product with its reciprocal would differ.
+    library, reference = _train_both(task, method)
+    assert library == reference
+    assert not library[2] and len(library[1]) == 2
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_an_update_to_an_infinite_parameter_ends_training_after_that_batch(sign, monkeypatch):
+    # The 6th update (epoch 2's second batch) overflows one bias to -inf or
+    # +inf: training stops right after it, diverged, with every parameter
+    # stepped in that update, as the three-pass loop leaves them.
+    calls = {}  # training batches so far, per model
+    batch_pass = toys._categorical_batch
+
+    def overflowing(model, *args, **kwargs):
+        out, baseline = batch_pass(model, *args, **kwargs)
+        if args[4] is not None and not kwargs.get("loss_only"):  # a training batch
+            calls[model] = calls.get(model, 0) + 1
+            if calls[model] == 6:
+                out.grads["enc_b"][2] = sign * 1e308
+        return out, baseline
+
+    monkeypatch.setattr(toys, "_categorical_batch", overflowing)
+    updates = []
+    step = ToyCategoricalModel.sgd_update
+
+    def counted(self, *args):
+        updates.append(step(self, *args))
+        return updates[-1]
+
+    monkeypatch.setattr(ToyCategoricalModel, "sgd_update", counted)
+    with np.errstate(over="ignore"):  # lr times 1e308 / 6 overflows, in either loop
+        library, reference = _train_both("categorical", "sparse", lr=100.0)
+    assert library == reference
+    assert library[2] and len(library[1]) == 1  # diverged after epoch 1
+    assert updates == [True] * 5 + [False]
+    enc_b = np.frombuffer(library[3][1])
+    assert enc_b[2] == -sign * np.inf and np.isfinite(np.delete(enc_b, 2)).all()
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_CERTIFICATES = st.one_of(st.none(), st.booleans(), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FLOATS, _FLOATS, st.integers(0, 5000), st.integers(0, 4096),
+                          _CERTIFICATES), min_size=1, max_size=200))
+@example([(0.5, 1.0, 3, 3, None)])
+@example([(0.5, 1.0, 3, 3, True)])
+@example([(np.inf, 0.0, 1, 1, None), (-np.inf, 1.0, 2, 2, 0.25), (1.0, 0.0, 4, 4, None)])
+@example([(np.nan, 0.0, 1, 1, False), (2.0, 1.0, 2, 2, True)])
+@example([(1e308, 1.0, 1, 1, None), (1e308, 1.0, 1, 1, None)])  # the sum overflows
+def test_finish_epoch_has_the_bits_of_the_tuple_formula(stats):
+    # One example or many, certificates None, bool or float in any mix, and
+    # any float losses: the same row, bit for bit, and the same warnings.
+    def run(finish):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = finish(3, stats)
+        fields = [row.epoch, row.loss, row.metric, row.support_mean, row.support_max,
+                  row.cert_frac, row.calls.mean, row.calls.p10, row.calls.median, row.calls.p90]
+        bits = [struct.pack("<d", v) if isinstance(v, float) else v for v in fields]
+        return bits, sorted((w.category.__name__, str(w.message)) for w in caught)
+
+    assert run(toys._finish_epoch) == run(_tuple_formula_epoch)
 
 
 def test_bitvec_methods_all_run():

@@ -6,7 +6,9 @@ alternating from one pair to the next.  Then, for each end-to-end metric,
 it prints each side's median and quartiles and the number of pairs the new
 tree won (ties count for neither side), and whether the gain rule holds:
 at least ten pairs, wins in at least nine of every ten, and medians further
-apart than the old tree's interquartile range.
+apart than the old tree's interquartile range.  It also flags a metric as
+worse when the new median moved the wrong way by more than the metric's
+``bound`` in ``BENCHMARK.json``, a fraction of the old median.
 
     python tools/bench_pairs.py --old path/to/parent --new . \\
         --workload bitvec_topk --seeds 1,2,3,4,5,6,7,8,9,1000 --seconds 20
@@ -67,15 +69,20 @@ def _quartiles(values):
 MIN_PAIRS = 10  # fewer pairs cannot show a gain, however many the new tree wins
 
 
-def summarize(pairs, directions: dict) -> dict:
-    """Per metric: each side's quartiles, the new tree's wins, and the gain rule.
+def summarize(pairs, directions: dict, bounds: dict | None = None) -> dict:
+    """Per metric: each side's quartiles, the new tree's wins, the gain
+    rule and the worse flag.
 
     A gain needs at least ``MIN_PAIRS`` pairs, wins in at least nine of
     every ten, and medians further apart, in the metric's better
-    direction, than the old tree's interquartile range.
+    direction, than the old tree's interquartile range.  A metric is
+    worse when its new median is past the old one in the wrong direction
+    by more than ``bounds[name]`` times the old median's size; a metric
+    without a bound is never flagged.
     """
     summary = {}
     for name, better in directions.items():
+        bound = (bounds or {}).get(name)
         old = [p["old"]["metrics"][name]["value"] for p in pairs]
         new = [p["new"]["metrics"][name]["value"] for p in pairs]
         sign = 1.0 if better == "higher" else -1.0
@@ -91,6 +98,7 @@ def summarize(pairs, directions: dict) -> dict:
             "pairs": len(pairs),
             "gain": (len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs)
                      and sign * (nm - om) > o3 - o1),
+            "worse": bound is not None and sign * (om - nm) > bound * abs(om),
         }
     return summary
 
@@ -98,7 +106,9 @@ def summarize(pairs, directions: dict) -> dict:
 def main(argv=None) -> int:
     args = _parse(argv)
     with open(os.path.join(args.new, "BENCHMARK.json")) as fh:
-        directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = json.load(fh)["end_to_end"]
+    directions = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     sides = {"old": args.old, "new": args.new}
     pairs = []
     for n, seed in enumerate(args.seeds):
@@ -114,13 +124,13 @@ def main(argv=None) -> int:
                 pair[side]["correct"], pair[side]["failed"])
             for side in ("old", "new"))), flush=True)
 
-    summary = summarize(pairs, directions)
+    summary = summarize(pairs, directions, bounds)
     print("%s, %d pairs, %g s runs" % (args.workload, len(pairs), args.seconds))
     for name, s in summary.items():
-        print("%-24s old %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  new wins %d of %d%s" % (
+        print("%-24s old %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  new wins %d of %d%s%s" % (
             name, s["old"]["median"], s["old"]["q1"], s["old"]["q3"],
             s["new"]["median"], s["new"]["q1"], s["new"]["q3"], s["wins"], s["pairs"],
-            "  (gain)" if s["gain"] else ""))
+            "  (gain)" if s["gain"] else "", "  (worse)" if s["worse"] else ""))
     bad = sum(not p[side]["correct"] or p[side]["failed"] > 0
               for p in pairs for side in ("old", "new"))
     print("runs incorrect or with failures: %d of %d" % (bad, 2 * len(pairs)))
