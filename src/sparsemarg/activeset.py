@@ -16,8 +16,8 @@ contains the all-zeros vertex and absorbs the simplex equality constraint,
 and which is grown and shrunk by one structure per iteration.
 
 The rows of a score matrix are solved together (:func:`sparsemap_rows`):
-their active sets are one stack of vertex rows, factors, weights, scores
-and moments (:class:`_ActiveSets`), every row advances one step at a
+their active sets are one stack of vertex rows, factors, weights and
+moments (:class:`_ActiveSets`), every row advances one step at a
 time, and each step gathers the rows of one support size, takes their
 products as stacked arrays and scatters the results back, leaving the
 triangular solves, drops and refactorizations to each row.  Between
@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitvec import Structure
+from .bitvec import _structures
 from .simplex import SparseDistribution, _row_dots
 
 __all__ = [
@@ -129,12 +129,6 @@ def _condition(hi: float, lo: float) -> float:
         return math.inf
 
 
-def _structures_of(rows, scores) -> list:
-    """One Structure per 0/1 row of ``rows``, with its oracle score."""
-    return [Structure(tuple(bits), score)
-            for bits, score in zip(rows.astype(np.uint8).tolist(), scores)]
-
-
 def _gram(rows) -> np.ndarray:
     """Bordered Gram matrix A'A + 11^T of the vertex rows."""
     return rows @ rows.T + 1.0
@@ -154,21 +148,22 @@ class _ActiveSets:
     """The active sets of the rows of a (B, D) score matrix ``T``, stacked.
 
     Row b's support holds ``n[b]`` structures: their vertex rows are the
-    leading rows of ``V[b]`` (cap, D), their weights and oracle scores the
-    leading entries of ``W[b]`` and ``S[b]``, their bits (as bytes) the
-    list ``keys[b]``, and ``M[b]`` holds the moments.  The lower-triangular
-    factor of their bordered Gram matrix A'A + 11^T is the leading
-    ``n[b]`` x ``n[b]`` block of ``L[b]``, zero right of its diagonal; the
-    rows below it are scratch that the next append overwrites.  All rows
-    share one room ``cap``, which :meth:`_reserve` grows and :meth:`_keep`
-    shrinks to fewer rows: LAPACK gives a triangular solve the same bits
-    whatever the leading dimension, and wherever the factor sits in the
-    stack.  Stack row b solves row ``origin[b]`` of the batch, and
-    ``T[b]`` holds its scores.  ``hi[b]`` and ``lo[b]`` are
-    the largest and smallest |diagonal| entry of row b's factor: exact on
-    an append, and NaN, recomputed on first use, after a drop or a
-    rebuild, which change the diagonal.  The per-row lists ``tau``,
-    ``nu_min``, ``tol``, ``converged``, ``iteration``, ``adds``,
+    leading rows of ``V[b]`` (cap, D), their weights the leading entries
+    of ``W[b]``, their bits (as bytes) the list ``keys[b]``, and ``M[b]``
+    holds the moments.  No structure's score is kept: a result scores its
+    structures against its row of ``T`` when they are read.  The
+    lower-triangular factor of their bordered Gram matrix A'A + 11^T is
+    the leading ``n[b]`` x ``n[b]`` block of ``L[b]``, zero right of its
+    diagonal; the rows below it are scratch that the next append
+    overwrites.  All rows share one room ``cap``, which :meth:`_reserve`
+    grows and :meth:`_keep` shrinks to fewer rows: LAPACK gives a
+    triangular solve the same bits whatever the leading dimension, and
+    wherever the factor sits in the stack.  Stack row b solves row
+    ``origin[b]`` of the batch, and ``T[b]`` holds its scores.  ``hi[b]``
+    and ``lo[b]`` are the largest and smallest |diagonal| entry of row b's
+    factor: exact on an append, and NaN, recomputed on first use, after a
+    drop or a rebuild, which change the diagonal.  The per-row lists
+    ``tau``, ``nu_min``, ``tol``, ``converged``, ``iteration``, ``adds``,
     ``drops``, ``refactorizations``, ``widen_count`` and
     ``max_condition`` hold the rest of each row's iterate.  The sizes,
     bounds and scalars are lists of Python numbers: a step reads and
@@ -180,7 +175,7 @@ class _ActiveSets:
         B, D = T.shape
         self.T = T
         self.L, self.V = np.zeros((B, cap, cap)), np.zeros((B, cap, D))
-        self.W, self.S = np.zeros((B, cap)), np.zeros((B, cap))
+        self.W = np.zeros((B, cap))
         self.M = np.zeros((B, D))
         self.n, self.keys = [0] * B, [[] for _ in range(B)]
         self.hi, self.lo = [math.nan] * B, [math.nan] * B
@@ -197,7 +192,7 @@ class _ActiveSets:
         if size > cap:
             cap = max(2 * cap, size)
             self.L = _room(self.L, cap, (1, 2))
-            self.V, self.W, self.S = (_room(a, cap, (1,)) for a in (self.V, self.W, self.S))
+            self.V, self.W = _room(self.V, cap, (1,)), _room(self.W, cap, (1,))
 
     def _keep(self, rows: list):
         """Keep only the stack rows ``rows``, in order: every array and
@@ -367,8 +362,8 @@ def _drop_step(sets: _ActiveSets, b: int, gamma: float, blocker: int, p_hat):
     W = sets.W[b]
     probs = (1.0 - gamma) * W[:n] + gamma * p_hat
     W[:blocker], W[blocker : n - 1], W[n - 1] = probs[:blocker], probs[blocker + 1 :], 0.0
-    for a in (sets.V[b], sets.S[b]):
-        a[blocker : n - 1] = a[blocker + 1 : n]
+    V = sets.V[b]
+    V[blocker : n - 1] = V[blocker + 1 : n]
     del sets.keys[b][blocker]
     sets._drop(b, blocker)
     # No condition check here: in exact arithmetic, deleting a structure
@@ -383,12 +378,11 @@ def _drop_step(sets: _ActiveSets, b: int, gamma: float, blocker: int, p_hat):
         sets.widen_count[b] += 1
 
 
-def _add_step(sets: _ActiveSets, ids, n: int, F, scores, E, pivots: list, diag: list):
+def _add_step(sets: _ActiveSets, ids, n: int, F, E, pivots: list, diag: list):
     """Add to the supports of the rows ``ids`` (an int array), all of size
-    ``n``, the vertices of the float rows ``F`` with their oracle
-    ``scores``, growing each factor by its row of ``E`` = L^{-1} cross,
-    its pivot and its diagonal entry a'a + 1."""
-    sets.V[ids, n], sets.S[ids, n] = F, scores  # the weight is W[b, n], kept at 0
+    ``n``, the vertices of the float rows ``F``, growing each factor by its
+    row of ``E`` = L^{-1} cross, its pivot and its diagonal entry a'a + 1."""
+    sets.V[ids, n] = F  # the weight is W[b, n], kept at 0
     bad, grown, cond = sets._grow(ids, n, E, pivots, diag)
     for b in bad:
         try:
@@ -489,15 +483,15 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> None:
         if len(add) < g:
             go = np.array(add) - start
             ids, R, Lg = ids[go], R[go], Lg[go]
-            F, score = bits[add].astype(np.float64), scores[add]
+            F = bits[add].astype(np.float64)
         else:
-            F, score = bits[start:at].astype(np.float64), scores[start:at]
+            F = bits[start:at].astype(np.float64)
         # 0/1 products: whole numbers, so any summation order gives their bits.
         E = np.matmul(R, F[:, :, None])[..., 0] + 1.0  # the cross terms, then in place
         for L, cross in zip(Lg.transpose(0, 2, 1), E):  # ell = L^{-1} cross
             dtrtrs(L, cross, 0, 1, 0, n, 1)
         pivots = [d - e for d, e in zip(diag, _row_dots(E, E).tolist())]
-        _add_step(sets, ids, n, F, score, E, pivots, diag)
+        _add_step(sets, ids, n, F, E, pivots, diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,8 +499,9 @@ class SparseMapResult:
     """Converged (or iteration-capped) SparseMAP solution.
 
     ``probs`` and the rows of the vertex matrix ``rows`` align with
-    ``structures``, which is built from the rows and the oracle's scores
-    when first read.  ``index_of`` is the oracle's ``outcome_index`` hook
+    ``structures``, built when first read, each scored by the dot of its
+    bits with the scores that were projected, as ``map_rows`` scores a
+    vertex.  ``index_of`` is the oracle's ``outcome_index`` hook
     (``Structure.index`` by default); ``outcome_ids`` applies it to every
     structure when first read, giving its integer code in the polytope's
     outcome space.  ``adds``, ``drops``,
@@ -531,7 +526,7 @@ class SparseMapResult:
     refactorizations: int
     widenings: int
     max_condition: float
-    _scores: list = field(repr=False)
+    _t: np.ndarray = field(repr=False)
 
     @property
     def support_size(self) -> int:
@@ -539,7 +534,7 @@ class SparseMapResult:
 
     @cached_property
     def structures(self) -> list:
-        return _structures_of(self.rows, self._scores)
+        return _structures(self.rows, _row_dots(self.rows, self._t))
 
     @cached_property
     def outcome_ids(self) -> np.ndarray:
@@ -589,7 +584,7 @@ def _result(sets: _ActiveSets, b: int, n_outcomes: int, index_of) -> SparseMapRe
     """The result of stack row b of ``sets``, holding none of the stack but
     its weights and moments."""
     n = sets.n[b]
-    probs, rows, scores = sets.W[b, :n], sets.V[b, :n], sets.S[b, :n].tolist()
+    probs, rows = sets.W[b, :n], sets.V[b, :n]
     keep = probs > 0.0
     if keep.all():
         rows = rows.copy()  # not a view that keeps the whole stack alive
@@ -597,7 +592,6 @@ def _result(sets: _ActiveSets, b: int, n_outcomes: int, index_of) -> SparseMapRe
         if not keep.any():
             raise _unresolved(sets.T[b], "no structure keeps positive weight")
         probs, rows = probs[keep], rows[keep]
-        scores = [s for s, k in zip(scores, keep.tolist()) if k]
     return SparseMapResult(
         probs=probs,
         moments=sets.M[b],
@@ -613,7 +607,7 @@ def _result(sets: _ActiveSets, b: int, n_outcomes: int, index_of) -> SparseMapRe
         refactorizations=sets.refactorizations[b],
         widenings=sets.widen_count[b],
         max_condition=sets.max_condition[b],
-        _scores=scores,
+        _t=sets.T[b].copy(),  # not a view of the caller's scores
     )
 
 
@@ -641,9 +635,9 @@ def _solve_rows(oracle, T, max_iter: int, tol: float) -> list:
     with np.errstate(over="ignore"):
         if B:
             # Each row starts at weight 1 on its MAP vertex, with a 1 x 1 factor.
-            bits, scores = _oracle_rows(oracle, T)
+            bits, _ = _oracle_rows(oracle, T)
             F = bits.astype(np.float64)
-            sets.V[:, 0], sets.S[:, 0], sets.W[:, 0], sets.M[:] = F, scores, 1.0, F
+            sets.V[:, 0], sets.W[:, 0], sets.M[:] = F, 1.0, F
             sets.L[:, :1, :1] = np.linalg.cholesky(F.sum(axis=1)[:, None, None] + 1.0)
             sets.n[:] = [1] * B
             sets.keys[:] = [[key] for key in map(bytes, bits)]

@@ -64,10 +64,11 @@ class Structure:
         return int.from_bytes(packed.tobytes(), "little")
 
 
-def _structure(bits, scores) -> Structure:
-    """The Structure of the one row of uint8 ``bits`` and ``scores`` that
-    a row oracle returned."""
-    return Structure(tuple(bits[0].tolist()), float(scores[0]))
+def _structures(bits, scores) -> list:
+    """One Structure per 0/1 row of ``bits``, scored by that entry of the
+    float array ``scores``."""
+    return [Structure(tuple(row), score)
+            for row, score in zip(bits.astype(np.uint8, copy=False).tolist(), scores.tolist())]
 
 
 def _scored(bits, T):
@@ -97,7 +98,7 @@ def _budget_map_rows(T, budget: int):
 
 def map_oracle(t) -> Structure:
     """Highest-scoring configuration: bit i is active iff t_i >= 0."""
-    return _structure(*_map_rows(_as_variable_scores(t)[None]))
+    return _structures(*_map_rows(_as_variable_scores(t)[None]))[0]
 
 
 def budget_map_oracle(t, budget: int) -> Structure:
@@ -108,7 +109,7 @@ def budget_map_oracle(t, budget: int) -> Structure:
     """
     t = _as_variable_scores(t)
     _check_budget(budget, t.size)
-    return _structure(*_budget_map_rows(t[None], budget))
+    return _structures(*_budget_map_rows(t[None], budget))[0]
 
 
 class KBest:
@@ -131,12 +132,11 @@ class KBest:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return Structure(tuple(self.rows[i].tolist()), float(self.scores[i]))
+            return _structures(self.rows[i], self.scores[i])
+        return _structures(self.rows[i][None], self.scores[i][None])[0]
 
     def __iter__(self):
-        for bits, score in zip(self.rows.tolist(), self.scores.tolist()):
-            yield Structure(tuple(bits), score)
+        return iter(_structures(self.rows, self.scores))
 
 
 def _as_score_rows(T):
@@ -306,8 +306,9 @@ def config_matrix(d: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(d)) & 1).astype(np.float64)
 
 
-class BitVectorPolytope:
-    """All of {0,1}^D as vertices; MAP by the per-variable sign rule."""
+class _Polytope:
+    """Vertices in {0,1}^``dim``, served by a row MAP oracle: ``_map_rows``
+    of a (B, dim) score matrix already checked."""
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -315,14 +316,26 @@ class BitVectorPolytope:
         self.dim = dim
 
     def map_rows(self, scores):
-        """The best vertex of each row of a (B, D) score matrix: a uint8
-        (B, D) array of their bits and a float64 (B,) array of their
+        """The best vertex of each row of a (B, dim) score matrix: a uint8
+        (B, dim) array of their bits and a float64 (B,) array of their
         scores, each row's dot with its own scores.  :meth:`map` is its
         one-row case."""
-        return _map_rows(_as_score_rows(scores))
+        T = _as_score_rows(scores)
+        if T.shape[1] != self.dim:
+            raise ValueError("variable scores must have width %d, got %d"
+                             % (self.dim, T.shape[1]))
+        return self._map_rows(T)
 
     def map(self, t) -> Structure:
-        return map_oracle(t)
+        """The best vertex for a score vector, as a :class:`Structure`."""
+        return _structures(*self.map_rows(_as_variable_scores(t)[None]))[0]
+
+
+class BitVectorPolytope(_Polytope):
+    """All of {0,1}^D as vertices; MAP by the per-variable sign rule."""
+
+    def _map_rows(self, T):
+        return _map_rows(T)
 
     @property
     def n_outcomes(self) -> int:
@@ -333,46 +346,30 @@ class BitVectorPolytope:
 
 
 class BudgetedBitVectorPolytope(BitVectorPolytope):
-    """Bit-vectors with at most ``budget`` active bits."""
+    """Bit-vectors with at most ``budget`` active bits: each row's best
+    vertex holds the nonnegative entries among its ``budget`` largest
+    scores, by one stable descending sort of the rows."""
 
     def __init__(self, dim: int, budget: int):
         super().__init__(dim)
         _check_budget(budget, dim)
         self.budget = budget
 
-    def map_rows(self, scores):
-        """:meth:`BitVectorPolytope.map_rows` under the budget: the
-        nonnegative entries among each row's ``budget`` largest scores, by
-        one stable descending sort of the rows."""
-        return _budget_map_rows(_as_score_rows(scores), self.budget)
-
-    def map(self, t) -> Structure:
-        return budget_map_oracle(t, self.budget)
+    def _map_rows(self, T):
+        return _budget_map_rows(T, self.budget)
 
 
-class IdentityPolytope:
+class IdentityPolytope(_Polytope):
     """The unstructured case: vertices are the K one-hot indicators.
 
     MAP is the argmax of the scores, first index on ties, so SparseMAP
     over this polytope must reproduce plain sparsemax.
     """
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = dim
-
-    def map_rows(self, scores):
-        """The one-hot of each row's argmax, first index on ties, as a
-        uint8 (B, K) array, and its float64 (B,) scores, each row's dot
-        with its own scores.  :meth:`map` is its one-row case."""
-        T = _as_score_rows(scores)
+    def _map_rows(self, T):
         bits = np.zeros(T.shape, dtype=np.uint8)
         bits[np.arange(T.shape[0]), np.argmax(T, axis=1)] = 1
         return _scored(bits, T)
-
-    def map(self, t) -> Structure:
-        return _structure(*self.map_rows(_as_variable_scores(t)[None]))
 
     @property
     def n_outcomes(self) -> int:

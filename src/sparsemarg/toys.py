@@ -30,7 +30,6 @@ from .marginalize import CallStats, LossOracle
 from .rng import make_rng
 from .simplex import RowSupports, _log_softmax, _row_dots, softmax, softmax_vjp
 from .simplex import sparsemax_rows, sparsemax_vjp_rows
-from .topk import topk_sparsemax_rows
 
 __all__ = [
     "TrainConfig",
@@ -560,7 +559,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
     if posterior is None:
         if method == "topk":
             configs, scores = kbest_rows(T, cfg.k)
-            posterior = (configs,) + topk_sparsemax_rows(scores, cfg.k)
+            probs = sparsemax_rows(scores)  # the k' <= k best: no mask to apply
+            posterior = configs, probs, (probs > 0).sum(axis=1) < cfg.k
         elif method in ("dense", "sparse"):
             scores = np.matmul(config_matrix(D), T[:, :, None])[..., 0]  # A @ t's GEMV per row
             posterior = (softmax(scores) if method == "dense" else sparsemax_rows(scores),)
@@ -705,26 +705,10 @@ def _finish_epoch(epoch, stats) -> EpochRow:
     )
 
 
-def _joined(pieces) -> tuple:
-    """The posterior parts of ``pieces``, (positions, parts) pairs that
-    together hold positions 0.. once each, in position order."""
-    if len(pieces) == 1:
-        return pieces[0][1]
-    order = np.argsort(np.concatenate([positions for positions, _ in pieces]))
-    joined = []
-    for k, part in enumerate(pieces[0][1]):
-        if isinstance(part, np.ndarray):
-            joined.append(np.concatenate([parts[k] for _, parts in pieces])[order])
-        else:
-            flat = [x for _, parts in pieces for x in parts[k]]
-            joined.append([flat[i] for i in order.tolist()])
-    return tuple(joined)
-
-
-def _initial_loss(n: int, batch_size: int, width: int, loss_pass, first=None):
+def _initial_loss(n: int, batch_size: int, width: int, loss_pass):
     """The mean loss of the ``n`` examples, from gradient-free passes
     ``loss_pass(indices)`` over them in order, and the posterior parts of
-    the examples ``first`` (epoch 1's first batch), or None.
+    all ``n`` when one pass held them all and did not trip, else None.
 
     Each pass takes whole runs of ``batch_size`` examples, as many as keep
     its posterior within ``_LOSS_BLOCK`` rows at ``width`` rows an
@@ -735,8 +719,6 @@ def _initial_loss(n: int, batch_size: int, width: int, loss_pass, first=None):
     raises, is run again one run at a time, in order, as that loop would
     run them: a tripped run's losses are NaN, and the first run that
     raises raises; if none raises alone, the pass's own error is raised.
-    Of the posterior, only the rows of ``first`` are kept, and they are
-    returned only if no pass that holds one of them tripped.
     """
     examples = np.arange(n)
     chunk = batch_size * max(1, _LOSS_BLOCK // (batch_size * width))
@@ -745,7 +727,7 @@ def _initial_loss(n: int, batch_size: int, width: int, loss_pass, first=None):
         return np.concatenate([loss_pass(part[start:start + batch_size]).losses
                                for start in range(0, part.size, batch_size)])
 
-    total, pieces = 0.0, [] if first is not None else None
+    total = 0.0
     for lo in range(0, n, chunk):
         part = examples[lo:lo + chunk]
         try:
@@ -756,12 +738,7 @@ def _initial_loss(n: int, batch_size: int, width: int, loss_pass, first=None):
         losses = out.losses if out.posterior is not None else by_runs(part)  # tripped
         for loss in losses.tolist():
             total += loss
-        if pieces is not None:
-            mine = np.flatnonzero((first >= lo) & (first < lo + part.size))
-            if mine.size:
-                pieces = (None if out.posterior is None
-                          else pieces + [(mine, _take(out.posterior, first[mine] - lo))])
-    return total / n, None if pieces is None else _joined(pieces)
+    return total / n, out.posterior if chunk >= n else None
 
 
 def _train(task: str, model, n: int, width: int, cfg: TrainConfig, eval_cfg: TrainConfig,
@@ -774,21 +751,22 @@ def _train(task: str, model, n: int, width: int, cfg: TrainConfig, eval_cfg: Tra
     loss under ``eval_cfg`` before any update, from gradient-free passes
     over all ``n`` examples, ``width`` posterior rows each
     (:func:`_initial_loss`).  Those passes draw nothing, so epoch 1's
-    order is drawn first, and when ``eval_cfg`` has ``cfg``'s method, the
-    first batch of epoch 1, at the same parameters, takes its examples'
-    posterior from them instead of mapping them again.  A batch whose
-    divergence guard trips, or an update that leaves a parameter
-    non-finite, ends training with the log marked diverged.  The log
-    holds the wall seconds of the initial pass and of each epoch.
+    order is drawn first, and when ``eval_cfg`` has ``cfg``'s method and
+    one pass held every example, the first batch of epoch 1, at the same
+    parameters, takes its examples' posterior from that pass instead of
+    mapping them again.  A batch whose divergence guard trips, or an
+    update that leaves a parameter non-finite, ends training with the log
+    marked diverged.  The log holds the wall seconds of the initial pass
+    and of each epoch.
     """
     rng = make_rng(cfg.seed)
     order = rng.permutation(n) if cfg.epochs else None
-    reuse = order is not None and eval_cfg.method == cfg.method
-    first = order[:cfg.batch_size] if reuse else None
     started = time.perf_counter()
     initial_loss, reused = _initial_loss(
-        n, cfg.batch_size, width,
-        lambda batch: batch_pass(batch, eval_cfg, None, loss_only=True), first)
+        n, cfg.batch_size, width, lambda batch: batch_pass(batch, eval_cfg, None, loss_only=True))
+    if reused is not None:
+        reused = (_take(reused, order[:cfg.batch_size])
+                  if order is not None and eval_cfg.method == cfg.method else None)
     log = TrainingLog(task=task, config=cfg, initial_loss=initial_loss,
                       initial_loss_s=time.perf_counter() - started)
     for epoch in range(1, cfg.epochs + 1):

@@ -1,5 +1,6 @@
 """The verdicts of ``tools/bench_pairs.py``: the gain rule (enough pairs,
-enough wins, medians apart) and the worse flag (a median past its bound)."""
+enough wins, medians apart), the worse flag (a median past its bound) and
+the unresolved flag (an old spread wider than the bound)."""
 
 import importlib.util
 from pathlib import Path
@@ -73,3 +74,40 @@ def test_a_median_past_its_bound_in_the_wrong_direction_is_worse(better):
     assert not verdict(-9.0)["worse"]
     assert not verdict(30.0)["worse"] and verdict(30.0)["gain"]
     assert not verdict(-11.0, bound=None)["worse"]  # no bound, no flag
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_an_old_spread_wider_than_the_bound_leaves_the_metric_unresolved(better):
+    # Bound 0.1 on old runs spread from 70 to 130 (quartiles 85 and 115):
+    # a new median within 1 of the old one shows nothing either way, and
+    # is neither worse nor unchanged.
+    sign = 1.0 if better == "higher" else -1.0
+    old = [70.0 + 60.0 * i / 9 for i in range(10)]
+    new = [a + sign * 1.0 for a in old[::-1]]
+    s = bench_pairs.summarize(_pairs(old, new), {"examples_per_s": better},
+                              {"examples_per_s": 0.1})["examples_per_s"]
+    assert s["old"]["q3"] - s["old"]["q1"] > 0.1 * s["old"]["median"]
+    assert s["unresolved"] and not s["worse"] and not s["gain"]
+    # Without a bound, or with one wider than the spread, no flag.
+    assert not bench_pairs.summarize(_pairs(old, new), {"examples_per_s": better}
+                                     )["examples_per_s"]["unresolved"]
+    assert not bench_pairs.summarize(_pairs(old, new), {"examples_per_s": better},
+                                     {"examples_per_s": 0.5})["examples_per_s"]["unresolved"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_a_wide_old_spread_is_resolved_when_every_new_run_beats_every_old_run(better):
+    # The same wide old spread, but every new run is better than the best
+    # old run: resolved, however the medians compare to the bound.
+    sign = 1.0 if better == "higher" else -1.0
+    old = [70.0 + 60.0 * i / 9 for i in range(10)]
+    edge = max(old) if better == "higher" else min(old)
+    new = [edge + sign * (1.0 + i) for i in range(10)]
+    s = bench_pairs.summarize(_pairs(old, new), {"examples_per_s": better},
+                              {"examples_per_s": 0.1})["examples_per_s"]
+    assert s["old"]["q3"] - s["old"]["q1"] > 0.1 * s["old"]["median"]
+    assert not s["unresolved"] and not s["worse"]
+    # One new run that only ties the best old run leaves it unresolved.
+    new[0] = edge
+    assert bench_pairs.summarize(_pairs(old, new), {"examples_per_s": better},
+                                 {"examples_per_s": 0.1})["examples_per_s"]["unresolved"]

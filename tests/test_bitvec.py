@@ -297,6 +297,19 @@ def test_polytope_adapters():
     assert sum(st.bits) <= 2
 
 
+@pytest.mark.parametrize("poly", [BitVectorPolytope(4), BudgetedBitVectorPolytope(4, 2),
+                                  IdentityPolytope(4)], ids=lambda p: type(p).__name__)
+def test_polytopes_refuse_scores_of_another_width(poly):
+    # Scores narrower or wider than the polytope's D are an error naming
+    # both widths, through map_rows and through its one-row case map.
+    for width in (3, 5):
+        message = "must have width 4, got %d" % width
+        with pytest.raises(ValueError, match=message):
+            poly.map_rows(np.ones((2, width)))
+        with pytest.raises(ValueError, match=message):
+            poly.map(np.ones(width))
+
+
 def _map_reference(t, poly):
     # The oracles as they were written for one vector: the argmax, first
     # index on ties (where -0.0 ties 0.0), the sign rule, or a stable

@@ -36,7 +36,7 @@ from sparsemarg.bitvec import (
 )
 from sparsemarg.reference import central_difference, hypercube_projection, relative_error
 from sparsemarg.rng import make_rng
-from sparsemarg.simplex import sparsemax, sparsemax_vjp
+from sparsemarg.simplex import _row_dots, sparsemax, sparsemax_vjp
 
 
 def _objective(it):
@@ -1069,10 +1069,34 @@ def test_rows_solve_leaves_its_scores_and_shares_no_memory_between_results():
         solved = sparsemap_rows(oracle, T)
         assert T.tobytes() == before
         drops += sum(res.drops for res in solved)
-        arrays = [(i, a) for i, res in enumerate(solved) for a in (res.probs, res.moments, res.rows)]
+        arrays = [(i, a) for i, res in enumerate(solved)
+                  for a in (res.probs, res.moments, res.rows, res._t)]
         for (i, a), (j, b) in itertools.combinations(arrays, 2):
             assert i == j or not np.shares_memory(a, b)
         assert not any(np.shares_memory(a, T) for _, a in arrays)
+    assert drops > 0
+
+
+def test_structure_scores_are_the_dots_of_their_bits_with_the_projected_scores():
+    # A result scores each structure as map_rows scores a vertex: the dot
+    # of its bits with the scores that were projected, in the bytes of a
+    # per-row dot, whether the row was solved alone or in a batch, and
+    # after drops.  The solver's residual scores are no structure's score:
+    # here (1, 0, 0, 1) scores 0.3 + 0.9, not 0.2.
+    res = sparsemap(BudgetedBitVectorPolytope(4, 2), [0.3, 0.6, -0.2, 0.9])
+    assert {st.bits: st.score for st in res.structures}[(1, 0, 0, 1)] == pytest.approx(1.2)
+    rng = make_rng(318)
+    drops = 0
+    for d in (1, 3, 8, 12):
+        for oracle in _polytopes(d) + [IdentityPolytope(d)]:
+            T = _mixed_rows(rng, 12, d)
+            for t, res in zip(T, sparsemap_rows(oracle, T)):
+                drops += res.drops
+                for one in (res, sparsemap(oracle, t)):
+                    bits = np.array([st.bits for st in one.structures], dtype=np.float64)
+                    dots = _row_dots(bits, np.tile(t, (len(bits), 1)))
+                    scores = np.array([st.score for st in one.structures])
+                    assert scores.tobytes() == dots.tobytes(), (d, t)
     assert drops > 0
 
 

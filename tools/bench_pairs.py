@@ -8,7 +8,10 @@ tree won (ties count for neither side), and whether the gain rule holds:
 at least ten pairs, wins in at least nine of every ten, and medians further
 apart than the old tree's interquartile range.  It also flags a metric as
 worse when the new median moved the wrong way by more than the metric's
-``bound`` in ``BENCHMARK.json``, a fraction of the old median.
+``bound`` in ``BENCHMARK.json``, a fraction of the old median, and as
+unresolved when the old tree's interquartile range is wider than that
+bound, so that a median inside the bound shows no more than the noise,
+unless every new run beats every old run.
 
     python tools/bench_pairs.py --old path/to/parent --new . \\
         --workload bitvec_topk --seeds 1,2,3,4,5,6,7,8,9,1000 --seconds 20
@@ -71,14 +74,16 @@ MIN_PAIRS = 10  # fewer pairs cannot show a gain, however many the new tree wins
 
 def summarize(pairs, directions: dict, bounds: dict | None = None) -> dict:
     """Per metric: each side's quartiles, the new tree's wins, the gain
-    rule and the worse flag.
+    rule and the worse and unresolved flags.
 
     A gain needs at least ``MIN_PAIRS`` pairs, wins in at least nine of
     every ten, and medians further apart, in the metric's better
     direction, than the old tree's interquartile range.  A metric is
     worse when its new median is past the old one in the wrong direction
-    by more than ``bounds[name]`` times the old median's size; a metric
-    without a bound is never flagged.
+    by more than ``bounds[name]`` times the old median's size.  It is
+    unresolved when the old interquartile range is wider than that bound
+    and some new run does not beat every old run.  A metric without a
+    bound is never flagged.
     """
     summary = {}
     for name, better in directions.items():
@@ -89,6 +94,7 @@ def summarize(pairs, directions: dict, bounds: dict | None = None) -> dict:
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
         (o1, om, o3), (n1, nm, n3) = _quartiles(old), _quartiles(new)
+        beats_all = all(sign * (b - a) > 0 for a in old for b in new)
         summary[name] = {
             "better": better,
             "old": {"q1": o1, "median": om, "q3": o3},
@@ -99,6 +105,7 @@ def summarize(pairs, directions: dict, bounds: dict | None = None) -> dict:
             "gain": (len(pairs) >= MIN_PAIRS and 10 * wins >= 9 * len(pairs)
                      and sign * (nm - om) > o3 - o1),
             "worse": bound is not None and sign * (om - nm) > bound * abs(om),
+            "unresolved": bound is not None and o3 - o1 > bound * abs(om) and not beats_all,
         }
     return summary
 
@@ -127,10 +134,10 @@ def main(argv=None) -> int:
     summary = summarize(pairs, directions, bounds)
     print("%s, %d pairs, %g s runs" % (args.workload, len(pairs), args.seconds))
     for name, s in summary.items():
-        print("%-24s old %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  new wins %d of %d%s%s" % (
+        print("%-24s old %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  new wins %d of %d%s" % (
             name, s["old"]["median"], s["old"]["q1"], s["old"]["q3"],
             s["new"]["median"], s["new"]["q1"], s["new"]["q3"], s["wins"], s["pairs"],
-            "  (gain)" if s["gain"] else "", "  (worse)" if s["worse"] else ""))
+            "".join("  (%s)" % flag for flag in ("gain", "worse", "unresolved") if s[flag])))
     bad = sum(not p[side]["correct"] or p[side]["failed"] > 0
               for p in pairs for side in ("old", "new"))
     print("runs incorrect or with failures: %d of %d" % (bad, 2 * len(pairs)))

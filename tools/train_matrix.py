@@ -33,10 +33,12 @@ D = 6 and sparsemap at D = 8 also run at ``--batch-size 1`` and at
 solver advances a batch's solves together, grouped by support size, so
 sparsemap and sparsemap_budget also run at the benchmark's shape:
 D = 32, batches of 8 and a budget of 4.  The initial loss is one
-gradient-free pass over the whole data set, and the first training batch
-reuses its posterior; so every bit-vector method and categorical sparse
-and sfe also run at ``--epochs 0`` (the initial loss alone), and
-sparsemap runs with one batch of 32 holding all 24 examples.
+gradient-free pass over the whole data set where its posterior fits in
+one loss block, and the first training batch then reuses that posterior
+(bit-vector dense and sparse at D = 8 take several passes and map it
+again); so every bit-vector method and categorical sparse and sfe also
+run at ``--epochs 0`` (the initial loss alone), and sparsemap runs with
+one batch of 32 holding all 24 examples.
 
 None of those runs trips the divergence guard or raises, so an edge
 corpus of 300 runs follows, from its own seeded stream, so that the
