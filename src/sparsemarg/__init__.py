@@ -7,8 +7,10 @@ from .activeset import (
     DegenerateSupportError,
     SparseMapResult,
     sparsemap,
+    sparsemap_rows,
     sparsemap_vjp,
     sparsemap_vjp_probs,
+    sparsemap_vjp_rows,
 )
 from .bitvec import (
     BitVectorPolytope,
@@ -20,6 +22,7 @@ from .bitvec import (
     config_matrix,
     enumerate_all,
     kbest,
+    kbest_rows,
     map_oracle,
 )
 from .estimators import (
@@ -45,9 +48,11 @@ from .simplex import (
     softmax,
     softmax_vjp,
     sparsemax,
+    sparsemax_rows,
     sparsemax_vjp,
+    sparsemax_vjp_rows,
 )
-from .topk import TopKResult, top_k, topk_sparsemax, topk_sparsemax_vjp
+from .topk import TopKResult, top_k, topk_sparsemax, topk_sparsemax_rows, topk_sparsemax_vjp
 
 __version__ = "0.1.0"
 
@@ -73,6 +78,7 @@ __all__ = [
     "entropy",
     "enumerate_all",
     "kbest",
+    "kbest_rows",
     "log_marginal_split",
     "make_rng",
     "map_oracle",
@@ -82,14 +88,19 @@ __all__ = [
     "softmax_vjp",
     "sparse_expectation",
     "sparsemap",
+    "sparsemap_rows",
     "sparsemap_vjp",
     "sparsemap_vjp_probs",
+    "sparsemap_vjp_rows",
     "sparsemax",
+    "sparsemax_rows",
     "sparsemax_vjp",
+    "sparsemax_vjp_rows",
     "sum_and_sample_grad",
     "sum_and_sample_rows",
     "top_k",
     "topk_sparsemax",
+    "topk_sparsemax_rows",
     "topk_sparsemax_vjp",
     "__version__",
 ]

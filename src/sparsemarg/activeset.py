@@ -581,20 +581,20 @@ def _row_by_row(stacked, *batch):
 
 
 def _result(sets: _ActiveSets, b: int, n_outcomes: int, index_of) -> SparseMapResult:
-    """The result of stack row b of ``sets``, holding none of the stack but
-    its weights and moments."""
+    """The result of stack row b of ``sets``, sharing no memory with the
+    stack, so that holding it does not keep the whole stack alive."""
     n = sets.n[b]
     probs, rows = sets.W[b, :n], sets.V[b, :n]
     keep = probs > 0.0
     if keep.all():
-        rows = rows.copy()  # not a view that keeps the whole stack alive
+        probs, rows = probs.copy(), rows.copy()
     else:
         if not keep.any():
             raise _unresolved(sets.T[b], "no structure keeps positive weight")
         probs, rows = probs[keep], rows[keep]
     return SparseMapResult(
         probs=probs,
-        moments=sets.M[b],
+        moments=sets.M[b].copy(),
         tau=sets.tau[b],
         converged=sets.converged[b],
         iterations=sets.iteration[b],

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -185,15 +187,17 @@ def _lawler(cost, flip, root: int, k: int) -> list:
     position p costs ``cost[p]`` and XORs ``flip[p]``.
 
     Heap entries: (cost, configuration, last flipped position in sorted
-    order, cost without that last flip).  No child's key is below its
-    parent's.  child1 adds a flip that costs at least every earlier one,
-    which rounding cannot absorb unless D > 2^53, and a zero-cost flip
-    turns a 0 into a 1, which is lexicographically larger.  child2 swaps
-    the last flip for the next, no cheaper one; within a tie class the
-    order puts positive scores first by ascending index (the 1 -> 0 flip
-    moves right) and the rest by descending index (the 0 -> 1 flip moves
-    left), so every such swap is lexicographically larger.  Pushing child1
-    and popping the next entry are one ``heappushpop``.
+    order, cost without that last flip), so a node's cost is its flips'
+    costs added in ascending position order from 0.0.  child1 adds the
+    next position's flip; child2 swaps the last flip for the next, no
+    cheaper one.  In exact arithmetic no child's key is below its
+    parent's: a zero-cost flip turns a 0 into a 1, and within a tie class
+    the order makes every swap lexicographically larger.  child1's flip
+    costs at least every earlier one, which rounding cannot absorb unless
+    D > 2^53, but where magnitudes differ by a few ulps, child2's sum can
+    round to its parent's cost with a smaller configuration, and it still
+    pops after its parent.  These pops define :func:`kbest`'s order.
+    Pushing child1 and popping the next entry are one ``heappushpop``.
     """
     push, pushpop, pop = heapq.heappush, heapq.heappushpop, heapq.heappop
     heap, configs, n = [], [], len(flip)
@@ -214,6 +218,84 @@ def _lawler(cost, flip, root: int, k: int) -> list:
             return configs
 
 
+def _dominators(node: tuple) -> int:
+    """The number of flip sets S, the empty set and ``node`` included, whose
+    i-th largest position is at most ``node``'s for every i <= |S|: the
+    sets that cost no more than ``node`` under any ascending costs.
+
+    A DP over ``node``'s positions, largest first: ``ends[v]`` counts the
+    sets of the current size whose smallest position is v, starting from
+    the empty set as if it ended past the last position.
+    """
+    count, ends = 1, [0] * (max(node, default=-1) + 1) + [1]
+    for p in reversed(node):
+        above = list(accumulate(reversed(ends)))[::-1]  # above[v]: sets ending at v or later
+        ends = above[1:p + 2]
+        count += sum(ends)
+    return count
+
+
+@lru_cache(maxsize=None)
+def _flip_table(k: int, m: int):
+    """The flip sets that can be among the k best when sorted positions
+    0..m-1 flip, as the nodes of the Lawler tree that :func:`_lawler`
+    walks: every node with at most k :func:`_dominators` (their parents
+    have fewer, so they form a subtree from the root), then the boundary,
+    the children of those nodes that are not among them.
+
+    Returns the number n of table nodes and an intp matrix of every
+    node's positions in ascending order, the n table nodes first, padded
+    with m.
+    """
+    nodes, boundary = [()], []
+    for node in nodes:  # grows as it runs: a breadth-first walk
+        nxt = node[-1] + 1 if node else 0
+        if nxt == m:
+            continue
+        for child in (node + (nxt,),) + ((node[:-1] + (nxt,),) if node else ()):
+            (nodes if _dominators(child) <= k else boundary).append(child)
+    every = nodes + boundary
+    pos = np.full((len(every), max(map(len, every))), m, dtype=np.intp)
+    for i, node in enumerate(every):
+        pos[i, :len(node)] = node
+    return len(nodes), pos
+
+
+def _table_rows(T, reach, costs, k: int):
+    """Each row's k best from its :func:`_flip_table`, as a uint8 (B, k, D)
+    array, and a (B,) mask of the rows whose answer is certain to be
+    :func:`_lawler`'s.
+
+    Every node's cost is folded in ascending position order from 0.0, as
+    the heap adds it, and one stable argsort picks the k cheapest.  The
+    heap pops exactly those, in that order, where the k chosen costs and
+    the next table node's are strictly increasing and every boundary
+    child costs more than the k-th.  Costs ascend with position and
+    rounding is monotone, so no child costs less than its parent; a
+    chosen node's parent then costs no more than it, so it is chosen too,
+    and costs less.  Each chosen node is thus pushed before its turn, and
+    no other entry the heap holds ties or undercuts it.
+    """
+    n, pos = _flip_table(k, reach.shape[1])
+    B, D = T.shape
+    # Reducing along an axis that is not the last adds in index order.
+    padded = np.append(costs, np.zeros((B, 1)), axis=1)
+    path = np.add.reduce(padded[:, pos.T], axis=1, initial=0.0)
+    cost, boundary = path[:, :n], path[:, n:]
+    order = np.argsort(cost, axis=1, kind="stable")
+    best = np.take_along_axis(cost, order[:, :k + 1], axis=1)
+    certain = ((best[:, 1:] > best[:, :-1]).all(axis=1)
+               & (boundary > best[:, k - 1:k]).all(axis=1))
+    # The variables each chosen node flips, padding at the spare column D,
+    # set in one scatter into the flat (B, k, D + 1) array.
+    var = np.append(reach, np.full((B, 1), D), axis=1)[np.arange(B)[:, None, None],
+                                                        pos[order[:, :k]]]
+    var += np.arange(0, B * k * (D + 1), D + 1).reshape(B, k, 1)
+    flipped = np.zeros((B, k, D + 1), dtype=np.uint8)
+    flipped.reshape(-1)[var.ravel()] = 1
+    return (T > 0)[:, None, :] ^ flipped[..., :D], certain
+
+
 def _kbest_rows(T, k: int):
     """:func:`kbest_rows` of a checked (B, D) matrix."""
     if k < 1:
@@ -221,21 +303,25 @@ def _kbest_rows(T, k: int):
     B, D = T.shape
     k_eff = min(k, 1 << D) if D < 63 else k
     # A node whose last flip sits at sorted position m has m + 1 ancestors,
-    # all with smaller keys, so it pops no earlier than pop m + 2.  The
+    # all popped before it, so it pops no earlier than pop m + 2.  The
     # k_eff pops thus flip only the first k_eff - 1 positions, and no child
     # past them is pushed.
     reach, costs = _flippable(T, min(k_eff - 1, D))
-    # Variable i is bit D-1-i of a configuration, so integer order is
-    # lexicographic order and flipping variable i is one XOR.
-    pad = -D % 8
-    nbytes = (D + pad) // 8
-    configs = []
-    for cost, flips, root in zip(costs.tolist(), reach.tolist(), np.packbits(T > 0, axis=1)):
-        configs += _lawler(cost, [1 << (D - 1 - i) for i in flips],
-                           int.from_bytes(root.tobytes(), "big") >> pad, k_eff)
-    packed = np.frombuffer(b"".join([c.to_bytes(nbytes, "big") for c in configs]),
-                           dtype=np.uint8)
-    rows = np.unpackbits(packed.reshape(B * k_eff, nbytes), axis=1)[:, pad:].reshape(B, k_eff, D)
+    rows, certain = _table_rows(T, reach, costs, k_eff)
+    refused = np.flatnonzero(~certain)
+    if refused.size:
+        # Variable i is bit D-1-i of a configuration, so integer order is
+        # lexicographic order and flipping variable i is one XOR.
+        pad = -D % 8
+        nbytes = (D + pad) // 8
+        configs = []
+        for b, root in zip(refused.tolist(), np.packbits(T[refused] > 0, axis=1)):
+            configs += _lawler(costs[b].tolist(), [1 << (D - 1 - i) for i in reach[b].tolist()],
+                               int.from_bytes(root.tobytes(), "big") >> pad, k_eff)
+        packed = np.frombuffer(b"".join([c.to_bytes(nbytes, "big") for c in configs]),
+                               dtype=np.uint8)
+        rows[refused] = np.unpackbits(packed.reshape(-1, nbytes), axis=1)[:, pad:].reshape(
+            refused.size, k_eff, D)
     rows.flags.writeable = False
     # Each score has the bits of np.dot of its row with t.  That is the
     # stacked per-row dot, except at D = 1, where np.dot takes the
@@ -252,8 +338,10 @@ def kbest_rows(scores, k: int):
     :func:`kbest` is its one-row case, and documents the order.
 
     Each row's search flips only its first k' - 1 variables in the
-    search's order (:func:`_flippable`).  Roots, unpacked rows and scores
-    are built for the whole batch at once; the heap runs per row.
+    search's order (:func:`_flippable`).  The whole batch is answered at
+    once from a flip-set table (:func:`_table_rows`); the heap runs only
+    on the rows whose certificate that table cannot give, such as rows
+    with tied costs or zero scores.
     """
     return _kbest_rows(_as_score_rows(scores), k)
 
@@ -262,21 +350,27 @@ def kbest(t, k: int) -> KBest:
     """The k highest-scoring configurations, best first, as a :class:`KBest`:
     the one-row case of :func:`kbest_rows`.
 
-    Ordering is by score descending with the lexicographically smallest
-    bit-vector winning ties.  Best-first search over flip sets away from
-    the root that sets bit i iff t_i > 0: flipping variable i costs
-    |t_i|, and flip sets are generated Lawler-style, each exactly once,
-    from one heap keyed by (cost, configuration).  Under the variable
-    order (|t_i|, t_i <= 0, i if t_i > 0 else -i) no child sorts before
-    its parent, so every pop is final and a tie class is never
-    enumerated: ``kbest(np.zeros(128), 16)`` takes under a millisecond.
-    Only the first min(k, 2^D) - 1 variables in that order can flip, and
-    only variables no costlier than the last of them are sorted.
+    The order is the pop order of a best-first search over flip sets
+    away from the root that sets bit i iff t_i > 0 (:func:`_lawler`):
+    flipping variable i costs |t_i|, and flip sets are generated
+    Lawler-style, each exactly once, from one heap keyed by (cost,
+    configuration).  In exact arithmetic that is score descending with
+    the lexicographically smallest bit-vector winning ties: under the
+    variable order (|t_i|, t_i <= 0, i if t_i > 0 else -i) no child sorts
+    before its parent, so a tie class is never enumerated, and
+    ``kbest(np.zeros(128), 16)`` takes under a millisecond.  Only the
+    first min(k, 2^D) - 1 variables in that order can flip, and only
+    variables no costlier than the last of them are sorted.
 
     A cost is the rounded sum along the search path.  Where magnitudes
-    differ by a few ulps, distinct sums can round to one cost and the
-    search order decides among them; ``kbest_bruteforce``, which rounds
-    ``bits @ t`` instead, may order such inputs differently.
+    differ by a few ulps, distinct sums can round to one cost, and a
+    child can then sort before its parent and still pop after it.  For
+    t = [-1-2u, -1-2u, 1+2u, 1+u, -1-3u] with u = 2^-52 and k = 16, the
+    flip of variables 2 and 4 costs what its parent, the flip of
+    variables 2 and 0, costs, and has the smaller configuration, yet
+    pops later.  The pop order is the definition there;
+    ``kbest_bruteforce``, which rounds ``bits @ t`` instead, may order
+    such inputs differently.
     """
     rows, scores = _kbest_rows(_as_variable_scores(t)[None], k)
     return KBest(rows[0], scores[0])

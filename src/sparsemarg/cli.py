@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .activeset import sparsemap, sparsemap_rows
-from .bitvec import BitVectorPolytope, kbest
+from .bitvec import BitVectorPolytope, kbest, kbest_rows
 from .checks import SUITES, run_suite
 from .rng import make_rng
 from .simplex import sparsemax
@@ -117,6 +117,9 @@ def _bench_call(op: str, size: int, rows: int, rng):
     if op == "kbest":
         t = rng.normal(size=size)
         return lambda: kbest(t, 16), None
+    if op == "kbest_rows":  # topk training maps batches of 16 and an initial pass of 64
+        T = rng.normal(size=(rows, size))
+        return lambda: kbest_rows(T, 16), None
     if op == "sparsemap":
         t = rng.normal(size=size)
         oracle = BitVectorPolytope(size)
@@ -177,8 +180,8 @@ def cmd_bench(args) -> int:
         sizes = []
     if not sizes or any(s < 1 for s in sizes):
         return _usage_error("--sizes must be a nonempty list of positive integers")
-    if args.rows is not None and args.op != "sparsemap_rows":
-        return _usage_error("--rows applies to --op sparsemap_rows only")
+    if args.rows is not None and args.op not in ("sparsemap_rows", "kbest_rows"):
+        return _usage_error("--rows applies to --op sparsemap_rows and kbest_rows only")
     n_rows = 8 if args.rows is None else args.rows
     if n_rows < 1:
         return _usage_error("--rows must be at least 1, got %d" % n_rows)
@@ -197,7 +200,7 @@ def cmd_bench(args) -> int:
             if iter_of is not None:
                 iters.append(iter_of(res))
         mean_iters = _fmt(np.mean(iters)) if iters else ""
-        # Only a batch solve's memory grows with what the caller passes.
+        # Only the batch solve's stack is worth a fresh interpreter per size.
         rss = (_peak_rss_rise(args.op, sizes[:k + 1], n_rows, args.seed)
                if args.op == "sparsemap_rows" else "")
         rows.append((args.op, str(size), _fmt(np.median(times)), _fmt(np.percentile(times, 90)),
@@ -294,13 +297,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
 
     p_bench = sub.add_parser("bench", help="micro-benchmark an operation")
-    p_bench.add_argument("--op", choices=("sparsemax", "topk", "kbest", "sparsemap",
-                                          "sparsemap_rows"),
+    p_bench.add_argument("--op", choices=("sparsemax", "topk", "kbest", "kbest_rows",
+                                          "sparsemap", "sparsemap_rows"),
                          default="sparsemax")
     p_bench.add_argument("--sizes", default="10,100,1000",
                          help="comma-separated problem sizes")
     p_bench.add_argument("--rows", type=int, default=None,
-                         help="score rows per sparsemap_rows batch (default 8)")
+                         help="score rows per sparsemap_rows or kbest_rows batch (default 8)")
     p_bench.add_argument("--trials", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default=None)

@@ -6,6 +6,7 @@ import heapq
 import numpy as np
 import pytest
 
+from sparsemarg import bitvec
 from sparsemarg.bitvec import (
     BitVectorPolytope,
     BudgetedBitVectorPolytope,
@@ -256,6 +257,172 @@ def test_row_kbest_rejects_bad_input():
             kbest_rows(bad, 2)
     with pytest.raises(ValueError):
         kbest_rows(np.zeros((2, 3)), 0)
+
+
+_LAWLER = bitvec._lawler  # the heap itself, apart from any spy on it
+
+
+def _heap_rows(T, k):
+    """kbest_rows with every row run through the heap: ``_flippable`` and
+    ``_lawler`` one row at a time, each row's configurations unpacked and
+    scored by ``np.dot`` of its own rows."""
+    B, D = T.shape
+    k_eff = min(k, 1 << D) if D < 63 else k
+    pad = -D % 8
+    nbytes = (D + pad) // 8
+    rows, scores = [], []
+    for t in T:
+        reach, costs = bitvec._flippable(t[None], min(k_eff - 1, D))
+        root = int.from_bytes(np.packbits(t > 0).tobytes(), "big") >> pad
+        configs = _LAWLER(costs[0].tolist(), [1 << (D - 1 - i) for i in reach[0].tolist()],
+                          root, k_eff)
+        packed = np.frombuffer(b"".join(c.to_bytes(nbytes, "big") for c in configs),
+                               dtype=np.uint8)
+        bits = np.unpackbits(packed.reshape(k_eff, nbytes), axis=1)[:, pad:]
+        rows.append(bits)
+        scores.append([np.dot(row.astype(np.int64), t) for row in bits])
+    return np.array(rows, dtype=np.uint8), np.array(scores, dtype=np.float64)
+
+
+_KINDS = ("normal", "integers", "specials", "magnitudes", "ulps")
+
+
+def _scores_of_kind(rng, kind, B, D):
+    """Normal scores, integers in -2..2, entries of {0, +-0.5, +-1e-20, 1},
+    magnitudes 10^-25..10^4 of either sign, or +-(1 + j 2^-52), j < 8."""
+    sign = rng.choice([-1.0, 1.0], size=(B, D))
+    if kind == "normal":
+        return rng.normal(size=(B, D))
+    if kind == "integers":
+        return rng.integers(-2, 3, size=(B, D)).astype(np.float64)
+    if kind == "specials":
+        return rng.choice([0.0, 0.5, -0.5, 1e-20, -1e-20, 1.0], size=(B, D))
+    if kind == "magnitudes":
+        return sign * 10.0 ** rng.uniform(-25.0, 4.0, size=(B, D))
+    return sign * (1.0 + rng.integers(0, 8, size=(B, D)) * 2.0 ** -52)
+
+
+@pytest.fixture
+def heap_rows(monkeypatch):
+    """Counts the rows that kbest_rows hands to the heap."""
+    count = [0]
+    lawler = bitvec._lawler
+
+    def spy(*args):
+        count[0] += 1
+        return lawler(*args)
+
+    monkeypatch.setattr(bitvec, "_lawler", spy)
+    return count
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_row_kbest_is_the_heap_on_every_row(kind, heap_rows):
+    # The flip-set table answers a row only when its certificate proves
+    # the heap would pop the same nodes in the same order; every other row
+    # runs the heap.  Either way each row must be the heap's, bit for bit.
+    rng = make_rng(70 + _KINDS.index(kind))
+    for d in (1, 2, 3, 5, 8, 16, 40, 64, 128):
+        for k in (1, 2, 3, 4, 7, 8, 16, 32):
+            T = _scores_of_kind(rng, kind, int(rng.integers(1, 9)), d)
+            rows, scores = kbest_rows(T, k)
+            ref_rows, ref_scores = _heap_rows(T, k)
+            assert rows.dtype == np.uint8 and rows.shape == ref_rows.shape, (kind, d, k)
+            assert rows.tobytes() == ref_rows.tobytes(), (kind, d, k)
+            assert scores.tobytes() == ref_scores.tobytes(), (kind, d, k)
+    # Normal scores never reach the heap; ties and ulp-close magnitudes do.
+    assert (heap_rows[0] == 0) == (kind == "normal"), heap_rows[0]
+
+
+def test_row_kbest_runs_no_heap_on_training_shaped_batches(heap_rows):
+    # The benchmark's topk shape: D = 128, k = 16, batches of 16 and 64.
+    rng = make_rng(77)
+    for B in (16, 64) * 10:
+        T = rng.normal(size=(B, 128))
+        rows, scores = kbest_rows(T, 16)
+        ref_rows, ref_scores = _heap_rows(T, 16)
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert scores.tobytes() == ref_scores.tobytes()
+    assert heap_rows[0] == 0
+
+
+def _dominators_by_enumeration(node, m):
+    """The flip sets over positions 0..m-1 whose i-th largest position is
+    at most ``node``'s for every i, counted one set at a time."""
+    top = sorted(node, reverse=True)
+    count = 0
+    for code in range(1 << m):
+        other = [p for p in range(m - 1, -1, -1) if code >> p & 1]
+        count += len(other) <= len(top) and all(a <= b for a, b in zip(other, top))
+    return count
+
+
+def test_flip_table_counts_dominators_and_holds_the_subtree():
+    for m in range(9):
+        for code in range(1 << m):
+            node = tuple(p for p in range(m) if code >> p & 1)
+            assert bitvec._dominators(node) == _dominators_by_enumeration(node, m), node
+    n, pos = bitvec._flip_table(16, 15)
+    assert n == 36 and len(pos) - n == 34
+    nodes = [tuple(p for p in row if p < 15) for row in pos.tolist()]
+    assert nodes[0] == () and len(set(nodes)) == len(nodes)
+    assert all(bitvec._dominators(node) <= 16 for node in nodes[:n])
+    assert all(bitvec._dominators(node) > 16 for node in nodes[n:])
+    # Each node's Lawler parent (the last flip dropped if the one before
+    # it is its neighbour, else moved one position back) is a table node.
+    for node in nodes[1:]:
+        *head, last = node
+        parent = tuple(head) if last == 0 or head[-1:] == [last - 1] else (*head, last - 1)
+        assert nodes.index(parent) < n, node
+
+
+def test_row_kbest_refuses_a_tie_just_past_the_kth(heap_rows):
+    # Sorted costs 1 < 2 < 3: the table's 4th cheapest node flips the two
+    # cheapest variables and its 5th the third, both at cost 3, so the
+    # k-th pop is the one of smaller configuration, which is the 5th node
+    # for the first row and the 4th for the second.  The certificate
+    # refuses both rows; the third, with no tie, keeps the table's answer.
+    T = np.array([[3.0, 1.0, 2.0], [1.0, 2.0, 3.0], [3.0, 1.0, 2.5]])
+    rows, scores = kbest_rows(T, 4)
+    assert heap_rows[0] == 2
+    ref_rows, ref_scores = _heap_rows(T, 4)
+    assert rows.tobytes() == ref_rows.tobytes() and scores.tobytes() == ref_scores.tobytes()
+    assert rows.tolist() == [[[1, 1, 1], [1, 0, 1], [1, 1, 0], [0, 1, 1]],
+                             [[1, 1, 1], [0, 1, 1], [1, 0, 1], [0, 0, 1]],
+                             [[1, 1, 1], [1, 0, 1], [1, 1, 0], [0, 1, 1]]]
+
+
+def test_row_kbest_adds_costs_in_the_heaps_order():
+    # Magnitudes far apart round differently when added in another order
+    # (a tiny cost is absorbed or not); each row's table costs must be the
+    # heap's sums, added in ascending position order from 0.0.
+    for k, t in ((8, [-34.27018198101454, 3.873088502302608e-15, 5.41760224207779]),
+                 (7, [0.004705379855548839, 0.06389478334812435, 6.352258645231978e-14,
+                      6.908015552510844e-19]),
+                 (16, [8.38232073652212e-14, -3.18574329678842e-06, 878.7452804181487,
+                       8.335320071631924e-06])):
+        T = np.array([t])
+        rows, scores = kbest_rows(T, k)
+        ref_rows, ref_scores = _heap_rows(T, k)
+        assert rows.tobytes() == ref_rows.tobytes(), t
+        assert scores.tobytes() == ref_scores.tobytes(), t
+
+
+def test_kbest_pops_an_ulp_tied_child_after_its_parent(heap_rows):
+    # Sorted positions 1 and 4 (variables 2 and 4) cost what their parent,
+    # positions 1 and 3 (variables 2 and 0), costs once rounded, and make
+    # the smaller configuration; the heap still pops them later (rows 9
+    # and 10).  The table's certificate refuses the row.
+    u = 2.0 ** -52
+    t = np.array([-1 - 2 * u, -1 - 2 * u, 1 + 2 * u, 1 + u, -1 - 3 * u])
+    expected = ["00110", "00100", "00010", "01110", "10110", "00111", "00000", "01010",
+                "01100", "10010", "00011", "10100", "00101", "10111", "11110", "01111"]
+    got = kbest(t, 16)
+    assert ["".join(map(str, row)) for row in got.rows.tolist()] == expected
+    assert heap_rows[0] == 1
+    rows, scores = kbest_rows(np.vstack([t, t]), 16)
+    assert rows.tobytes() == np.stack([got.rows] * 2).tobytes()
+    assert scores.tobytes() == np.stack([got.scores] * 2).tobytes()
 
 
 def test_structure_index_and_score_cache():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import sparsemarg.cli as cli
 from sparsemarg.activeset import sparsemap
 from sparsemarg.bitvec import BitVectorPolytope
 from sparsemarg.cli import TRAIN_COLUMNS, _fmt, main
@@ -111,8 +112,28 @@ def test_bench_sparsemap_rows_takes_a_rows_size_and_reports_peak_rss(tmp_path):
     assert peaks[1] > peaks[0]
 
 
+def test_bench_kbest_rows_times_a_batch_of_rows(tmp_path, monkeypatch):
+    # --rows sets the batch of kbest_rows(T, 16), as for sparsemap_rows;
+    # no iterations or peak RSS are reported.
+    shapes = []
+    kbest_rows = cli.kbest_rows
+    monkeypatch.setattr(cli, "kbest_rows",
+                        lambda T, k: shapes.append((T.shape, k)) or kbest_rows(T, k))
+    out = tmp_path / "bench.csv"
+    for argv, n_rows in (([], 8), (["--rows", "64"], 64)):
+        shapes.clear()
+        code = main(["bench", "--op", "kbest_rows", "--sizes", "16,128", "--trials", "2",
+                     "--out", str(out)] + argv)
+        assert code == 0
+        _, rows = _rows(out)
+        assert [r[:2] for r in rows] == [["kbest_rows", "16"], ["kbest_rows", "128"]]
+        assert all(float(r[2]) > 0 and r[4] == r[5] == "" for r in rows)
+        assert shapes == [((n_rows, 16), 16)] * 5 + [((n_rows, 128), 16)] * 5
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--op", "sparsemax", "--rows", "4"], "--rows applies to --op sparsemap_rows only"),
+    (["--op", "sparsemax", "--rows", "4"],
+     "--rows applies to --op sparsemap_rows and kbest_rows only"),
     (["--op", "sparsemap_rows", "--rows", "0"], "--rows must be at least 1, got 0"),
 ])
 def test_bench_rows_usage_errors(tmp_path, capsys, argv, message):

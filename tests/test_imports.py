@@ -44,3 +44,14 @@ def test_scipy_loads_only_with_the_first_sparsemap_solve():
                           env=dict(os.environ, PYTHONPATH=str(_SRC)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_the_row_kernels_are_exported_from_the_package_root():
+    import sparsemarg
+    from sparsemarg import activeset, bitvec, simplex, topk
+
+    for module, name in ((activeset, "sparsemap_rows"), (activeset, "sparsemap_vjp_rows"),
+                         (bitvec, "kbest_rows"), (simplex, "sparsemax_rows"),
+                         (simplex, "sparsemax_vjp_rows"), (topk, "topk_sparsemax_rows")):
+        assert name in sparsemarg.__all__
+        assert getattr(sparsemarg, name) is getattr(module, name)

@@ -1077,6 +1077,29 @@ def test_rows_solve_leaves_its_scores_and_shares_no_memory_between_results():
     assert drops > 0
 
 
+def test_rows_solve_results_share_no_memory_with_the_solver_stacks(monkeypatch):
+    # Each result is built while its row is still in the stack; none of
+    # its arrays may be a view of the stack's weights, moments, vertex
+    # rows, factors or scores, so holding one result keeps no other row's.
+    rng = make_rng(317)
+    built, result = [], activeset._result
+
+    def spy(sets, *args):
+        res = result(sets, *args)
+        built.append((res, [sets.W, sets.M, sets.V, sets.L, sets.T]))
+        return res
+
+    monkeypatch.setattr(activeset, "_result", spy)
+    for oracle in (BitVectorPolytope(16), BudgetedBitVectorPolytope(16, 4)):
+        built.clear()
+        T = _mixed_rows(rng, 200, 16)
+        solved = sparsemap_rows(oracle, T)
+        assert sorted(map(id, solved)) == sorted(id(res) for res, _ in built)
+        for res, stacks in built:
+            for a in (res.probs, res.moments, res.rows, res._t):
+                assert not any(np.shares_memory(a, stack) for stack in stacks)
+
+
 def test_structure_scores_are_the_dots_of_their_bits_with_the_projected_scores():
     # A result scores each structure as map_rows scores a vertex: the dot
     # of its bits with the scores that were projected, in the bytes of a
