@@ -31,6 +31,12 @@ The backward pass differentiates the fixed-support KKT system; both vjps
 same bordered projection, taken for a batch of solutions grouped by
 support size (:func:`sparsemap_vjp_rows`).
 
+The solve and the vjp are array kernels (:func:`_solve`, :func:`_vjp`):
+a solved batch is its weights, vertex rows and per-row figures as arrays
+and lists (:class:`_Solved`), which training reads directly.  The public
+functions are thin adapters that check their arguments and build one
+:class:`SparseMapResult` per row, or read the rows of a list of them.
+
 A batch, solved or differentiated, raises the error of its lowest-index
 row that raises, the error a loop of one-row calls would raise.  The
 stacked pass keeps no account of which row is at fault: if it raises
@@ -48,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitvec import _structures
+from .bitvec import _as_score_rows, _Polytope, _structures
 from .simplex import SparseDistribution, _row_dots
 
 __all__ = [
@@ -68,6 +74,8 @@ _INT64_OUTCOMES = 1 << 63
 # A stack of factors or vertex rows starts with room for this many
 # structures in each row, and doubles its room when a live row needs more.
 _MIN_ROOM = 16
+# Rows leaving the stack as results are packed this many at a time.
+_PACK = 64
 # LAPACK's dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b), bound
 # by _lapack() on the first solve: importing the library loads no scipy.
 dtrtrs = None
@@ -148,27 +156,29 @@ class _ActiveSets:
     """The active sets of the rows of a (B, D) score matrix ``T``, stacked.
 
     Row b's support holds ``n[b]`` structures: their vertex rows are the
-    leading rows of ``V[b]`` (cap, D), their weights the leading entries
-    of ``W[b]``, their bits (as bytes) the list ``keys[b]``, and ``M[b]``
-    holds the moments.  No structure's score is kept: a result scores its
-    structures against its row of ``T`` when they are read.  The
-    lower-triangular factor of their bordered Gram matrix A'A + 11^T is
-    the leading ``n[b]`` x ``n[b]`` block of ``L[b]``, zero right of its
-    diagonal; the rows below it are scratch that the next append
-    overwrites.  All rows share one room ``cap``, which :meth:`_reserve`
-    grows and :meth:`_keep` shrinks to fewer rows: LAPACK gives a
-    triangular solve the same bits whatever the leading dimension, and
-    wherever the factor sits in the stack.  Stack row b solves row
-    ``origin[b]`` of the batch, and ``T[b]`` holds its scores.  ``hi[b]``
-    and ``lo[b]`` are the largest and smallest |diagonal| entry of row b's
-    factor: exact on an append, and NaN, recomputed on first use, after a
-    drop or a rebuild, which change the diagonal.  The per-row lists
-    ``tau``, ``nu_min``, ``tol``, ``converged``, ``iteration``, ``adds``,
-    ``drops``, ``refactorizations``, ``widen_count`` and
-    ``max_condition`` hold the rest of each row's iterate.  The sizes,
-    bounds and scalars are lists of Python numbers: a step reads and
-    writes them for a few rows at a time, where a numpy call per update
-    costs more.  A new stack holds empty supports.
+    leading rows of ``V[b]`` (cap, D) and their weights the leading
+    entries of ``W[b]``, both zero past them, their bits (as bytes) the list
+    ``keys[b]``, and ``M[b]`` holds the moments.  No structure's score is
+    kept: a result scores its structures against its row of ``T`` when
+    they are read.  The lower-triangular factor of their bordered Gram
+    matrix A'A + 11^T is the leading ``n[b]`` x ``n[b]`` block of
+    ``L[b]``, zero right of its diagonal; the rows below it are scratch
+    that the next append overwrites.  All rows share one room ``cap``,
+    which :meth:`_reserve` grows and :meth:`_keep` shrinks to fewer rows:
+    LAPACK gives a triangular solve the same bits whatever the leading
+    dimension, and wherever the factor sits in the stack.  Stack row b
+    solves row ``origin[b]`` of the batch, and ``T[b]`` holds its scores.
+    ``diag[b]`` lists the |diagonal| entries of row b's factor, kept
+    through appends, drops and rebuilds.  ``hi[b]`` and ``lo[b]`` are the
+    largest and smallest of them: exact on an append, and NaN, read off
+    ``diag[b]`` on first use, after a drop or a rebuild, which change the
+    diagonal.  The per-row lists ``tau``, ``nu_min``, ``tol``,
+    ``converged``, ``iterations``, ``adds``, ``drops``,
+    ``refactorizations``, ``widenings`` and ``max_condition`` hold the
+    rest of each row's iterate.  The sizes, bounds and scalars are lists
+    of Python numbers: a step reads and writes them for a few rows at a
+    time, where a numpy call per update costs more.  A new stack holds
+    empty supports.
     """
 
     def __init__(self, T, cap: int, tol):
@@ -177,12 +187,12 @@ class _ActiveSets:
         self.L, self.V = np.zeros((B, cap, cap)), np.zeros((B, cap, D))
         self.W = np.zeros((B, cap))
         self.M = np.zeros((B, D))
-        self.n, self.keys = [0] * B, [[] for _ in range(B)]
+        self.n, self.keys, self.diag = [0] * B, [[] for _ in range(B)], [[] for _ in range(B)]
         self.hi, self.lo = [math.nan] * B, [math.nan] * B
         self.tau, self.nu_min, self.tol = [math.nan] * B, [math.nan] * B, [tol] * B
         self.converged = [False] * B
-        self.iteration, self.adds, self.drops = [0] * B, [0] * B, [0] * B
-        self.refactorizations, self.widen_count = [0] * B, [0] * B
+        self.iterations, self.adds, self.drops = [0] * B, [0] * B, [0] * B
+        self.refactorizations, self.widenings = [0] * B, [0] * B
         self.max_condition = [1.0] * B
         self.origin = list(range(B))
 
@@ -209,7 +219,7 @@ class _ActiveSets:
         their grown factors' condition estimates (:meth:`_condition`), as
         lists."""
         bad, grown, roots, cond, redo = [], [], [], [], []
-        sizes, hi, lo = self.n, self.hi, self.lo
+        sizes, hi, lo, kept = self.n, self.hi, self.lo, self.diag
         for b, pivot, d in zip(ids.tolist(), pivots, diag):
             if pivot <= 1e-12 * max(d, 1.0):
                 bad.append(b)
@@ -218,6 +228,7 @@ class _ActiveSets:
             # recomputed, and the NaN carries.
             r = math.sqrt(pivot)
             sizes[b] = n + 1
+            kept[b].append(r)
             h, l = hi[b], lo[b]
             if r == r and l == l:
                 hi[b] = h = r if r > h else h
@@ -263,6 +274,9 @@ class _ActiveSets:
             block[k][k], block[k][k + 1] = rad, 0.0
         if block:
             M[j : n - 1, j:n] = block
+        kept = self.diag[b]
+        del kept[j]
+        kept[j:] = [abs(row[k]) for k, row in enumerate(block)]
         self.n[b] = n - 1
         self.hi[b] = self.lo[b] = math.nan
 
@@ -271,17 +285,20 @@ class _ActiveSets:
         stack has room for; raises LinAlgError, leaving the row as it was,
         if that is not positive definite."""
         m = gram.shape[0]
-        self.L[b, :m, :m] = np.linalg.cholesky(gram)
+        factor = np.linalg.cholesky(gram)
+        self.L[b, :m, :m] = factor
         self.n[b] = m
+        self.diag[b] = np.abs(np.diagonal(factor)).tolist()
         self.hi[b] = self.lo[b] = math.nan
 
     def _condition(self, b: int) -> float:
         """(max |diag L| / min |diag L|)^2 of row b's factor, inf when the
-        smallest is 0."""
+        smallest is 0 or an entry is NaN."""
         if self.lo[b] != self.lo[b]:
-            n = self.n[b]
-            d = np.abs(np.diagonal(self.L[b, :n, :n]))
-            self.hi[b], self.lo[b] = float(d.max()), float(d.min())
+            d = self.diag[b]
+            # NaN wherever an entry is, as numpy's max and min would give.
+            self.hi[b], self.lo[b] = ((math.nan, math.nan) if any(map(math.isnan, d))
+                                      else (max(d), min(d)))
         return _condition(self.hi[b], self.lo[b])
 
     def _refactorize(self, b: int, size: int):
@@ -291,10 +308,24 @@ class _ActiveSets:
 
 
 def _oracle_rows(oracle, R):
-    """The oracle's best vertex for each row of R: uint8 (B, D) bits and
-    float (B,) scores, from one ``oracle.map_rows`` call."""
+    """The oracle's best vertex for each row of R, from one call: uint8
+    (B, D) bits and a list of B float scores.
+
+    A library polytope whose ``map_rows`` is the library's checked
+    wrapper answers through its unchecked ``_map_rows``: the solver's
+    residuals have the polytope's width, and a residual entry that is not
+    finite makes its row's score not finite (its product with a 0 or 1
+    bit is), so only then is R checked, raising as ``map_rows`` would.
+    Any other oracle answers through its ``map_rows``.
+    """
+    if type(oracle).map_rows is _Polytope.map_rows:
+        bits, scores = oracle._map_rows(R)
+        scores = scores.tolist()
+        if not math.isfinite(sum(scores)):  # or a sum past the float range
+            _as_score_rows(R)
+        return bits, scores
     bits, scores = oracle.map_rows(R)
-    return np.ascontiguousarray(bits, dtype=np.uint8), scores
+    return np.ascontiguousarray(bits, dtype=np.uint8), np.asarray(scores, dtype=np.float64).tolist()
 
 
 def _relaxed_checked(L, At) -> None:
@@ -318,7 +349,7 @@ def _relaxed_rows(sets: _ActiveSets, ids, n: int):
     else is computed.  Returns the rows' stacked vertex rows, scores and
     factors, p and tau.
     """
-    R, Tg, Lg = sets.V[ids, :n], sets.T[ids], sets.L[ids, :n, :n]
+    R, Tg, Lg = sets.V[ids, :n], sets.T[ids], sets.L[:, :n, :n][ids]
     At = np.matmul(R, Tg[:, :, None])[..., 0]
     g = ids.size
     UV = np.empty((2 * g, n))
@@ -355,7 +386,7 @@ def _drop_step(sets: _ActiveSets, b: int, gamma: float, blocker: int, p_hat):
     # same structure again.  Refactorize and widen the dual tolerance,
     # giving up after three rounds.
     cycle = gamma == 0.0 and blocker == n - 1
-    if cycle and sets.widen_count[b] >= 3:
+    if cycle and sets.widenings[b] >= 3:
         raise ActiveSetCycleError(
             "active set keeps exchanging the same structure after 3 tolerance widenings"
         )
@@ -363,19 +394,19 @@ def _drop_step(sets: _ActiveSets, b: int, gamma: float, blocker: int, p_hat):
     probs = (1.0 - gamma) * W[:n] + gamma * p_hat
     W[:blocker], W[blocker : n - 1], W[n - 1] = probs[:blocker], probs[blocker + 1 :], 0.0
     V = sets.V[b]
-    V[blocker : n - 1] = V[blocker + 1 : n]
+    V[blocker : n - 1], V[n - 1] = V[blocker + 1 : n], 0.0
     del sets.keys[b][blocker]
     sets._drop(b, blocker)
     # No condition check here: in exact arithmetic, deleting a structure
     # conditions each later Cholesky pivot on fewer structures, so no
     # pivot falls, and the next add runs the check again.
     sets.M[b] = sets.V[b, : n - 1].T @ W[: n - 1]
-    sets.iteration[b] += 1
+    sets.iterations[b] += 1
     sets.drops[b] += 1
     if cycle:
         sets._refactorize(b, n - 1)
         sets.tol[b] *= 10.0
-        sets.widen_count[b] += 1
+        sets.widenings[b] += 1
 
 
 def _add_step(sets: _ActiveSets, ids, n: int, F, E, pivots: list, diag: list):
@@ -456,15 +487,15 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> None:
     bits, scores = _oracle_rows(
         oracle, reach[0][-1] if len(reach) == 1 else np.concatenate([r[-1] for r in reach]))
     D = bits.shape[1]
-    raw, at = bits.tobytes(), 0
+    raw, at, ones = bits.tobytes(), 0, bits.sum(axis=1).tolist()  # ones: each vertex's a'a
     tau_of, nu_of, steps, tol, converged, known = (
-        sets.tau, sets.nu_min, sets.iteration, sets.tol, sets.converged, sets.keys)
+        sets.tau, sets.nu_min, sets.iterations, sets.tol, sets.converged, sets.keys)
     for n, ids, R, Lg, P_hat, tau_hat, M, _ in reach:
         g = ids.size
         sets.M[ids], sets.W[ids, :n] = M, P_hat
         start, add, diag = at, [], []
-        for b, tau, nu in zip(ids.tolist(), tau_hat.tolist(),
-                              (tau_hat - scores[at:at + g]).tolist()):
+        for b, tau in zip(ids.tolist(), tau_hat.tolist()):
+            nu = tau - scores[at]
             tau_of[b], nu_of[b] = tau, nu
             steps[b] += 1
             if nu >= -tol[b]:
@@ -476,7 +507,7 @@ def _advance_rows(sets: _ActiveSets, oracle, live) -> None:
                 else:
                     add.append(at)
                     known[b].append(key)
-                    diag.append(sum(key) + 1.0)  # a'a + 1
+                    diag.append(ones[at] + 1.0)  # a'a + 1
             at += 1
         if not add:
             continue
@@ -568,79 +599,125 @@ def _check_solver(oracle, tol: float, max_iter) -> int:
     return max_iter
 
 
-def _row_by_row(stacked, *batch):
+def _row_by_row(stacked, join, *batch):
     """``stacked(*batch)``, the rows of the batch run together; if that
-    raises, ``stacked`` of each row alone instead, in order, so that the
-    first row that raises raises, and a batch of one re-raises."""
+    raises, ``join`` of the list of ``stacked`` of each row alone instead,
+    in order, so that the first row that raises raises, and a batch of one
+    re-raises."""
     try:
         return stacked(*batch)
     except Exception:
         if len(batch[0]) == 1:
             raise
-    return [stacked(*(a[i:i + 1] for a in batch))[0] for i in range(len(batch[0]))]
+    return join([stacked(*(a[i:i + 1] for a in batch)) for i in range(len(batch[0]))])
 
 
-def _result(sets: _ActiveSets, b: int, n_outcomes: int, index_of) -> SparseMapResult:
-    """The result of stack row b of ``sets``, sharing no memory with the
-    stack, so that holding it does not keep the whole stack alive."""
-    n = sets.n[b]
-    probs, rows = sets.W[b, :n], sets.V[b, :n]
-    keep = probs > 0.0
-    if keep.all():
-        probs, rows = probs.copy(), rows.copy()
-    else:
-        if not keep.any():
-            raise _unresolved(sets.T[b], "no structure keeps positive weight")
-        probs, rows = probs[keep], rows[keep]
-    return SparseMapResult(
-        probs=probs,
-        moments=sets.M[b].copy(),
-        tau=sets.tau[b],
-        converged=sets.converged[b],
-        iterations=sets.iteration[b],
-        nu_min=sets.nu_min[b],
-        n_outcomes=n_outcomes,
-        index_of=index_of,
-        rows=rows,
-        adds=sets.adds[b],
-        drops=sets.drops[b],
-        refactorizations=sets.refactorizations[b],
-        widenings=sets.widen_count[b],
-        max_condition=sets.max_condition[b],
-        _t=sets.T[b].copy(),  # not a view of the caller's scores
-    )
+# Each row's figures in a solved batch, named as its SparseMapResult names them.
+_FIGURES = ("tau", "converged", "iterations", "nu_min", "adds", "drops", "refactorizations",
+            "widenings", "max_condition")
 
 
-def _solve_rows(oracle, T, max_iter: int, tol: float) -> list:
-    """:func:`sparsemap_rows` of a (B, oracle.dim) matrix, after the
-    argument checks, as one stack (:class:`_ActiveSets`) whose rows
-    advance in lockstep; the first error met in any row is raised.
+class _Solved:
+    """A solved batch as arrays, in batch order, sharing no memory with
+    the solver's stack.
+
+    Row i's support is the ``sizes[i]`` structures its active set gives
+    positive weight, in the active set's order: their weights are the
+    leading entries of ``probs[i]`` and their vertex rows the leading rows
+    of ``rows[i]``, zeros past them, where ``probs`` is (B, S), ``rows``
+    (B, S, D) and S the largest support.  ``moments`` is (B, D); ``sizes``
+    and each name of :data:`_FIGURES` are lists of B Python values.
+    """
+
+    def __init__(self, probs, rows, moments, figures: dict):
+        self.probs, self.rows, self.moments = probs, rows, moments
+        vars(self).update(figures)
+
+    @classmethod
+    def _of(cls, sets: _ActiveSets, rows: list) -> "_Solved":
+        """The stack rows ``rows`` of ``sets``, in that order, each
+        support's structures of positive weight packed to the front, as
+        :func:`sparsemap` keeps them; raises for a row that has none."""
+        sizes, W = [sets.n[b] for b in rows], sets.W[rows]
+        S = max(sizes, default=0)
+        keep = W > 0.0  # and W and V are 0 past each support
+        if np.count_nonzero(keep) == sum(sizes):  # every structure keeps weight
+            probs, packed = W[:, :S], sets.V[rows, :S]
+        else:
+            sizes = np.count_nonzero(keep, axis=1)
+            if not sizes.all():
+                raise _unresolved(sets.T[rows[int(sizes.argmin())]],
+                                  "no structure keeps positive weight")
+            on = np.arange(sizes.max()) < sizes[:, None]  # the packed places
+            probs, packed = np.zeros(on.shape), np.zeros(on.shape + (sets.V.shape[2],))
+            r, c = keep.nonzero()
+            probs[on], packed[on] = W[r, c], sets.V[np.asarray(rows)[r], c]
+            sizes = sizes.tolist()
+        figures = {name: [getattr(sets, name)[b] for b in rows] for name in _FIGURES}
+        return cls(probs, packed, sets.M[rows], dict(figures, sizes=sizes))
+
+    @classmethod
+    def _join(cls, parts: list, origins: list) -> "_Solved":
+        """One batch of the solved ``parts``, the rows of part k being the
+        batch rows ``origins[k]``."""
+        B, S = sum(map(len, origins)), max(part.probs.shape[1] for part in parts)
+        probs, rows = np.zeros((B, S)), np.zeros((B, S, parts[0].rows.shape[2]))
+        moments = np.empty((B, parts[0].moments.shape[1]))
+        figures = {name: [None] * B for name in _FIGURES + ("sizes",)}
+        for part, origin in zip(parts, origins):
+            width = part.probs.shape[1]
+            probs[origin, :width], rows[origin, :width] = part.probs, part.rows
+            moments[origin] = part.moments
+            for name, values in figures.items():
+                for i, value in zip(origin, getattr(part, name)):
+                    values[i] = value
+        return cls(probs, rows, moments, figures)
+
+
+def _solve_rows(oracle, T, max_iter: int, tol: float, as_results: bool = False):
+    """:func:`_solve` of a (B, oracle.dim) matrix, after the argument
+    checks, as one stack (:class:`_ActiveSets`) whose rows advance in
+    lockstep; the first error met in any row is raised.  With
+    ``as_results``, the list of the rows' results instead.
 
     A step adds at most one structure to a row, so the stack grows only
     between steps, when a live row's support fills the room.  Before the
-    room doubles, the converged rows leave the stack, their results
-    built: a batch holds room for its live rows only.
+    room doubles, the converged rows leave the stack, packed, and turned
+    into their results right away if results are asked for: a batch holds
+    room for its live rows only.
     """
     _lapack()
     if not np.isfinite(T).all():
         raise ValueError("scores must be finite")
     B = T.shape[0]
     sets = _ActiveSets(T, _MIN_ROOM, tol)
-    n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
-    index_of = getattr(oracle, "outcome_index", lambda s: s.index)
-    results = [None] * B
+    parts, origins = [], []
+
+    def pack(rows):
+        if not as_results:
+            return _Solved._of(sets, rows)
+        # _PACK rows at a time: no padded copy of many supports is held.
+        return [res for k in range(0, len(rows), _PACK) for res in _results(
+            oracle, sets.T[rows[k:k + _PACK]], _Solved._of(sets, rows[k:k + _PACK]))]
+
     # Scores near the float range can overflow in the oracle's scores and
-    # in A't.  The step that meets a non-finite A't raises ValueError, and
-    # numpy's overflow warnings would only repeat it.
-    with np.errstate(over="ignore"):
+    # in A't, and a residual that is not finite gives the unchecked oracle
+    # 0 * inf products.  The step that meets a non-finite A't or residual
+    # raises ValueError, and numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
         if B:
-            # Each row starts at weight 1 on its MAP vertex, with a 1 x 1 factor.
+            # Each row starts at weight 1 on its MAP vertex, with the 1 x 1
+            # factor sqrt(a'a + 1): the bits of np.linalg.cholesky, exact
+            # diagonal bounds.
             bits, _ = _oracle_rows(oracle, T)
             F = bits.astype(np.float64)
             sets.V[:, 0], sets.W[:, 0], sets.M[:] = F, 1.0, F
-            sets.L[:, :1, :1] = np.linalg.cholesky(F.sum(axis=1)[:, None, None] + 1.0)
+            roots = np.sqrt(F.sum(axis=1) + 1.0)
+            sets.L[:, 0, 0] = roots
             sets.n[:] = [1] * B
             sets.keys[:] = [[key] for key in map(bytes, bits)]
+            sets.hi[:] = sets.lo[:] = roots = roots.tolist()
+            sets.diag[:] = [[root] for root in roots]
         for _ in range(max_iter):
             live = [b for b, done in enumerate(sets.converged) if not done]
             if not live:
@@ -648,16 +725,46 @@ def _solve_rows(oracle, T, max_iter: int, tol: float) -> list:
             size = max(sets.n[b] for b in live) + 1
             if size > sets.V.shape[1]:
                 if len(live) < len(sets.n):
-                    for b, done in enumerate(sets.converged):
-                        if done:
-                            results[sets.origin[b]] = _result(sets, b, n_outcomes, index_of)
+                    done = [b for b, finished in enumerate(sets.converged) if finished]
+                    parts.append(pack(done))
+                    origins.append([sets.origin[b] for b in done])
                     sets._keep(live)
                     live = list(range(len(live)))
                 sets._reserve(size)
             _advance_rows(sets, oracle, live)
-    for b, i in enumerate(sets.origin):
-        results[i] = _result(sets, b, n_outcomes, index_of)
+    parts.append(pack(list(range(len(sets.n)))))
+    origins.append(sets.origin)
+    if len(parts) == 1:
+        return parts[0]
+    if not as_results:
+        return _Solved._join(parts, origins)
+    results = [None] * B
+    for part, origin in zip(parts, origins):
+        for i, res in zip(origin, part):
+            results[i] = res
     return results
+
+
+def _solve(oracle, T, max_iter: int | None = None, tol: float = 1e-9) -> _Solved:
+    """The solve of each row of a float (B, oracle.dim) matrix ``T``, as a
+    :class:`_Solved`: the core of :func:`sparsemap_rows`, with the bits
+    and the errors of its results, for a caller that made ``T``."""
+    max_iter = _check_solver(oracle, tol, max_iter)
+    return _row_by_row(lambda rows: _solve_rows(oracle, rows, max_iter, tol),
+                       lambda parts: _Solved._join(parts, [[i] for i in range(len(parts))]), T)
+
+
+def _results(oracle, T, solved: _Solved) -> list:
+    """One :class:`SparseMapResult` per row of ``solved``, the solve of
+    ``T``, sharing no memory with another, with ``solved`` or with ``T``."""
+    n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
+    index_of = getattr(oracle, "outcome_index", lambda s: s.index)
+    figures = zip(*(getattr(solved, name) for name in _FIGURES))
+    return [SparseMapResult(probs=probs[:n].copy(), moments=moments.copy(),
+                            n_outcomes=n_outcomes, index_of=index_of, rows=rows[:n].copy(),
+                            _t=t.copy(), **dict(zip(_FIGURES, values)))
+            for n, probs, rows, moments, t, values in zip(
+                solved.sizes, solved.probs, solved.rows, solved.moments, T, figures)]
 
 
 def sparsemap_rows(oracle, scores, *, max_iter: int | None = None, tol: float = 1e-9) -> list:
@@ -675,7 +782,8 @@ def sparsemap_rows(oracle, scores, *, max_iter: int | None = None, tol: float = 
     if T.ndim != 2 or T.shape[1] != oracle.dim:
         raise ValueError("scores must be a (B, oracle.dim) matrix")
     max_iter = _check_solver(oracle, tol, max_iter)
-    return _row_by_row(lambda rows: _solve_rows(oracle, rows, max_iter, tol), T)
+    return _row_by_row(lambda rows: _solve_rows(oracle, rows, max_iter, tol, as_results=True),
+                       lambda parts: [res for part in parts for res in part], T)
 
 
 def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> SparseMapResult:
@@ -694,12 +802,13 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
         raise ValueError("scores must be a 1-d vector of length oracle.dim")
     if not np.all(np.isfinite(t)):
         raise ValueError("scores must be finite")
-    return _solve_rows(oracle, t[None], _check_solver(oracle, tol, max_iter), tol)[0]
+    return _solve_rows(oracle, t[None], _check_solver(oracle, tol, max_iter), tol,
+                       as_results=True)[0]
 
 
-def _vjp_rows(results, upstream) -> np.ndarray:
-    """:func:`sparsemap_vjp_rows` after the shape check, all rows together;
-    the first error met in any row is raised.
+def _vjp_rows(rows, sizes: list, converged: list, upstream) -> np.ndarray:
+    """:func:`_vjp` of all rows together; the first error met in any row
+    is raised.
 
     Each support's bordered projection X = K^{-1} - K^{-1}1 1'K^{-1} /
     (1'K^{-1}1), K = A'A + 11^T, is applied to its upstream and mapped
@@ -713,14 +822,14 @@ def _vjp_rows(results, upstream) -> np.ndarray:
     so LAPACK never finds it singular.
     """
     _lapack()
+    if not all(converged):
+        raise ValueError("backward pass requires a converged result")
     by_size = {}
-    for i, res in enumerate(results):
-        if not res.converged:
-            raise ValueError("backward pass requires a converged result")
-        by_size.setdefault(res.probs.size, []).append(i)
-    out = np.empty((len(results), results[0].rows.shape[1] if results else 0))
+    for i, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(i)
+    out = np.empty((len(sizes), rows.shape[2]))
     for n, idx in by_size.items():
-        R = np.array([results[i].rows for i in idx])
+        R = rows[idx, :n]
         G = np.matmul(R, R.transpose(0, 2, 1)) + 1.0
         try:
             Ls = np.linalg.cholesky(G)
@@ -744,6 +853,16 @@ def _vjp_rows(results, upstream) -> np.ndarray:
     return out
 
 
+def _vjp(rows, sizes: list, converged: list, upstream) -> np.ndarray:
+    """The (B, D) vjp of a solved batch: row i's support is the leading
+    ``sizes[i]`` of its (B, S, D) vertex ``rows``, ``converged[i]`` its
+    flag, and the leading ``sizes[i]`` entries of the float (B, K)
+    ``upstream`` its upstream, K at least the largest support.  The core
+    of :func:`sparsemap_vjp_rows`, with its bits and errors, for a caller
+    that made ``upstream``."""
+    return _row_by_row(_vjp_rows, np.concatenate, rows, sizes, converged, upstream)
+
+
 def sparsemap_vjp_rows(results, upstream) -> np.ndarray:
     """:func:`sparsemap_vjp_probs` of each result in ``results``, as a
     (B, D) matrix: row i is the gradient w.r.t. that row's scores of
@@ -755,11 +874,16 @@ def sparsemap_vjp_rows(results, upstream) -> np.ndarray:
     call.  If rows raise, the error raised is the lowest-index row's.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
+    sizes = [res.probs.size for res in results]
     if upstream.ndim != 2 or upstream.shape[0] != len(results) or (
-            results and upstream.shape[1] < max(res.probs.size for res in results)):
+            results and upstream.shape[1] < max(sizes)):
         raise ValueError("upstream must be a (B, K) matrix with one row per result and "
                          "K at least the largest support")
-    return np.asarray(_row_by_row(_vjp_rows, results, upstream))
+    rows = np.zeros((len(results), max(sizes, default=0),
+                     results[0].rows.shape[1] if results else 0))
+    for row, n, res in zip(rows, sizes, results):
+        row[:n] = res.rows
+    return _vjp(rows, sizes, [res.converged for res in results], upstream)
 
 
 def sparsemap_vjp_probs(result: SparseMapResult, upstream) -> np.ndarray:
@@ -775,7 +899,7 @@ def sparsemap_vjp_probs(result: SparseMapResult, upstream) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (result.probs.size,):
         raise ValueError("upstream must align with the support structures")
-    return _vjp_rows([result], upstream[None])[0]
+    return _vjp_rows(result.rows[None], [result.probs.size], [True], upstream[None])[0]
 
 
 def sparsemap_vjp(result: SparseMapResult, upstream_moments) -> np.ndarray:

@@ -91,11 +91,12 @@ def _check_budget(budget: int, dim: int):
 def _budget_map_rows(T, budget: int):
     """:meth:`BudgetedBitVectorPolytope.map_rows` of a checked (B, D)
     matrix, under a budget already checked against D."""
-    r = np.arange(T.shape[0])[:, None]
+    B, D = T.shape
     order = np.argsort(-T, axis=1, kind="stable")[:, :budget]
-    bits = np.zeros(T.shape, dtype=np.uint8)
-    bits[r, order] = T[r, order] >= 0
-    return _scored(bits, T)
+    flat = (order + np.arange(0, B * D, D)[:, None]).ravel()  # in the flat (B * D) bits
+    bits = np.zeros(B * D, dtype=np.uint8)
+    bits[flat] = T.ravel()[flat] >= 0
+    return _scored(bits.reshape(B, D), T)
 
 
 def map_oracle(t) -> Structure:
@@ -235,7 +236,12 @@ def _dominators(node: tuple) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+# The flip-set tables a process keeps, the least recently used evicted: a
+# batch reads one (k, m) key, and a table at k = 4096 holds about 17 MB.
+_FLIP_TABLES = 4
+
+
+@lru_cache(maxsize=_FLIP_TABLES)
 def _flip_table(k: int, m: int):
     """The flip sets that can be among the k best when sorted positions
     0..m-1 flip, as the nodes of the Lawler tree that :func:`_lawler`

@@ -11,6 +11,7 @@ sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,26 @@ class CallStats:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.size == 0:
             raise ValueError("no call counts given")
-        # One percentile call interpolates each quantile as its own call would.
-        p10, median, p90 = np.percentile(counts, (10, 50, 90)).tolist()
+        values = sorted(counts.tolist())
+        if not math.isfinite(sum(values)):  # NaN does not sort: numpy's rule for these
+            p10, median, p90 = np.percentile(counts, (10, 50, 90)).tolist()
+        else:
+            p10, median, p90 = (_percentile(values, q) for q in (10, 50, 90))
         return cls(mean=float(counts.mean()), p10=p10, median=median, p90=p90)
+
+
+def _percentile(values: list, q: int) -> float:
+    """``np.percentile(values, q)`` of a sorted nonempty list of finite
+    floats, for q below 100, with its bits: numpy's linear interpolation
+    between the neighbours of index (n - 1) q / 100, taken from the upper
+    one when the fraction is at least one half.  At n = 1 both
+    neighbours are the one value."""
+    n = len(values)
+    v = (n - 1) * (q / 100)
+    i = math.floor(v)
+    a, b = values[i], values[min(i + 1, n - 1)]
+    g, d = v - i, b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def sparse_expectation(dist: SparseDistribution, loss: LossOracle) -> float:

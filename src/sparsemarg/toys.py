@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activeset import sparsemap_rows, sparsemap_vjp_rows
+from .activeset import _solve as _sparsemap_solve
+from .activeset import _vjp as _sparsemap_vjp
 from .bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix, kbest_rows
 from .estimators import MovingAverageBaseline, sfe_rows, sum_and_sample_rows
 from .marginalize import CallStats, LossOracle
@@ -532,8 +533,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
     The variable scores are one stacked product, and every method lays
     out its posterior as (B, K) probabilities over K bit rows, a (K, D)
     matrix shared by the batch (dense, sparse) or one per example (topk's
-    k best from :func:`kbest_rows`, sparsemap's support from one
-    :func:`sparsemap_rows` call, padded).  The loss
+    k best from :func:`kbest_rows`, sparsemap's supports as one solve's
+    left-packed arrays, padded with zeros).  The loss
     reads each block of consecutive examples of at most ``_LOSS_BLOCK``
     rows in one ``eval_many`` call.  Within a block the supports are
     grouped by size (:class:`RowSupports`): each size's examples take
@@ -547,8 +548,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
 
     ``loss_only`` and ``posterior`` serve :func:`_train` as in
     :func:`_categorical_batch`.  The posterior is ``(probs,)`` for dense
-    and sparse, ``(bits, probs, certificates)`` for topk and the
-    ``(results,)`` of the solves for the SparseMAP methods.
+    and sparse, ``(bits, probs, certificates)`` for topk and the solve's
+    ``(probs, rows, converged)`` for the SparseMAP methods.
     """
     D = model.d
     method = cfg.method
@@ -568,26 +569,22 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
         else:
             polytope = (BitVectorPolytope(D) if method == "sparsemap" else
                         BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2)))
-            posterior = (sparsemap_rows(polytope, T),)
-            if loss_only and not all(res.converged for res in posterior[0]):
+            solved = _sparsemap_solve(polytope, T)
+            posterior = solved.probs, solved.rows, solved.converged
+            if loss_only and not all(solved.converged):
                 # The vjp this pass skips refuses such a result; raise as it would.
                 raise ValueError("backward pass requires a converged result")
     if method == "dense" and not (posterior[0] > 0).all():
         return _BatchPass.diverged(B)
     certificates = [None] * B
-    solved = None
+    converged = None
     if method == "topk":
         configs, probs, certificates = posterior
         certificates = certificates.tolist()
     elif method in ("dense", "sparse"):
         configs, (probs,) = config_matrix(D), posterior
     else:
-        (solved,) = posterior
-        size = np.array([res.support_size for res in solved])
-        on = np.arange(size.max()) < size[:, None]  # each support's weights are positive
-        probs, configs = np.zeros(on.shape), np.zeros(on.shape + (D,))
-        probs[on] = np.concatenate([res.probs for res in solved])
-        configs[on] = np.concatenate([res.rows for res in solved])
+        probs, configs, converged = posterior
 
     dlogits = []
 
@@ -619,8 +616,9 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
         w = q[:, None] * dlogits.pop()
         upstream = np.zeros(supports.shape)
         upstream[supports.rows, supports.outcomes] = c + log_q + 1.0
-        if solved is not None:
-            g_t[lo:hi] = sparsemap_vjp_rows(solved[lo:hi], upstream)
+        if converged is not None:
+            g_t[lo:hi] = _sparsemap_vjp(configs[lo:hi], sizes[lo:hi].tolist(), converged[lo:hi],
+                                        upstream)
         else:
             g = (softmax_vjp(probs[lo:hi], upstream) if method == "dense"
                  else sparsemax_vjp_rows(supports, upstream))[supports.rows, supports.outcomes]
@@ -633,7 +631,7 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
             W[examples, :S] = w[start:stop].reshape(n, S, -1)
             R[examples, :S] = R_run
             R[examples, S:] = R_run[:, :1]
-            if solved is None:  # through the rows, R^T g: a GEMV per example
+            if converged is None:  # through the rows, R^T g: a GEMV per example
                 g_t[lo + examples] = np.matmul(R_run.transpose(0, 2, 1),
                                                g[start:stop].reshape(n, S, 1))[..., 0]
             for e, r in zip((lo + examples).tolist(), R_run):

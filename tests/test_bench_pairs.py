@@ -3,6 +3,7 @@ enough wins, medians apart), the worse flag (a median past its bound) and
 the unresolved flag (an old spread wider than the bound)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -111,3 +112,49 @@ def test_a_wide_old_spread_is_resolved_when_every_new_run_beats_every_old_run(be
     new[0] = edge
     assert bench_pairs.summarize(_pairs(old, new), {"examples_per_s": better},
                                  {"examples_per_s": 0.1})["examples_per_s"]["unresolved"]
+
+
+def test_main_runs_every_workload_at_a_seed_before_the_next_and_writes_each_summary(
+        tmp_path, monkeypatch, capsys):
+    # run_once stubbed: the new tree is 10 better on every metric's value
+    # (so lower-is-better metrics read worse), and the order of the runs
+    # is recorded.
+    new = str(_PATH.parents[1])  # a tree with BENCHMARK.json
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append(("new" if tree == new else "old", workload, seed, seconds))
+        value = 100.0 + seed + (10.0 if tree == new else 0.0)
+        return {"correct": True, "failed": 0, "metrics": {
+            name: {"value": value} for name in (
+                "examples_per_s", "loss_calls_per_example", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    seeds = list(range(1, 11))
+    assert bench_pairs.main(["--old", "parent", "--new", new, "--workload", "wa, wb",
+                             "--seeds", ",".join(map(str, seeds)), "--seconds", "2",
+                             "--out", str(out)]) == 0
+    expected = []
+    for n, seed in enumerate(seeds):
+        first, second = ("old", "new") if n % 2 == 0 else ("new", "old")
+        for workload in ("wa", "wb"):
+            expected += [(first, workload, seed, 2.0), (second, workload, seed, 2.0)]
+    assert calls == expected
+    saved = json.loads(out.read_text())
+    assert (saved["seconds"], saved["seeds"], list(saved["workloads"])) == (2.0, seeds, ["wa", "wb"])
+    for result in saved["workloads"].values():
+        assert [p["seed"] for p in result["pairs"]] == seeds
+        assert [p["first"] for p in result["pairs"]] == ["old", "new"] * 5
+        assert result["summary"]["examples_per_s"]["gain"]
+        assert result["summary"]["setup_s"]["wins"] == 0
+    printed = capsys.readouterr().out
+    assert printed.count(", 10 pairs, 2 s runs") == 2
+    assert printed.count("runs incorrect or with failures: 0 of 20") == 2
+
+
+@pytest.mark.parametrize("workload", [",", " ", "wa,wa"])
+def test_main_refuses_an_empty_or_repeated_workload_list(workload, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("ran"))
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--old", "a", "--new", "b", "--workload", workload, "--seeds", "1"])

@@ -376,6 +376,25 @@ def test_flip_table_counts_dominators_and_holds_the_subtree():
         assert nodes.index(parent) < n, node
 
 
+def test_flip_table_cache_is_bounded_and_evicts_the_least_recent_key():
+    # Past _FLIP_TABLES distinct (k, m) keys the oldest table is dropped and
+    # built again on its next use, and kbest_rows gives the same bytes from
+    # the rebuilt table.
+    T = make_rng(361).normal(size=(6, 12))
+    bitvec._flip_table.cache_clear()
+    rows, scores = kbest_rows(T, 8)  # the key (8, 7)
+    keys = [(k, k - 1) for k in range(2, 2 + bitvec._FLIP_TABLES)]
+    for k, m in keys:
+        bitvec._flip_table(k, m)
+    info = bitvec._flip_table.cache_info()
+    assert info.currsize == info.maxsize == bitvec._FLIP_TABLES
+    again = kbest_rows(T, 8)
+    assert bitvec._flip_table.cache_info().misses == info.misses + 1  # (8, 7) was evicted
+    assert again[0].tobytes() == rows.tobytes() and again[1].tobytes() == scores.tobytes()
+    bitvec._flip_table(*keys[-1])  # the most recent keys stay
+    assert bitvec._flip_table.cache_info().misses == info.misses + 1
+
+
 def test_row_kbest_refuses_a_tie_just_past_the_kth(heap_rows):
     # Sorted costs 1 < 2 < 3: the table's 4th cheapest node flips the two
     # cheapest variables and its 5th the third, both at cost 3, so the

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from sparsemarg.marginalize import (
@@ -99,6 +101,28 @@ def test_call_stats_from_counts():
     assert (stats.mean, stats.p10, stats.median, stats.p90) == pytest.approx((4.0, 1.4, 3.0, 7.6))
     with pytest.raises(ValueError):
         CallStats.from_counts([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.one_of(
+    st.lists(st.integers(0, 400), min_size=1, max_size=400),  # ties, n = 1 among them
+    st.lists(st.integers(1, 3), min_size=1, max_size=60),  # mostly ties
+    st.builds(lambda c, n: [c] * n, st.integers(0, 400), st.integers(1, 400)),  # all equal
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
+))
+def test_call_stats_quantiles_have_the_bytes_of_np_percentile(counts):
+    stats = CallStats.from_counts(counts)
+    expected = np.percentile(np.asarray(counts, dtype=np.float64), (10, 50, 90))
+    assert np.array([stats.p10, stats.median, stats.p90]).tobytes() == expected.tobytes()
+    assert stats.mean == np.mean(np.asarray(counts, dtype=np.float64))
+
+
+def test_call_stats_of_counts_that_are_not_finite_follow_np_percentile():
+    for counts in ([1.0, np.nan, 3.0], [np.inf, 1.0], [1e308, 1e308, 2.0], [-np.inf, np.inf]):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
+            stats = CallStats.from_counts(counts)
+            expected = np.percentile(np.asarray(counts), (10, 50, 90))
+        assert np.array([stats.p10, stats.median, stats.p90]).tobytes() == expected.tobytes()
 
 
 def test_oracle_counter_is_monotone():

@@ -14,6 +14,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 import sparsemarg.activeset as activeset
+import sparsemarg.bitvec as bitvec
 from sparsemarg.activeset import (
     _MIN_ROOM,
     ActiveSetCycleError,
@@ -52,9 +53,9 @@ def _iterate(sets, b):
         t=sets.T[b].copy(), rows=sets.V[b, :n].copy(), probs=sets.W[b, :n].copy(),
         moments=sets.M[b].copy(), L=sets.L[b, :n, :n].copy(),
         bits=[tuple(key) for key in sets.keys[b]], tol=sets.tol[b],
-        converged=sets.converged[b], iteration=sets.iteration[b], adds=sets.adds[b],
+        converged=sets.converged[b], iterations=sets.iterations[b], adds=sets.adds[b],
         drops=sets.drops[b], refactorizations=sets.refactorizations[b],
-        widen_count=sets.widen_count[b], max_condition=sets.max_condition[b])
+        widenings=sets.widenings[b], max_condition=sets.max_condition[b])
 
 
 def _frozen(it):
@@ -206,7 +207,7 @@ def test_step_at_optimum_is_converged_noop(monkeypatch):
         assert len({res.iterations for res in solved}) > 1
         for b, it in done.items():
             assert _frozen(_iterate(steps[-1].sets, b)) == _frozen(it)
-            assert solved[b].iterations == it.iteration
+            assert solved[b].iterations == it.iterations
 
 
 def test_step_objective_monotone(monkeypatch):
@@ -455,7 +456,7 @@ def _check_steps(steps):
             _assert_rows_track(it)
             if it.drops > prev.drops:
                 assert np.array_equal(it.moments, it.rows.T @ it.probs)
-            if it.widen_count > prev.widen_count:
+            if it.widenings > prev.widenings:
                 # Only a step that leaves the iterate where it was is a cycle.
                 assert np.array_equal(it.moments, prev.moments)
 
@@ -524,7 +525,7 @@ def test_vertex_matrix_survives_cycle_handling_until_it_gives_up(monkeypatch):
     # The step that gives up leaves the row as the step before it did.
     last = _iterate(steps[-1].sets, 0)
     assert _frozen(last) == _frozen(steps[-2].after[0])
-    assert last.widen_count == 3
+    assert last.widenings == 3
     assert last.refactorizations == 3
     assert last.tol == pytest.approx(1e-6)
 
@@ -670,10 +671,16 @@ def test_factor_updates_and_diagonal_bounds_are_exact():
     # whole-matrix updates, its upper triangle stays zero, the stack's
     # room doubles from 16 to 64, and the condition estimate is
     # (max |diag| / min |diag|)^2 of the factor, bit for bit, both as
-    # _grow returns it from the bounds it keeps and as _condition reads it.
-    # _condition is read for a random half of the rows each round, so some
-    # appends find the bounds a drop or rebuild left unknown.
-    rng = make_rng(18)
+    # _grow returns it from the bounds it keeps and as _condition reads it
+    # off the kept |diagonal| list, which equals the factor's.  _condition
+    # is read for a random half of the rows each round, so some appends
+    # find the bounds a drop or rebuild left unknown.  From a second
+    # stream, some appends get a NaN pivot and some rows are rebuilt from
+    # their Gram matrix.  A row given a NaN is then only dropped from
+    # until a rebuild: its list holds NaN where its factor does, and its
+    # estimates are those _reference_condition reads off the factor in
+    # the stack, inf while a NaN is left.
+    rng, events = make_rng(18), make_rng(19)
     B = 60
     sets, grams, members, pools, refs, rounds = _stack(B), [], [], [], [], []
     for trial in range(B):
@@ -692,13 +699,30 @@ def test_factor_updates_and_diagonal_bounds_are_exact():
         sets._rebuild(trial, first)
         refs.append(np.linalg.cholesky(first))
         rounds.append(3 * N)
-    rooms = {sets.L.shape[1]}
+    rooms, poisoned, counts = {sets.L.shape[1]}, set(), dict.fromkeys(
+        ("nan", "nan_drops", "nan_reads", "rebuilt"), 0)
+
+    def factor(b):
+        n = sets.n[b]
+        return sets.L[b, :n, :n]
+
     for r in range(max(rounds)):
         grow = {}
         for b in range(B):
             if r >= rounds[b]:
                 continue
-            if pools[b] and (len(members[b]) == 1 or rng.random() < 0.6):
+            if b in poisoned and len(members[b]) > 1 and events.random() < 0.7:
+                k = int(events.integers(len(members[b])))
+                sets._drop(b, k)
+                pools[b].append(members[b].pop(k))
+                counts["nan_drops"] += 1
+            elif b in poisoned or events.random() < 0.05:
+                sub = grams[b][np.ix_(members[b], members[b])]
+                sets._rebuild(b, sub)
+                refs[b] = np.linalg.cholesky(sub)
+                poisoned.discard(b)
+                counts["rebuilt"] += 1
+            elif pools[b] and (len(members[b]) == 1 or rng.random() < 0.6):
                 grow.setdefault(sets.n[b], []).append((b, pools[b].pop()))
             elif len(members[b]) > 1:
                 k = int(rng.integers(len(members[b])))
@@ -708,23 +732,35 @@ def test_factor_updates_and_diagonal_bounds_are_exact():
         for adds in grow.values():
             ids = [b for b, _ in adds]
             crosses = [grams[b][members[b], j] for b, j in adds]
-            diags = [float(grams[b][j, j]) for b, j in adds]
+            diags = [math.nan if events.random() < 0.03 else float(grams[b][j, j])
+                     for b, j in adds]
             bad, grown, cond = _append(sets, ids, crosses, diags)
             assert bad == [] and grown == ids
             for (b, j), cross, diag, c in zip(adds, crosses, diags, cond):
-                refs[b] = _reference_append(refs[b], cross, diag)
                 members[b].append(j)
+                if diag != diag:  # a NaN pivot, and a NaN diagonal entry
+                    poisoned.add(b)
+                    counts["nan"] += 1
+                    assert c == math.inf == _reference_condition(factor(b))
+                    continue
+                refs[b] = _reference_append(refs[b], cross, diag)
                 assert c == _reference_condition(refs[b])
         rooms.add(sets.L.shape[1])
         for b in range(B):
-            n = sets.n[b]
-            L = sets.L[b, :n, :n]
+            n, L = sets.n[b], factor(b)
             assert n == len(members[b])
+            assert np.array_equal(sets.diag[b], np.abs(np.diagonal(L)), equal_nan=True)
+            if b in poisoned:  # no reference until a rebuild
+                if np.isnan(L).any():
+                    counts["nan_reads"] += 1
+                assert sets._condition(b) == _reference_condition(L)
+                continue
             assert np.tril(L).tobytes() == np.tril(refs[b]).tobytes()
             assert not np.triu(L, 1).any()
             if rng.random() < 0.5:
                 assert sets._condition(b) == _reference_condition(refs[b])
     assert rooms == {16, 32, 64}
+    assert min(counts.values()) > 0, counts
 
 
 def test_max_condition_is_the_largest_estimate_the_solver_checked(monkeypatch):
@@ -865,6 +901,40 @@ def _fingerprint(res):
                 widenings=res.widenings, max_condition=res.max_condition)
 
 
+def _array_fingerprints(solved):
+    """What each row of a solved batch (:func:`activeset._solve`) holds, as
+    :func:`_fingerprint` gives it for that row's result, after checking
+    that the arrays are zero past each row's support."""
+    out = []
+    for i, n in enumerate(solved.sizes):
+        probs, rows = solved.probs[i], solved.rows[i]
+        assert not probs[n:].any() and not rows[n:].any()
+        out.append(dict(bits=[tuple(int(x) for x in row) for row in rows[:n]],
+                        probs=probs[:n].tobytes(), rows=rows[:n].tobytes(),
+                        moments=solved.moments[i].tobytes(),
+                        tau=np.float64(solved.tau[i]).tobytes(),
+                        nu_min=np.float64(solved.nu_min[i]).tobytes(),
+                        **{name: getattr(solved, name)[i] for name in (
+                            "converged", "iterations", "adds", "drops", "refactorizations",
+                            "widenings", "max_condition")}))
+    return out
+
+
+def _packs(monkeypatch):
+    """A list to which each packing of stack rows into a solved batch
+    appends the pairs (the row's active set size, its support size), a
+    pair apart where a structure of zero weight is left out."""
+    packs, pack = [], activeset._Solved._of
+
+    def spy(sets, rows):
+        part = pack(sets, rows)
+        packs.append([(sets.n[b], n) for b, n in zip(rows, part.sizes)])
+        return part
+
+    monkeypatch.setattr(activeset._Solved, "_of", staticmethod(spy))
+    return packs
+
+
 def _mixed_rows(rng, n, d):
     """n score rows of four kinds in turn: normal, quarter-step ties, all
     zeros, and normal with 40 % exact zeros."""
@@ -883,12 +953,28 @@ def _polytopes(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 32, 40])
-def test_rows_solve_equals_each_row_alone_byte_for_byte(d):
+def test_rows_solve_equals_each_row_alone_byte_for_byte(d, monkeypatch):
+    # Two routes through one solve: the results of sparsemap_rows and the
+    # arrays of the core that training reads (activeset._solve).  At D = 32
+    # a second set of batches, 24 near-zero score rows each, grows supports
+    # past the room of 16 after other rows converged, so they are evicted
+    # and packed mid-solve.  All-zero rows end with a structure of weight 0
+    # in their active set, which both routes leave out.
+    packs = _packs(monkeypatch)
     rng = make_rng(300 + d)
-    for oracle in _polytopes(d):
-        T = _mixed_rows(rng, 12, d)
+    batches = [(oracle, _mixed_rows(rng, 12, d)) for oracle in _polytopes(d)]
+    if d == 32:
+        batches += [(oracle, _mixed_rows(rng, 24, d) * 0.01) for oracle in _polytopes(d)]
+    dropped = 0
+    for oracle, T in batches:
+        packs.clear()
         solved = sparsemap_rows(oracle, T)
         assert len(solved) == len(T)
+        assert [_fingerprint(res) for res in solved] == _array_fingerprints(
+            activeset._solve(oracle, T))
+        if len(T) == 24:  # a pack per eviction, then one at the end, in each route
+            assert len(packs) > 2
+        dropped += sum(n > size for pack in packs for n, size in pack)
         steps = [res.iterations for res in solved]
         for t, res in zip(T, solved):
             alone = _fingerprint(sparsemap(oracle, t))
@@ -897,6 +983,7 @@ def test_rows_solve_equals_each_row_alone_byte_for_byte(d):
             assert {key: alone[key] for key in reference} == reference
         if d >= 8:  # rows of one batch converge many steps apart
             assert max(steps) - min(steps) >= (5 if d == 8 else 12)
+    assert dropped > 0 or d == 1
 
 
 def test_rows_solve_steps_rows_that_drop_beside_rows_that_add(monkeypatch):
@@ -998,6 +1085,9 @@ def test_rows_solve_evicts_converged_rows_before_its_room_grows(monkeypatch):
     assert len(steps[grown[0]][1]) > 240 and len(steps[grown[1]][1]) < 16
     for t, res in zip(T, solved):
         assert _fingerprint(res) == _fingerprint(sparsemap(oracle, t))
+    # The core's arrays, packed at each eviction and joined, hold the same.
+    assert _array_fingerprints(activeset._solve(oracle, T)) == [
+        _fingerprint(res) for res in solved]
 
 
 class _ForcingOracle:
@@ -1078,26 +1168,36 @@ def test_rows_solve_leaves_its_scores_and_shares_no_memory_between_results():
 
 
 def test_rows_solve_results_share_no_memory_with_the_solver_stacks(monkeypatch):
-    # Each result is built while its row is still in the stack; none of
-    # its arrays may be a view of the stack's weights, moments, vertex
-    # rows, factors or scores, so holding one result keeps no other row's.
+    # Each row is packed while it is still in the stack, at an eviction or
+    # at the end of the solve; neither the packed batch nor a result may be
+    # a view of the stack's weights, moments, vertex rows, factors or
+    # scores, nor a result a view of the packed batch, so holding one
+    # result keeps no other row's.
     rng = make_rng(317)
-    built, result = [], activeset._result
+    packed, pack = [], activeset._Solved._of
 
-    def spy(sets, *args):
-        res = result(sets, *args)
-        built.append((res, [sets.W, sets.M, sets.V, sets.L, sets.T]))
-        return res
+    def spy(sets, rows):
+        part = pack(sets, rows)
+        packed.append((part, len(rows), [sets.W, sets.M, sets.V, sets.L, sets.T]))
+        return part
 
-    monkeypatch.setattr(activeset, "_result", spy)
-    for oracle in (BitVectorPolytope(16), BudgetedBitVectorPolytope(16, 4)):
-        built.clear()
-        T = _mixed_rows(rng, 200, 16)
+    monkeypatch.setattr(activeset._Solved, "_of", staticmethod(spy))
+    evicted = 0
+    for oracle, B in ((BitVectorPolytope(16), 200), (BudgetedBitVectorPolytope(16, 4), 200),
+                      (BitVectorPolytope(32), 24)):
+        packed.clear()
+        T = _mixed_rows(rng, B, oracle.dim) * (0.01 if B == 24 else 1.0)  # the last evicts
         solved = sparsemap_rows(oracle, T)
-        assert sorted(map(id, solved)) == sorted(id(res) for res, _ in built)
-        for res, stacks in built:
+        assert sum(rows for _, rows, _ in packed) == len(T)
+        evicted += len(packed) - 1
+        stacks = [stack for _, _, arrays in packed for stack in arrays]
+        parts = [a for part, _, _ in packed for a in (part.probs, part.rows, part.moments)]
+        for a in parts:
+            assert not any(np.shares_memory(a, stack) for stack in stacks)
+        for res in solved:
             for a in (res.probs, res.moments, res.rows, res._t):
-                assert not any(np.shares_memory(a, stack) for stack in stacks)
+                assert not any(np.shares_memory(a, b) for b in stacks + parts)
+    assert evicted > 0
 
 
 def test_structure_scores_are_the_dots_of_their_bits_with_the_projected_scores():
@@ -1162,9 +1262,10 @@ def test_rows_solve_raises_the_error_of_the_lowest_row(rows, expected, capfd):
         for oracle in (BitVectorPolytope(2), BudgetedBitVectorPolytope(2, 2)):
             loop = _first_error(oracle, T)
             assert loop is not None and expected in str(loop)
-            with pytest.raises(type(loop)) as raised:
-                sparsemap_rows(oracle, T)
-            assert str(raised.value) == str(loop)
+            for solve in (sparsemap_rows, activeset._solve):
+                with pytest.raises(type(loop)) as raised:
+                    solve(oracle, T)
+                assert str(raised.value) == str(loop)
     assert capfd.readouterr() == ("", "")
 
 
@@ -1214,13 +1315,15 @@ def test_rows_solve_raises_the_first_error_of_a_loop(oracle, drawn, capfd):
     before = T.tobytes()
     loop = _quietly(lambda: _first_error(oracle, T), capfd)
     solved = _quietly(lambda: sparsemap_rows(oracle, T), capfd)
+    arrays = _quietly(lambda: activeset._solve(oracle, T), capfd)
     assert T.tobytes() == before
     if loop is None:
         assert not bad
-        assert [_fingerprint(res) for res in solved] == [
+        assert [_fingerprint(res) for res in solved] == _array_fingerprints(arrays) == [
             _fingerprint(sparsemap(oracle, t)) for t in T]
     else:
-        assert type(solved) is type(loop) and str(solved) == str(loop)
+        for raised in (solved, arrays):
+            assert type(raised) is type(loop) and str(raised) == str(loop)
 
 
 def test_rows_solve_rejects_bad_arguments():
@@ -1233,6 +1336,82 @@ def test_rows_solve_rejects_bad_arguments():
     with pytest.raises(ValueError, match="max_iter"):
         sparsemap_rows(oracle, np.zeros((2, 3)), max_iter=0)
     assert sparsemap_rows(oracle, np.zeros((0, 3))) == []
+
+
+class _OneRowOracle:
+    """``BitVectorPolytope(3)``, refusing to answer more than one row at a
+    time."""
+
+    dim = 3
+
+    def map_rows(self, T):
+        if len(T) > 1:
+            raise RuntimeError("one row at a time")
+        return BitVectorPolytope(3).map_rows(T)
+
+
+def test_a_batch_that_raises_where_no_row_alone_does_returns_each_row_alone():
+    T = make_rng(342).normal(size=(5, 3))
+    alone = [_fingerprint(sparsemap(_OneRowOracle(), t)) for t in T]
+    assert [_fingerprint(res) for res in sparsemap_rows(_OneRowOracle(), T)] == alone
+    assert _array_fingerprints(activeset._solve(_OneRowOracle(), T)) == alone
+
+
+def test_library_polytopes_answer_the_solver_unchecked(monkeypatch):
+    # The solver checks its scores once, at its entry, and then asks a
+    # library polytope through the unchecked _map_rows: no solve, through
+    # the results or the core's arrays, runs bitvec's score check, which
+    # the public map_rows still runs.
+    calls, check = [], bitvec._as_score_rows
+    monkeypatch.setattr(bitvec, "_as_score_rows", lambda T: calls.append(len(T)) or check(T))
+    rng = make_rng(341)
+    for oracle in _polytopes(8) + [IdentityPolytope(8)]:
+        T = _mixed_rows(rng, 12, 8)
+        assert sum(res.iterations for res in sparsemap_rows(oracle, T)) > 12
+        activeset._solve(oracle, T)
+        sparsemap(oracle, T[0])
+    assert calls == []
+    oracle.map_rows(T)
+    assert calls == [12]
+
+
+def test_a_polytope_subclass_with_its_own_map_rows_is_asked_through_it():
+    # The unchecked _map_rows stands in only for the library's own
+    # map_rows: a subclass that overrides map_rows is asked through it.
+    asked = []
+
+    class Counted(BitVectorPolytope):
+        def map_rows(self, scores):
+            asked.append(len(scores))
+            return super().map_rows(scores)
+
+    T = _mixed_rows(make_rng(343), 6, 5)
+    solved = sparsemap_rows(Counted(5), T)
+    assert sum(asked) == sum(res.iterations for res in solved) + len(T) - sum(
+        res.drops for res in solved)
+    assert [_fingerprint(res) for res in solved] == [
+        _fingerprint(res) for res in sparsemap_rows(BitVectorPolytope(5), T)]
+
+
+def test_a_residual_that_is_not_finite_raises_as_the_checked_oracle_would():
+    # A residual entry that is not finite makes its row's score NaN or
+    # infinite, and only then is the residual checked: the error is the
+    # checked map_rows's.  Finite residuals whose score overflows pass,
+    # with the checked oracle's bits and scores.
+    for oracle in _polytopes(3) + [IdentityPolytope(3)]:
+        for bad in (np.nan, np.inf, -np.inf):
+            R = np.array([[0.5, -0.25, 1.0], [0.5, bad, 1.0]])
+            with pytest.raises(ValueError) as checked:
+                oracle.map_rows(R)
+            with pytest.raises(ValueError) as raised, np.errstate(invalid="ignore"):
+                activeset._oracle_rows(oracle, R)  # in a solve, which ignores 0 * inf
+            assert str(raised.value) == str(checked.value) == "variable scores must be finite"
+        R = np.array([[1e308, 1e308, -1.0], [0.5, -0.25, 1.0]])
+        with np.errstate(over="ignore"):
+            bits, scores = activeset._oracle_rows(oracle, R)
+            expected = oracle.map_rows(R)
+        assert bits.tobytes() == expected[0].tobytes()
+        assert np.array(scores).tobytes() == expected[1].tobytes()
 
 
 def _reference_vjp(res, upstream):
@@ -1258,6 +1437,10 @@ def test_rows_vjp_has_the_bits_of_each_row_alone(d):
         upstream[1, 0] = -0.0
         g = sparsemap_vjp_rows(solved, upstream)
         assert g.shape == (len(T), d)
+        # The core's vjp, on the core's arrays, as training calls it.
+        arrays = activeset._solve(oracle, T)
+        assert activeset._vjp(arrays.rows, arrays.sizes, arrays.converged,
+                              upstream).tobytes() == g.tobytes()
         for i, res in enumerate(solved):
             alone = sparsemap_vjp_probs(res, upstream[i, :sizes[i]])
             assert g[i].tobytes() == alone.tobytes()  # sign bits included

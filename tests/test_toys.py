@@ -308,7 +308,7 @@ def _count_mapped_rows(monkeypatch):
 
     mapped, kbest_scores = [], []
     for name, at in (("sparsemax_rows", 0), ("softmax", 0), ("kbest_rows", 0),
-                     ("sparsemap_rows", 1)):
+                     ("_sparsemap_solve", 1)):
         def counted(*args, _name=name, _at=at, _original=getattr(toys, name), **kwargs):
             if not any(args[0] is scores for scores in kbest_scores):
                 mapped.append(len(args[_at]))
@@ -379,8 +379,8 @@ def test_initial_loss_raises_the_first_error_of_the_per_batch_loop(monkeypatch):
     # vjp's; so must the gradient-free pass, which has no vjp.
     from sparsemarg import toys
 
-    solve = toys.sparsemap_rows
-    monkeypatch.setattr(toys, "sparsemap_rows", lambda oracle, T: solve(oracle, T, max_iter=2))
+    solve = toys._sparsemap_solve
+    monkeypatch.setattr(toys, "_sparsemap_solve", lambda oracle, T: solve(oracle, T, max_iter=2))
     inputs = _inputs("bitvec")
     inputs[12] *= 1e50
     got, expected = _initial_loss_outcomes("bitvec", "sparsemap", inputs, 8)
@@ -424,7 +424,7 @@ def test_first_batch_trains_bit_for_bit_on_the_reused_posterior(task, method, mo
 
 
 @pytest.mark.parametrize("task, method, mapping, vjp", [
-    ("bitvec", "sparsemap", "sparsemap_rows", "sparsemap_vjp_rows"),
+    ("bitvec", "sparsemap", "_sparsemap_solve", "_sparsemap_vjp"),
     ("bitvec", "topk", "kbest_rows", "sparsemax_vjp_rows"),
     ("bitvec", "sparse", "sparsemax_rows", "sparsemax_vjp_rows"),
     ("categorical", "sparse", "sparsemax_rows", "sparsemax_vjp_rows"),

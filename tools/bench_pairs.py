@@ -1,10 +1,13 @@
 """Run the benchmark on two source trees in alternating pairs and compare them.
 
-For each seed, one pair of runs: each tree's own ``perfbench/run.py`` on the
-same workload, seed and run length, with the side that goes first
-alternating from one pair to the next.  Then, for each end-to-end metric,
-it prints each side's median and quartiles and the number of pairs the new
-tree won (ties count for neither side), and whether the gain rule holds:
+For each seed and each workload of the comma-separated ``--workload``
+list, one pair of runs: each tree's own ``perfbench/run.py`` on the same
+workload, seed and run length, every listed workload's pair before the
+next seed, so that a drift of the host over the run lands on every
+workload alike.  The side that goes first alternates from one seed to
+the next.  Then, for each workload and each end-to-end metric, it prints
+each side's median and quartiles and the number of pairs the new tree
+won (ties count for neither side), and whether the gain rule holds:
 at least ten pairs, wins in at least nine of every ten, and medians further
 apart than the old tree's interquartile range.  It also flags a metric as
 worse when the new median moved the wrong way by more than the metric's
@@ -14,11 +17,13 @@ bound, so that a median inside the bound shows no more than the noise,
 unless every new run beats every old run.
 
     python tools/bench_pairs.py --old path/to/parent --new . \\
-        --workload bitvec_topk --seeds 1,2,3,4,5,6,7,8,9,1000 --seconds 20
+        --workload bitvec_topk,bitvec_sparsemap --seeds 1,2,3,4,5,6,7,8,9,1000 \\
+        --seconds 20
 
 Runs go one at a time.  Each run writes its own output file under its
 tree's ``perfbench/out/``; nothing else in either tree is touched.
-``--out`` also saves every run's result line and the summary as JSON.
+``--out`` also saves every run's result line and each workload's summary
+as JSON.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--old", required=True, help="root of the baseline source tree")
     parser.add_argument("--new", required=True, help="root of the changed source tree")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", required=True, help="comma-separated workload seeds")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", default=None, help="also write the results to this JSON file")
@@ -46,6 +51,9 @@ def _parse(argv):
         args.seeds = []
     if not args.seeds or any(s < 0 for s in args.seeds):
         parser.error("--seeds must be a nonempty list of non-negative integers")
+    args.workload = [w.strip() for w in args.workload.split(",") if w.strip()]
+    if not args.workload or len(set(args.workload)) < len(args.workload):
+        parser.error("--workload must be a nonempty list of distinct workload names")
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
     return args
@@ -117,34 +125,38 @@ def main(argv=None) -> int:
     directions = {m["name"]: m["better"] for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     sides = {"old": args.old, "new": args.new}
-    pairs = []
+    pairs = {workload: [] for workload in args.workload}
     for n, seed in enumerate(args.seeds):
         order = ("old", "new") if n % 2 == 0 else ("new", "old")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(sides[side], args.workload, seed, args.seconds)
-        pairs.append(pair)
-        print("seed %d (%s first): %s" % (seed, order[0], "  ".join(
-            "%s %s correct=%s failed=%d" % (
-                side, " ".join("%s=%.6g" % (k, v["value"])
-                               for k, v in pair[side]["metrics"].items()),
-                pair[side]["correct"], pair[side]["failed"])
-            for side in ("old", "new"))), flush=True)
+        for workload in args.workload:
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(sides[side], workload, seed, args.seconds)
+            pairs[workload].append(pair)
+            print("%s seed %d (%s first): %s" % (workload, seed, order[0], "  ".join(
+                "%s %s correct=%s failed=%d" % (
+                    side, " ".join("%s=%.6g" % (k, v["value"])
+                                   for k, v in pair[side]["metrics"].items()),
+                    pair[side]["correct"], pair[side]["failed"])
+                for side in ("old", "new"))), flush=True)
 
-    summary = summarize(pairs, directions, bounds)
-    print("%s, %d pairs, %g s runs" % (args.workload, len(pairs), args.seconds))
-    for name, s in summary.items():
-        print("%-24s old %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  new wins %d of %d%s" % (
-            name, s["old"]["median"], s["old"]["q1"], s["old"]["q3"],
-            s["new"]["median"], s["new"]["q1"], s["new"]["q3"], s["wins"], s["pairs"],
-            "".join("  (%s)" % flag for flag in ("gain", "worse", "unresolved") if s[flag])))
-    bad = sum(not p[side]["correct"] or p[side]["failed"] > 0
-              for p in pairs for side in ("old", "new"))
-    print("runs incorrect or with failures: %d of %d" % (bad, 2 * len(pairs)))
+    results = {}
+    for workload, runs in pairs.items():
+        summary = summarize(runs, directions, bounds)
+        print("%s, %d pairs, %g s runs" % (workload, len(runs), args.seconds))
+        for name, s in summary.items():
+            print("%-24s old %.6g [%.6g, %.6g]  new %.6g [%.6g, %.6g]  new wins %d of %d%s" % (
+                name, s["old"]["median"], s["old"]["q1"], s["old"]["q3"],
+                s["new"]["median"], s["new"]["q1"], s["new"]["q3"], s["wins"], s["pairs"],
+                "".join("  (%s)" % flag for flag in ("gain", "worse", "unresolved") if s[flag])))
+        bad = sum(not p[side]["correct"] or p[side]["failed"] > 0
+                  for p in runs for side in ("old", "new"))
+        print("runs incorrect or with failures: %d of %d" % (bad, 2 * len(runs)))
+        results[workload] = {"pairs": runs, "summary": summary}
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"workload": args.workload, "seconds": args.seconds,
-                       "pairs": pairs, "summary": summary}, fh, indent=1)
+            json.dump({"seconds": args.seconds, "seeds": args.seeds, "workloads": results},
+                      fh, indent=1)
     return 0
 
 
