@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -219,6 +219,14 @@ def _lawler(cost, flip, root: int, k: int) -> list:
             return configs
 
 
+# The dominator counts a process keeps, the least recently used evicted:
+# as many as there are flip sets of positions 0..12, so a table that flips
+# at most 13 positions (k <= 14, or D <= 13) is rebuilt without counting
+# again, and the cache stays near 2 MB however large k grows.
+_DOMINATOR_COUNTS = 1 << 13
+
+
+@lru_cache(maxsize=_DOMINATOR_COUNTS)
 def _dominators(node: tuple) -> int:
     """The number of flip sets S, the empty set and ``node`` included, whose
     i-th largest position is at most ``node``'s for every i <= |S|: the
@@ -261,9 +269,11 @@ def _flip_table(k: int, m: int):
         for child in (node + (nxt,),) + ((node[:-1] + (nxt,),) if node else ()):
             (nodes if _dominators(child) <= k else boundary).append(child)
     every = nodes + boundary
-    pos = np.full((len(every), max(map(len, every))), m, dtype=np.intp)
-    for i, node in enumerate(every):
-        pos[i, :len(node)] = node
+    sizes = np.array([len(node) for node in every])
+    pos = np.full((len(every), sizes.max()), m, dtype=np.intp)
+    # A mask fills row by row: each node's positions, in order, then padding.
+    pos[np.arange(pos.shape[1]) < sizes[:, None]] = np.fromiter(chain.from_iterable(every),
+                                                                dtype=np.intp)
     return len(nodes), pos
 
 

@@ -74,6 +74,17 @@ class SparseDistribution:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "probs", pr)
 
+    @classmethod
+    def _of(cls, indices, probs, threshold: float, dim: int) -> "SparseDistribution":
+        """A distribution the library built with every invariant in place:
+        int64 indices strictly increasing in range, float64 probabilities
+        that are positive and sum to one.  Not checked again."""
+        dist = object.__new__(cls)
+        for name, value in zip(("indices", "probs", "threshold", "dim"),
+                               (indices, probs, threshold, dim)):
+            object.__setattr__(dist, name, value)
+        return dist
+
     @property
     def support_size(self) -> int:
         return int(self.indices.size)
@@ -111,7 +122,10 @@ def _sparsemax_rows(s):
     z = s - shift
     css, rho = _support_test(np.sort(z, axis=1)[:, ::-1])
     tau = ((css[np.arange(z.shape[0]), rho - 1] - 1.0) / rho)[:, None]
-    return np.where(z > tau, z - tau, 0.0), (tau + shift)[:, 0]
+    # Each tau is below max(z) = 0, so no z - tau is -0.0, and for finite z
+    # it is positive exactly where z > tau: the bits of
+    # ``np.where(z > tau, z - tau, 0.0)``.
+    return np.maximum(z - tau, 0.0), (tau + shift)[:, 0]
 
 
 def sparsemax_rows(scores) -> np.ndarray:
@@ -126,8 +140,14 @@ def sparsemax(s) -> SparseDistribution:
     :func:`sparsemax_rows`."""
     s = _as_scores(s)
     probs, tau = _sparsemax_rows(s[None])
-    idx = np.flatnonzero(probs[0])
-    return SparseDistribution(idx, probs[0, idx], float(tau[0]), s.size)
+    return _support_of(probs[0], tau[0])
+
+
+def _support_of(probs, tau) -> SparseDistribution:
+    """The sparse form of a dense row a sparsemax kernel returned, built
+    unchecked: its support holds by construction."""
+    idx = np.flatnonzero(probs).astype(np.int64, copy=False)
+    return SparseDistribution._of(idx, probs[idx], float(tau), probs.size)
 
 
 def _row_dots(a, b):
@@ -165,22 +185,34 @@ class RowSupports:
                 at += n * size
         return cls(probs.shape, rows, outcomes[by_size], sizes, runs)
 
-    def dots(self, p, *terms) -> np.ndarray:
-        """Each row's dots of ``p`` with ``terms`` (flat pairs), as (len(terms), B)."""
-        flat, out = np.array((p,) + terms), np.zeros((len(terms), self.shape[0]))
+    def sweep(self, flat, dots: int = 0):
+        """Each row's dots and means over its support, from one read of each
+        size's run of the C-ordered (T, pairs) stack ``flat`` of flat terms.
+
+        With ``dots`` > 0, ``flat[0]`` is dotted with ``flat[1:dots + 1]``
+        and the rest are averaged; with none, every term is averaged.
+        Returns the dots as (dots, B) and the means as (terms averaged, B).
+        """
+        lead = dots + 1 if dots else 0
+        out_dots = np.zeros((dots, self.shape[0]))
+        out_means = np.zeros((len(flat) - lead, self.shape[0]))
         for rows, start, stop, shape in self.runs:
             block = flat[:, start:stop].reshape((len(flat),) + shape)
-            out[:, rows] = _row_dots(block[0], block[1:])
-        return out
+            if dots:
+                out_dots[:, rows] = _row_dots(block[0], block[1:lead])
+            if lead < len(flat):
+                # The bits of ``mean(axis=-1)``, each line's pairwise sum over
+                # its length, without the Python layer of ``mean``.
+                out_means[:, rows] = np.add.reduce(block[lead:], axis=-1) / shape[1]
+        return out_dots, out_means
+
+    def dots(self, p, *terms) -> np.ndarray:
+        """Each row's dots of ``p`` with ``terms`` (flat pairs), as (len(terms), B)."""
+        return self.sweep(np.array((p,) + terms), len(terms))[0]
 
     def means(self, flat) -> np.ndarray:
         """Each row's mean of ``flat`` (flat pairs) over its support."""
-        out = np.zeros(self.shape[0])
-        for rows, start, stop, shape in self.runs:
-            # The bits of ``mean(axis=1)``, each line's pairwise sum over its
-            # length, without the Python layer of ``mean``.
-            out[rows] = np.add.reduce(flat[start:stop].reshape(shape), axis=1) / shape[1]
-        return out
+        return self.sweep(np.asarray(flat)[None])[1][0]
 
 
 def sparsemax_vjp_rows(supports: RowSupports, upstream) -> np.ndarray:
@@ -191,10 +223,16 @@ def sparsemax_vjp_rows(supports: RowSupports, upstream) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != supports.shape:
         raise ValueError("upstream must have the (B, K) shape of the supports' matrix")
-    on = supports.rows, supports.outcomes
-    u = upstream[on]
-    out = np.zeros(upstream.shape)
-    out[on] = u - supports.means(u)[supports.rows]
+    u = upstream[supports.rows, supports.outcomes]
+    return _sparsemax_vjp_pairs(supports, u, supports.means(u))
+
+
+def _sparsemax_vjp_pairs(supports: RowSupports, u, mean) -> np.ndarray:
+    """:func:`sparsemax_vjp_rows` from the upstream ``u`` on the flat pairs
+    and each row's support ``mean`` of it, unchecked: ``u`` minus its row's
+    mean on the support, zero off it."""
+    out = np.zeros(supports.shape)
+    out[supports.rows, supports.outcomes] = u - mean[supports.rows]
     return out
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import SparseDistribution, _as_rows, _as_scores, _sparsemax_rows, sparsemax_vjp
+from .simplex import SparseDistribution, _as_rows, _as_scores, _sparsemax_rows, _support_of
+from .simplex import sparsemax_vjp
 
 __all__ = ["TopKResult", "top_k", "topk_sparsemax", "topk_sparsemax_rows", "topk_sparsemax_vjp"]
 
@@ -74,8 +75,7 @@ def topk_sparsemax(s, k: int):
     with ``dist`` in sparse form."""
     s = _as_scores(s)
     probs, tau, certificates = _topk_sparsemax_rows(s[None], k)
-    idx = np.flatnonzero(probs[0])
-    return SparseDistribution(idx, probs[0, idx], float(tau[0]), s.size), bool(certificates[0])
+    return _support_of(probs[0], tau[0]), bool(certificates[0])
 
 
 def topk_sparsemax_vjp(s, k: int, dist: SparseDistribution, upstream) -> np.ndarray:

@@ -29,8 +29,8 @@ from .bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix,
 from .estimators import MovingAverageBaseline, sfe_rows, sum_and_sample_rows
 from .marginalize import CallStats, LossOracle
 from .rng import make_rng
-from .simplex import RowSupports, _log_softmax, _row_dots, softmax, softmax_vjp
-from .simplex import sparsemax_rows, sparsemax_vjp_rows
+from .simplex import (RowSupports, _log_softmax, _row_dots, _sparsemax_rows, _sparsemax_vjp_pairs,
+                      softmax, softmax_vjp, sparsemax_rows, sparsemax_vjp_rows)
 
 __all__ = [
     "TrainConfig",
@@ -292,9 +292,10 @@ class ToyBitVectorVAE(_ParamLayout):
         (:func:`_encode`)."""
         return _encode(self, x)
 
-    def recon_loss_and_dlogits(self, bits, x):
-        """Reconstruction loss of ``x`` from latent ``bits`` and its
-        gradient with respect to the decoder outputs.
+    def _recon(self, bits, x):
+        """The reconstruction loss of ``x`` from latent ``bits`` and the
+        decoder outputs it read: the residual for ``squared``, the logits
+        for ``bernoulli``.
 
         Elementwise over the rows of an (S, D) stack of ``bits``, each with
         the bits of that row alone: the decoder product and the dots are
@@ -304,11 +305,25 @@ class ToyBitVectorVAE(_ParamLayout):
         if self.recon == "squared":
             resid = out - x
             return 0.5 * _row_dots(resid, resid), resid
-        # Bernoulli negative log-likelihood with logits:
-        # softplus(out) - x * out, gradient sigmoid(out) - x.  Below about
-        # -709, exp(-out) overflows to inf and the sigmoid is the 0.0 it
-        # should be, so the overflow is no error.
-        val = np.logaddexp(0.0, out).sum(axis=-1) - _row_dots(out, x)
+        # Bernoulli negative log-likelihood with logits: softplus(out) - x * out.
+        return np.logaddexp(0.0, out).sum(axis=-1) - _row_dots(out, x), out
+
+    def recon_loss(self, bits, x):
+        """The reconstruction loss of :meth:`recon_loss_and_dlogits`, with
+        its bits, without the gradient."""
+        return self._recon(bits, x)[0]
+
+    def recon_loss_and_dlogits(self, bits, x):
+        """Reconstruction loss of ``x`` from latent ``bits`` and its
+        gradient with respect to the decoder outputs, row by row as
+        :meth:`_recon` reads them.
+        """
+        val, out = self._recon(bits, x)
+        if self.recon == "squared":
+            return val, out
+        # The Bernoulli gradient is sigmoid(out) - x.  Below about -709,
+        # exp(-out) overflows to inf and the sigmoid is the 0.0 it should
+        # be, so the overflow is no error.
         with np.errstate(over="ignore"):
             return val, 1.0 / (1.0 + np.exp(-out)) - x
 
@@ -326,10 +341,11 @@ class ToyBitVectorVAE(_ParamLayout):
 class _BatchPass:
     """One minibatch: per-example log entries and the summed gradients.
 
-    ``stats`` holds (loss, metric, calls, support, certificate) per
-    example, and ``objectives`` each example's differentiated objective,
-    both in batch order.  ``grads`` holds the sums of the per-example
-    gradients, or None when the divergence guard tripped: a non-finite
+    ``columns`` holds the examples' log entries as five columns in batch
+    order: loss, metric, calls and support arrays, and a list of
+    certificates, or None where no example has one.  ``objectives`` holds
+    each example's differentiated objective, in batch order.  ``grads``
+    holds the sums of the per-example gradients, or None when the divergence guard tripped: a non-finite
     score, or a zero probability whose log the objective would take.
     The categorical pass also returns the (B, K) probabilities, the
     bit-vector pass each example's (support, D) bit rows.  The
@@ -339,7 +355,7 @@ class _BatchPass:
     gradients or posterior.
     """
 
-    stats: list | None
+    columns: tuple | None
     grads: dict | None
     objectives: np.ndarray | None = None
     probs: np.ndarray | None = None
@@ -349,7 +365,7 @@ class _BatchPass:
 
     @classmethod
     def diverged(cls, size: int) -> "_BatchPass":
-        return cls([(np.nan, np.nan, 0, 0, None)] * size, None, losses=np.full(size, np.nan))
+        return cls(None, None, losses=np.full(size, np.nan))
 
 
 def _take(parts, positions) -> tuple:
@@ -396,8 +412,11 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     """One minibatch: forward, loss reads, hand gradients summed in example order.
 
     The dense and sparse methods marginalize exactly over the mapping's
-    support, read through :class:`RowSupports`; sfe and sum_and_sample
-    are the library's row estimators, called once on the batch's score
+    support, read through :class:`RowSupports`: one sweep of each support
+    size's run gives the loss and entropy dots and, for sparse, each
+    row's support mean of the upstream, which its vjp subtracts.  The
+    guard has tested the scores, so the sparsemax kernels run unchecked.
+    sfe and sum_and_sample are the library's row estimators, called once on the batch's score
     matrix with ``rng`` (sfe also with the running ``baseline``), which
     draw and advance the baseline in example order.  The mappings and
     vjps are the library's row kernels, the scores a stacked product (the
@@ -429,7 +448,7 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     if posterior is not None:
         (q,) = posterior
     elif method == "sparse":
-        q = sparsemax_rows(s)
+        q = _sparsemax_rows(s)[0]  # past the guard: the scores are finite
     elif method == "dense":
         q = softmax(s)
     else:  # sfe or sum_and_sample; q is the estimators' own softmax
@@ -452,14 +471,21 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         values = oracle.eval_many(outcomes)
         probs = q[rows, outcomes]
         log_probs = np.log(probs)
-        loss, entropy = supports.dots(probs, values, log_probs)
         if loss_only:
+            loss, _ = supports.dots(probs, values, log_probs)
             return _BatchPass(None, None, losses=loss, posterior=(q,)), baseline
+        u = values + coef * (log_probs + 1.0)  # the upstream on the support
+        # One read of each support size's run: the loss and entropy dots
+        # and, for sparsemax, the support mean of u.
+        terms = (probs, values, log_probs) + ((u,) if method == "sparse" else ())
+        (loss, entropy), mean = supports.sweep(np.array(terms), 2)
         objective = loss + coef * entropy
-        upstream = np.zeros((B, K))
-        upstream[rows, outcomes] = values + coef * (log_probs + 1.0)
-        g_s = (sparsemax_vjp_rows(supports, upstream) if method == "sparse"
-               else softmax_vjp(q, upstream))
+        if method == "sparse":
+            g_s = _sparsemax_vjp_pairs(supports, u, mean[0])
+        else:
+            upstream = np.zeros((B, K))
+            upstream[rows, outcomes] = u
+            g_s = softmax_vjp(q, upstream)
         weights = q
     else:
         g_s += coef * softmax_vjp(q, np.log(q) + 1.0)
@@ -474,9 +500,7 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     mixture = _ordered_outer_sum(q.T, dec)  # summed over messages
     metric = (mixture.argmax(axis=1) == y).astype(np.float64)
     support = calls if method in ("dense", "sparse") else np.full(B, K)
-    stats = list(zip(loss.tolist(), metric.tolist(), calls.tolist(), support.tolist(),
-                     [None] * B))
-    return _BatchPass(stats, grads, objective, q), baseline
+    return _BatchPass((loss, metric, calls, support, None), grads, objective, q), baseline
 
 
 def _blocks(sizes, limit: int):
@@ -576,7 +600,7 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
                 raise ValueError("backward pass requires a converged result")
     if method == "dense" and not (posterior[0] > 0).all():
         return _BatchPass.diverged(B)
-    certificates = [None] * B
+    certificates = None
     converged = None
     if method == "topk":
         configs, probs, certificates = posterior
@@ -590,9 +614,10 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
 
     def neg_log_joint(outcomes):
         bits, x = outcomes  # one (bit row, image) pair per outcome
+        if loss_only:
+            return D * np.log(2.0) + model.recon_loss(bits, x)
         recon, d = model.recon_loss_and_dlogits(bits, x)
-        if not loss_only:
-            dlogits.append(d)
+        dlogits.append(d)
         return D * np.log(2.0) + recon
 
     oracle = LossOracle(neg_log_joint)
@@ -643,9 +668,8 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
         return _BatchPass(None, None, losses=neg_elbo, posterior=posterior)
     grads = {"dec_w": _ordered_sum(dec_w), "dec_b": _ordered_sum(dec_b),
              "enc_w": _ordered_outer_sum(g_t, X), "enc_b": _ordered_sum(g_t)}
-    calls = sizes.tolist()
-    stats = list(zip(neg_elbo.tolist(), neg_elbo.tolist(), calls, calls, certificates))
-    return _BatchPass(stats, grads, neg_elbo, rows=support_rows)
+    return _BatchPass((neg_elbo, neg_elbo, sizes, sizes, certificates), grads, neg_elbo,
+                      rows=support_rows)
 
 
 def _check_config(task: str, cfg: TrainConfig, n: int, size: int):
@@ -687,19 +711,22 @@ def _mean(values) -> float:
     return float(np.add.reduce(np.array(values, dtype=np.float64)) / len(values))
 
 
-def _finish_epoch(epoch, stats) -> EpochRow:
-    """The log row of an epoch from its examples' (loss, metric, calls,
-    support, certificate) entries; certificates that are None are left
-    out of ``cert_frac``, which is None when all are."""
-    losses, metrics, calls, supports, certs = zip(*stats)
-    certs = [float(c) for c in certs if c is not None]
+def _finish_epoch(epoch, columns) -> EpochRow:
+    """The log row of an epoch from its batches' (loss, metric, calls,
+    support, certificate) columns (:class:`_BatchPass`), joined in order;
+    certificates that are None are left out of ``cert_frac``, which is
+    None when all are."""
+    losses, metrics, calls, supports = (np.concatenate(column)
+                                        for column in list(zip(*columns))[:4])
+    certs = [float(c) for batch in columns if batch[4] is not None
+             for c in batch[4] if c is not None]
     return EpochRow(
         epoch=epoch,
         loss=_mean(losses),
         metric=_mean(metrics),
         calls=CallStats.from_counts(calls),
         support_mean=_mean(supports),
-        support_max=int(max(supports)),
+        support_max=int(supports.max()),
         cert_frac=_mean(certs) if certs else None,
     )
 
@@ -772,7 +799,7 @@ def _train(task: str, model, n: int, width: int, cfg: TrainConfig, eval_cfg: Tra
         started = time.perf_counter()
         if epoch > 1:
             order = rng.permutation(n)
-        stats = []
+        columns = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start: start + cfg.batch_size]
             out = batch_pass(batch, cfg, rng, posterior=reused)
@@ -780,11 +807,11 @@ def _train(task: str, model, n: int, width: int, cfg: TrainConfig, eval_cfg: Tra
             if out.grads is None:
                 log.diverged = True
                 return log
-            stats.extend(out.stats)
+            columns.append(out.columns)
             if not model.sgd_update(out.grads, cfg.lr, len(batch)):
                 log.diverged = True
                 return log
-        row = _finish_epoch(epoch, stats)
+        row = _finish_epoch(epoch, columns)
         log.epoch_s.append(time.perf_counter() - started)
         log.rows.append(row)
         if not np.isfinite(row.loss):

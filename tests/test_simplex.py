@@ -8,10 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from sparsemarg.reference import central_difference, sparsemax_bruteforce
 from sparsemarg.rng import make_rng
+from sparsemarg.topk import topk_sparsemax
 from sparsemarg.simplex import (
     RowSupports,
     SparseDistribution,
     _row_dots,
+    _sparsemax_vjp_pairs,
     entropy,
     softmax,
     softmax_vjp,
@@ -292,6 +294,23 @@ def test_distribution_validation():
         SparseDistribution(np.array([0, 1]), np.array([1.0, 0.0]), 0.0, 3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 64),
+              elements=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 0.5, 1.0]))),
+       st.floats(-1e8, 1e8), st.integers(1, 70))
+def test_the_validator_accepts_every_distribution_the_library_builds_unchecked(s, offset, k):
+    # sparsemax and topk_sparsemax build their distributions without the
+    # constructor's checks, ties and large offsets included: each one must
+    # pass them, and the checked build must hold the same fields.
+    for dist in (sparsemax(s + offset), topk_sparsemax(s + offset, k)[0]):
+        checked = SparseDistribution(dist.indices, dist.probs, dist.threshold, dist.dim)
+        for name in ("indices", "probs"):
+            got, expected = getattr(dist, name), getattr(checked, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert type(dist.threshold) is float and dist.threshold == checked.threshold
+        assert type(dist.dim) is int and dist.dim == checked.dim == s.size
+
+
 def _spread(rng, shape):
     """Normal entries scaled by powers of ten over 1e-8..1e8, a fifth of them -0.0."""
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
@@ -340,14 +359,31 @@ def _mixed_support_rows(rng, K=48):
     return p
 
 
+def _tied_support_rows(rng, K):
+    """Probability rows over K outcomes with one-outcome, full and random
+    supports, each once with tied (uniform) and once with random weights,
+    shuffled."""
+    sizes = [1, K] + rng.integers(1, K + 1, size=6).tolist()
+    p = np.zeros((2 * len(sizes), K))
+    for i, size in enumerate(sizes * 2):
+        weights = np.ones(size) if i < len(sizes) else rng.random(size) + 0.1
+        p[i, rng.choice(K, size=size, replace=False)] = weights / weights.sum()
+    return p[rng.permutation(len(p))]
+
+
 def test_row_supports_reduce_each_row_with_the_bits_of_its_support_alone():
+    # Each row's dots and means keep the bits of the 1-d forms on its
+    # support.  The one sweep the categorical pass makes over a stack of
+    # (probabilities, values, log-probabilities, upstream) gives the bits
+    # of RowSupports.dots and of sparsemax_vjp_rows, signed zeros included.
     rng = make_rng(38)
-    for _ in range(3):
-        p = _mixed_support_rows(rng)
+    batches = ([_mixed_support_rows(rng) for _ in range(3)]
+               + [_tied_support_rows(rng, K) for K in (1, 2, 7, 16, 33, 63, 64)])
+    for p in batches:
         supports = RowSupports.of(p)
         assert np.array_equal(supports.sizes, (p > 0).sum(axis=1))
         on = supports.rows, supports.outcomes
-        flat = _spread(rng, (2,) + p.shape)
+        flat = _spread(rng, (3,) + p.shape)
         dots = supports.dots(p[on], flat[0][on], flat[1][on])
         means = supports.means(flat[0][on])
         for i, row in enumerate(p):
@@ -355,6 +391,11 @@ def test_row_supports_reduce_each_row_with_the_bits_of_its_support_alone():
             for j in range(2):
                 assert _same_bits(dots[j, i], row[idx] @ flat[j, i, idx]), (i, j)
             assert _same_bits(means[i], flat[0, i, idx].mean()), i
+        u = flat[2][on]
+        swept, mean = supports.sweep(np.array((p[on], flat[0][on], flat[1][on], u)), 2)
+        assert _same_bits(swept, dots), p.shape
+        assert _same_bits(_sparsemax_vjp_pairs(supports, u, mean[0]),
+                          sparsemax_vjp_rows(supports, flat[2])), p.shape
 
 
 def test_row_vjps_have_the_bits_of_the_one_row_call():

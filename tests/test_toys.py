@@ -187,13 +187,25 @@ def test_divergence_guard_flags_zero_dense_probability_on_bit_vectors():
         model.objective_with_grad(images.images[0], TrainConfig(method="dense"))
 
 
+def _entries(out):
+    """A batch's log columns as the (loss, metric, calls, support,
+    certificate) entry of each example, in batch order."""
+    losses, metrics, calls, supports, certificates = out.columns
+    if certificates is None:
+        certificates = [None] * len(losses)
+    return list(zip(losses.tolist(), metrics.tolist(), calls.tolist(), supports.tolist(),
+                    certificates))
+
+
 def _per_batch_initial_loss(batch_pass, n, batch_size):
     """The initial loss as a loop of the training pass, gradients and all,
     over batches of ``batch_size``: the reference for the gradient-free
     pass over the whole data set."""
     total = 0.0
     for start in range(0, n, batch_size):
-        for loss, *_ in batch_pass(np.arange(start, min(start + batch_size, n))).stats:
+        out = batch_pass(np.arange(start, min(start + batch_size, n)))
+        # A tripped batch holds its NaN losses alone, no columns.
+        for loss in (out.losses if out.columns is None else out.columns[0]).tolist():
             total += loss
     return total / n
 
@@ -307,8 +319,8 @@ def _count_mapped_rows(monkeypatch):
     from sparsemarg import toys
 
     mapped, kbest_scores = [], []
-    for name, at in (("sparsemax_rows", 0), ("softmax", 0), ("kbest_rows", 0),
-                     ("_sparsemap_solve", 1)):
+    for name, at in (("sparsemax_rows", 0), ("_sparsemax_rows", 0), ("softmax", 0),
+                     ("kbest_rows", 0), ("_sparsemap_solve", 1)):
         def counted(*args, _name=name, _at=at, _original=getattr(toys, name), **kwargs):
             if not any(args[0] is scores for scores in kbest_scores):
                 mapped.append(len(args[_at]))
@@ -427,7 +439,7 @@ def test_first_batch_trains_bit_for_bit_on_the_reused_posterior(task, method, mo
     ("bitvec", "sparsemap", "_sparsemap_solve", "_sparsemap_vjp"),
     ("bitvec", "topk", "kbest_rows", "sparsemax_vjp_rows"),
     ("bitvec", "sparse", "sparsemax_rows", "sparsemax_vjp_rows"),
-    ("categorical", "sparse", "sparsemax_rows", "sparsemax_vjp_rows"),
+    ("categorical", "sparse", "_sparsemax_rows", "_sparsemax_vjp_pairs"),
 ])
 def test_initial_pass_maps_once_without_gradients_and_the_first_batch_reuses_it(
         task, method, mapping, vjp, monkeypatch):
@@ -571,7 +583,7 @@ def test_batch_pass_equals_examples_one_at_a_time(method):
 
     def batch_of_one(i, rng, base):
         one, base = _categorical_batch(model, data.features, data.labels, [i], cfg, rng, base)
-        return one.stats[0], one.objectives[0], one.grads, base
+        return _entries(one)[0], one.objectives[0], one.grads, base
 
     def reference(i, rng, base):
         return _example_reference(model, data.features[i], int(data.labels[i]), cfg, rng, base)
@@ -585,14 +597,14 @@ def test_batch_pass_equals_examples_one_at_a_time(method):
             objectives.append(objective)
             for key in grads:
                 grads[key] += ex_grads[key]
-        assert whole.stats == stats
+        assert _entries(whole) == stats
         assert whole.objectives.tolist() == objectives
         assert whole_base == base
         for key in grads:
             assert np.array_equal(whole.grads[key], grads[key])
             assert np.array_equal(np.signbit(whole.grads[key]), np.signbit(grads[key]))
     if method == "sparse":  # support means over fewer and more than 8 outcomes
-        sizes = [entry[3] for entry in whole.stats]
+        sizes = [entry[3] for entry in _entries(whole)]
         assert min(sizes) < 8 < max(sizes)
 
 
@@ -742,7 +754,7 @@ def test_topk_certificate_gradient_matches_enumeration():
     checked = 0
     for i in range(images.images.shape[0]):
         out_k = _bitvec_batch(model, images.images, [i], TrainConfig(method="topk", k=32))
-        certificate = out_k.stats[0][4]
+        certificate = _entries(out_k)[0][4]
         if not certificate:
             continue
         out_e = _bitvec_batch(model, images.images, [i], TrainConfig(method="sparse"))
@@ -767,7 +779,7 @@ def test_budget_codes_respect_budget():
     model = ToyBitVectorVAE.init(d=8, n_pixels=36, seed=11)
     cfg = TrainConfig(method="sparsemap_budget", budget=3)
     out = _bitvec_batch(model, images.images, np.arange(16), cfg)
-    assert all(support >= 1 for _, _, _, support, _ in out.stats)
+    assert all(support >= 1 for _, _, _, support, _ in _entries(out))
     assert all(rows.sum(axis=1).max() <= 3 for rows in out.rows)
     # Default budget is D // 2.
     log = train_bitvec_vae(model, images, TrainConfig(method="sparsemap_budget", epochs=2, seed=0))
@@ -790,12 +802,12 @@ def test_bitvec_batch_pass_equals_examples_one_at_a_time(method, d):
     grads, stats, objectives, rows = model.zero_grads(), [], [], []
     for i in batch:
         one = _bitvec_batch(model, images.images, [i], cfg)
-        stats.append(one.stats[0])
+        stats.append(_entries(one)[0])
         objectives.append(one.objectives[0])
         rows.append(one.rows[0])
         for key in grads:
             grads[key] += one.grads[key]
-    assert whole.stats == stats
+    assert _entries(whole) == stats
     assert all(entry[2] == entry[3] for entry in stats)  # one loss call per outcome
     assert whole.objectives.tolist() == objectives
     assert all(np.array_equal(a, b) for a, b in zip(whole.rows, rows))
@@ -936,7 +948,7 @@ def test_bitvec_batch_pass_equals_per_outcome_reference(method, d, k, recon):
     batch = make_rng(44).permutation(20)[:13 if d < 12 else 3]
     out = _bitvec_batch(model, images.images, batch, cfg)
     stats, objectives, grads = _bitvec_per_outcome(model, images.images, batch, cfg)
-    assert out.stats == stats
+    assert _entries(out) == stats
     assert out.objectives.tolist() == objectives
     for key in grads:
         assert np.array_equal(out.grads[key], grads[key]), key
@@ -960,6 +972,24 @@ def test_bernoulli_decoder_saturates_without_an_overflow_warning():
     assert np.isfinite(val).all()
 
 
+@pytest.mark.parametrize("recon", ["bernoulli", "squared"])
+@pytest.mark.parametrize("method", BITVEC_METHODS)
+def test_the_loss_only_pass_computes_no_decoder_gradient(method, recon):
+    # The gradient-free pass reads the reconstruction loss alone, never the
+    # decoder gradient, and its losses keep the bits of the training pass's.
+    images = make_bitvec_images(n=12, d=6, seed=47)
+    model = ToyBitVectorVAE.init(d=6, n_pixels=36, seed=48, scale=0.3, recon=recon)
+    cfg = TrainConfig(method=method, k=4, budget=2)
+    trained = _bitvec_batch(model, images.images, np.arange(12), cfg)
+
+    def refused(bits, x):
+        raise AssertionError("the loss-only pass asked for the decoder gradient")
+
+    model.recon_loss_and_dlogits = refused
+    out = _bitvec_batch(model, images.images, np.arange(12), cfg, loss_only=True)
+    assert out.losses.tobytes() == trained.columns[0].tobytes()
+
+
 @pytest.mark.parametrize("method, d, k", [("dense", 12, 8), ("dense", 10, 8), ("topk", 24, 1500)])
 def test_bitvec_loss_reads_whole_examples_in_blocks_of_at_most_4096_rows(method, d, k):
     images = make_bitvec_images(n=12, d=d, seed=45)
@@ -974,8 +1004,8 @@ def test_bitvec_loss_reads_whole_examples_in_blocks_of_at_most_4096_rows(method,
 
     model.recon_loss_and_dlogits = recording
     out = _bitvec_batch(model, images.images, np.arange(9), TrainConfig(method=method, k=k))
-    calls = [entry[2] for entry in out.stats]
-    assert calls == [entry[3] for entry in out.stats]  # one loss call per outcome
+    calls = [entry[2] for entry in _entries(out)]
+    assert calls == [entry[3] for entry in _entries(out)]  # one loss call per outcome
     assert len(blocks) > 1 and max(blocks) <= 4096
     # Each block is a run of whole consecutive examples, cut only where the
     # next example would not fit.
@@ -1063,7 +1093,7 @@ def _three_pass_train(task, model, data, cfg):
             out = batch_pass(batch, cfg, rng)
             if out.grads is None:
                 return initial, rows, True
-            stats.extend(out.stats)
+            stats.extend(_entries(out))
             for key in out.grads:
                 out.grads[key] /= len(batch)
             for key in model.PARAMS:
@@ -1159,6 +1189,9 @@ _CERTIFICATES = st.one_of(st.none(), st.booleans(), st.floats(0.0, 1.0))
 def test_finish_epoch_has_the_bits_of_the_tuple_formula(stats):
     # One example or many, certificates None, bool or float in any mix, and
     # any float losses: the same row, bit for bit, and the same warnings.
+    # The epoch's entries reach _finish_epoch as the columns of its
+    # batches, cut here in batches of 1, 7 and 16, with the certificate
+    # column None for a batch where every certificate is.
     def run(finish):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1168,7 +1201,20 @@ def test_finish_epoch_has_the_bits_of_the_tuple_formula(stats):
         bits = [struct.pack("<d", v) if isinstance(v, float) else v for v in fields]
         return bits, sorted((w.category.__name__, str(w.message)) for w in caught)
 
-    assert run(toys._finish_epoch) == run(_tuple_formula_epoch)
+    def column_fed(size):
+        def finish(epoch, entries):
+            columns = []
+            for start in range(0, len(entries), size):
+                losses, metrics, calls, supports, certs = zip(*entries[start:start + size])
+                columns.append((np.array(losses), np.array(metrics), np.array(calls),
+                                np.array(supports),
+                                None if all(c is None for c in certs) else list(certs)))
+            return toys._finish_epoch(epoch, columns)
+        return finish
+
+    expected = run(_tuple_formula_epoch)
+    for size in (1, 7, 16):
+        assert run(column_fed(size)) == expected, size
 
 
 def test_bitvec_methods_all_run():
