@@ -35,7 +35,8 @@ The solve and the vjp are array kernels (:func:`_solve`, :func:`_vjp`):
 a solved batch is its weights, vertex rows and per-row figures as arrays
 and lists (:class:`_Solved`), which training reads directly.  The public
 functions are thin adapters that check their arguments and build one
-:class:`SparseMapResult` per row, or read the rows of a list of them.
+:class:`SparseMapResult` per row from each solved part, or read the rows
+of a list of them.
 
 A batch, solved or differentiated, raises the error of its lowest-index
 row that raises, the error a loop of one-row calls would raise.  The
@@ -74,8 +75,6 @@ _INT64_OUTCOMES = 1 << 63
 # A stack of factors or vertex rows starts with room for this many
 # structures in each row, and doubles its room when a live row needs more.
 _MIN_ROOM = 16
-# Rows leaving the stack as results are packed this many at a time.
-_PACK = 64
 # LAPACK's dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b), bound
 # by _lapack() on the first solve: importing the library loads no scipy.
 dtrtrs = None
@@ -659,7 +658,9 @@ class _Solved:
     @classmethod
     def _join(cls, parts: list, origins: list) -> "_Solved":
         """One batch of the solved ``parts``, the rows of part k being the
-        batch rows ``origins[k]``."""
+        batch rows ``origins[k]``; a lone part is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
         B, S = sum(map(len, origins)), max(part.probs.shape[1] for part in parts)
         probs, rows = np.zeros((B, S)), np.zeros((B, S, parts[0].rows.shape[2]))
         moments = np.empty((B, parts[0].moments.shape[1]))
@@ -674,17 +675,17 @@ class _Solved:
         return cls(probs, rows, moments, figures)
 
 
-def _solve_rows(oracle, T, max_iter: int, tol: float, as_results: bool = False):
+def _solve_rows(oracle, T, max_iter: int, tol: float):
     """:func:`_solve` of a (B, oracle.dim) matrix, after the argument
     checks, as one stack (:class:`_ActiveSets`) whose rows advance in
-    lockstep; the first error met in any row is raised.  With
-    ``as_results``, the list of the rows' results instead.
+    lockstep; the first error met in any row is raised.  Returns the
+    solved parts (:class:`_Solved`) and the batch rows of each part.
 
     A step adds at most one structure to a row, so the stack grows only
     between steps, when a live row's support fills the room.  Before the
-    room doubles, the converged rows leave the stack, packed, and turned
-    into their results right away if results are asked for: a batch holds
-    room for its live rows only.
+    room doubles, the converged rows leave the stack as one packed part:
+    a batch holds room for its live rows only.  The rows left at the end
+    make the last part, which is the whole batch if it is the only one.
     """
     _lapack()
     if not np.isfinite(T).all():
@@ -692,14 +693,6 @@ def _solve_rows(oracle, T, max_iter: int, tol: float, as_results: bool = False):
     B = T.shape[0]
     sets = _ActiveSets(T, _MIN_ROOM, tol)
     parts, origins = [], []
-
-    def pack(rows):
-        if not as_results:
-            return _Solved._of(sets, rows)
-        # _PACK rows at a time: no padded copy of many supports is held.
-        return [res for k in range(0, len(rows), _PACK) for res in _results(
-            oracle, sets.T[rows[k:k + _PACK]], _Solved._of(sets, rows[k:k + _PACK]))]
-
     # Scores near the float range can overflow in the oracle's scores and
     # in A't, and a residual that is not finite gives the unchecked oracle
     # 0 * inf products.  The step that meets a non-finite A't or residual
@@ -726,23 +719,15 @@ def _solve_rows(oracle, T, max_iter: int, tol: float, as_results: bool = False):
             if size > sets.V.shape[1]:
                 if len(live) < len(sets.n):
                     done = [b for b, finished in enumerate(sets.converged) if finished]
-                    parts.append(pack(done))
+                    parts.append(_Solved._of(sets, done))
                     origins.append([sets.origin[b] for b in done])
                     sets._keep(live)
                     live = list(range(len(live)))
                 sets._reserve(size)
             _advance_rows(sets, oracle, live)
-    parts.append(pack(list(range(len(sets.n)))))
+    parts.append(_Solved._of(sets, list(range(len(sets.n)))))
     origins.append(sets.origin)
-    if len(parts) == 1:
-        return parts[0]
-    if not as_results:
-        return _Solved._join(parts, origins)
-    results = [None] * B
-    for part, origin in zip(parts, origins):
-        for i, res in zip(origin, part):
-            results[i] = res
-    return results
+    return parts, origins
 
 
 def _solve(oracle, T, max_iter: int | None = None, tol: float = 1e-9) -> _Solved:
@@ -750,21 +735,28 @@ def _solve(oracle, T, max_iter: int | None = None, tol: float = 1e-9) -> _Solved
     :class:`_Solved`: the core of :func:`sparsemap_rows`, with the bits
     and the errors of its results, for a caller that made ``T``."""
     max_iter = _check_solver(oracle, tol, max_iter)
-    return _row_by_row(lambda rows: _solve_rows(oracle, rows, max_iter, tol),
+    return _row_by_row(lambda rows: _Solved._join(*_solve_rows(oracle, rows, max_iter, tol)),
                        lambda parts: _Solved._join(parts, [[i] for i in range(len(parts))]), T)
 
 
-def _results(oracle, T, solved: _Solved) -> list:
-    """One :class:`SparseMapResult` per row of ``solved``, the solve of
-    ``T``, sharing no memory with another, with ``solved`` or with ``T``."""
+def _results(oracle, T, max_iter: int, tol: float) -> list:
+    """One :class:`SparseMapResult` per row of ``T`` from :func:`_solve_rows`,
+    each part turned into its results and let go before the next; no
+    result shares memory with another, with the solve or with ``T``."""
+    parts, origins = _solve_rows(oracle, T, max_iter, tol)
     n_outcomes = getattr(oracle, "n_outcomes", 1 << oracle.dim)
     index_of = getattr(oracle, "outcome_index", lambda s: s.index)
-    figures = zip(*(getattr(solved, name) for name in _FIGURES))
-    return [SparseMapResult(probs=probs[:n].copy(), moments=moments.copy(),
-                            n_outcomes=n_outcomes, index_of=index_of, rows=rows[:n].copy(),
-                            _t=t.copy(), **dict(zip(_FIGURES, values)))
-            for n, probs, rows, moments, t, values in zip(
-                solved.sizes, solved.probs, solved.rows, solved.moments, T, figures)]
+    results = [None] * T.shape[0]
+    while parts:
+        solved, origin = parts.pop(), origins.pop()
+        figures = zip(*(getattr(solved, name) for name in _FIGURES))
+        for i, n, probs, rows, moments, values in zip(
+                origin, solved.sizes, solved.probs, solved.rows, solved.moments, figures):
+            results[i] = SparseMapResult(
+                probs=probs[:n].copy(), moments=moments.copy(), n_outcomes=n_outcomes,
+                index_of=index_of, rows=rows[:n].copy(), _t=T[i].copy(),
+                **dict(zip(_FIGURES, values)))
+    return results
 
 
 def sparsemap_rows(oracle, scores, *, max_iter: int | None = None, tol: float = 1e-9) -> list:
@@ -782,7 +774,7 @@ def sparsemap_rows(oracle, scores, *, max_iter: int | None = None, tol: float = 
     if T.ndim != 2 or T.shape[1] != oracle.dim:
         raise ValueError("scores must be a (B, oracle.dim) matrix")
     max_iter = _check_solver(oracle, tol, max_iter)
-    return _row_by_row(lambda rows: _solve_rows(oracle, rows, max_iter, tol, as_results=True),
+    return _row_by_row(lambda rows: _results(oracle, rows, max_iter, tol),
                        lambda parts: [res for part in parts for res in part], T)
 
 
@@ -802,8 +794,7 @@ def sparsemap(oracle, t, *, max_iter: int | None = None, tol: float = 1e-9) -> S
         raise ValueError("scores must be a 1-d vector of length oracle.dim")
     if not np.all(np.isfinite(t)):
         raise ValueError("scores must be finite")
-    return _solve_rows(oracle, t[None], _check_solver(oracle, tol, max_iter), tol,
-                       as_results=True)[0]
+    return _results(oracle, t[None], _check_solver(oracle, tol, max_iter), tol)[0]
 
 
 def _vjp_rows(rows, sizes: list, converged: list, upstream) -> np.ndarray:

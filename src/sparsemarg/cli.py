@@ -11,12 +11,13 @@ Exit codes: 0 success, 1 property failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -132,47 +133,6 @@ def _bench_call(op: str, size: int, rows: int, rng):
     raise AssertionError(op)
 
 
-def _peak_rss_mb() -> float | None:
-    """This process's peak resident set size in MB, None where it cannot
-    be read.  Linux's VmHWM, unlike ``ru_maxrss``, starts afresh in a new
-    program instead of keeping the peak of the process that started it."""
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            return next(int(line.split()[1]) / 1024.0 for line in fh
-                        if line.startswith("VmHWM:"))
-    except (OSError, StopIteration):
-        return None
-
-
-def _rss_child(op: str, sizes: str, rows: str, seed: str) -> None:
-    """Print the MB by which one call at the last of ``sizes`` raises this
-    process's peak RSS (nothing where that cannot be read), the earlier
-    sizes only drawing their inputs, as :func:`cmd_bench` draws them.  A
-    one-row solve runs first, so the figure leaves out the scipy import
-    and holds what the call itself allocates at its peak."""
-    rng = make_rng(int(seed))
-    *before, size = [int(s) for s in sizes.split(",")]
-    for s in before:
-        _bench_call(op, s, int(rows), rng)
-    fn, _ = _bench_call(op, size, int(rows), rng)
-    sparsemap(BitVectorPolytope(2), np.zeros(2))
-    start = _peak_rss_mb()
-    fn()
-    print("" if start is None else _fmt(_peak_rss_mb() - start))
-
-
-def _peak_rss_rise(op: str, sizes: list, rows: int, seed: int) -> str:
-    """:func:`_rss_child` in a fresh interpreter, whose peak RSS only that
-    call's inputs and the library have set before."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys; from sparsemarg.cli import _rss_child; _rss_child(*sys.argv[1:])"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, op, ",".join(map(str, sizes)), str(rows), str(seed)],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-    return proc.stdout.strip()
-
-
 def cmd_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -187,7 +147,7 @@ def cmd_bench(args) -> int:
         return _usage_error("--rows must be at least 1, got %d" % n_rows)
     rng = make_rng(args.seed)
     rows = []
-    for k, size in enumerate(sizes):
+    for size in sizes:
         fn, iter_of = _bench_call(args.op, size, n_rows, rng)
         for _ in range(3):
             fn()
@@ -200,12 +160,18 @@ def cmd_bench(args) -> int:
             if iter_of is not None:
                 iters.append(iter_of(res))
         mean_iters = _fmt(np.mean(iters)) if iters else ""
-        # Only the batch solve's stack is worth a fresh interpreter per size.
-        rss = (_peak_rss_rise(args.op, sizes[:k + 1], n_rows, args.seed)
-               if args.op == "sparsemap_rows" else "")
+        # One more call, untimed: the peak of what it allocates, traced.
+        # The collection empties the free lists, which would hide some.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         rows.append((args.op, str(size), _fmt(np.median(times)), _fmt(np.percentile(times, 90)),
-                     mean_iters, rss))
-    lines = ["op,size,median_ns,p90_ns,mean_iters,peak_rss_mb"]
+                     mean_iters, _fmt(peak / 2**20)))
+    lines = ["op,size,median_ns,p90_ns,mean_iters,traced_peak_mb"]
     lines += [",".join(row) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -78,14 +78,14 @@ def _percentile(values: list, q: int) -> float:
     """``np.percentile(values, q)`` of a sorted nonempty list of finite
     floats, for q below 100, with its bits: numpy's linear interpolation
     between the neighbours of index (n - 1) q / 100, taken from the upper
-    one when the fraction is at least one half.  At n = 1 both
-    neighbours are the one value."""
+    one when the fraction is at least one half.  At n = 1 numpy takes
+    the one value from the upper one, keeping the sign of a -0.0."""
     n = len(values)
     v = (n - 1) * (q / 100)
     i = math.floor(v)
     a, b = values[i], values[min(i + 1, n - 1)]
     g, d = v - i, b - a
-    return b - d * (1 - g) if g >= 0.5 else a + d * g
+    return b - d * (1 - g) if g >= 0.5 or n == 1 else a + d * g
 
 
 def sparse_expectation(dist: SparseDistribution, loss: LossOracle) -> float:

@@ -52,6 +52,9 @@ CATEGORICAL_METHODS = ("dense", "sparse", "sfe", "sum_and_sample")
 BITVEC_METHODS = ("dense", "sparse", "topk", "sparsemap", "sparsemap_budget")
 _ENUM_LIMIT = 12  # largest D for which 2^D enumeration paths are allowed
 _LOSS_BLOCK = 1 << _ENUM_LIMIT  # most rows one loss evaluation reads: one dense example
+# The cluster data's feature noise and share of uniformly resampled
+# labels, and the images' chance of flipping each pixel.
+_CLUSTER_NOISE, _LABEL_FLIP, _PIXEL_FLIP = 1.0, 0.1, 0.05
 
 
 @dataclass(frozen=True)
@@ -111,31 +114,31 @@ class BitImageData:
     n_pixels: int
 
 
-def make_cluster_data(n: int = 256, n_clusters: int = 16, feat_dim: int = 64, seed: int = 0,
-                      noise: float = 1.0, label_flip: float = 0.1) -> ClusterData:
+def make_cluster_data(n: int = 256, n_clusters: int = 16, feat_dim: int = 64,
+                      seed: int = 0) -> ClusterData:
     """Gaussian blobs: one cluster per label, plus uniformly resampled labels.
 
-    ``label_flip`` resamples that fraction of labels uniformly.  The
+    A fraction :data:`_LABEL_FLIP` of labels is resampled uniformly.  The
     mislabeled points pin the cross-entropy floor, so any method that
     recovers the clustering converges to the same training loss.
     """
     rng = make_rng(seed)
     centers = rng.normal(size=(n_clusters, feat_dim))
     labels = rng.integers(0, n_clusters, size=n)
-    features = centers[labels] + noise * rng.normal(size=(n, feat_dim))
-    flips = rng.random(n) < label_flip
+    features = centers[labels] + _CLUSTER_NOISE * rng.normal(size=(n, feat_dim))
+    flips = rng.random(n) < _LABEL_FLIP
     labels = np.where(flips, rng.integers(0, n_clusters, size=n), labels)
     return ClusterData(features, labels, n_clusters)
 
 
-def make_bitvec_images(n: int = 128, d: int = 8, n_pixels: int = 36, seed: int = 0,
-                       flip_prob: float = 0.05) -> BitImageData:
+def make_bitvec_images(n: int = 128, d: int = 8, n_pixels: int = 36,
+                       seed: int = 0) -> BitImageData:
     """Binary images: a union of active template patterns plus pixel flips."""
     rng = make_rng(seed)
     templates = rng.random((d, n_pixels)) < 0.4
     codes = rng.integers(0, 2, size=(n, d))
     clean = (codes @ templates) > 0
-    flips = rng.random((n, n_pixels)) < flip_prob
+    flips = rng.random((n, n_pixels)) < _PIXEL_FLIP
     images = np.logical_xor(clean, flips).astype(np.float64)
     return BitImageData(images, d, n_pixels)
 
