@@ -48,10 +48,14 @@ up to and including the failing one; a batch that does not pays nothing.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -76,15 +80,49 @@ _INT64_OUTCOMES = 1 << 63
 # structures in each row, and doubles its room when a live row needs more.
 _MIN_ROOM = 16
 # LAPACK's dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b), bound
-# by _lapack() on the first solve: importing the library loads no scipy.
+# by _lapack() on the first solve: importing the library loads no scipy,
+# and the first solve loads LAPACK's extension alone, no scipy package.
 dtrtrs = None
+_FLAPACK = "scipy.linalg._flapack"
 
 
 def _lapack() -> None:
-    """Bind :data:`dtrtrs` from scipy, once."""
+    """Bind :data:`dtrtrs`, once, to the function ``scipy.linalg.lapack``
+    exports: from the extension ``scipy.linalg`` has loaded, or else from
+    that extension loaded alone, so that neither ``scipy/__init__`` nor
+    ``scipy/linalg/__init__`` runs.  Where it cannot be found or loaded
+    alone (a wheel whose libraries scipy's ``__init__`` locates), from
+    ``scipy.linalg.lapack``.
+    """
     global dtrtrs
     if dtrtrs is None:
-        from scipy.linalg.lapack import dtrtrs
+        flapack = sys.modules.get(_FLAPACK) or _flapack_alone()
+        if flapack is None:
+            from scipy.linalg.lapack import dtrtrs
+        else:
+            dtrtrs = flapack.dtrtrs
+
+
+def _flapack_alone():
+    """scipy's LAPACK extension, loaded from beside the installed scipy and
+    left unregistered, so that a later ``import scipy.linalg`` imports as
+    usual; None where it cannot be found or loaded so."""
+    scipy = importlib.util.find_spec("scipy")  # imports nothing
+    roots = (scipy.submodule_search_locations if scipy else None) or ()
+    paths = [os.path.join(root, "linalg", "_flapack" + suffix)
+             for root in roots for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        return None
+    loader = ExtensionFileLoader(_FLAPACK, path)
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+        loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    finally:
+        sys.modules.pop(_FLAPACK, None)
+    return module
 
 
 class DegenerateSupportError(RuntimeError):

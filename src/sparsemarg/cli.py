@@ -43,6 +43,11 @@ from .toys import (
 __all__ = ["main", "cmd_check", "cmd_bench", "cmd_train"]
 
 MESSAGES = 16  # the categorical task's messages, clusters and labels
+# bench warms each op up with this many calls before its traced call and
+# its timed trials: the interpreter specializes a function's code over its
+# first calls, which allocates a few bytes more, so an earlier traced call
+# reads more.
+SETTLED_CALLS = 7
 
 TRAIN_COLUMNS = (
     "epoch",
@@ -149,8 +154,18 @@ def cmd_bench(args) -> int:
     rows = []
     for size in sizes:
         fn, iter_of = _bench_call(args.op, size, n_rows, rng)
-        for _ in range(3):
+        for _ in range(SETTLED_CALLS):
             fn()
+        # One more call, untimed: the peak of what it allocates, traced.
+        # The collection empties the free lists, which would hide some.
+        # It comes before the trials, so that --trials cannot change it.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         times = np.empty(args.trials)
         iters = []
         for i in range(args.trials):
@@ -160,15 +175,6 @@ def cmd_bench(args) -> int:
             if iter_of is not None:
                 iters.append(iter_of(res))
         mean_iters = _fmt(np.mean(iters)) if iters else ""
-        # One more call, untimed: the peak of what it allocates, traced.
-        # The collection empties the free lists, which would hide some.
-        gc.collect()
-        tracemalloc.start()
-        try:
-            fn()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         rows.append((args.op, str(size), _fmt(np.median(times)), _fmt(np.percentile(times, 90)),
                      mean_iters, _fmt(peak / 2**20)))
     lines = ["op,size,median_ns,p90_ns,mean_iters,traced_peak_mb"]

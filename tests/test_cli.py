@@ -93,21 +93,22 @@ def test_bench_sparsemap_rows_reports_iterations_per_row(tmp_path):
 
 def test_bench_sparsemap_rows_takes_a_rows_size_and_reports_traced_peak(tmp_path):
     # --rows sets the batch; each size reports the traced peak MB of one
-    # more call, the same on a second run, and more for a larger batch.
-    # The interpreter specializes a function's code over its first calls,
-    # which allocates a few bytes more, so the traced call comes after
-    # seven (three warm-ups and four trials) on both runs.
+    # more call, the same on a second run in this process, whatever
+    # --trials is, and more for a larger batch.  The interpreter specializes
+    # a function's code over its first calls, which allocates a few bytes
+    # more, so the traced call comes after seven warm-ups and before the
+    # trials, even at --trials 1; those bytes show at the small batch.
     out = tmp_path / "bench.csv"
     peaks = []
-    for n_rows in (2, 400):
+    for n_rows, trials_runs in ((2, ("1", "1", "4", "4")), (400, ("4", "4"))):
         runs = []
-        for _ in range(2):
-            code = main(["bench", "--op", "sparsemap_rows", "--sizes", "3,24",
-                         "--rows", str(n_rows), "--trials", "4", "--seed", "7", "--out", str(out)])
+        for trials in trials_runs:
+            code = main(["bench", "--op", "sparsemap_rows", "--sizes", "3,24", "--rows", str(n_rows),
+                         "--trials", trials, "--seed", "7", "--out", str(out)])
             assert code == 0
             _, rows = _rows(out)
             runs.append([row[5] for row in rows])
-        assert runs[0] == runs[1]
+        assert all(run == runs[0] for run in runs)
         rng = make_rng(7)
         for row in rows:
             d = int(row[1])
@@ -121,7 +122,8 @@ def test_bench_sparsemap_rows_takes_a_rows_size_and_reports_traced_peak(tmp_path
 
 def test_bench_kbest_rows_times_a_batch_of_rows(tmp_path, monkeypatch):
     # --rows sets the batch of kbest_rows(T, 16), as for sparsemap_rows;
-    # no iterations are reported.
+    # no iterations are reported.  Each size makes seven warm-up calls, one
+    # traced and one per trial.
     shapes = []
     kbest_rows = cli.kbest_rows
     monkeypatch.setattr(cli, "kbest_rows",
@@ -135,7 +137,7 @@ def test_bench_kbest_rows_times_a_batch_of_rows(tmp_path, monkeypatch):
         _, rows = _rows(out)
         assert [r[:2] for r in rows] == [["kbest_rows", "16"], ["kbest_rows", "128"]]
         assert all(float(r[2]) > 0 and r[4] == "" and float(r[5]) >= 0 for r in rows)
-        assert shapes == [((n_rows, 16), 16)] * 6 + [((n_rows, 128), 16)] * 6
+        assert shapes == [((n_rows, 16), 16)] * 10 + [((n_rows, 128), 16)] * 10
 
 
 @pytest.mark.parametrize("argv, message", [
