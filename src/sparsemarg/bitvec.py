@@ -20,6 +20,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .simplex import _row_dots
+from .topk import _as_k
 
 __all__ = [
     "Structure",
@@ -316,6 +317,7 @@ def _kbest_rows(T, k: int):
     """:func:`kbest_rows` of a checked (B, D) matrix."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    k = _as_k(k)  # after the range test, so that k < 1 keeps its own error
     B, D = T.shape
     k_eff = min(k, 1 << D) if D < 63 else k
     # A node whose last flip sits at sorted position m has m + 1 ancestors,

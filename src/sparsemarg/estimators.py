@@ -10,17 +10,22 @@ respect to the scores s.
 The sampling estimators work on the rows of a (B, K) score matrix at once
 (:func:`sfe_rows`, :func:`sum_and_sample_rows`), each row with the bits,
 draws and loss calls it would get alone; :func:`sfe_grad` and
-:func:`sum_and_sample_grad` are their one-row case.
+:func:`sum_and_sample_grad` are their one-row case.  Each of the two
+checks its scores and k and then runs a private core that checks nothing
+(``_sfe_rows``, ``_sas_rows``).  A core takes its softmax from the
+unchecked ``simplex`` core and draws without re-checking the
+probabilities it built, which finite scores make valid.  Training calls
+the cores once its divergence guard has found a batch's scores finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .marginalize import LossOracle
-from .simplex import _as_rows, _as_scores, softmax, softmax_vjp
+from .simplex import _as_rows, _as_scores, _softmax_rows, softmax, softmax_vjp
 from .topk import _kept
 
 __all__ = [
@@ -98,7 +103,7 @@ class MovingAverageBaseline:
         for loss_value in loss_values:
             before.append(value)
             value = self.decay * value + (1.0 - self.decay) * loss_value
-        return before, replace(self, value=value)
+        return before, type(self)(value, self.decay)
 
 
 def dense_grad(s, loss: LossOracle) -> np.ndarray:
@@ -134,6 +139,11 @@ def _draw_rows(probs, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("probabilities are not non-negative")
     if (np.abs(total - 1.0) > _CHOICE_ATOL).any():
         raise ValueError("probabilities do not sum to 1")
+    return _draw(probs, rng)
+
+
+def _draw(probs, rng: np.random.Generator) -> np.ndarray:
+    """:func:`_draw_rows` of rows ``choice`` accepts, unchecked."""
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
     return (cdf <= rng.random(probs.shape[0])[:, None]).sum(axis=1)
@@ -143,6 +153,15 @@ def _one_row(loss: LossOracle) -> LossOracle:
     """A (row, outcome) oracle for a single row that calls ``loss.eval``
     once per outcome, in order."""
     return LossOracle(lambda pairs: [loss.eval(int(z)) for z in pairs[1]])
+
+
+def _eval_rows(loss: LossOracle, outcomes, n: int) -> np.ndarray:
+    """``loss.eval_many(outcomes)``, which must return one value for each
+    of the ``n`` (row, outcome) pairs."""
+    values = loss.eval_many(outcomes)
+    if values.size != n:
+        raise ValueError("the loss returned %d values for %d outcomes" % (values.size, n))
+    return values
 
 
 def _sfe_term(p, z, loss_value, baseline_value) -> np.ndarray:
@@ -158,13 +177,17 @@ def sfe_rows(scores, loss: LossOracle, baseline: MovingAverageBaseline,
     :func:`sfe_grad` in row order would give them: row i draws
     z_i ~ softmax(s_i) from ``rng`` and uses the baseline the rows before
     it left.  ``loss.eval_many((rows, outcomes))`` reads the loss of each
-    (row, outcome) pair, one call per row.
+    (row, outcome) pair, one call per row, and must return one value each.
     """
-    s = _as_rows(scores)
-    p = softmax(s)
-    z = _draw_rows(p, rng)
+    return _sfe_rows(_as_rows(scores), loss, baseline, rng)
+
+
+def _sfe_rows(s, loss: LossOracle, baseline: MovingAverageBaseline, rng: np.random.Generator):
+    """:func:`sfe_rows` of a checked (B, K) matrix."""
+    p = _softmax_rows(s)
+    z = _draw(p, rng)
     rows = np.arange(s.shape[0])
-    values = loss.eval_many((rows, z))
+    values = _eval_rows(loss, (rows, z), rows.size)
     before, baseline = baseline.advanced(values.tolist())
     grad = _sfe_term(p, z, values, np.array(before))
     return RowEstimates(grad, values, p, rows, z, np.ones(rows.size), values), baseline
@@ -194,10 +217,18 @@ def _sas_term(p, kept, kept_values, comp_mass, z, loss_value) -> np.ndarray:
     """
     rows = np.arange(p.shape[0])[:, None]
     weighted = p[rows, kept] * kept_values
-    g = -p * weighted.sum(axis=1, keepdims=True)
+    return _sas_grad(p, rows, kept, weighted, weighted.sum(axis=1), np.flatnonzero(z >= 0), z,
+                     loss_value * comp_mass)
+
+
+def _sas_grad(p, rows, kept, weighted, exact, drawn, z, sampled) -> np.ndarray:
+    """:func:`_sas_term` from its parts: the kept outcomes' p_z * loss_z
+    (``weighted``) and each row's sum of them (``exact``), and each
+    drawing row's (``drawn``) draw z and loss(z) * complement mass
+    (``sampled``)."""
+    g = -p * exact[:, None]
     g[rows, kept] += weighted
-    drawn = np.flatnonzero(z >= 0)
-    g[drawn] += (loss_value * comp_mass)[drawn, None] * _one_hot_minus_p(p[drawn], z[drawn])
+    g[drawn] += sampled[drawn, None] * _one_hot_minus_p(p[drawn], z[drawn])
     return g
 
 
@@ -212,34 +243,44 @@ def sum_and_sample_rows(scores, loss: LossOracle, k: int,
     index order.  Rows whose complement mass is at most 1e-14 draw
     nothing; the others draw from their complement in proportion to p.
     ``loss.eval_many((rows, outcomes))`` reads every row's kept outcomes
-    and then its draw, k or k + 1 calls per row.
+    and then its draw, k or k + 1 calls per row, and must return one value
+    each.
     """
     s = _as_rows(scores)
-    B, K = s.shape
-    if not 1 <= k < K:
+    if not 1 <= k < s.shape[1]:
         raise ValueError("k must satisfy 1 <= k < K")
-    p = softmax(s)
+    return _sas_rows(s, loss, k, rng)
+
+
+def _sas_rows(s, loss: LossOracle, k: int, rng: np.random.Generator) -> RowEstimates:
+    """:func:`sum_and_sample_rows` of a checked (B, K) matrix and a k in 1..K-1."""
+    B = s.shape[0]
+    p = _softmax_rows(s)
     kept, order = _kept(s, k)
+    k = kept.shape[1]  # k as _kept read it: an int
     rows = np.arange(B)[:, None]
-    p_kept = p[rows, kept]
-    comp_mass = 1.0 - p_kept.sum(axis=1)
+    # Each row's outcomes and weights are its kept set, then its draw (-1
+    # for none) and complement mass.
+    outcomes, weights = np.empty((B, k + 1), dtype=kept.dtype), np.empty((B, k + 1))
+    outcomes[:, :k], outcomes[:, k] = kept, -1
+    weights[:, :k] = p_kept = p[rows, kept]
+    weights[:, k] = comp_mass = 1.0 - p_kept.sum(axis=1)
     drawn = np.flatnonzero(comp_mass > _COMPLEMENT_EPS)
     comp = np.sort(order[drawn, k:], axis=1)
     p_comp = p[drawn[:, None], comp]
-    # Each row's outcomes are its kept set, then its draw (-1 for none).
-    outcomes = np.column_stack((kept, np.full(B, -1)))
     outcomes[drawn, k] = comp[np.arange(drawn.size),
-                              _draw_rows(p_comp / p_comp.sum(axis=1, keepdims=True), rng)]
+                              _draw(p_comp / p_comp.sum(axis=1, keepdims=True), rng)]
     evaluated = outcomes >= 0
     eval_rows = np.nonzero(evaluated)[0]
+    flat = outcomes[evaluated]
     values = np.zeros((B, k + 1))
-    values[evaluated] = loss.eval_many((eval_rows, outcomes[evaluated]))
-    weights = np.column_stack((p_kept, comp_mass))
-    estimate = (p_kept * values[:, :k]).sum(axis=1)
-    estimate[drawn] += comp_mass[drawn] * values[drawn, k]
-    grad = _sas_term(p, kept, values[:, :k], comp_mass, outcomes[:, k], values[:, k])
-    return RowEstimates(grad, estimate, p, eval_rows, outcomes[evaluated], weights[evaluated],
-                        values[evaluated])
+    values[evaluated] = _eval_rows(loss, (eval_rows, flat), flat.size)
+    weighted = p_kept * values[:, :k]
+    estimate = weighted.sum(axis=1)
+    sampled = values[:, k] * comp_mass
+    grad = _sas_grad(p, rows, kept, weighted, estimate, drawn, outcomes[:, k], sampled)
+    estimate[drawn] += sampled[drawn]
+    return RowEstimates(grad, estimate, p, eval_rows, flat, weights[evaluated], values[evaluated])
 
 
 def sum_and_sample_grad(s, loss: LossOracle, k: int, rng: np.random.Generator) -> Estimate:

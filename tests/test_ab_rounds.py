@@ -1,6 +1,6 @@
 """``tools/ab_rounds.py`` on one tree against itself: two rounds a side of
-``categorical_sparse``, each side's own copy of the package, and nothing
-left imported afterwards."""
+``categorical_sparse``, each side's own copy of the package, the round and
+its one method timed, and nothing left imported afterwards."""
 
 import importlib.util
 import re
@@ -22,10 +22,14 @@ def test_an_a_a_comparison_times_both_sides_and_leaves_nothing_imported(capsys, 
     captured = capsys.readouterr()
     assert captured.err == ""
     line = re.fullmatch(r"categorical_sparse seed 1, 2 pairs of rounds: old (\S+) s, new (\S+) s, "
-                        r"old/new (\S+), new wins ([012]) of 2\n", captured.out)
+                        r"old/new (\S+), new wins ([012]) of 2\n"
+                        r"  sparse: old (\S+) s, new (\S+) s, old/new (\S+), new wins ([012]) of 2\n",
+                        captured.out)
     assert line is not None, captured.out
-    old_s, new_s, ratio = map(float, line.groups()[:3])
-    assert old_s > 0 and new_s > 0 and ratio > 0
+    old_s, new_s, ratio, _, old_sparse, new_sparse, sparse_ratio, _ = map(float, line.groups())
+    assert old_s > 0 and new_s > 0 and ratio > 0 and sparse_ratio > 0
+    # The one method's training calls are part of the round.
+    assert 0 < old_sparse <= old_s and 0 < new_sparse <= new_s
     assert sys.path == path
     assert not [m for m in sys.modules if m.split(".")[0] in ab_rounds._MODULES]
 

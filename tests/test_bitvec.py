@@ -546,3 +546,16 @@ def test_map_rows_has_the_bits_of_the_one_vector_oracles(d):
         BitVectorPolytope(d).map_rows(np.full((2, d), np.inf))
     with pytest.raises(ValueError, match=r"\(B, D\) matrix"):
         BitVectorPolytope(d).map_rows(np.zeros(d))
+
+
+def test_kbest_reads_k_as_an_integer():
+    t = make_rng(8).normal(size=6)
+    with pytest.raises(ValueError, match=r"k must be an integer, got 2\.0"):
+        kbest(t, 2.0)
+    with pytest.raises(ValueError, match=r"k must be an integer, got 2\.0"):
+        kbest_rows(t[None], 2.0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        kbest(t, 0)
+    rows, scores = kbest_rows(t[None], np.int64(3))
+    expected = kbest(t, 3)
+    assert np.array_equal(rows[0], expected.rows) and np.array_equal(scores[0], expected.scores)

@@ -5,8 +5,11 @@ import pytest
 
 from sparsemarg.estimators import (
     MovingAverageBaseline,
+    _draw,
     _draw_rows,
+    _sas_rows,
     _sas_term,
+    _sfe_rows,
     _sfe_term,
     dense_grad,
     sfe_grad,
@@ -17,7 +20,7 @@ from sparsemarg.estimators import (
 from sparsemarg.marginalize import LossOracle
 from sparsemarg.reference import central_difference
 from sparsemarg.rng import make_rng
-from sparsemarg.simplex import softmax
+from sparsemarg.simplex import _softmax_rows, _softmax_vjp_rows, softmax, softmax_vjp
 from sparsemarg.topk import top_k
 
 
@@ -298,3 +301,73 @@ def test_row_estimators_equal_rows_one_at_a_time(method):
     else:
         assert [calls[i] for i in (1, 4, 5)] == [2, 2, 2] and max(calls) == 3
     assert whole_rng.random() == single_rng.random()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_row_estimators_reject_a_loss_that_returns_the_wrong_number_of_values(extra):
+    # A value too few or too many is an error that names both counts, not a
+    # loss broadcast over the rows (which once made sfe return one loss for
+    # three rows and advance its baseline once).
+    oracle = LossOracle(lambda pairs: np.full(len(pairs[1]) + extra, 5.0))
+    with pytest.raises(ValueError, match="the loss returned %d values for 3 outcomes" % (3 + extra)):
+        sfe_rows(np.zeros((3, 4)), oracle, MovingAverageBaseline(), make_rng(0))
+    # Two rows, each of one kept outcome and one draw.
+    with pytest.raises(ValueError, match="the loss returned %d values for 4 outcomes" % (4 + extra)):
+        sum_and_sample_rows(np.zeros((2, 4)), oracle, 1, make_rng(0))
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_estimates(a, b) -> bool:
+    return all(_same(getattr(a, f), getattr(b, f))
+               for f in ("grad", "loss", "probs", "rows", "outcomes", "weights", "values"))
+
+
+def test_row_estimators_read_k_as_an_integer():
+    s = make_rng(5).normal(size=(6, 5))
+    oracle = LossOracle(lambda pairs: pairs[1] * 0.5)
+    with pytest.raises(ValueError, match=r"k must be an integer, got 1\.5"):
+        sum_and_sample_rows(s, oracle, 1.5, make_rng(0))
+    for k, same_as in ((True, 1), (np.int64(2), 2)):
+        a_rng, b_rng = make_rng(6), make_rng(6)
+        a = sum_and_sample_rows(s, oracle, k, a_rng)
+        assert _same_estimates(a, sum_and_sample_rows(s, oracle, same_as, b_rng))
+        assert a_rng.random() == b_rng.random()
+
+
+def test_each_core_equals_its_checked_adapter_byte_for_byte():
+    # The adapters check their input and then run the core that training
+    # calls: on random batches, with rows whose complement mass is at most
+    # 1e-14, rows of tied scores and k up to K - 1, both give the same
+    # bytes, draws, loss calls and baseline.
+    rng = make_rng(50)
+    for trial in range(60):
+        B, K = int(rng.integers(1, 12)), int(rng.integers(2, 20))
+        s = rng.normal(size=(B, K)) * rng.choice([0.1, 3.0, 40.0])
+        for i in rng.choice(B, size=min(B, 3), replace=False):
+            if rng.random() < 0.5:  # two kept outcomes hold all the mass
+                s[i] = np.where(np.arange(K) < 2, 0.0, -200.0)
+            else:  # ties across the cut
+                s[i] = np.repeat(rng.normal(size=2), [K // 2, K - K // 2])
+        k = K - 1 if trial % 3 == 0 else int(rng.integers(1, K))
+        table = rng.normal(size=(B, K))
+        assert _same(_softmax_rows(s), softmax(s))
+        p, u = softmax(s), rng.normal(size=(B, K))
+        assert _same(_softmax_vjp_rows(p, u), softmax_vjp(p, u))
+        assert _same(_draw(p, make_rng(trial)), _draw_rows(p, make_rng(trial)))
+        for method in ("sfe", "sum_and_sample"):
+            runs = []
+            for run in (_sfe_rows, sfe_rows) if method == "sfe" else (_sas_rows, sum_and_sample_rows):
+                oracle = LossOracle(lambda pairs: table[pairs[0], pairs[1]])
+                draws = make_rng(100 + trial)
+                if method == "sfe":
+                    est, base = run(s, oracle, MovingAverageBaseline(0.2), draws)
+                else:
+                    est, base = run(s, oracle, k, draws), None
+                runs.append((est, base, oracle.calls, draws.random()))
+            (a, a_base, a_calls, a_next), (b, b_base, b_calls, b_next) = runs
+            assert _same_estimates(a, b), (trial, method)
+            assert (a_base, a_calls, a_next) == (b_base, b_calls, b_next)

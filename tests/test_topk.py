@@ -168,3 +168,19 @@ def test_topk_sparsemax_rows_validation():
             topk_sparsemax_rows(bad, 1)
     with pytest.raises(ValueError):
         topk_sparsemax_rows(np.zeros((2, 3)), 0)
+
+
+def test_k_is_read_as_an_integer():
+    # Through operator.index: a float k is an error that names k, and an
+    # integer of any kind selects as the int it stands for.
+    s = make_rng(7).normal(size=6)
+    dist, _ = topk_sparsemax(s, 2)
+    for run in (lambda k: top_k(s, k), lambda k: topk_sparsemax(s, k),
+                lambda k: topk_sparsemax_rows(s[None], k),
+                lambda k: topk_sparsemax_vjp(s, k, dist, np.ones(6))):
+        with pytest.raises(ValueError, match=r"k must be an integer, got 2\.0"):
+            run(2.0)
+    with pytest.raises(ValueError, match="k must be >= 1"):  # as it was
+        top_k(s, 0.5)
+    assert np.array_equal(top_k(s, np.int64(3)).indices, top_k(s, 3).indices)
+    assert np.array_equal(top_k(s, True).indices, top_k(s, 1).indices)

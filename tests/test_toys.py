@@ -320,7 +320,8 @@ def _count_mapped_rows(monkeypatch):
 
     mapped, kbest_scores = [], []
     for name, at in (("sparsemax_rows", 0), ("_sparsemax_rows", 0), ("softmax", 0),
-                     ("kbest_rows", 0), ("_sparsemap_solve", 1)):
+                     ("_sfe_rows", 0), ("_sas_rows", 0), ("kbest_rows", 0),
+                     ("_sparsemap_solve", 1)):
         def counted(*args, _name=name, _at=at, _original=getattr(toys, name), **kwargs):
             if not any(args[0] is scores for scores in kbest_scores):
                 mapped.append(len(args[_at]))
@@ -1293,3 +1294,58 @@ def test_grad_check_reports_instability():
     # coordinate does.
     assert report.n_unstable == model.d * (x.size + 1)
     assert report.n_params == model.get_params().size
+
+
+def test_training_calls_no_checked_public_kernel(monkeypatch):
+    # Past the divergence guard the scores are finite, so training runs
+    # the unchecked cores: each checked public kernel is made to raise
+    # wherever a sparsemarg module holds it, and every categorical method
+    # still trains, initial pass included.
+    import sys
+
+    import sparsemarg
+    from sparsemarg import estimators, simplex
+
+    for public in (simplex.softmax, simplex.softmax_vjp, estimators.sfe_rows,
+                   estimators.sum_and_sample_rows):
+        def refuse(*args, _name=public.__name__, **kwargs):
+            raise AssertionError("training called the checked %s" % _name)
+        for name, module in list(sys.modules.items()):
+            if name == "sparsemarg" or name.startswith("sparsemarg."):
+                for key, value in list(vars(module).items()):
+                    if value is public:
+                        monkeypatch.setattr(module, key, refuse)
+    with pytest.raises(AssertionError, match="checked softmax"):
+        sparsemarg.softmax(np.zeros(2))
+    for method in CATEGORICAL_METHODS:
+        model = ToyCategoricalModel.init(n_messages=4, n_classes=4, feat_dim=8, seed=1)
+        log = train_categorical(model, _small_cluster_data(n=40),
+                                TrainConfig(method=method, epochs=2, seed=2, k=2))
+        assert not log.diverged and len(log.rows) == 2, method
+
+
+def test_config_reads_k_as_an_integer():
+    # A float k names k; any other rule that fails is reported as it was;
+    # an integer of any kind trains as the int it stands for.
+    data = _small_cluster_data(n=24)
+    images = make_bitvec_images(n=8, d=6, seed=3)
+
+    def categorical(**fields):
+        model = ToyCategoricalModel.init(n_messages=4, n_classes=4, feat_dim=8, seed=1)
+        log = train_categorical(model, data, TrainConfig(method="sum_and_sample", epochs=1,
+                                                         **fields))
+        return log.rows, model.get_params().tobytes()
+
+    def bitvec(**fields):
+        model = ToyBitVectorVAE.init(d=6, n_pixels=images.n_pixels, seed=1)
+        log = train_bitvec_vae(model, images, TrainConfig(method="topk", epochs=1, **fields))
+        return log.rows, model.get_params().tobytes()
+
+    for run, k in ((categorical, 1.5), (bitvec, 2.5)):
+        with pytest.raises(ValueError, match=r"^k must be an integer, got %s$" % k):
+            run(k=k)
+        with pytest.raises(ValueError, match=r"^lr must be finite and at least 0, got -1\.0$"):
+            run(k=k, lr=-1.0)
+    assert categorical(k=True) == categorical(k=1)
+    assert categorical(k=np.int64(2)) == categorical(k=2)
+    assert bitvec(k=np.int64(3)) == bitvec(k=3)

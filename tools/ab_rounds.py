@@ -17,7 +17,9 @@ tree can differ by far more than the change being sized, when the host
 is shared; two rounds next to each other in one process mostly share
 its state.  It prints each side's median round, the median of the pairs'
 speed ratios (old time over new time, above 1 when the new tree is
-faster) and the number of pairs the new tree won:
+faster) and the number of pairs the new tree won, and then the same
+figures for each method's training calls within a round, so that a
+change to one method is sized on its own:
 
     python tools/ab_rounds.py --old path/to/parent --new . \\
         --workload bitvec_sparsemap --seed 1 --rounds 10
@@ -97,9 +99,21 @@ def _workloads(package):
             sys.modules["sparsemarg"] = before
 
 
+def _timed(train, spent: dict):
+    """``train`` adding each call's CPU seconds to ``spent`` under its method."""
+    def timed(wl, model, data, cfg):
+        t0 = time.process_time()
+        try:
+            return train(wl, model, data, cfg)
+        finally:
+            spent[cfg.method] = spent.get(cfg.method, 0.0) + time.process_time() - t0
+    return timed
+
+
 def rounds(trees: dict, workload: str, seed: int, n: int) -> dict:
     """Each side's CPU seconds per round, ``n`` rounds each, in alternating
-    pairs, and whether every round trained exactly as that side's first."""
+    pairs; each side's per-round seconds of each method's training calls;
+    and whether every round trained exactly as that side's first."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
             toys = _packages(trees, tmp)
@@ -107,22 +121,28 @@ def rounds(trees: dict, workload: str, seed: int, n: int) -> dict:
             run = _load("_ab_run", os.path.join(_PERFBENCH, "run.py"))
             wl = W.WORKLOADS[workload]
             problems, keys, cpu = {}, {}, {side: [] for side in trees}
+            spent, methods = {}, {side: {m: [] for m in wl.methods} for side in trees}
+            W.train = _timed(W.train, spent)
             for side in trees:
                 W.toys = toys[side]
                 problems[side] = run._setup(W, wl, seed)
             for i in range(n):
                 for side in _SIDES if i % 2 == 0 else _SIDES[::-1]:
                     W.toys = toys[side]
+                    spent.clear()
                     t0 = time.process_time()
                     _, _, _, failed, replica_runs = run._round(W, wl, problems[side])
                     cpu[side].append(time.process_time() - t0)
+                    for method, seconds in methods[side].items():
+                        seconds.append(spent[method])
                     if failed:
                         raise SystemExit("%s: %d examples failed" % (side, failed))
                     keys.setdefault(side, set()).add(run._log_key(replica_runs))
         finally:
             for name in [m for m in sys.modules if m.split(".")[0] in _MODULES]:
                 del sys.modules[name]
-    return {"cpu": cpu, "repeatable": all(len(k) == 1 for k in keys.values())}
+    return {"cpu": cpu, "methods": methods,
+            "repeatable": all(len(k) == 1 for k in keys.values())}
 
 
 def summary(cpu: dict) -> dict:
@@ -143,6 +163,10 @@ def main(argv=None) -> int:
     print("%s seed %d, %d pairs of rounds: old %.4f s, new %.4f s, old/new %.3f, new wins %d of %d"
           % (args.workload, args.seed, s["pairs"], s["old_s"], s["new_s"], s["ratio"], s["wins"],
              s["pairs"]))
+    for method in out["methods"]["old"]:
+        s = summary({side: out["methods"][side][method] for side in _SIDES})
+        print("  %s: old %.4f s, new %.4f s, old/new %.3f, new wins %d of %d"
+              % (method, s["old_s"], s["new_s"], s["ratio"], s["wins"], s["pairs"]))
     if not out["repeatable"]:
         print("warning: rounds of one side trained differently", file=sys.stderr)
     return 0
