@@ -205,11 +205,10 @@ class _ActiveSets:
     LAPACK gives a triangular solve the same bits whatever the leading
     dimension, and wherever the factor sits in the stack.  Stack row b
     solves row ``origin[b]`` of the batch, and ``T[b]`` holds its scores.
-    ``diag[b]`` lists the |diagonal| entries of row b's factor, kept
-    through appends, drops and rebuilds.  ``hi[b]`` and ``lo[b]`` are the
-    largest and smallest of them: exact on an append, and NaN, read off
-    ``diag[b]`` on first use, after a drop or a rebuild, which change the
-    diagonal.  The per-row lists ``tau``, ``nu_min``, ``tol``,
+    ``hi[b]`` and ``lo[b]`` are the largest and smallest |diagonal| entry
+    of row b's factor, NaN while it holds a NaN, as numpy's max and min
+    give them: an append updates them, and a drop or a rebuild reads them
+    off the factor again.  The per-row lists ``tau``, ``nu_min``, ``tol``,
     ``converged``, ``iterations``, ``adds``, ``drops``,
     ``refactorizations``, ``widenings`` and ``max_condition`` hold the
     rest of each row's iterate.  The sizes, bounds and scalars are lists
@@ -224,7 +223,7 @@ class _ActiveSets:
         self.L, self.V = np.zeros((B, cap, cap)), np.zeros((B, cap, D))
         self.W = np.zeros((B, cap))
         self.M = np.zeros((B, D))
-        self.n, self.keys, self.diag = [0] * B, [[] for _ in range(B)], [[] for _ in range(B)]
+        self.n, self.keys = [0] * B, [[] for _ in range(B)]
         self.hi, self.lo = [math.nan] * B, [math.nan] * B
         self.tau, self.nu_min, self.tol = [math.nan] * B, [math.nan] * B, [tol] * B
         self.converged = [False] * B
@@ -253,28 +252,21 @@ class _ActiveSets:
         diag - ell'ell, with diagonal entries sqrt(pivot), in a stack with
         room for n + 1 structures.  Returns the rows whose pivot is
         numerically zero, which stay as they were, and the others with
-        their grown factors' condition estimates (:meth:`_condition`), as
+        their grown factors' condition estimates (:func:`_condition`), as
         lists."""
-        bad, grown, roots, cond, redo = [], [], [], [], []
-        sizes, hi, lo, kept = self.n, self.hi, self.lo, self.diag
+        bad, grown, roots, cond = [], [], [], []
+        sizes, hi, lo = self.n, self.hi, self.lo
         for b, pivot, d in zip(ids.tolist(), pivots, diag):
             if pivot <= 1e-12 * max(d, 1.0):
                 bad.append(b)
                 continue
-            # A NaN pivot passes the test; its row's bounds are then
-            # recomputed, and the NaN carries.
+            # A NaN pivot passes the test, and its root makes both bounds
+            # NaN; a NaN bound stays NaN, since no comparison with it holds.
             r = math.sqrt(pivot)
             sizes[b] = n + 1
-            kept[b].append(r)
-            h, l = hi[b], lo[b]
-            if r == r and l == l:
-                hi[b] = h = r if r > h else h
-                lo[b] = l = r if r < l else l
-                cond.append(_condition(h, l))
-            else:
-                hi[b] = lo[b] = math.nan
-                redo.append(len(cond))
-                cond.append(math.nan)
+            hi[b] = h = r if r > hi[b] or r != r else hi[b]
+            lo[b] = l = r if r < lo[b] or r != r else lo[b]
+            cond.append(_condition(h, l))
             grown.append(b)
             roots.append(r)
         if bad:
@@ -282,8 +274,6 @@ class _ActiveSets:
             ids, E = ids[ok], E[ok]
         self.L[ids, n, :n] = E
         self.L[ids, n, n] = roots
-        for j in redo:
-            cond[j] = self._condition(grown[j])
         return bad, grown, cond
 
     def _drop(self, b: int, j: int):
@@ -311,11 +301,8 @@ class _ActiveSets:
             block[k][k], block[k][k + 1] = rad, 0.0
         if block:
             M[j : n - 1, j:n] = block
-        kept = self.diag[b]
-        del kept[j]
-        kept[j:] = [abs(row[k]) for k, row in enumerate(block)]
         self.n[b] = n - 1
-        self.hi[b] = self.lo[b] = math.nan
+        self._bound(b)
 
     def _rebuild(self, b: int, gram):
         """Make row b's factor the Cholesky factor of ``gram``, which the
@@ -325,18 +312,12 @@ class _ActiveSets:
         factor = np.linalg.cholesky(gram)
         self.L[b, :m, :m] = factor
         self.n[b] = m
-        self.diag[b] = np.abs(np.diagonal(factor)).tolist()
-        self.hi[b] = self.lo[b] = math.nan
+        self._bound(b)
 
-    def _condition(self, b: int) -> float:
-        """(max |diag L| / min |diag L|)^2 of row b's factor, inf when the
-        smallest is 0 or an entry is NaN."""
-        if self.lo[b] != self.lo[b]:
-            d = self.diag[b]
-            # NaN wherever an entry is, as numpy's max and min would give.
-            self.hi[b], self.lo[b] = ((math.nan, math.nan) if any(map(math.isnan, d))
-                                      else (max(d), min(d)))
-        return _condition(self.hi[b], self.lo[b])
+    def _bound(self, b: int):
+        """Read ``hi[b]`` and ``lo[b]`` off row b's factor."""
+        d = np.abs(self.L[b].diagonal()[: self.n[b]])
+        self.hi[b], self.lo[b] = float(d.max()), float(d.min())
 
     def _refactorize(self, b: int, size: int):
         """Rebuild row b's factor from its first ``size`` vertex rows."""
@@ -459,7 +440,7 @@ def _add_step(sets: _ActiveSets, ids, n: int, F, E, pivots: list, diag: list):
             raise DegenerateSupportError(
                 "candidate structure is affinely dependent on the active set") from exc
         grown.append(b)
-        cond.append(sets._condition(b))
+        cond.append(_condition(sets.hi[b], sets.lo[b]))
     best, adds = sets.max_condition, sets.adds
     for b, c in zip(grown, cond):
         if c > best[b]:
@@ -738,8 +719,8 @@ def _solve_rows(oracle, T, max_iter: int, tol: float):
     with np.errstate(over="ignore", invalid="ignore"):
         if B:
             # Each row starts at weight 1 on its MAP vertex, with the 1 x 1
-            # factor sqrt(a'a + 1): the bits of np.linalg.cholesky, exact
-            # diagonal bounds.
+            # factor sqrt(a'a + 1), the bits of np.linalg.cholesky, which
+            # is both of its diagonal bounds.
             bits, _ = _oracle_rows(oracle, T)
             F = bits.astype(np.float64)
             sets.V[:, 0], sets.W[:, 0], sets.M[:] = F, 1.0, F
@@ -747,8 +728,7 @@ def _solve_rows(oracle, T, max_iter: int, tol: float):
             sets.L[:, 0, 0] = roots
             sets.n[:] = [1] * B
             sets.keys[:] = [[key] for key in map(bytes, bits)]
-            sets.hi[:] = sets.lo[:] = roots = roots.tolist()
-            sets.diag[:] = [[root] for root in roots]
+            sets.hi[:] = sets.lo[:] = roots.tolist()
         for _ in range(max_iter):
             live = [b for b, done in enumerate(sets.converged) if not done]
             if not live:

@@ -58,14 +58,17 @@ class PropertyResult:
 
     @property
     def ok(self) -> bool:
-        return self.trials - self.passes <= self.allowed_miss_rate * self.trials
+        """Passed: run at least once, and missed no more often than allowed."""
+        return self.trials > 0 and self.trials - self.passes <= self.allowed_miss_rate * self.trials
 
 
 def _result(name, errors, tol, allowed_miss_rate: float = 0.0) -> PropertyResult:
+    """The result of one error per trial; a property with no trial has a
+    NaN worst error and fails."""
     errors = np.asarray(errors, dtype=np.float64)
-    return PropertyResult(
-        name, errors.size, int((errors <= tol).sum()), float(errors.max()), allowed_miss_rate
-    )
+    return PropertyResult(name, errors.size, int((errors <= tol).sum()),
+                          float(errors.max()) if errors.size else np.nan,
+                          allowed_miss_rate)
 
 
 def _random_scores(rng, size, scale) -> np.ndarray:
@@ -73,13 +76,19 @@ def _random_scores(rng, size, scale) -> np.ndarray:
 
 
 def _score_batch(rng, k_low, k_high, scales) -> np.ndarray:
-    """A (B, K) batch of 1 to 4 rows, each at its own scale so that support
-    sizes mix, and each in quarter-step ties with probability 0.3."""
+    """A (B, K) batch of 1 to 4 random rows, each at its own scale so that
+    support sizes mix, and each in quarter-step ties with probability 0.3,
+    then one interior row: the ranks of the first row's scores times
+    0.4 / K^2.  Its scores are distinct and spread less than 1 / K, so
+    every outcome keeps probability above 0.6 / K in sparsemax, or in the
+    sparsemax of any top-k set, and no central-difference probe moves its
+    support or its top-k set: each vjp property has a row to check."""
     s = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(k_low, k_high))))
     s *= rng.choice(scales, size=(len(s), 1))
     ties = rng.random(len(s)) < 0.3
     s[ties] = np.round(4.0 * s[ties]) / 4.0
-    return s
+    ranks = np.argsort(np.argsort(s[0], kind="stable"), kind="stable")
+    return np.vstack([s, ranks * (0.4 / s.shape[1] ** 2)])
 
 
 def _vjp_errors(forward, s, u, vjps) -> list:
@@ -120,7 +129,9 @@ def check_simplex(trials: int, seed: int) -> list:
 
 def check_topk(trials: int, seed: int) -> list:
     """As :func:`check_simplex`.  Ties at the k-th score leave several
-    projections equally close, so the enumeration is matched by distance."""
+    projections equally close, so the enumeration is matched by distance.
+    Each trial also projects its first row at k one past its sparsemax
+    support, where the certificate must hold (an error of inf if not)."""
     rng = make_rng(seed)
     cert_eq, vs_brute, size_ok, vjp_off, vjp_err = [], [], [], [], []
     for _ in range(trials):
@@ -139,6 +150,9 @@ def check_topk(trials: int, seed: int) -> list:
             if cert:
                 cert_eq.append(np.abs(p_row - sparsemax(row).densify()).max())
             one_row.append(topk_sparsemax_vjp(row, k, dist, v))
+        free = sparsemax(s[0])
+        capped, cert = topk_sparsemax(s[0], free.support_size + 1)
+        cert_eq.append(np.abs(capped.densify() - free.densify()).max() if cert else np.inf)
         vjps = [sparsemax_vjp_rows(RowSupports.of(p), u), np.array(one_row)]
         vjp_off.append(max(np.abs(g[p == 0]).max(initial=0.0) for g in vjps))
         vjp_err += _vjp_errors(lambda x: topk_sparsemax_rows(x, k)[0], s, u, vjps)
@@ -205,26 +219,35 @@ def check_sparsemap(trials: int, seed: int) -> list:
 
 
 def check_marginal(trials: int, seed: int) -> list:
+    """Each trial builds two sparsemax distributions over k outcomes: one
+    of full support (scores spread less than 1 / k), where the split
+    estimator is exact, and one with an outcome 2 below the top score,
+    out of its support, where the split estimator samples."""
+    from scipy.special import logsumexp
+
     rng = make_rng(seed)
     expect_eq, call_eq, split_cover, full_exact = [], [], [], []
     for i in range(trials):
         k = int(rng.integers(3, 12))
-        dist = sparsemax(_random_scores(rng, k, 2.0))
-        table = rng.normal(size=k)
-        oracle = LossOracle(lambda z: table[z])
-        expected = sparse_expectation(dist, oracle)
-        expect_eq.append(abs(expected - dist.densify() @ table))
-        call_eq.append(0.0 if oracle.calls == dist.support_size else 1.0)
+        full = rng.uniform(-0.2, 0.2, size=k) / k
+        split = _random_scores(rng, k, 2.0)
+        top = int(split.argmax())
+        split[(top + int(rng.integers(1, k))) % k] = split[top] - 2.0
+        for scores in (full, split):
+            dist = sparsemax(scores)
+            table = rng.normal(size=k)
+            oracle = LossOracle(lambda z: table[z])
+            expected = sparse_expectation(dist, oracle)
+            expect_eq.append(abs(expected - dist.densify() @ table))
+            call_eq.append(0.0 if oracle.calls == dist.support_size else 1.0)
 
-        logs = rng.normal(size=k)
-        from scipy.special import logsumexp
-
-        exact = logsumexp(logs)
-        est, err = log_marginal_split(dist, LossOracle(lambda z: logs[z]), 64, seed + i)
-        if dist.support_size == k:
-            full_exact.append(abs(est - exact))
-        else:
-            split_cover.append(0.0 if abs(est - exact) <= 4.0 * err + 1e-12 else 1.0)
+            logs = rng.normal(size=k)
+            exact = logsumexp(logs)
+            est, err = log_marginal_split(dist, LossOracle(lambda z: logs[z]), 64, seed + i)
+            if dist.support_size == k:
+                full_exact.append(abs(est - exact))
+            else:
+                split_cover.append(0.0 if abs(est - exact) <= 4.0 * err + 1e-12 else 1.0)
     return [
         _result("support expectation is exact", expect_eq, 1e-12),
         _result("calls equal support size", call_eq, 0.0),

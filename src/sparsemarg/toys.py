@@ -192,15 +192,18 @@ class _ParamLayout:
         and return whether every parameter is still finite.
 
         One pass over the parameters; every one of them is stepped, even
-        after one has left the finite range.
+        after one has left the finite range.  A step that overflows is no
+        error: it leaves a parameter that is not finite, which the return
+        value reports.
         """
         finite = True
-        for key in self.PARAMS:
-            param = getattr(self, key)
-            step = grads[key] / batch_size
-            step *= lr
-            param -= step
-            finite = finite and np.isfinite(param).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key in self.PARAMS:
+                param = getattr(self, key)
+                step = grads[key] / batch_size
+                step *= lr
+                param -= step
+                finite = finite and np.isfinite(param).all()
         return bool(finite)
 
 

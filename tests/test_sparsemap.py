@@ -21,6 +21,7 @@ from sparsemarg.activeset import (
     DegenerateSupportError,
     SparseMapResult,
     _ActiveSets,
+    _condition,
     _dtrtrs,
     sparsemap,
     sparsemap_rows,
@@ -671,15 +672,15 @@ def test_factor_updates_and_diagonal_bounds_are_exact():
     # whole-matrix updates, its upper triangle stays zero, the stack's
     # room doubles from 16 to 64, and the condition estimate is
     # (max |diag| / min |diag|)^2 of the factor, bit for bit, both as
-    # _grow returns it from the bounds it keeps and as _condition reads it
-    # off the kept |diagonal| list, which equals the factor's.  _condition
-    # is read for a random half of the rows each round, so some appends
-    # find the bounds a drop or rebuild left unknown.  From a second
-    # stream, some appends get a NaN pivot and some rows are rebuilt from
-    # their Gram matrix.  A row given a NaN is then only dropped from
-    # until a rebuild: its list holds NaN where its factor does, and its
-    # estimates are those _reference_condition reads off the factor in
-    # the stack, inf while a NaN is left.
+    # _grow returns it and as _condition gives it from the row's bounds,
+    # which are the max and min of the factor's |diagonal| after every
+    # append, drop and rebuild.  The estimate is read for a random half of
+    # the rows each round.  From a second stream, some appends get a NaN
+    # pivot and some rows are rebuilt from their Gram matrix.  A row given
+    # a NaN is then only dropped from until a rebuild: its bounds are NaN
+    # while its factor holds one, and its estimates are those
+    # _reference_condition reads off the factor in the stack, inf while a
+    # NaN is left.
     rng, events = make_rng(18), make_rng(19)
     B = 60
     sets, grams, members, pools, refs, rounds = _stack(B), [], [], [], [], []
@@ -749,16 +750,17 @@ def test_factor_updates_and_diagonal_bounds_are_exact():
         for b in range(B):
             n, L = sets.n[b], factor(b)
             assert n == len(members[b])
-            assert np.array_equal(sets.diag[b], np.abs(np.diagonal(L)), equal_nan=True)
+            d = np.abs(np.diagonal(L))
+            assert np.array_equal([sets.hi[b], sets.lo[b]], [d.max(), d.min()], equal_nan=True)
             if b in poisoned:  # no reference until a rebuild
                 if np.isnan(L).any():
                     counts["nan_reads"] += 1
-                assert sets._condition(b) == _reference_condition(L)
+                assert _condition(sets.hi[b], sets.lo[b]) == _reference_condition(L)
                 continue
             assert np.tril(L).tobytes() == np.tril(refs[b]).tobytes()
             assert not np.triu(L, 1).any()
             if rng.random() < 0.5:
-                assert sets._condition(b) == _reference_condition(refs[b])
+                assert _condition(sets.hi[b], sets.lo[b]) == _reference_condition(refs[b])
     assert rooms == {16, 32, 64}
     assert min(counts.values()) > 0, counts
 

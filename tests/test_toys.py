@@ -115,6 +115,23 @@ def test_divergence_guard_aborts():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task", ["categorical", "bitvec"])
+def test_a_step_that_overflows_ends_the_run_diverged_without_a_warning(task):
+    # At lr = 1e308 the first update overflows: the update warns of
+    # nothing, and the guard ends the run, diverged, before any epoch.
+    if task == "categorical":
+        model = ToyCategoricalModel.init(n_messages=4, n_classes=4, feat_dim=8, seed=4)
+        log = train_categorical(model, _small_cluster_data(),
+                                TrainConfig(method="dense", epochs=2, lr=1e308, seed=0))
+    else:
+        model = ToyBitVectorVAE.init(d=4, n_pixels=36, seed=13)
+        log = train_bitvec_vae(model, make_bitvec_images(n=4, d=4, seed=12),
+                               TrainConfig(method="sparsemap", epochs=2, lr=1e308, seed=0))
+    assert log.diverged
+    assert log.rows == []
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", CATEGORICAL_METHODS)
 def test_divergence_guard_flags_non_finite_scores(method):
     data = _small_cluster_data()
@@ -642,6 +659,49 @@ def test_ordered_sum_is_repeated_accumulation():
         q, dec = _spread(rng, (B, K)), _spread(rng, (K, 1))
         assert _same_bits(_ordered_outer_sum(q.T, dec),
                           _loop_sum(q.T[:, :, None] * dec[:, None, :]))
+
+
+def _has_the_loop_bytes(got, terms):
+    """Whether ``got`` is ``terms`` summed along the first axis by repeated
+    += into zeros, byte for byte, signed zeros included."""
+    expected = _loop_sum(terms)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_ordered_sum_to_one_entry_takes_the_cumsum():
+    # A sum to a single entry, along the only axis longer than 1, adds
+    # pairwise past 8 terms: _ordered_sum takes one cumsum instead.
+    rng = make_rng(36)
+    for z in (9, 17, 33, 100):
+        for shape in ((z,), (z, 1), (z, 1, 1)):
+            terms, zeros = _spread(rng, shape), np.full(shape, -0.0)
+            assert _has_the_loop_bytes(_ordered_sum(terms), terms), shape
+            assert _has_the_loop_bytes(_ordered_sum(zeros), zeros), shape
+
+
+def test_ordered_outer_sum_to_one_entry_takes_the_stack():
+    # An outer-product sum to a single entry is a dot product, which an
+    # einsum adds pairwise: _ordered_outer_sum sums the stack of products.
+    rng = make_rng(37)
+    for z in (17, 33, 100):
+        for shape in ((z, 1), (z, 1, 1)):
+            a, b = _spread(rng, shape), _spread(rng, shape)
+            assert _has_the_loop_bytes(_ordered_outer_sum(a, b),
+                                       a[..., :, None] * b[..., None, :]), shape
+
+
+def test_ordered_outer_sum_of_views_takes_contiguous_copies():
+    # On a view whose summed axis is not its slowest, an einsum adds in
+    # another order: _ordered_outer_sum copies each operand C-ordered.
+    # The left view (as the categorical mixture passes q.T), the right
+    # view, and both.
+    rng = make_rng(38)
+    for z, m, c in ((16, 16, 1), (9, 3, 1), (16, 3, 5), (40, 16, 16)):
+        q, dec = _spread(rng, (m, z)), _spread(rng, (z, c))
+        x, y = _spread(rng, (c, z)), _spread(rng, (z, m))
+        for a, b in ((q.T, dec), (dec, q.T), (y, x.T), (q.T, x.T)):
+            assert _has_the_loop_bytes(_ordered_outer_sum(a, b),
+                                       a[:, :, None] * b[:, None, :]), (z, m, c)
 
 
 def _loop_sum(terms):
